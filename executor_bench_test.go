@@ -1,7 +1,9 @@
 // Throughput benchmarks for the pooled execution substrate. The workload
 // of the study is millions of short executions, so the numbers that matter
-// are executions/sec and allocs/execution; `make bench-json` records them
-// as BENCH_substrate.json.
+// are executions/sec and allocs/execution. Plain `go test -bench`
+// benchmarks; the ledger's vthread.* probes (benchmark/) track the same
+// costs, except BenchmarkStepOverhead's per-route numbers, which only live
+// here.
 package sctbench
 
 import (
@@ -20,7 +22,7 @@ import (
 // included. The Executor rows split by engine — "ref" runs the closure
 // twin on the goroutine reference engine (the pre-flat history row),
 // "flat" runs the compiled form on the single-goroutine flat engine — so
-// BENCH_substrate.json carries the before/after of the engine swap.
+// one run carries the before/after of the engine swap.
 func BenchmarkExecutorThroughput(b *testing.B) {
 	bm := bench.ByName("CS.account_bad")
 	b.Run("NewWorldPerRun", func(b *testing.B) {

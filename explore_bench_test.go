@@ -1,9 +1,8 @@
 // Reduction benchmarks for the pruning stack: DFS versus sleep-set DFS
 // versus source-set DPOR on CS-suite programs. The numbers that matter are
 // executions per full exploration, total executed steps (the abort path's
-// saving) and wall-clock; `make bench-json` records them as
-// BENCH_explore.json next to the substrate numbers in
-// BENCH_substrate.json.
+// saving) and wall-clock. Plain `go test -bench` benchmarks; the ledger's
+// exhaustive_reduction workload (benchmark/) pins the same counts.
 package sctbench
 
 import (

@@ -1,9 +1,8 @@
 // Benchmarks for the GoIdiom workload family: the DPOR/sleep-set reduction
 // factors on select/WaitGroup/Once programs (whose schedule spaces carry a
 // case-decision dimension the pthread-style suites lack) and the raw
-// substrate throughput of a select-heavy program. `make bench-json`
-// records them as BENCH_goidiom.json next to the substrate and explore
-// numbers.
+// substrate throughput of a select-heavy program. Plain `go test -bench`
+// benchmarks; the repo's performance ledger is benchmark/.
 package sctbench
 
 import (

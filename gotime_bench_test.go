@@ -1,9 +1,8 @@
 // Benchmarks for the GoTime workload family: the DPOR/sleep-set reduction
 // factors on timer/ticker/context programs (whose schedule spaces carry
 // the clock pseudo-thread as an extra interleaving dimension) and the raw
-// substrate throughput of a timer-heavy program. `make bench-json`
-// records them as BENCH_gotime.json next to the goidiom and explore
-// numbers.
+// substrate throughput of a timer-heavy program. Plain `go test -bench`
+// benchmarks; the repo's performance ledger is benchmark/.
 package sctbench
 
 import (

@@ -88,15 +88,17 @@ func (c *Client) once(path string, req, out any) error {
 		// First delivery of the duplicated request; its reply is ignored.
 		_ = c.send(path, req, nil)
 	}
-	if err := c.send(path, req, out); err != nil {
-		return err
-	}
 	if dropReply {
-		// The server-side effect happened; the caller must not see the
-		// reply, so the retry re-delivers the request.
+		// The server-side effect happens; the caller must not see any of
+		// the reply (decoding it into out would leave its fields behind for
+		// the retry's reply to be merged onto), so the retry re-delivers
+		// the request.
+		if err := c.send(path, req, nil); err != nil {
+			return err
+		}
 		return fmt.Errorf("%w: reply dropped (injected)", errTransient)
 	}
-	return nil
+	return c.send(path, req, out)
 }
 
 // send is one raw HTTP round trip; out may be nil to discard the reply.

@@ -71,18 +71,19 @@ func (jc JobConfig) withDefaults() JobConfig {
 	return jc
 }
 
-// exploreConfig is the program environment for the coordinator's own
-// sharding runs (one execution per pass).
-func (jc JobConfig) exploreConfig() explore.Config {
+// exploreConfig is the program environment of a job, identical in every
+// process that takes part in it: the coordinator's own sharding runs (one
+// execution per pass) and checkpoints, and each worker's units.
+func exploreConfig(b *bench.Benchmark, racy []string, noRace bool, limit int, seed uint64) explore.Config {
 	var visible func(string) bool
-	if !jc.NoRace {
-		visible = race.Promoted(jc.Racy)
+	if !noRace {
+		visible = race.Promoted(racy)
 	}
 	return explore.Config{
-		Program: jc.Bench.New(), Visible: visible,
-		BoundsCheck: jc.Bench.BoundsCheck, MaxSteps: jc.Bench.MaxSteps,
-		Limit: jc.Limit, Seed: jc.Seed,
-		MaxBound: jc.MaxBound, MaxExecutions: jc.MaxExecutions,
+		Program: b.New(), Visible: visible,
+		BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps,
+		Limit: limit, Seed: seed,
+		Meta: explore.CheckpointMeta{Benchmark: b.Name, Racy: racy, NoRace: noRace},
 	}
 }
 
@@ -159,9 +160,9 @@ type Coordinator struct {
 	leases   map[int64]*leaseRec
 	nextUnit int
 	nextLse  int64
-	limitHit bool
 	drainRsn explore.StopReason
 	workers  map[string]bool
+	ckMu     sync.Mutex // serializes checkpoint writes (one temp file)
 
 	final    *explore.Result
 	finalErr error
@@ -184,7 +185,7 @@ func NewCoordinator(jc JobConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		jc:      jc,
-		ecfg:    jc.exploreConfig(),
+		ecfg:    exploreConfig(jc.Bench, jc.Racy, jc.NoRace, jc.Limit, jc.Seed),
 		iter:    jc.Technique == explore.IPB || jc.Technique == explore.IDB,
 		phase:   phaseSeeding,
 		res:     &explore.Result{Technique: jc.Technique},
@@ -194,6 +195,7 @@ func NewCoordinator(jc JobConfig) (*Coordinator, error) {
 		doneCh:  make(chan struct{}),
 		stopCh:  make(chan struct{}),
 	}
+	c.ecfg.MaxBound, c.ecfg.MaxExecutions = jc.MaxBound, jc.MaxExecutions
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
 }
@@ -206,17 +208,10 @@ func ResumeCoordinator(ck *explore.Checkpoint, jc JobConfig) (*Coordinator, erro
 	if ck.Pool == nil {
 		return nil, errors.New("dist: checkpoint has no pool state (sequential checkpoints resume via sctrun -resume)")
 	}
-	var tech explore.Technique
-	switch ck.Technique {
-	case "DFS":
-		tech = explore.DFS
-	case "IPB":
-		tech = explore.IPB
-	case "IDB":
-		tech = explore.IDB
-	case "DPOR":
-		tech = explore.DPOR
-	default:
+	// A technique that parses but cannot be distributed (Rand) is refused
+	// by NewCoordinator below.
+	tech, ok := explore.ParseTechnique(ck.Technique)
+	if !ok {
 		return nil, fmt.Errorf("dist: technique %q cannot be distributed", ck.Technique)
 	}
 	jc.Technique = tech
@@ -233,26 +228,7 @@ func ResumeCoordinator(ck *explore.Checkpoint, jc JobConfig) (*Coordinator, erro
 	rr := *ck.Result
 	rr.Stopped = explore.StopCompleted
 	rr.CheckpointError = ""
-	// Rebase the work tallies so that (baseline + merged per-unit sums)
-	// reproduces the pool counters no matter who wrote the checkpoint:
-	// dist-written checkpoints carry per-unit tallies (the subtraction
-	// cancels them exactly); pool-written ones count work on shared
-	// counters and leave the per-unit fields zero, so the whole counter
-	// value lands in the baseline instead of being undercounted.
-	var sumE, sumA int
-	var sumS int64
-	for i := range ck.Pool.Done {
-		d := &ck.Pool.Done[i]
-		sumE, sumS, sumA = sumE+d.Executions, sumS+d.Steps, sumA+d.Aborted
-	}
-	for i := range ck.Pool.Units {
-		if p := ck.Pool.Units[i].Partial; p != nil {
-			sumE, sumS, sumA = sumE+p.Executions, sumS+p.Steps, sumA+p.Aborted
-		}
-	}
-	rr.Executions = int(ck.Pool.Execs) - sumE
-	rr.TotalSteps = ck.Pool.Steps - sumS
-	rr.AbortedExecutions = int(ck.Pool.Aborts) - sumA
+	ck.Pool.RebaseWork(&rr)
 	c.res = &rr
 	c.bound = ck.Bound
 	c.counted = ck.Pool.Counted
@@ -432,16 +408,17 @@ func (c *Coordinator) run() {
 			c.finishDrain(done, pending)
 			return
 		}
-		if c.finishPass(done) {
+		if c.commit(done, explore.StopCompleted) {
 			return
 		}
 	}
 }
 
-// passEndLocked: the current pass is over when every unit completed, the
-// schedule budget was hit (in-flight work is cancelled, as in the pool),
-// or a drain has no leases left outstanding (each was parked, completed
-// or expired).
+// passEndLocked: the current pass is over when every unit completed, when
+// the completed units ahead of the earliest outstanding one already hold
+// the schedule budget (explore.BudgetReached — the pool's rule; in-flight
+// work is cancelled, and the canonical merge cuts exactly), or when a drain
+// has no leases left outstanding (each was parked, completed or expired).
 func (c *Coordinator) passEndLocked() bool {
 	if c.phase == phaseCrashed {
 		return true
@@ -449,15 +426,16 @@ func (c *Coordinator) passEndLocked() bool {
 	if c.phase == phaseDraining {
 		return len(c.leases) == 0
 	}
-	if c.limitHit {
-		return true
+	done, pending := c.collectLocked()
+	budget, held := c.jc.Limit-c.counted, 0
+	for _, d := range done {
+		held += d.Schedules
 	}
-	for _, u := range c.units {
-		if !u.done {
-			return false
-		}
+	live := make([][]int, len(pending))
+	for i, us := range pending {
+		live[i] = us.Key
 	}
-	return true
+	return len(live) == 0 || (held >= budget && explore.BudgetReached(done, live, budget))
 }
 
 // collectLocked snapshots the pass: completed results and the not-done
@@ -489,97 +467,44 @@ func (c *Coordinator) installShards(set *explore.ShardSet) {
 	c.writeCheckpoint()
 }
 
-// finishPass merges a completed pass and either finishes the job (true)
-// or advances to the next bound (false).
-func (c *Coordinator) finishPass(done []*explore.UnitResultState) bool {
-	m := explore.MergeUnitStates(done, c.jc.Limit-c.counted)
-	c.mu.Lock()
-	r := c.res
-	if c.iter {
-		r.Bound = c.bound
-		r.NewSchedules = m.Schedules
-	}
-	m.FoldInto(r, c.counted)
-	c.counted += m.Schedules
-	r.Schedules = c.counted
-	finish := func(final bool) bool {
-		if final {
-			c.phase = phaseDone
-			c.final = r
-			c.cond.Broadcast()
-		} else {
-			c.units = map[int]*unitEntry{}
-			c.leases = map[int64]*leaseRec{}
-			c.bound++
-			c.phase = phaseSeeding
-		}
-		c.mu.Unlock()
-		return final
-	}
-	if r.Schedules >= c.jc.Limit || c.limitHit || m.Truncated {
-		r.LimitHit = true
-		r.Stopped = explore.StopLimit
-		return finish(true)
-	}
-	if !c.iter {
-		// Single pass (DFS/DPOR): the space is exhausted — complete,
-		// unless a forfeited unit means coverage cannot be claimed.
-		if r.WorkerPanics == 0 {
-			r.Complete = true
-		}
-		return finish(true)
-	}
-	if !m.Pruned {
-		// Nothing was pruned anywhere: every schedule costs at most
-		// bound, so the space is fully explored.
-		if r.WorkerPanics == 0 {
-			r.Complete = true
-		}
-		return finish(true)
-	}
-	if r.BugFound {
-		// The bound that exposed the bug has been fully enumerated;
-		// stop, as in the paper's methodology (§5).
-		return finish(true)
-	}
-	if c.bound == c.jc.MaxBound {
-		return finish(true)
-	}
-	if r.Executions >= c.jc.MaxExecutions {
-		r.LimitHit = true
-		r.Stopped = explore.StopLimit
-		return finish(true)
-	}
-	return finish(false)
-}
-
 // finishDrain checkpoints the drained pass (pre-fold, matching the pool's
 // checkpoint contract) and produces the partial result: completed units
 // plus the partial tallies of parked ones, folded exactly as the pool's
 // stopped path folds them.
 func (c *Coordinator) finishDrain(done []*explore.UnitResultState, pending []*explore.UnitState) {
 	c.writeCheckpoint()
-	merged := done
 	for _, us := range pending {
 		if us.Partial != nil {
-			merged = append(merged, us.Partial)
+			done = append(done, us.Partial)
 		}
 	}
-	m := explore.MergeUnitStates(merged, c.jc.Limit-c.counted)
+	c.commit(done, c.drainRsn)
+}
+
+// commit merges a pass's units under its budget and folds them into the
+// job's result with the pool's per-pass verdict (explore.PassMerge.Commit):
+// the job is over (true), or the next bound is to be seeded (false).
+func (c *Coordinator) commit(units []*explore.UnitResultState, stopped explore.StopReason) (final bool) {
+	m := explore.MergeUnitStates(units, c.jc.Limit-c.counted)
 	c.mu.Lock()
-	r := c.res
-	if c.iter {
-		r.Bound = c.bound
-		r.NewSchedules = m.Schedules
-	}
-	m.FoldInto(r, c.counted)
+	defer c.mu.Unlock()
+	final = m.Commit(c.res, explore.PassEnd{
+		Iterative: c.iter, Bound: c.bound, MaxBound: c.jc.MaxBound,
+		Counted: c.counted, Limit: c.jc.Limit, Stopped: stopped,
+		GuardHit: c.iter && c.res.Executions+m.Executions >= c.jc.MaxExecutions,
+	})
 	c.counted += m.Schedules
-	r.Schedules = c.counted
-	r.Stopped = c.drainRsn
-	c.phase = phaseDone
-	c.final = r
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	if final {
+		c.phase = phaseDone
+		c.final = c.res
+		c.cond.Broadcast()
+	} else {
+		c.units = map[int]*unitEntry{}
+		c.leases = map[int64]*leaseRec{}
+		c.bound++
+		c.phase = phaseSeeding
+	}
+	return final
 }
 
 // writeCheckpoint durably writes the resumable job state: the committed
@@ -591,6 +516,11 @@ func (c *Coordinator) writeCheckpoint() {
 	if c.jc.CheckpointPath == "" {
 		return
 	}
+	// Handlers checkpoint concurrently; Save goes through one temp file, and
+	// the snapshot must be taken inside the same critical section so the
+	// file on disk never goes back in time.
+	c.ckMu.Lock()
+	defer c.ckMu.Unlock()
 	c.mu.Lock()
 	ck := c.checkpointLocked()
 	c.mu.Unlock()
@@ -602,59 +532,22 @@ func (c *Coordinator) writeCheckpoint() {
 }
 
 func (c *Coordinator) checkpointLocked() *explore.Checkpoint {
-	ps := &explore.PoolState{
-		Counted:        c.counted,
-		CommittedExecs: int64(c.res.Executions),
-	}
-	var passSched int
-	var passExecs, passSteps int64
-	var passAborts int
-	addWork := func(ur *explore.UnitResultState) {
-		passSched += ur.Schedules
-		passExecs += int64(ur.Executions)
-		passSteps += ur.Steps
-		passAborts += ur.Aborted
-	}
+	var units []explore.UnitState
+	var done []explore.UnitResultState
 	for _, u := range c.units {
 		if u.done {
-			ps.Done = append(ps.Done, *u.res)
-			addWork(u.res)
+			done = append(done, *u.res)
 		} else {
-			ps.Units = append(ps.Units, *u.us)
-			if u.us.Partial != nil {
-				addWork(u.us.Partial)
-			}
+			units = append(units, *u.us)
 		}
 	}
-	ps.BudgetLeft = int64(c.jc.Limit-c.counted) - int64(passSched)
-	if ps.BudgetLeft < 0 {
-		ps.BudgetLeft = 0
-	}
-	ps.Execs = int64(c.res.Executions) + passExecs
-	ps.Steps = c.res.TotalSteps + passSteps
-	ps.Aborts = int64(c.res.AbortedExecutions) + int64(passAborts)
-	ps.OwnExecs = passExecs
-	ps.ExecLimitLeft = int64(c.jc.MaxExecutions) - ps.Execs
 	// Snapshot the committed Result: the checkpoint is marshaled outside
 	// the lock (Save fsyncs — too slow to hold c.mu across), and c.res
 	// keeps mutating as passes fold in. FoldInto replaces reference
 	// fields rather than mutating their backing arrays, so a shallow
 	// copy is a stable marshal source.
 	rr := *c.res
-	return &explore.Checkpoint{
-		Version:       explore.CheckpointVersion,
-		Technique:     c.jc.Technique.String(),
-		Limit:         c.jc.Limit,
-		Seed:          c.jc.Seed,
-		MaxBound:      c.jc.MaxBound,
-		MaxExecutions: c.jc.MaxExecutions,
-		Benchmark:     c.jc.Bench.Name,
-		Racy:          c.jc.Racy,
-		NoRace:        c.jc.NoRace,
-		Result:        &rr,
-		Bound:         c.bound,
-		Pool:          ps,
-	}
+	return explore.NewPassCheckpoint(c.ecfg, &rr, c.bound, c.counted, int64(rr.Executions), units, done)
 }
 
 // --------------------------------------------------------------------------
@@ -713,7 +606,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, LeaseReply{Status: StatusWait, RetryMillis: 20})
 		return
 	}
-	if c.limitHit || c.sealed {
+	if c.sealed {
 		writeJSON(w, LeaseReply{Status: StatusWait, RetryMillis: 20})
 		return
 	}
@@ -760,7 +653,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case c.phase == phaseDraining:
 		writeJSON(w, HeartbeatReply{Status: StatusDrain})
-	case c.phase == phaseDone || c.phase == phaseCrashed || c.sealed || c.limitHit:
+	case c.phase == phaseDone || c.phase == phaseCrashed || c.sealed:
 		delete(c.leases, req.LeaseID)
 		writeJSON(w, HeartbeatReply{Status: StatusCancel})
 	default:
@@ -790,9 +683,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	u, ok := c.units[req.UnitID]
 	if !ok || c.sealed || c.phase == phaseDone || c.phase == phaseCrashed {
-		// The pass moved on without this unit (budget stop, next bound):
-		// the result is dropped. Covered ranges are re-derived from the
-		// units actually merged, so dropping is always safe.
+		// The pass moved on without this unit (the budget was already held by
+		// the units ahead of it, or the next bound began): the result is
+		// dropped. Covered ranges are re-derived from the units actually
+		// merged, so dropping is always safe.
 		c.mu.Unlock()
 		writeJSON(w, CompleteReply{Status: StatusStale})
 		return
@@ -822,11 +716,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, CompleteReply{Status: StatusOK})
 		return
 	}
+	// req.LimitHit needs no handling: a unit that stopped at its own budget
+	// is a finished unit, and passEndLocked decides from the finished units
+	// alone whether the pass may end.
 	u.done = true
 	u.res = req.Result
-	if req.LimitHit {
-		c.limitHit = true
-	}
 	c.cond.Broadcast()
 	crash := faultinject.Hit(faultinject.DistCoordCrash)
 	c.mu.Unlock()

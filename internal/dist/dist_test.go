@@ -131,6 +131,61 @@ func TestDistEquivalence(t *testing.T) {
 	}
 }
 
+// maskWork zeroes the work tallies, the only Result fields a run cut by the
+// schedule limit does not reproduce: units run on behind the cut until the
+// front of the canonical order is known, and that work is reported.
+func maskWork(r *explore.Result) *explore.Result {
+	m := *r
+	m.Executions, m.TotalSteps, m.AbortedExecutions = 0, 0, 0
+	return &m
+}
+
+// TestDistTruncatedMatchesSequential: under a limit that cuts the tree, a
+// distributed run keeps exactly the schedules the sequential run keeps —
+// same counts, same buggy schedules, same first bug and witness. A pass
+// that ends as soon as any one unit reports its budget, and merges whatever
+// had completed by then, does not: CS.token_ring_bad at 100 then finds its
+// first bug at schedule 1 (sequential: 11), and CS.reorder_4_bad at 1000
+// finds a bug where the sequential run finds none.
+func TestDistTruncatedMatchesSequential(t *testing.T) {
+	cases := []struct {
+		bench string
+		tech  explore.Technique
+		limit int
+	}{
+		{"CS.reorder_4_bad", explore.DFS, 1000},
+		{"CS.token_ring_bad", explore.DFS, 100},
+		{"CS.account_bad", explore.DFS, 300},
+		{"CS.circular_buffer_bad", explore.DFS, 100},
+		{"CS.token_ring_bad", explore.IPB, 300},
+		{"CS.reorder_4_bad", explore.IPB, 300},
+		{"CS.reorder_4_bad", explore.IDB, 300},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/%s/limit=%d", tc.bench, tc.tech, tc.limit), func(t *testing.T) {
+			base := explore.Run(tc.tech, baseCfg(t, tc.bench, tc.limit))
+			if !base.LimitHit {
+				t.Fatalf("baseline was not truncated (%d schedules); lower the limit", base.Schedules)
+			}
+			c, err := NewCoordinator(testJob(t, tc.bench, tc.tech, tc.limit))
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			startCoord(t, c)
+			for i, werr := range runWorkers(c, 2) {
+				if werr != nil {
+					t.Errorf("worker %d: %v", i, werr)
+				}
+			}
+			got, err := c.Wait()
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			requireSame(t, "truncated", maskWork(base), maskWork(got))
+		})
+	}
+}
+
 // TestDistDPORVerdict: distributed DPOR keeps the pool's verdict-level
 // contract — bug and completeness survive sharding across workers.
 func TestDistDPORVerdict(t *testing.T) {
@@ -402,63 +457,116 @@ func TestDistCoordCrashResume(t *testing.T) {
 // TestDistDrainResumeInProcess: SIGTERM-style drain parks the in-flight
 // frontiers and writes a job checkpoint that the *in-process* resume path
 // (sctrun -resume) finishes bit-identically — the cross-driver half of the
-// checkpoint contract.
+// checkpoint contract, for a job that completes and for one the schedule
+// limit cuts (where the resumed pool must derive its budget exactly as the
+// coordinator would have: Limit minus what earlier bounds committed).
 func TestDistDrainResumeInProcess(t *testing.T) {
-	base := explore.RunDFS(baseCfg(t, "CS.account_bad", distLimit))
-	if !base.Complete {
-		t.Fatalf("baseline did not complete")
+	for _, tc := range []struct {
+		name  string
+		bench string
+		limit int
+		// drainAfter is how many unit completions the coordinator sees before
+		// the interrupt; 0 = a short sleep instead (the job may win the race).
+		drainAfter int
+	}{
+		{"complete", "CS.account_bad", distLimit, 0},
+		{"truncated", "CS.account_bad", 300, 1},
+		{"truncated-early", "CS.token_ring_bad", 100, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := explore.RunDFS(baseCfg(t, tc.bench, tc.limit))
+			truncated := tc.limit != distLimit
+			if base.LimitHit != truncated {
+				t.Fatalf("baseline LimitHit = %v, want %v", base.LimitHit, truncated)
+			}
+			same := func(label string, got *explore.Result) {
+				t.Helper()
+				if truncated {
+					requireSame(t, label, maskWork(base), maskWork(got))
+				} else {
+					requireSame(t, label, base, got)
+				}
+			}
+			ckPath := filepath.Join(t.TempDir(), "job.ckpt")
+			interrupt := make(chan struct{})
+			jc := testJob(t, tc.bench, explore.DFS, tc.limit)
+			jc.CheckpointPath = ckPath
+			jc.Interrupt = interrupt
+			jc.LeaseTTL = 90 * time.Millisecond // heartbeat ≈30ms: parks land fast
+			c, err := NewCoordinator(jc)
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			startCoord(t, c)
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = RunWorker(WorkerConfig{
+						Addr: "http://" + c.Addr(), Name: fmt.Sprintf("w%d", i),
+						Client: fastClient(c),
+					})
+				}(i)
+			}
+			if tc.drainAfter > 0 {
+				waitUnitsDone(t, c, tc.drainAfter)
+			} else {
+				time.Sleep(20 * time.Millisecond)
+			}
+			close(interrupt)
+			wg.Wait()
+			for i, werr := range errs {
+				if werr != nil {
+					t.Errorf("worker %d: %v", i, werr)
+				}
+			}
+			r1, err := c.Wait()
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			if r1.Stopped != explore.StopInterrupted {
+				// The job beat the interrupt; equivalence is still required,
+				// but there is nothing to resume.
+				same("drain(too fast)", r1)
+				return
+			}
+			ck, err := explore.LoadCheckpoint(ckPath)
+			if err != nil {
+				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			for _, workers := range []int{1, 4} {
+				cfg := baseCfg(t, tc.bench, tc.limit)
+				cfg.Workers = workers
+				got, err := explore.Resume(ck, cfg)
+				if err != nil {
+					t.Fatalf("Resume: %v", err)
+				}
+				same(fmt.Sprintf("drain-resume workers=%d", workers), got)
+			}
+		})
 	}
-	ckPath := filepath.Join(t.TempDir(), "job.ckpt")
-	interrupt := make(chan struct{})
-	jc := testJob(t, "CS.account_bad", explore.DFS, distLimit)
-	jc.CheckpointPath = ckPath
-	jc.Interrupt = interrupt
-	jc.LeaseTTL = 90 * time.Millisecond // heartbeat ≈30ms: parks land fast
-	c, err := NewCoordinator(jc)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	startCoord(t, c)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = RunWorker(WorkerConfig{
-				Addr: "http://" + c.Addr(), Name: fmt.Sprintf("w%d", i),
-				Client: fastClient(c),
-			})
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(interrupt)
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
+}
+
+// waitUnitsDone blocks until the coordinator has recorded n completed units
+// (or the job has ended).
+func waitUnitsDone(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		c.mu.Lock()
+		done, over := 0, c.phase == phaseDone
+		for _, u := range c.units {
+			if u.done {
+				done++
+			}
 		}
+		c.mu.Unlock()
+		if done >= n || over {
+			return
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
-	r1, err := c.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if r1.Stopped == explore.StopCompleted {
-		// The job beat the interrupt; equivalence is still required, but
-		// there is nothing to resume.
-		requireSame(t, "drain(too fast)", base, r1)
-		return
-	}
-	if r1.Stopped != explore.StopInterrupted {
-		t.Fatalf("Stopped = %v, want interrupted", r1.Stopped)
-	}
-	ck, err := explore.LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
-	}
-	got, err := explore.Resume(ck, baseCfg(t, "CS.account_bad", distLimit))
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	requireSame(t, "drain-resume", base, got)
+	t.Fatalf("coordinator never saw %d completed units", n)
 }

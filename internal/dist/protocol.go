@@ -17,10 +17,13 @@
 //     determinism makes any later duplicate identical), so re-dispatch
 //     races cannot corrupt counts. Parks are fenced by lease ID: a stale
 //     park from an expired lease is rejected, never regressing a unit.
-//   - The merge is the canonical branch-key merge of the in-process pool:
-//     a fully completed distributed run is bit-identical to the
-//     sequential (-workers 1) run for DFS/IPB/IDB and verdict-identical
-//     for DPOR; truncated runs are verdict-level, as in the pool.
+//   - The merge, the unit step and the budget rule are the in-process
+//     pool's (explore.MergeUnitStates, RunUnit, BudgetReached): a
+//     distributed run is bit-identical to the sequential (-workers 1) run
+//     for DFS/IPB/IDB — run to completion, cut by the schedule limit, or
+//     drained and resumed — and verdict-identical for DPOR. Limit is
+//     applied by the merge alone; a pass ends early only once the
+//     completed units ahead of the earliest outstanding one hold it.
 //   - Workers retry transient RPC failures with exponential backoff and
 //     jitter; the coordinator propagates the schedule budget and the
 //     wall-clock deadline to every worker.
@@ -81,8 +84,8 @@ type LeaseReply struct {
 	UnitID  int    `json:"unitId,omitempty"`
 	// Unit is the frontier to execute, in checkpoint wire form.
 	Unit *explore.UnitState `json:"unit,omitempty"`
-	// Budget is the remaining global schedule budget; the worker reports
-	// LimitHit when this unit alone counts that many schedules.
+	// Budget is the pass's schedule budget; the unit stops itself (and the
+	// worker reports LimitHit) once it alone has counted that many.
 	Budget int `json:"budget,omitempty"`
 	// HeartbeatMillis is how often the worker must heartbeat to keep the
 	// lease alive; RetryMillis is the wait before retrying after
@@ -105,7 +108,9 @@ type HeartbeatReply struct {
 // CompleteRequest submits a finished unit's result. UnitID identifies the
 // unit so a completion that outlived its lease (expiry re-dispatch race)
 // is still accepted when the unit has no result yet — determinism makes
-// it identical to what the re-dispatched run will produce.
+// it identical to what the re-dispatched run will produce. LimitHit says
+// the unit stopped at its own budget rather than exhausting its range;
+// either way it is finished, and the coordinator treats it as such.
 type CompleteRequest struct {
 	LeaseID  int64                    `json:"leaseId"`
 	UnitID   int                      `json:"unitId"`

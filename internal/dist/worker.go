@@ -8,7 +8,6 @@ import (
 	"sctbench/internal/bench"
 	"sctbench/internal/explore"
 	"sctbench/internal/faultinject"
-	"sctbench/internal/race"
 )
 
 // WorkerConfig parameterises one worker process (or goroutine — the chaos
@@ -52,15 +51,7 @@ func RunWorker(wc WorkerConfig) error {
 	if b == nil {
 		return fmt.Errorf("worker %s: unknown benchmark %q", wc.Name, spec.Benchmark)
 	}
-	var visible func(string) bool
-	if !spec.NoRace {
-		visible = race.Promoted(spec.Racy)
-	}
-	cfg := explore.Config{
-		Program: b.New(), Visible: visible,
-		BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps,
-		Limit: spec.Limit, Seed: spec.Seed,
-	}
+	cfg := exploreConfig(b, spec.Racy, spec.NoRace, spec.Limit, spec.Seed)
 	var deadline time.Time
 	if spec.DeadlineMillis != 0 {
 		deadline = time.UnixMilli(spec.DeadlineMillis)

@@ -10,8 +10,9 @@ package explore
 // runOnce. Restoring such a state and re-entering the driver loop therefore
 // continues the exact schedule enumeration, so a killed-and-resumed
 // exploration finishes with bit-identical counts and witnesses to an
-// uninterrupted one (verdict-identical for parallel DPOR, whose counts
-// already depend on stealing; see parallel.go).
+// uninterrupted one — sequential or pool, complete or cut by Limit
+// (verdict-identical for parallel DPOR, whose counts already depend on
+// stealing; see parallel.go).
 //
 // What is NOT serialized: the DPOR race-analysis scratch (vector clocks,
 // prevOf/spawnOf, per-object access state) is per-run and recomputed from
@@ -27,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -95,8 +98,9 @@ type Checkpoint struct {
 
 // EngineState is the serialized frontier of one searcher.
 type EngineState struct {
-	// Kind identifies the engine: "bounded" (DFS/IPB/IDB), "sleepset" or
-	// "dpor".
+	// Kind identifies the engine: "bounded" (DFS/IPB/IDB), or the
+	// partial-order-reduction walker as "dpor" or, in its sleep-set-only
+	// form, "sleepset". Both walker kinds carry the same node codec.
 	Kind string `json:"kind"`
 	// Model and Bound are the bounded engine's cost model and budget.
 	Model int `json:"model,omitempty"`
@@ -125,17 +129,15 @@ type NodeState struct {
 	Costs []int `json:"costs,omitempty"`
 	Hi    int   `json:"hi,omitempty"`
 	Base  int   `json:"base,omitempty"`
-	// Pruning engines: per-choice pending footprints and the sleep set.
-	Infos []PendingState `json:"infos,omitempty"`
-	Sleep []SleepEntry   `json:"sleep,omitempty"`
-	// Sleep-set engine: case-decision marker.
-	IsCase bool `json:"isCase,omitempty"`
-	// DPOR: explored and to-explore choice sets, thread count at this
-	// point, and the selecting thread of a case node (-1 = thread node).
-	Done      []bool `json:"done,omitempty"`
-	Backtrack []bool `json:"backtrack,omitempty"`
-	NThreads  int    `json:"nthreads,omitempty"`
-	SelOf     int    `json:"selOf,omitempty"`
+	// POR walker: per-choice pending footprints and the sleep set, the
+	// explored and to-explore choice sets, thread count at this point, and
+	// the selecting thread of a case node (-1 = thread node).
+	Infos     []PendingState `json:"infos,omitempty"`
+	Sleep     []SleepEntry   `json:"sleep,omitempty"`
+	Done      []bool         `json:"done,omitempty"`
+	Backtrack []bool         `json:"backtrack,omitempty"`
+	NThreads  int            `json:"nthreads,omitempty"`
+	SelOf     int            `json:"selOf,omitempty"`
 }
 
 // PendingState mirrors vthread.PendingInfo for serialization (Footprint is
@@ -158,16 +160,25 @@ type SleepEntry struct {
 	Info   PendingState `json:"info"`
 }
 
-// PoolState is a suspended parallel job: every parked unit (engine plus
-// partial per-unit tallies), every finished unit's result, and the job's
-// shared budgets and counters.
+// PoolState is a suspended parallel pass, as the in-process pool and the
+// distributed coordinator both write it: every parked unit (engine plus
+// partial per-unit tallies), every finished unit's result, and the
+// cross-pass totals a resume continues from.
 type PoolState struct {
+	// BudgetLeft and ExecLimitLeft are written for older builds only: a
+	// resume derives the pass budget from Limit - Counted and the execution
+	// guard from MaxExecutions - CommittedExecs, so the two writers cannot
+	// disagree about what "left" means.
 	BudgetLeft    int64 `json:"budgetLeft"`
 	ExecLimitLeft int64 `json:"execLimitLeft"`
-	OwnExecs      int64 `json:"ownExecs,omitempty"`
-	Execs         int64 `json:"execs"`
-	Steps         int64 `json:"steps"`
-	Aborts        int64 `json:"aborts,omitempty"`
+	// OwnExecs is the executions this pass has performed so far.
+	OwnExecs int64 `json:"ownExecs,omitempty"`
+	// Execs, Steps and Aborts are the whole exploration's work so far:
+	// everything committed by earlier passes (cancelled speculation
+	// included) plus the per-unit tallies of Units and Done.
+	Execs  int64 `json:"execs"`
+	Steps  int64 `json:"steps"`
+	Aborts int64 `json:"aborts,omitempty"`
 	// Counted and CommittedExecs are the schedules and executions committed
 	// by earlier bounds (iterative parallel only).
 	Counted        int   `json:"counted,omitempty"`
@@ -181,30 +192,59 @@ type PoolState struct {
 type UnitState struct {
 	Key []int `json:"key"`
 	// Positioned units run immediately on resume; unpositioned (donated,
-	// never started) units backtrack first — unit.fresh, serialized.
+	// never started) units backtrack first — unit.positioned, serialized.
 	Positioned bool             `json:"positioned"`
 	Engine     *EngineState     `json:"engine"`
 	Partial    *UnitResultState `json:"partial,omitempty"`
 }
 
-// UnitResultState serializes a unitResult.
+// RunStats is the per-benchmark max-statistics fold of Table 3 (max enabled
+// threads, max contested scheduling points, max thread count), embedded in
+// every per-unit and per-pass accumulator of the parallel drivers.
+type RunStats struct {
+	MaxEnabled int `json:"maxEnabled,omitempty"`
+	SchedPts   int `json:"schedPoints,omitempty"`
+	Threads    int `json:"threads,omitempty"`
+}
+
+// UnitResultState is everything a unit contributes to the canonical merge
+// — in memory while a pool worker or RunUnit fills it, and on the wire and
+// on disk as it is.
 type UnitResultState struct {
-	Key        []int            `json:"key"`
-	Schedules  int              `json:"schedules"`
-	BuggyOffs  []int            `json:"buggyOffs,omitempty"`
-	Failure    *vthread.Failure `json:"failure,omitempty"`
-	Witness    sched.Schedule   `json:"witness,omitempty"`
-	Pruned     bool             `json:"pruned,omitempty"`
-	Branches   int              `json:"branches,omitempty"`
-	MaxEnabled int              `json:"maxEnabled,omitempty"`
-	SchedPts   int              `json:"schedPoints,omitempty"`
-	Threads    int              `json:"threads,omitempty"`
-	PanicMsg   string           `json:"panic,omitempty"`
-	// Per-unit work tallies (distributed units only; the in-process pool
-	// counts work on shared job counters and leaves these zero).
+	Key       []int `json:"key"`
+	Schedules int   `json:"schedules"` // terminal schedules counted by this unit
+	// BuggyOffs are the 1-based offsets (within this unit) of its buggy
+	// schedules; Failure and Witness describe the first.
+	BuggyOffs []int            `json:"buggyOffs,omitempty"`
+	Failure   *vthread.Failure `json:"failure,omitempty"`
+	Witness   sched.Schedule   `json:"witness,omitempty"`
+	Pruned    bool             `json:"pruned,omitempty"`
+	Branches  int              `json:"branches,omitempty"` // siblings retired unexplored by POR
+	RunStats
+	// PanicMsg marks a unit whose worker panicked mid-unit: its schedule
+	// counts are forfeited (the merge skips them), only its run statistics
+	// and work tallies fold in, and the job reports the panic instead of
+	// completeness.
+	PanicMsg string `json:"panic,omitempty"`
+	// Executions, Steps and Aborted are the unit's own work tallies. Summed
+	// over a disjoint covering set of completed units they equal the
+	// sequential totals.
 	Executions int   `json:"executions,omitempty"`
 	Steps      int64 `json:"steps,omitempty"`
 	Aborted    int   `json:"aborted,omitempty"`
+	// StatMarks is the history of RunStats: one entry per execution that
+	// raised a maximum. A sequential search cut by Limit stops at its last
+	// counted schedule, so for the unit the cut lands in the merge must
+	// report the maxima as of that schedule, not of the unit's whole run.
+	StatMarks []StatMark `json:"statMarks,omitempty"`
+}
+
+// StatMark is a unit's RunStats right after an execution raised them;
+// Before is how many schedules the unit had counted when that execution
+// began.
+type StatMark struct {
+	Before int `json:"before"`
+	RunStats
 }
 
 // ---------------------------------------------------------------------------
@@ -422,21 +462,18 @@ func writeCheckpoint(cfg Config, r *Result, ck *Checkpoint) (crashed bool) {
 // ---------------------------------------------------------------------------
 // Engine snapshot/restore.
 
-func threadsToInts(ts []sched.ThreadID) []int {
-	out := make([]int, len(ts))
-	for i, t := range ts {
-		out[i] = int(t)
+// mapSlice converts a slice element-wise (the wire types are the engine
+// types with serializable fields).
+func mapSlice[T, U any](xs []T, f func(T) U) []U {
+	out := make([]U, len(xs))
+	for i, x := range xs {
+		out[i] = f(x)
 	}
 	return out
 }
 
-func intsToThreads(xs []int) []sched.ThreadID {
-	out := make([]sched.ThreadID, len(xs))
-	for i, x := range xs {
-		out[i] = sched.ThreadID(x)
-	}
-	return out
-}
+func threadToInt(t sched.ThreadID) int { return int(t) }
+func intToThread(x int) sched.ThreadID { return sched.ThreadID(x) }
 
 func pendingToState(p vthread.PendingInfo) PendingState {
 	ps := PendingState{
@@ -459,22 +496,6 @@ func stateToPending(ps PendingState) vthread.PendingInfo {
 	}
 }
 
-func pendingsToStates(ps []vthread.PendingInfo) []PendingState {
-	out := make([]PendingState, len(ps))
-	for i, p := range ps {
-		out[i] = pendingToState(p)
-	}
-	return out
-}
-
-func statesToPendings(ss []PendingState) []vthread.PendingInfo {
-	out := make([]vthread.PendingInfo, len(ss))
-	for i, s := range ss {
-		out[i] = stateToPending(s)
-	}
-	return out
-}
-
 func sleepToEntries(m map[sched.ThreadID]vthread.PendingInfo) []SleepEntry {
 	if len(m) == 0 {
 		return nil
@@ -495,38 +516,6 @@ func sleepFromEntries(es []SleepEntry) map[sched.ThreadID]vthread.PendingInfo {
 	return m
 }
 
-// engineTechName maps a searcher to its checkpoint technique string.
-func engineTechName(eng searcher) string {
-	switch e := eng.(type) {
-	case *engine:
-		switch e.model {
-		case CostPreemptions:
-			return "IPB"
-		case CostDelays:
-			return "IDB"
-		}
-		return "DFS"
-	case *ssEngine:
-		return "sleepset"
-	case *dporEngine:
-		return "DPOR"
-	}
-	return "unknown"
-}
-
-// snapshotSearcher serializes any searcher's frontier.
-func snapshotSearcher(eng searcher) *EngineState {
-	switch e := eng.(type) {
-	case *engine:
-		return e.snapshot()
-	case *ssEngine:
-		return e.snapshot()
-	case *dporEngine:
-		return e.snapshot()
-	}
-	panic("explore: unsnapshotable searcher")
-}
-
 // restoreSearcher rebuilds a searcher from its serialized frontier,
 // validating every structural invariant so a hand-edited or damaged
 // checkpoint fails loudly instead of corrupting the search.
@@ -537,12 +526,21 @@ func restoreSearcher(cfg Config, st *EngineState) (searcher, error) {
 	switch st.Kind {
 	case "bounded":
 		return restoreBounded(cfg, st)
-	case "sleepset":
-		return restoreSleepSet(cfg, st)
-	case "dpor":
+	case "sleepset", "dpor":
 		return restoreDPOR(cfg, st)
 	}
 	return nil, fmt.Errorf("unknown engine kind %q", st.Kind)
+}
+
+// techName is the engine's checkpoint technique string.
+func (e *engine) techName() string {
+	switch e.model {
+	case CostPreemptions:
+		return "IPB"
+	case CostDelays:
+		return "IDB"
+	}
+	return "DFS"
 }
 
 func (e *engine) snapshot() *EngineState {
@@ -552,7 +550,7 @@ func (e *engine) snapshot() *EngineState {
 	for i := range e.stack {
 		nd := &e.stack[i]
 		st.Nodes[i] = NodeState{
-			Order: threadsToInts(nd.order),
+			Order: mapSlice(nd.order, threadToInt),
 			Costs: append([]int(nil), nd.costs...),
 			Idx:   nd.idx, Hi: nd.hi, Base: nd.base,
 		}
@@ -574,7 +572,7 @@ func restoreBounded(cfg Config, st *EngineState) (*engine, error) {
 			return nil, fmt.Errorf("inconsistent frontier node %d", i)
 		}
 		e.stack[i] = node{
-			order: intsToThreads(ns.Order),
+			order: mapSlice(ns.Order, intToThread),
 			costs: append([]int(nil), ns.Costs...),
 			idx:   ns.Idx, hi: ns.Hi, base: ns.Base,
 		}
@@ -582,53 +580,27 @@ func restoreBounded(cfg Config, st *EngineState) (*engine, error) {
 	return e, nil
 }
 
-func (e *ssEngine) snapshot() *EngineState {
-	st := &EngineState{Kind: "sleepset", Executions: e.executions,
-		PrunedBranches: e.pruned, Nodes: make([]NodeState, len(e.stack))}
-	for i := range e.stack {
-		nd := &e.stack[i]
-		st.Nodes[i] = NodeState{
-			Order:  threadsToInts(nd.order),
-			Infos:  pendingsToStates(nd.infos),
-			Idx:    nd.idx,
-			Sleep:  sleepToEntries(nd.sleep),
-			IsCase: nd.isCase,
-		}
+// techName tells the walker's two forms apart in checkpoints (the engine
+// kind is the same string, lower-cased). A "sleepset" file from a build that still had a dedicated sleep-set engine
+// carries no done/backtrack sets, so restoreDPOR rejects it as an
+// inconsistent frontier rather than mis-resuming it.
+func (e *dporEngine) techName() string {
+	if e.sleepOnly {
+		return "sleepset"
 	}
-	return st
-}
-
-func restoreSleepSet(cfg Config, st *EngineState) (*ssEngine, error) {
-	e := &ssEngine{cfg: cfg}
-	e.executions = st.Executions
-	e.pruned = st.PrunedBranches
-	e.stack = make([]ssNode, len(st.Nodes))
-	for i, ns := range st.Nodes {
-		if len(ns.Order) == 0 || len(ns.Infos) != len(ns.Order) ||
-			ns.Idx < 0 || ns.Idx >= len(ns.Order) {
-			return nil, fmt.Errorf("inconsistent frontier node %d", i)
-		}
-		e.stack[i] = ssNode{
-			order:  intsToThreads(ns.Order),
-			infos:  statesToPendings(ns.Infos),
-			idx:    ns.Idx,
-			sleep:  sleepFromEntries(ns.Sleep),
-			isCase: ns.IsCase,
-		}
-	}
-	return e, nil
+	return "DPOR"
 }
 
 func (e *dporEngine) snapshot() *EngineState {
-	st := &EngineState{Kind: "dpor", Executions: e.executions,
+	st := &EngineState{Kind: strings.ToLower(e.techName()), Executions: e.executions,
 		PrunedBranches: e.pruned, MaxThreads: e.maxThreads,
 		AnalyzeFrom: e.analyzeFrom, Borrowed: e.borrowed,
 		Nodes: make([]NodeState, len(e.stack))}
 	for i := range e.stack {
 		nd := &e.stack[i]
 		st.Nodes[i] = NodeState{
-			Order:     threadsToInts(nd.order),
-			Infos:     pendingsToStates(nd.infos),
+			Order:     mapSlice(nd.order, threadToInt),
+			Infos:     mapSlice(nd.infos, pendingToState),
 			Idx:       nd.idx,
 			Done:      append([]bool(nil), nd.done...),
 			Backtrack: append([]bool(nil), nd.backtrack...),
@@ -642,6 +614,7 @@ func (e *dporEngine) snapshot() *EngineState {
 
 func restoreDPOR(cfg Config, st *EngineState) (*dporEngine, error) {
 	e := newDPOREngine(cfg)
+	e.sleepOnly = st.Kind == "sleepset"
 	e.executions = st.Executions
 	e.pruned = st.PrunedBranches
 	e.maxThreads = st.MaxThreads
@@ -658,8 +631,8 @@ func restoreDPOR(cfg Config, st *EngineState) (*dporEngine, error) {
 			return nil, fmt.Errorf("inconsistent frontier node %d", i)
 		}
 		e.stack[i] = dporNode{
-			order:     intsToThreads(ns.Order),
-			infos:     statesToPendings(ns.Infos),
+			order:     mapSlice(ns.Order, intToThread),
+			infos:     mapSlice(ns.Infos, stateToPending),
 			idx:       ns.Idx,
 			done:      append([]bool(nil), ns.Done...),
 			backtrack: append([]bool(nil), ns.Backtrack...),
@@ -702,35 +675,7 @@ func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
 	if ck.Pool != nil {
 		return resumeParallel(ck, cfg, r)
 	}
-	switch ck.Technique {
-	case "DFS", "sleepset", "DPOR":
-		wantKind := map[string]string{"DFS": "bounded", "sleepset": "sleepset", "DPOR": "dpor"}[ck.Technique]
-		if ck.Engine == nil || ck.Engine.Kind != wantKind {
-			return nil, fmt.Errorf("checkpoint: technique %s needs engine kind %q", ck.Technique, wantKind)
-		}
-		eng, err := restoreSearcher(cfg, ck.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		return runSequentialTree(cfg, r, eng), nil
-	case "IPB", "IDB":
-		model := CostPreemptions
-		if ck.Technique == "IDB" {
-			model = CostDelays
-		}
-		if ck.Engine == nil || ck.Engine.Kind != "bounded" {
-			return nil, errors.New("checkpoint: iterative resume needs a bounded engine state")
-		}
-		eng, err := restoreBounded(cfg, ck.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		if eng.model != model || eng.bound != ck.Bound {
-			return nil, fmt.Errorf("checkpoint: engine model/bound %v/%d does not match technique %s at bound %d",
-				eng.model, eng.bound, ck.Technique, ck.Bound)
-		}
-		return iterSequential(cfg, model, r, ck.Bound, ck.BoundExecs, eng), nil
-	case "Rand":
+	if ck.Technique == "Rand" {
 		if ck.NextRun < 0 || ck.NextRun > cfg.Limit {
 			return nil, fmt.Errorf("checkpoint: nextRun %d out of range", ck.NextRun)
 		}
@@ -739,87 +684,55 @@ func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
 		}
 		return randSequential(cfg, r, ck.NextRun), nil
 	}
-	return nil, fmt.Errorf("checkpoint: unknown technique %q", ck.Technique)
+	eng, err := restoreSearcher(cfg, ck.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if eng.techName() != ck.Technique {
+		return nil, fmt.Errorf("checkpoint: technique %s with the engine state of a %s search",
+			ck.Technique, eng.techName())
+	}
+	if e, ok := eng.(*engine); ok && e.model != CostNone {
+		if e.bound != ck.Bound {
+			return nil, fmt.Errorf("checkpoint: engine bound %d does not match %s at bound %d",
+				e.bound, ck.Technique, ck.Bound)
+		}
+		return iterSequential(cfg, e.model, r, ck.Bound, ck.BoundExecs, e), nil
+	}
+	return runSequentialTree(cfg, r, eng), nil
 }
 
 // resumeParallel reconstructs a suspended pool job.
 func resumeParallel(ck *Checkpoint, cfg Config, r *Result) (*Result, error) {
 	ps := ck.Pool
-	rs := &poolResume{
-		budget:         ps.BudgetLeft,
-		execLimit:      ps.ExecLimitLeft,
-		ownExecs:       ps.OwnExecs,
-		execs:          ps.Execs,
-		steps:          ps.Steps,
-		aborts:         ps.Aborts,
-		counted:        ps.Counted,
-		committedExecs: ps.CommittedExecs,
-		bound:          ck.Bound,
-	}
-	for i, us := range ps.Units {
+	units := make([]*unit, len(ps.Units))
+	for i := range ps.Units {
+		us := &ps.Units[i]
 		eng, err := restoreSearcher(cfg, us.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: unit %d: %w", i, err)
 		}
-		u := &unit{eng: eng, key: append([]int(nil), us.Key...), fresh: us.Positioned}
-		if us.Partial != nil {
-			u.res = stateToUnitResult(us.Partial)
-		}
-		rs.units = append(rs.units, u)
+		units[i] = &unit{eng: eng, key: us.Key, positioned: us.Positioned, res: us.Partial.clone()}
 	}
-	for _, ds := range ps.Done {
-		rs.results = append(rs.results, stateToUnitResult(&ds))
+	ps.RebaseWork(r)
+	if tech, ok := ParseTechnique(ck.Technique); !ok || tech != r.Technique {
+		return nil, fmt.Errorf("checkpoint: technique %q does not match its result's (%s)", ck.Technique, r.Technique)
 	}
-	switch ck.Technique {
-	case "DFS", "DPOR":
-		return treeParallel(cfg, r, rs), nil
-	case "IPB", "IDB":
-		model := CostPreemptions
-		if ck.Technique == "IDB" {
-			model = CostDelays
-		}
-		return runIterativeParallel(cfg, model, r, rs), nil
+	if _, err := newSearcher(cfg, r.Technique, ck.Bound); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return nil, fmt.Errorf("checkpoint: technique %q has no pool state", ck.Technique)
+	return runPasses(cfg, r, ck.Bound, units, ps), nil
 }
 
-// unitResult <-> UnitResultState.
-
-func unitResultToState(u *unitResult) *UnitResultState {
-	return &UnitResultState{
-		Key:        append([]int(nil), u.key...),
-		Schedules:  u.schedules,
-		BuggyOffs:  append([]int(nil), u.buggyOffs...),
-		Failure:    u.failure,
-		Witness:    u.witness,
-		Pruned:     u.pruned,
-		Branches:   u.branches,
-		MaxEnabled: u.maxEnabled,
-		SchedPts:   u.schedPts,
-		Threads:    u.threads,
-		PanicMsg:   u.panicMsg,
-		Executions: u.executions,
-		Steps:      u.steps,
-		Aborted:    u.aborted,
+// clone copies a unit's tallies so a run can extend them without writing
+// through to the checkpoint or lease they came from (a re-dispatched unit
+// must start from exactly what was dispatched). nil stays nil.
+func (u *UnitResultState) clone() *UnitResultState {
+	if u == nil {
+		return nil
 	}
-}
-
-func stateToUnitResult(s *UnitResultState) *unitResult {
-	u := &unitResult{
-		key:       append([]int(nil), s.Key...),
-		schedules: s.Schedules,
-		buggyOffs: append([]int(nil), s.BuggyOffs...),
-		failure:   s.Failure,
-		witness:   s.Witness,
-		pruned:    s.Pruned,
-		branches:  s.Branches,
-		panicMsg:  s.PanicMsg,
-	}
-	u.maxEnabled = s.MaxEnabled
-	u.schedPts = s.SchedPts
-	u.threads = s.Threads
-	u.executions = s.Executions
-	u.steps = s.Steps
-	u.aborted = s.Aborted
-	return u
+	cp := *u
+	cp.BuggyOffs = slices.Clone(u.BuggyOffs)
+	cp.StatMarks = slices.Clone(u.StatMarks)
+	return &cp
 }

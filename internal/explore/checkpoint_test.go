@@ -231,10 +231,11 @@ func tryInterruptAndResume(t *testing.T, run func(Config) *Result, cfg Config, n
 }
 
 // maskWorkMetrics zeroes the fields the parallel pool does not promise to
-// reproduce exactly: workers may have an execution in flight when the
-// budget or the suspension lands, and the speculative iterative job's
-// discarded progress is re-done on resume — so raw execution and step
-// totals can differ while every schedule count stays exact.
+// reproduce exactly: under a truncating limit units run on behind the cut
+// until the front of the canonical order is known, and the speculative
+// iterative job's discarded progress is re-done on resume — so raw
+// execution and step totals can differ while every schedule count, the
+// first bug and the witness stay exact.
 func maskWorkMetrics(r *Result) *Result {
 	m := *r
 	m.Executions = 0
@@ -431,6 +432,23 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	ck.Engine.Nodes[0].Idx = 99
 	if _, err := Resume(&ck, ckCfg(t, "CS.account_bad", 100)); err == nil {
 		t.Error("Resume accepted an out-of-range frontier index")
+	}
+}
+
+// TestResumeRejectsOldSleepSetCheckpoint: sleep-set DFS now runs on the
+// DPOR walker, so a "sleepset" checkpoint carries that walker's node codec
+// (done and backtrack sets per node). A file written by a build that still
+// had a dedicated sleep-set engine carries neither; it loads (the envelope
+// is version 1 either way) but must be refused at Resume as an inconsistent
+// frontier — never resumed as if every backtrack set were empty.
+func TestResumeRejectsOldSleepSetCheckpoint(t *testing.T) {
+	ck, err := LoadCheckpoint(filepath.Join("testdata", "sleepset_checkpoint_ssengine.json"))
+	if err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	_, err = Resume(ck, ckCfg(t, "CS.account_bad", 100))
+	if err == nil || !strings.Contains(err.Error(), "inconsistent frontier node") {
+		t.Fatalf("Resume(old sleepset checkpoint) = %v, want an inconsistent-frontier error", err)
 	}
 }
 

@@ -210,7 +210,7 @@ func captureFrontier(cfg Config, r *Result, eng searcher) {
 	if cfg.frontier == nil || r.Complete {
 		return
 	}
-	st := snapshotSearcher(eng)
+	st := eng.snapshot()
 	if st == nil || len(st.Nodes) == 0 {
 		return
 	}

@@ -1,11 +1,13 @@
 package explore
 
 // Distribution hooks: the exported seams the distributed driver
-// (internal/dist) builds on. The wire format is the checkpoint vocabulary
-// of this package — UnitState frontiers travel from coordinator to worker,
-// UnitResultState tallies travel back — so a distributed job checkpoints,
-// resumes and merges with exactly the machinery the in-process pool
-// already proves correct.
+// (internal/dist) builds on. There is one set of unit types — UnitState
+// frontiers travel from coordinator to worker, UnitResultState tallies
+// travel back, and the pool fills and checkpoints the very same structs —
+// one unit step (exploreUnit, which RunUnit and the pool worker both
+// drive), one merge (MergeUnitStates) and one early-stop rule
+// (BudgetReached), all in parallel.go. What a distributed job adds is only
+// what this file holds: sharding up front, and running one leased unit.
 //
 // The distributed partitioning deliberately differs from the pool's in one
 // way: there is NO worker-side donation. The pool donates lazily because
@@ -17,14 +19,31 @@ package explore
 // for DFS/IPB/IDB, so re-dispatching a lost unit from its original
 // UnitState reproduces exactly the coverage the dead worker abandoned, and
 // the canonical merge (MergeUnitStates) stays bit-identical to the
-// sequential walk no matter how many times a unit bounced between workers.
+// sequential walk — complete or cut by the budget — no matter how many
+// times a unit bounced between workers.
 
 import (
 	"fmt"
+	"slices"
 
 	"sctbench/internal/sched"
-	"sctbench/internal/vthread"
 )
+
+// newSearcher builds the fresh engine of one partitionable pass: a DFS or
+// DPOR tree, or bound bound of an IPB/IDB sweep.
+func newSearcher(cfg Config, tech Technique, bound int) (searcher, error) {
+	switch tech {
+	case DFS:
+		return newEngine(cfg, CostNone, 0), nil
+	case IPB:
+		return newEngine(cfg, CostPreemptions, bound), nil
+	case IDB:
+		return newEngine(cfg, CostDelays, bound), nil
+	case DPOR:
+		return newDPOREngine(cfg), nil
+	}
+	return nil, fmt.Errorf("explore: technique %s cannot be partitioned", tech)
+}
 
 // ShardSet is the initial partition of one search pass — one DFS/DPOR
 // tree, or one bound of an iterative sweep — into independently executable
@@ -48,28 +67,19 @@ type ShardSet struct {
 // sleepset is sequential-only, so both are rejected.
 func ShardTree(cfg Config, tech Technique, bound, want int) (*ShardSet, error) {
 	cfg = cfg.withDefaults()
-	var eng searcher
-	switch tech {
-	case DFS:
-		eng = newEngine(cfg, CostNone, 0)
-	case IPB:
-		eng = newEngine(cfg, CostPreemptions, bound)
-	case IDB:
-		eng = newEngine(cfg, CostDelays, bound)
-	case DPOR:
-		eng = newDPOREngine(cfg)
-	default:
-		return nil, fmt.Errorf("explore: technique %s cannot be sharded", tech)
+	eng, err := newSearcher(cfg, tech, bound)
+	if err != nil {
+		return nil, err
 	}
 	ex := newExecutor(cfg)
 	defer ex.Close()
 	eng.setExec(ex)
-	res := &unitResult{}
+	res := &UnitResultState{}
 	runUnitOnce(eng, res)
 	if !eng.backtrack() {
-		res.pruned = eng.wasPruned()
-		res.branches = eng.prunedBranches()
-		return &ShardSet{Done: []UnitResultState{*unitResultToState(res)}}, nil
+		res.Pruned = eng.wasPruned()
+		res.Branches = eng.prunedBranches()
+		return &ShardSet{Done: []UnitResultState{*res}}, nil
 	}
 	set := &ShardSet{}
 	for len(set.Units) < want-1 {
@@ -83,222 +93,59 @@ func ShardTree(cfg Config, tech Technique, bound, want int) (*ShardSet, error) {
 	// positioned unit; its nil key is a prefix of every branch key, so the
 	// donor — which covers the lexicographically earliest region — sorts
 	// first in the canonical merge.
-	set.Units = append(set.Units, UnitState{
-		Positioned: true,
-		Engine:     snapshotSearcher(eng),
-		Partial:    unitResultToState(res),
-	})
+	set.Units = append(set.Units, unitToState(&unit{eng: eng, positioned: true, res: res}))
 	return set, nil
 }
 
-// unitToState serializes a live unit (the per-unit core of poolCheckpoint).
-func unitToState(u *unit) UnitState {
-	us := UnitState{
-		Key:        append([]int(nil), u.key...),
-		Positioned: u.fresh,
-		Engine:     snapshotSearcher(u.eng),
-	}
-	if u.res != nil {
-		us.Partial = unitResultToState(u.res)
-	}
-	return us
-}
-
-// UnitAction is the verdict of a worker's per-execution poll.
-type UnitAction int
-
-const (
-	// UnitContinue: keep exploring.
-	UnitContinue UnitAction = iota
-	// UnitPark: suspend. RunUnit returns the positioned frontier plus the
-	// partial tallies, ready to be handed back to the coordinator (drain)
-	// and later re-dispatched with nothing lost.
-	UnitPark
-	// UnitAbandon: drop the unit on the floor — the lease is lost or a
-	// simulated kill -9 fired. RunUnit returns neither result nor
-	// frontier; the coordinator re-dispatches the original UnitState after
-	// the lease expires.
-	UnitAbandon
-)
-
 // UnitRun is the outcome of RunUnit: Done for a finished (or panicked, or
-// budget-cut) unit, Parked for a suspended one, both nil for an abandoned
+// self-limited) unit, Parked for a suspended one, both nil for an abandoned
 // one.
 type UnitRun struct {
 	Done   *UnitResultState
 	Parked *UnitState
 	// LimitHit reports that this unit alone counted its whole schedule
-	// budget; Done carries the exact tallies at the cut. The coordinator
-	// treats it like the pool's budget stop: cancel the pass and merge
-	// canonically, which reapplies the global budget exactly.
+	// budget and stopped there; Done carries the exact tallies at that
+	// point. For whoever collects the units it is just a finished unit: the
+	// pass ends early only through BudgetReached, and the canonical merge
+	// applies the budget.
 	LimitHit bool
 }
 
 // RunUnit restores a unit's frontier and explores it to exhaustion, the
-// budget, or the poll callback's verdict — the distributed counterpart of
-// the pool's runUnit. poll (nil = never stop early) runs before every
-// execution; a park happens only at the loop top, where the engine is
-// positioned post-backtrack — exactly the state checkpoints serialize and
-// re-entry resumes bit-identically from. budget <= 0 means unlimited. A
-// panic inside the program or substrate is contained exactly as in the
-// pool: the unit completes with PanicMsg set (its counts will be forfeited
-// at merge time) and the wedged executor is abandoned.
-func RunUnit(cfg Config, us *UnitState, budget int, poll func() UnitAction) (ur *UnitRun, err error) {
+// budget, or the poll callback's verdict — the pool worker's unit step
+// (exploreUnit) over a leased unit. poll (nil = never stop early) runs
+// before every execution. budget <= 0 means unlimited. A panic inside the
+// program or substrate is contained exactly as in the pool: the unit
+// completes with PanicMsg set (its counts will be forfeited at merge time)
+// and the wedged executor is abandoned. us is not written to, so the same
+// UnitState can be re-dispatched after a lost lease.
+func RunUnit(cfg Config, us *UnitState, budget int, poll func() UnitAction) (*UnitRun, error) {
 	cfg = cfg.withDefaults()
-	eng, rerr := restoreSearcher(cfg, us.Engine)
-	if rerr != nil {
-		return nil, fmt.Errorf("unit: %w", rerr)
+	eng, err := restoreSearcher(cfg, us.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("unit: %w", err)
 	}
-	res := &unitResult{key: append([]int(nil), us.Key...)}
-	if us.Partial != nil {
-		res = stateToUnitResult(us.Partial)
+	res := us.Partial.clone()
+	if res == nil {
+		res = &UnitResultState{Key: slices.Clone(us.Key)}
 	}
 	ex := newExecutor(cfg)
-	wedged := false
-	defer func() {
-		if !wedged {
-			ex.Close()
-		}
-	}()
-	defer func() {
-		if rec := recover(); rec != nil {
-			wedged = true
-			res.panicMsg = fmt.Sprint(rec)
-			ur, err = &UnitRun{Done: unitResultToState(res)}, nil
-		}
-	}()
 	eng.setExec(ex)
-	alive := us.Positioned || eng.backtrack()
-	for alive {
-		if poll != nil {
-			switch poll() {
-			case UnitPark:
-				return &UnitRun{Parked: &UnitState{
-					Key:        append([]int(nil), us.Key...),
-					Positioned: true,
-					Engine:     snapshotSearcher(eng),
-					Partial:    unitResultToState(res),
-				}}, nil
-			case UnitAbandon:
-				return &UnitRun{}, nil
-			}
-		}
-		if runUnitOnce(eng, res) && budget > 0 && res.schedules >= budget {
-			res.pruned = eng.wasPruned()
-			res.branches = eng.prunedBranches()
-			return &UnitRun{Done: unitResultToState(res), LimitHit: true}, nil
-		}
-		alive = eng.backtrack()
+	end := exploreUnit(eng, us.Positioned, res, unitDriver{
+		poll:   poll,
+		budget: func() int { return budget },
+	})
+	if end != unitPanicked {
+		ex.Close()
 	}
-	res.pruned = eng.wasPruned()
-	res.branches = eng.prunedBranches()
-	return &UnitRun{Done: unitResultToState(res)}, nil
-}
-
-// runUnitOnce performs one execution on eng, folding every per-unit tally
-// — work counters, run statistics, schedule counting, first-bug capture —
-// into res, and reports whether the terminal-schedule count grew.
-func runUnitOnce(eng searcher, res *unitResult) bool {
-	out := eng.runOnce()
-	res.executions++
-	res.steps += int64(len(out.Trace))
-	if out.Aborted {
-		res.aborted++
+	switch end {
+	case unitParked:
+		parked := unitToState(&unit{eng: eng, key: us.Key, positioned: true, res: res})
+		return &UnitRun{Parked: &parked}, nil
+	case unitAbandoned:
+		return &UnitRun{}, nil
 	}
-	res.observe(out)
-	if !eng.counts(out) {
-		return false
-	}
-	res.schedules++
-	if out.Buggy() {
-		res.buggyOffs = append(res.buggyOffs, res.schedules)
-		if res.failure == nil {
-			res.failure = out.Failure
-			res.witness = out.Trace.Clone()
-		}
-	}
-	return true
-}
-
-// PassMerge is the merged outcome of one distributed pass — the exported
-// mirror of the pool's passResult, plus the summed per-unit work tallies.
-type PassMerge struct {
-	Schedules      int
-	Buggy          int
-	BugFound       bool
-	FirstBugOffset int // 1-based, within this pass
-	Failure        *vthread.Failure
-	Witness        sched.Schedule
-	Pruned         bool
-	Branches       int
-	Truncated      bool // the merge-time budget cut the walk short
-	WorkerPanics   int
-	PanicMsg       string
-	MaxEnabled     int
-	SchedPoints    int
-	Threads        int
-	Executions     int
-	Steps          int64
-	Aborted        int
-}
-
-// MergeUnitStates merges completed unit results in canonical order with
-// the exact remaining schedule budget — the distributed counterpart of the
-// pool's per-pass merge, with identical ordering, budget and forfeiture
-// semantics (see mergeUnits). Duplicate completions of the same unit must
-// be deduplicated by the caller before merging (the coordinator keeps the
-// first completion per unit; determinism makes any later one identical
-// anyway).
-func MergeUnitStates(done []*UnitResultState, budget int) PassMerge {
-	units := make([]*unitResult, 0, len(done))
-	for _, d := range done {
-		units = append(units, stateToUnitResult(d))
-	}
-	m := mergeUnits(units, budget)
-	return PassMerge{
-		Schedules:      m.schedules,
-		Buggy:          m.buggy,
-		BugFound:       m.bugFound,
-		FirstBugOffset: m.firstBugOffset,
-		Failure:        m.failure,
-		Witness:        m.witness,
-		Pruned:         m.pruned,
-		Branches:       m.branches,
-		Truncated:      m.truncated,
-		WorkerPanics:   m.workerPanics,
-		PanicMsg:       m.panicMsg,
-		MaxEnabled:     m.maxEnabled,
-		SchedPoints:    m.schedPts,
-		Threads:        m.threads,
-		Executions:     m.executions,
-		Steps:          m.steps,
-		Aborted:        m.aborted,
-	}
-}
-
-// FoldInto folds a merged pass into r — foldPass plus the work tallies the
-// in-process drivers read off shared atomic counters at exit. prior is the
-// number of schedules committed by earlier passes (for the cross-pass
-// first-bug offset).
-func (m *PassMerge) FoldInto(r *Result, prior int) {
-	pr := passResult{
-		runStats:       runStats{maxEnabled: m.MaxEnabled, schedPts: m.SchedPoints, threads: m.Threads},
-		schedules:      m.Schedules,
-		buggy:          m.Buggy,
-		bugFound:       m.BugFound,
-		firstBugOffset: m.FirstBugOffset,
-		failure:        m.Failure,
-		witness:        m.Witness,
-		pruned:         m.Pruned,
-		branches:       m.Branches,
-		truncated:      m.Truncated,
-		workerPanics:   m.WorkerPanics,
-		panicMsg:       m.PanicMsg,
-	}
-	foldPass(r, &pr, prior)
-	r.Executions += m.Executions
-	r.TotalSteps += m.Steps
-	r.AbortedExecutions += m.Aborted
+	return &UnitRun{Done: res, LimitHit: end == unitLimited}, nil
 }
 
 // CompareUnitKeys exposes the canonical unit order (branch-key

@@ -1,11 +1,14 @@
 package explore
 
 // Source-set style dynamic partial-order reduction (DPOR) for the
-// unbounded depth-first search — the second layer of the pruning stack §7
-// of the paper names as future work, on top of the sleep sets in
-// sleepset.go. Following the paper's methodology note, POR stays out of
+// unbounded depth-first search — the pruning stack §7 of the paper names
+// as future work. Following the paper's methodology note, POR stays out of
 // the bounded IPB/IDB phases (the interaction of POR and schedule
 // bounding "is complex and the topic of recent and ongoing work", §5).
+// This file holds the one partial-order-reduction walker of the package:
+// RunDPOR drives it as described below, and RunSleepSetDFS (sleepset.go)
+// drives the same walker in its degenerate form, with every enabled thread
+// a backtrack point from the start and no race analysis.
 //
 // The algorithm is classic dynamic POR [Flanagan & Godefroid, POPL'05]
 // combined with sleep sets [Godefroid '96], with the source-set framing of
@@ -26,7 +29,7 @@ package explore
 // chooser-aborted on the spot (vthread.Context.Abort), so detected
 // redundancies cost their shared prefix only.
 //
-// The engine reuses the free-list discipline of engine/ssEngine: node
+// The engine reuses the free-list discipline of engine: node
 // buffers (order, infos, done/backtrack flags, sleep maps) and the
 // race-analysis scratch (vector-clock rows, per-object access state) are
 // recycled, so the replay-and-extend hot path allocates only while the
@@ -74,11 +77,17 @@ type dporObj struct {
 	reads     []int
 }
 
-// dporEngine is the DPOR driver; like engine and ssEngine it doubles as
-// the vthread.Chooser of the executions it spawns.
+// dporEngine is the partial-order-reduction driver; like engine it doubles
+// as the vthread.Chooser of the executions it spawns.
 type dporEngine struct {
 	cfg  Config
 	exec *vthread.Executor
+
+	// sleepOnly makes the walker sleep-set DFS [Godefroid '96]: the
+	// degenerate DPOR in which every enabled thread is a backtrack point of
+	// every node, so there is nothing for a race analysis to add and sleep
+	// sets alone do the pruning. Set by newSleepSetEngine, never by a caller.
+	sleepOnly bool
 
 	stack []dporNode
 	// analyzeFrom is the shallowest stack depth whose taken step has not
@@ -94,7 +103,7 @@ type dporEngine struct {
 	pruned     int
 	maxThreads int
 
-	// Free lists recycling retired nodes' buffers, as in engine/ssEngine.
+	// Free lists recycling retired nodes' buffers, as in engine.
 	freeOrders [][]sched.ThreadID
 	freeInfos  [][]vthread.PendingInfo
 	freeFlags  [][]bool
@@ -118,6 +127,32 @@ type dporEngine struct {
 
 func newDPOREngine(cfg Config) *dporEngine {
 	return &dporEngine{cfg: cfg, objs: make(map[string]*dporObj)}
+}
+
+// newSleepSetEngine builds the walker RunSleepSetDFS drives.
+func newSleepSetEngine(cfg Config) *dporEngine {
+	e := newDPOREngine(cfg)
+	e.sleepOnly = true
+	return e
+}
+
+// popOrderInfos pops recycled order/infos buffers from the free lists and
+// fills them with the canonical choice order and the per-choice pending
+// footprints for ctx — the scaffold of every fresh node.
+func (e *dporEngine) popOrderInfos(ctx vthread.Context) ([]sched.ThreadID, []vthread.PendingInfo) {
+	var order []sched.ThreadID
+	if n := len(e.freeOrders); n > 0 {
+		order, e.freeOrders = e.freeOrders[n-1], e.freeOrders[:n-1]
+	}
+	order = sched.AppendCanonicalOrder(order, ctx.Enabled, ctx.Last, ctx.NumThreads)
+	var infos []vthread.PendingInfo
+	if n := len(e.freeInfos); n > 0 {
+		infos, e.freeInfos = e.freeInfos[n-1], e.freeInfos[:n-1]
+	}
+	for _, t := range order {
+		infos = append(infos, ctx.PendingOf(t))
+	}
+	return order, infos
 }
 
 // Choose implements vthread.Chooser: replay the stack prefix, extend the
@@ -153,68 +188,55 @@ func (e *dporEngine) ObserveForcedStep(ctx vthread.Context) {
 // enabled threads are all asleep: the subtree is Mazurkiewicz-equivalent
 // to explored schedules, so the run is cut short instead of executing its
 // tail, and the node is never pushed.
+//
+// At a case-decision point every ready case goes straight into the
+// backtrack set — case choices are never redundant — and the sleep
+// machinery is bypassed entirely: the inherited sleep set (thread-keyed) is
+// carried through for the node's children but never consulted against the
+// case indices in order. The node's thread count is the enclosing thread
+// node's (ctx.NumThreads is the select's case count there), which keeps
+// the spawn-watermark arithmetic of the race analysis exact.
 func (e *dporEngine) push(ctx vthread.Context) int {
-	if ctx.SelectOf != vthread.NoThread {
-		return e.pushCase(ctx)
-	}
-	if ctx.NumThreads > e.maxThreads {
-		e.maxThreads = ctx.NumThreads
-	}
-	order, infos := popOrderInfos(&e.freeOrders, &e.freeInfos, ctx)
+	isCase := ctx.SelectOf != vthread.NoThread
+	order, infos := e.popOrderInfos(ctx)
 	sleep := e.getSleep()
+	nthreads := ctx.NumThreads
 	if n := len(e.stack); n > 0 {
 		dporChildSleep(&e.stack[n-1], sleep)
-	}
-	idx := -1
-	for i, t := range order {
-		if _, asleep := sleep[t]; !asleep {
-			idx = i
-			break
+		if isCase {
+			nthreads = e.stack[n-1].nthreads
 		}
 	}
-	if idx < 0 {
-		ctx.Abort()
-		e.pruned += len(order)
-		e.freeOrders = append(e.freeOrders, order[:0])
-		e.freeInfos = append(e.freeInfos, infos[:0])
-		e.putSleep(sleep)
-		return -1
+	idx := 0
+	if !isCase {
+		e.maxThreads = max(e.maxThreads, nthreads)
+		for idx < len(order) {
+			if _, asleep := sleep[order[idx]]; !asleep {
+				break
+			}
+			idx++
+		}
+		if idx == len(order) {
+			ctx.Abort()
+			e.pruned += len(order)
+			e.freeOrders = append(e.freeOrders, order[:0])
+			e.freeInfos = append(e.freeInfos, infos[:0])
+			e.putSleep(sleep)
+			return -1
+		}
 	}
 	done := e.getFlags(len(order))
 	backtrack := e.getFlags(len(order))
+	for k := range backtrack {
+		backtrack[k] = isCase || e.sleepOnly // sleep-set DFS: every choice, up front
+	}
 	backtrack[idx] = true
 	e.stack = append(e.stack, dporNode{
 		order: order, infos: infos, idx: idx,
 		done: done, backtrack: backtrack, sleep: sleep,
-		nthreads: ctx.NumThreads, selOf: vthread.NoThread,
+		nthreads: nthreads, selOf: ctx.SelectOf,
 	})
 	return idx
-}
-
-// pushCase appends the node of a case-decision point. Every ready case
-// goes straight into the backtrack set — case choices are never redundant
-// — and the sleep machinery is bypassed entirely: the inherited sleep set
-// (thread-keyed) is carried through for the node's children but never
-// consulted against the case indices in order. The node's thread count is
-// the enclosing thread node's (ctx.NumThreads is the select's case count
-// here), which keeps the spawn-watermark arithmetic of the race analysis
-// exact.
-func (e *dporEngine) pushCase(ctx vthread.Context) int {
-	order, infos := popOrderInfos(&e.freeOrders, &e.freeInfos, ctx)
-	sleep := e.getSleep()
-	parent := &e.stack[len(e.stack)-1]
-	dporChildSleep(parent, sleep)
-	done := e.getFlags(len(order))
-	backtrack := e.getFlags(len(order))
-	for k := range backtrack {
-		backtrack[k] = true
-	}
-	e.stack = append(e.stack, dporNode{
-		order: order, infos: infos, idx: 0,
-		done: done, backtrack: backtrack, sleep: sleep,
-		nthreads: parent.nthreads, selOf: ctx.SelectOf,
-	})
-	return 0
 }
 
 // dporChildSleep fills dst with the sleep set a child of parent inherits:
@@ -248,11 +270,14 @@ func dporChildSleep(parent *dporNode, dst map[sched.ThreadID]vthread.PendingInfo
 }
 
 // runOnce executes the program once, replaying the stack prefix, then
-// race-analyzes the newly executed steps to grow backtrack sets.
+// race-analyzes the newly executed steps to grow backtrack sets (sleep-set
+// DFS starts every backtrack set full, so it has nothing to analyze).
 func (e *dporEngine) runOnce() *vthread.Outcome {
 	e.executions++
 	out := e.exec.RunWith(e, nil, e.cfg.Program)
-	e.analyze()
+	if !e.sleepOnly {
+		e.analyze()
+	}
 	e.analyzeFrom = len(e.stack)
 	return out
 }
@@ -416,21 +441,7 @@ func (e *dporEngine) backtrack() bool {
 		d := len(e.stack) - 1
 		nd := &e.stack[d]
 		nd.done[nd.idx] = true
-		next := -1
-		for k := range nd.order {
-			if !nd.backtrack[k] || nd.done[k] {
-				continue
-			}
-			// Case nodes never consult the (thread-keyed) sleep map: every
-			// ready case is explored.
-			if nd.selOf == vthread.NoThread {
-				if _, asleep := nd.sleep[nd.order[k]]; asleep {
-					continue
-				}
-			}
-			next = k
-			break
-		}
+		next := e.firstPending(nd)
 		if next >= 0 {
 			nd.idx = next
 			e.analyzeFrom = d
@@ -454,6 +465,33 @@ func (e *dporEngine) backtrack() bool {
 		e.stack = e.stack[:d]
 	}
 	return false
+}
+
+// firstPending is the first pending choice of nd in canonical order, the
+// one backtracking advances to; -1 when there is none.
+func (e *dporEngine) firstPending(nd *dporNode) int {
+	for k := range nd.order {
+		if e.pendingAt(nd, k) {
+			return k
+		}
+	}
+	return -1
+}
+
+// pendingAt reports whether choice k of nd is pending work — for the
+// engine's own backtracking, or to donate: in the backtrack set, not
+// explored, not asleep, and not the choice the engine is currently inside.
+// Case nodes skip the sleep lookup: their order entries are case indices,
+// which must never be matched against the thread-keyed sleep map.
+func (e *dporEngine) pendingAt(nd *dporNode, k int) bool {
+	if k == nd.idx || !nd.backtrack[k] || nd.done[k] {
+		return false
+	}
+	if nd.selOf != vthread.NoThread {
+		return true
+	}
+	_, asleep := nd.sleep[nd.order[k]]
+	return !asleep
 }
 
 // Buffer pools.
@@ -538,7 +576,7 @@ func joinVC(dst, src []int32) {
 // equivalence classes, but the bug verdict is preserved either way.
 func RunDPOR(cfg Config) *Result {
 	if cfg.Workers > 1 {
-		return runDPORParallel(cfg)
+		return runParallel(cfg, DPOR)
 	}
 	cfg = cfg.withDefaults()
 	return runSequentialTree(cfg, &Result{Technique: DPOR}, newDPOREngine(cfg))

@@ -4,12 +4,14 @@
 // random scheduler (Rand), plus the schedule-limit accounting that Table 3
 // of the paper reports, and the §7 partial-order-reduction extensions:
 // sleep-set DFS (sleepset.go) and source-set dynamic partial-order
-// reduction (dpor.go), both of which cut detected-redundant runs short
-// through the substrate's chooser-abort path. Every technique driver runs
-// sequentially by default and as a work-partitioned worker pool when
-// Config.Workers > 1 (see parallel.go), with identical schedule counts
-// either way for DFS/IPB/IDB/Rand (DPOR preserves verdicts; its counts
-// are exact unless work was stolen).
+// reduction (dpor.go) — one walker, dporEngine, in two forms — both of
+// which cut detected-redundant runs short through the substrate's
+// chooser-abort path. There are two search engines: engine (this file;
+// DFS/IPB/IDB) and dporEngine. Every technique driver runs sequentially
+// by default and as a work-partitioned worker pool when Config.Workers > 1
+// (see parallel.go), with identical results either way for
+// DFS/IPB/IDB/Rand, complete or truncated by Limit (DPOR preserves
+// verdicts; its counts are exact unless work was stolen).
 package explore
 
 import (

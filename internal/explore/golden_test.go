@@ -146,3 +146,76 @@ func TestGoldenDFSCountsAndWitnessKeys(t *testing.T) {
 		}
 	}
 }
+
+// sleepsetGoldenRow is what a complete sleep-set search pins per benchmark:
+// every tally the engine produces, so swapping the engine underneath
+// RunSleepSetDFS cannot change a count, a pruning decision or the witness
+// unnoticed.
+type sleepsetGoldenRow struct {
+	Executions          int    `json:"executions"`
+	Schedules           int    `json:"schedules"`
+	AbortedExecutions   int    `json:"abortedExecutions"`
+	BranchesPruned      int    `json:"branchesPruned"`
+	TotalSteps          int64  `json:"totalSteps"`
+	BugFound            bool   `json:"bugFound"`
+	SchedulesToFirstBug int    `json:"schedulesToFirstBug"`
+	Witness             string `json:"witness,omitempty"`
+}
+
+// TestGoldenSleepSet pins RunSleepSetDFS on the checkpoint matrix's
+// benchmarks plus two GoIdiom programs whose trees contain case-decision
+// nodes. The file was generated by the dedicated sleep-set engine before it
+// was folded into the DPOR walker; it must never change.
+func TestGoldenSleepSet(t *testing.T) {
+	names := append(append([]string(nil), ckBenchNames...),
+		"goidiom.pipeline_bad", "goidiom.workerpool_bad")
+	got := make(map[string]sleepsetGoldenRow)
+	for _, name := range names {
+		b := bench.ByName(name)
+		if b == nil {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		r := RunSleepSetDFS(Config{Program: b.New(), BoundsCheck: b.BoundsCheck,
+			MaxSteps: b.MaxSteps, Limit: 100000})
+		if !r.Complete {
+			t.Fatalf("%s: sleep-set search did not complete (%d schedules)", name, r.Schedules)
+		}
+		row := sleepsetGoldenRow{
+			Executions:          r.Executions,
+			Schedules:           r.Schedules,
+			AbortedExecutions:   r.AbortedExecutions,
+			BranchesPruned:      r.BranchesPruned,
+			TotalSteps:          r.TotalSteps,
+			BugFound:            r.BugFound,
+			SchedulesToFirstBug: r.SchedulesToFirstBug,
+		}
+		if r.BugFound {
+			row.Witness = r.Witness.String()
+		}
+		got[name] = row
+	}
+
+	path := filepath.Join("testdata", "golden_sleepset.json")
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s with %d rows", path, len(got))
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	want := make(map[string]sleepsetGoldenRow)
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("corrupt golden file %s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sleep-set counts drifted from %s:\n got %+v\nwant %+v", path, got, want)
+	}
+}

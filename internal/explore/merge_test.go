@@ -1,11 +1,13 @@
 package explore
 
-// The canonical-merge contract under forfeiture and the distribution
-// hooks' equivalence to the sequential drivers. mergeUnits is the one
-// place where duplicate, panicked or abandoned work is reconciled, so its
-// properties — canonical order, exact budget, forfeited counts dropped but
-// honest work kept — are pinned directly here; the end-to-end distributed
-// equivalence (coordinator, leases, failover) lives in internal/dist.
+// The canonical-merge contract — under forfeiture and under the budget —
+// the early-stop predicate, and the distribution hooks' equivalence to the
+// sequential drivers. MergeUnitStates is the one place where duplicate,
+// panicked or abandoned work is reconciled and the one place Limit is
+// applied, so its properties — canonical order, exact budget, forfeited
+// counts dropped but honest work kept — are pinned directly here; the
+// end-to-end distributed equivalence (coordinator, leases, failover) lives
+// in internal/dist.
 
 import (
 	"fmt"
@@ -17,47 +19,47 @@ import (
 
 // TestMergeUnitsForfeited pins the forfeiture contract: a panicked unit's
 // schedule counts, bug offsets and witness are dropped, its run statistics
-// and work tallies still fold in, and the panic surfaces as workerPanics.
+// and work tallies still fold in, and the panic surfaces as WorkerPanics.
 func TestMergeUnitsForfeited(t *testing.T) {
-	units := []*unitResult{
+	units := []*UnitResultState{
 		// Arrives out of canonical order: key [2] sorts after [1 0].
-		{key: []int{2}, schedules: 4, buggyOffs: []int{2},
-			failure:    &vthread.Failure{Kind: vthread.FailAssert, Message: "late"},
-			executions: 4},
+		{Key: []int{2}, Schedules: 4, BuggyOffs: []int{2},
+			Failure:    &vthread.Failure{Kind: vthread.FailAssert, Message: "late"},
+			Executions: 4},
 		// Forfeited: panicked mid-unit with 3 schedules and a "bug" that
 		// must NOT be reported.
-		{key: []int{1, 0}, schedules: 3, buggyOffs: []int{1},
-			failure:  &vthread.Failure{Kind: vthread.FailAssert, Message: "forfeited"},
-			panicMsg: "worker died", executions: 5, steps: 50, aborted: 1,
-			runStats: runStats{maxEnabled: 7, schedPts: 9, threads: 5}},
+		{Key: []int{1, 0}, Schedules: 3, BuggyOffs: []int{1},
+			Failure:  &vthread.Failure{Kind: vthread.FailAssert, Message: "forfeited"},
+			PanicMsg: "worker died", Executions: 5, Steps: 50, Aborted: 1,
+			RunStats: RunStats{MaxEnabled: 7, SchedPts: 9, Threads: 5}},
 		// The canonical head: the donor's nil key sorts first.
-		{key: nil, schedules: 2, executions: 2, steps: 8},
+		{Key: nil, Schedules: 2, Executions: 2, Steps: 8},
 	}
-	m := mergeUnits(units, 100)
-	if m.schedules != 6 {
-		t.Errorf("schedules = %d, want 6 (forfeited unit's 3 dropped)", m.schedules)
+	m := MergeUnitStates(units, 100)
+	if m.Schedules != 6 {
+		t.Errorf("schedules = %d, want 6 (forfeited unit's 3 dropped)", m.Schedules)
 	}
-	if m.workerPanics != 1 || m.panicMsg != "worker died" {
-		t.Errorf("workerPanics = %d (%q), want 1 (worker died)", m.workerPanics, m.panicMsg)
+	if m.WorkerPanics != 1 || m.PanicMsg != "worker died" {
+		t.Errorf("workerPanics = %d (%q), want 1 (worker died)", m.WorkerPanics, m.PanicMsg)
 	}
 	// The surviving bug is at canonical offset 2 (donor) + 2 (within its
 	// own unit) = 4; the forfeited unit's earlier "bug" must not win.
-	if !m.bugFound || m.firstBugOffset != 4 || m.failure.Message != "late" {
+	if !m.BugFound || m.FirstBugOffset != 4 || m.Failure.Message != "late" {
 		t.Errorf("bug = %v at %d (%+v), want offset 4 from the surviving unit",
-			m.bugFound, m.firstBugOffset, m.failure)
+			m.BugFound, m.FirstBugOffset, m.Failure)
 	}
-	if m.buggy != 1 {
-		t.Errorf("buggy = %d, want 1", m.buggy)
+	if m.Buggy != 1 {
+		t.Errorf("buggy = %d, want 1", m.Buggy)
 	}
 	// Honest work: the forfeited unit's executions/steps/aborts and run
 	// statistics describe executions that really happened.
-	if m.executions != 11 || m.steps != 58 || m.aborted != 1 {
+	if m.Executions != 11 || m.Steps != 58 || m.Aborted != 1 {
 		t.Errorf("work = %d execs / %d steps / %d aborts, want 11/58/1",
-			m.executions, m.steps, m.aborted)
+			m.Executions, m.Steps, m.Aborted)
 	}
-	if m.maxEnabled != 7 || m.schedPts != 9 || m.threads != 5 {
-		t.Errorf("runStats = %d/%d/%d, want 7/9/5 (folded from the forfeited unit)",
-			m.maxEnabled, m.schedPts, m.threads)
+	if m.MaxEnabled != 7 || m.SchedPts != 9 || m.Threads != 5 {
+		t.Errorf("RunStats = %d/%d/%d, want 7/9/5 (folded from the forfeited unit)",
+			m.MaxEnabled, m.SchedPts, m.Threads)
 	}
 }
 
@@ -65,22 +67,84 @@ func TestMergeUnitsForfeited(t *testing.T) {
 // when a forfeited unit sits between surviving ones — forfeited schedules
 // do not consume budget.
 func TestMergeUnitsForfeitedBudget(t *testing.T) {
-	units := []*unitResult{
-		{key: nil, schedules: 3},
-		{key: []int{1}, schedules: 5, panicMsg: "gone"},
-		{key: []int{2}, schedules: 4, buggyOffs: []int{4}},
+	units := []*UnitResultState{
+		{Key: nil, Schedules: 3},
+		{Key: []int{1}, Schedules: 5, PanicMsg: "gone"},
+		{Key: []int{2}, Schedules: 4, BuggyOffs: []int{4}},
 	}
-	m := mergeUnits(units, 5)
-	if m.schedules != 5 || !m.truncated {
-		t.Errorf("schedules = %d truncated = %v, want 5/true", m.schedules, m.truncated)
+	m := MergeUnitStates(units, 5)
+	if m.Schedules != 5 || !m.Truncated {
+		t.Errorf("schedules = %d truncated = %v, want 5/true", m.Schedules, m.Truncated)
 	}
 	// The last unit's bug sits at its offset 4, i.e. canonical 3+4 = 7,
 	// beyond the budget of 5: it must not be reported.
-	if m.bugFound {
+	if m.BugFound {
 		t.Errorf("bug beyond the budget cut was reported")
 	}
-	if m.workerPanics != 1 {
-		t.Errorf("workerPanics = %d, want 1", m.workerPanics)
+	if m.WorkerPanics != 1 {
+		t.Errorf("workerPanics = %d, want 1", m.WorkerPanics)
+	}
+}
+
+// TestMergeUnitsPastTheCut: units wholly behind the budget cut describe
+// executions a sequential search would never have reached — their work is
+// reported, their statistics, bugs and pruning flags are not.
+func TestMergeUnitsPastTheCut(t *testing.T) {
+	units := []*UnitResultState{
+		{Key: nil, Schedules: 5, Executions: 5, RunStats: RunStats{MaxEnabled: 2, SchedPts: 3, Threads: 3}},
+		{Key: []int{1}, Schedules: 4, BuggyOffs: []int{1}, Pruned: true, Executions: 6,
+			RunStats: RunStats{MaxEnabled: 9, SchedPts: 9, Threads: 9}},
+	}
+	m := MergeUnitStates(units, 5)
+	if m.Schedules != 5 || !m.Truncated || m.BugFound || m.Pruned {
+		t.Errorf("merge = %+v, want 5 schedules, truncated, no bug, not pruned", m)
+	}
+	if m.Executions != 11 {
+		t.Errorf("executions = %d, want 11 (work past the cut is still work)", m.Executions)
+	}
+	if (m.RunStats != RunStats{MaxEnabled: 2, SchedPts: 3, Threads: 3}) {
+		t.Errorf("RunStats = %+v, want the first unit's only", m.RunStats)
+	}
+}
+
+// TestBudgetReached is the table of the early-stop predicate: a pass may
+// end with units outstanding only when the finished units before the
+// earliest live one already hold the whole budget.
+func TestBudgetReached(t *testing.T) {
+	fin := func(n int, key ...int) *UnitResultState { return &UnitResultState{Key: key, Schedules: n} }
+	forfeited := func(n int, key ...int) *UnitResultState {
+		return &UnitResultState{Key: key, Schedules: n, PanicMsg: "gone"}
+	}
+	cases := []struct {
+		name   string
+		done   []*UnitResultState
+		live   [][]int
+		budget int
+		want   bool
+	}{
+		{"front holds the budget", []*UnitResultState{fin(6), fin(4, 1)}, [][]int{{2}}, 10, true},
+		{"front one short", []*UnitResultState{fin(6), fin(3, 1)}, [][]int{{2}}, 10, false},
+		// The head of the tree is still live: whatever finished behind it
+		// says nothing about the first schedules.
+		{"gap before a finished unit", []*UnitResultState{fin(100, 1), fin(100, 2)}, [][]int{nil}, 10, false},
+		{"gap in the middle", []*UnitResultState{fin(5), fin(100, 2)}, [][]int{{1}, {3}}, 10, false},
+		{"earliest live unit is not the first listed", []*UnitResultState{fin(10), fin(100, 2)}, [][]int{{3}, {1}}, 10, true},
+		// A forfeited unit holds no schedules, wherever it sits.
+		{"forfeited unit in the prefix", []*UnitResultState{fin(6), forfeited(50, 1), fin(3, 2)}, [][]int{{3}}, 10, false},
+		{"forfeited unit skipped, rest suffices", []*UnitResultState{fin(6), forfeited(50, 1), fin(4, 2)}, [][]int{{3}}, 10, true},
+		// A unit that stopped itself at the budget fills the front alone —
+		// but only if nothing before it is outstanding.
+		{"self-limited unit at the head", []*UnitResultState{fin(10)}, [][]int{{1}, {2}}, 10, true},
+		{"self-limited unit behind a live one", []*UnitResultState{fin(10, 1)}, [][]int{nil}, 10, false},
+		{"a donee sorts after its live donor", []*UnitResultState{fin(10, 0, 1)}, [][]int{{0}}, 10, false},
+		{"no live units, budget held", []*UnitResultState{fin(6), fin(4, 1)}, nil, 10, true},
+		{"no live units, under budget", []*UnitResultState{fin(6), fin(3, 1)}, nil, 10, false},
+		{"nothing finished", nil, [][]int{nil}, 10, false},
+	}
+	for _, tc := range cases {
+		if got := BudgetReached(tc.done, tc.live, tc.budget); got != tc.want {
+			t.Errorf("%s: BudgetReached = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -112,7 +176,7 @@ func distRun(t *testing.T, cfg Config, tech Technique, want int) *Result {
 	r := &Result{Technique: tech}
 	m.FoldInto(r, 0)
 	r.Schedules = m.Schedules
-	if m.Truncated {
+	if m.Truncated || m.Schedules >= cfg.Limit {
 		r.LimitHit = true
 		r.Stopped = StopLimit
 	} else if m.WorkerPanics == 0 {
@@ -122,22 +186,28 @@ func distRun(t *testing.T, cfg Config, tech Technique, want int) *Result {
 }
 
 // TestDistHooksEquivalence: shard + per-unit RunUnit + canonical merge is
-// bit-identical to the sequential driver on a completed DFS, however many
-// units the tree was cut into. (Truncated runs are verdict-level — the
-// per-unit budgets over-explore and the merge reapplies the exact limit —
-// matching the pool's contract; the completed case is the bit-exact one.)
+// bit-identical to the sequential driver, however many units the tree was
+// cut into — on a completed DFS in every field, and under a truncating
+// limit (each unit stops at its own budget, the merge applies the exact
+// one) in every field but the work the units performed behind the cut.
 func TestDistHooksEquivalence(t *testing.T) {
-	const limit = 20000
-	for _, name := range ckBenchNames {
-		for _, want := range []int{1, 2, 5} {
-			t.Run(fmt.Sprintf("%s/units=%d", name, want), func(t *testing.T) {
-				base := RunDFS(ckCfg(t, name, limit))
-				if !base.Complete {
-					t.Fatalf("baseline did not complete (%d schedules); raise the limit", base.Schedules)
+	for _, limit := range []int{20000, 60} {
+		for _, name := range ckBenchNames {
+			for _, want := range []int{1, 2, 5} {
+				sub := fmt.Sprintf("%s/units=%d", name, want)
+				if limit == 60 {
+					sub = fmt.Sprintf("%s/limit=60/units=%d", name, want)
 				}
-				got := distRun(t, ckCfg(t, name, limit), DFS, want)
-				requireSameResult(t, "dist", base, got)
-			})
+				t.Run(sub, func(t *testing.T) {
+					base := RunDFS(ckCfg(t, name, limit))
+					got := distRun(t, ckCfg(t, name, limit), DFS, want)
+					if base.Complete {
+						requireSameResult(t, "dist", base, got)
+					} else {
+						requireSameResult(t, "dist (truncated)", maskWorkMetrics(base), maskWorkMetrics(got))
+					}
+				})
+			}
 		}
 	}
 }
@@ -234,7 +304,7 @@ func TestResumeAllUnitsDone(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardTree: %v", err)
 	}
-	ps := &PoolState{BudgetLeft: limit, ExecLimitLeft: int64(DefaultMaxExecutions)}
+	ps := &PoolState{}
 	ps.Done = append(ps.Done, set.Done...)
 	for i := range set.Units {
 		ur, err := RunUnit(cfg, &set.Units[i], limit, nil)

@@ -20,12 +20,18 @@ package explore
 // sequential visit order exactly — no matter how the work-stealing
 // happened to cut the tree. Schedule totals, per-bound NewSchedules,
 // completeness, the first-bug selection and its witness are therefore
-// bit-identical to Workers: 1 whenever the search runs to completion. When
-// the schedule limit truncates the search, the counted totals are still
-// exact (the budget is an atomic ticket counter), but which schedules fall
-// inside the budget depends on worker timing, so BugFound/Witness may
-// differ from a sequential truncated run; Executions is always the actual
-// work performed, including cancelled speculative bounds.
+// bit-identical to Workers: 1 — for a search that completes, one Limit
+// truncates, and one killed and resumed alike. The schedules inside the
+// budget must be the canonically first ones, and which unit counts first is
+// a matter of timing, so the budget is never handed out while the search
+// runs: Limit is applied in one place, the canonical merge
+// (MergeUnitStates). A unit stops itself once it alone has counted a whole
+// budget (exploreUnit), and a job stops early only when its finished front
+// already holds the budget (BudgetReached). The price is work: a truncated
+// parallel search may perform up to about workers × budget executions the
+// merge cuts away. Every unit tallies its own work, and Executions,
+// TotalSteps and AbortedExecutions are the honest sum (cancelled speculative
+// bounds included) — the only Result fields that depend on timing.
 //
 // DPOR is the exception to exactness: its backtrack sets grow from races
 // observed at runtime, so a donated unit and its donor may later discover
@@ -33,7 +39,8 @@ package explore
 // sound — every Mazurkiewicz trace the sequential search covers is covered
 // — and bit-identical to Workers: 1 whenever no work was stolen, but under
 // stealing the schedule count may include duplicated equivalence classes.
-// The bug verdict and completeness are preserved either way.
+// The bug verdict and completeness are preserved either way, complete or
+// truncated.
 //
 // Iterative bounding (IPB/IDB) additionally overlaps bound sweeps: while
 // bound k drains, a lower-priority job speculatively explores bound k+1 in
@@ -44,6 +51,7 @@ package explore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,10 +62,13 @@ import (
 	"sctbench/internal/vthread"
 )
 
-// searcher is the engine contract the worker pool drives. Both engine
-// (DFS/IPB/IDB) and dporEngine implement it. A searcher is confined to
-// one worker goroutine at a time; donation transfers ownership of the
-// returned unit's engine to whichever worker takes it.
+// searcher is the engine contract every driver of this package runs: the
+// sequential loops, the worker pool and RunUnit. It has exactly two
+// implementations — engine (DFS/IPB/IDB: cost-bounded backtracking shares
+// only scaffolding with partial-order reduction) and dporEngine (DPOR and,
+// in its sleep-set-only form, sleep-set DFS). A searcher is confined to one
+// worker goroutine at a time; donation transfers ownership of the returned
+// unit's engine to whichever worker takes it.
 type searcher interface {
 	// setExec points the engine at the executor of the worker currently
 	// running it.
@@ -83,6 +94,10 @@ type searcher interface {
 	prunedBranches() int
 	// execCount is the number of executions this engine performed.
 	execCount() int
+	// techName is the checkpoint technique string of the search this engine
+	// performs; snapshot serializes its frontier (checkpoint.go).
+	techName() string
+	snapshot() *EngineState
 }
 
 // searcher implementation for the DFS/IPB/IDB engine.
@@ -155,20 +170,6 @@ func (e *dporEngine) counts(out *vthread.Outcome) bool {
 	return !out.StepLimitHit && !out.Aborted
 }
 
-// searcher implementation for the sleep-set engine — used only by the
-// shared sequential driver (RunSleepSetDFS never runs on the pool, so it
-// never donates).
-
-func (e *ssEngine) setExec(ex *vthread.Executor) { e.exec = ex }
-func (e *ssEngine) wasPruned() bool              { return false }
-func (e *ssEngine) prunedBranches() int          { return e.pruned }
-func (e *ssEngine) execCount() int               { return e.executions }
-func (e *ssEngine) split() *unit                 { return nil }
-
-func (e *ssEngine) counts(out *vthread.Outcome) bool {
-	return !out.StepLimitHit && !out.Aborted
-}
-
 // split donates every pending backtrack candidate of the shallowest node
 // that has one, deep-copying the stack up to and including that node. The
 // donee's prefix copies carry no pending work of their own (the donor
@@ -181,17 +182,12 @@ func (e *ssEngine) counts(out *vthread.Outcome) bool {
 func (e *dporEngine) split() *unit {
 	for d := 0; d < len(e.stack); d++ {
 		nd := &e.stack[d]
-		first := -1
-		for k := range nd.order {
-			if e.pendingAt(nd, k) {
-				first = k
-				break
-			}
-		}
+		first := e.firstPending(nd)
 		if first < 0 {
 			continue
 		}
 		ne := newDPOREngine(e.cfg)
+		ne.sleepOnly = e.sleepOnly
 		ne.maxThreads = e.maxThreads
 		ne.stack = make([]dporNode, d+1)
 		for i := 0; i <= d; i++ {
@@ -243,154 +239,414 @@ func (e *dporEngine) split() *unit {
 	return nil
 }
 
-// pendingAt reports whether choice k of nd is donatable pending work: in
-// the backtrack set, not explored, not asleep, and not the choice the
-// donor is currently inside. Case nodes skip the sleep lookup: their order
-// entries are case indices, which must never be matched against the
-// thread-keyed sleep map.
-func (e *dporEngine) pendingAt(nd *dporNode, k int) bool {
-	if k == nd.idx || !nd.backtrack[k] || nd.done[k] {
-		return false
-	}
-	if nd.selOf != vthread.NoThread {
-		return true
-	}
-	_, asleep := nd.sleep[nd.order[k]]
-	return !asleep
-}
-
 // unit is a prefix-pinned sub-search: an engine whose stack prefix is
 // pinned and whose shallowest open node may be restricted to a sibling
 // range (DFS) or a donated candidate set (DPOR). key is the branch key of
-// the first position the unit covers; fresh units run immediately, donated
-// units backtrack first (the uniform path that also handles bound-pruning
-// of the donated range).
+// the first position the unit covers; positioned units run immediately,
+// donated units backtrack first (the uniform path that also handles
+// bound-pruning of the donated range).
 type unit struct {
-	eng   searcher
-	key   []int
-	fresh bool
+	eng        searcher
+	key        []int
+	positioned bool
 	// res carries a parked unit's partial tallies across a suspension
 	// (checkpoint/resume); nil for units that have never run.
-	res *unitResult
-}
-
-// runStats is the per-benchmark max-statistics fold of Table 3 (max
-// enabled threads, max contested scheduling points, max thread count),
-// shared by every accumulation site of the parallel driver.
-type runStats struct {
-	maxEnabled int
-	schedPts   int
-	threads    int
+	res *UnitResultState
 }
 
 // observe folds one execution's statistics in.
-func (s *runStats) observe(out *vthread.Outcome) {
-	if out.MaxEnabled > s.maxEnabled {
-		s.maxEnabled = out.MaxEnabled
-	}
-	if out.SchedPoints > s.schedPts {
-		s.schedPts = out.SchedPoints
-	}
-	if out.Threads > s.threads {
-		s.threads = out.Threads
-	}
+func (s *RunStats) observe(out *vthread.Outcome) {
+	s.fold(RunStats{MaxEnabled: out.MaxEnabled, SchedPts: out.SchedPoints, Threads: out.Threads})
 }
 
 // fold merges another accumulator in.
-func (s *runStats) fold(o runStats) {
-	if o.maxEnabled > s.maxEnabled {
-		s.maxEnabled = o.maxEnabled
-	}
-	if o.schedPts > s.schedPts {
-		s.schedPts = o.schedPts
-	}
-	if o.threads > s.threads {
-		s.threads = o.threads
-	}
+func (s *RunStats) fold(o RunStats) {
+	s.MaxEnabled = max(s.MaxEnabled, o.MaxEnabled)
+	s.SchedPts = max(s.SchedPts, o.SchedPts)
+	s.Threads = max(s.Threads, o.Threads)
 }
 
 // foldInto merges the accumulator into a Result.
-func (s runStats) foldInto(r *Result) {
-	if s.maxEnabled > r.MaxEnabled {
-		r.MaxEnabled = s.maxEnabled
-	}
-	if s.schedPts > r.MaxSchedPoints {
-		r.MaxSchedPoints = s.schedPts
-	}
-	if s.threads > r.Threads {
-		r.Threads = s.threads
-	}
+func (s RunStats) foldInto(r *Result) {
+	r.MaxEnabled = max(r.MaxEnabled, s.MaxEnabled)
+	r.MaxSchedPoints = max(r.MaxSchedPoints, s.SchedPts)
+	r.Threads = max(r.Threads, s.Threads)
 }
 
-// unitResult is everything a finished unit contributes to the merge.
-type unitResult struct {
-	runStats
-	key       []int
-	schedules int   // terminal schedules counted by this unit
-	buggyOffs []int // 1-based offsets (within this unit) of buggy schedules
-	failure   *vthread.Failure
-	witness   sched.Schedule
-	pruned    bool
-	branches  int // enabled siblings retired unexplored by POR
-	// panicMsg marks a unit whose worker panicked mid-unit: its schedule
-	// counts are forfeited (the merge skips them), only its run statistics
-	// fold in, and the job reports the panic instead of completeness.
-	panicMsg string
-	// executions/steps/aborted are the unit's own work tallies, filled by
-	// the distributed driver (ShardTree/RunUnit), which has no process-wide
-	// atomics to count on; the in-process pool leaves them zero and counts
-	// work on the job's shared counters instead. Summed over a disjoint
-	// covering set of completed units they equal the sequential totals.
-	executions int
-	steps      int64
-	aborted    int
+// ---------------------------------------------------------------------------
+// The unit step: one loop for the pool worker and for RunUnit.
+
+// UnitAction is the verdict of a unit's per-execution poll.
+type UnitAction int
+
+const (
+	// UnitContinue: keep exploring.
+	UnitContinue UnitAction = iota
+	// UnitPark: suspend. The unit stops positioned — post-backtrack, ready
+	// for its next execution — with its partial tallies, which is exactly
+	// the state checkpoints serialize and a re-dispatch re-enters.
+	UnitPark
+	// UnitAbandon: stop without a verdict — the job was cancelled, the
+	// lease is lost or a simulated kill -9 fired.
+	UnitAbandon
+)
+
+// unitEnd says how exploreUnit left a unit.
+type unitEnd int
+
+const (
+	unitFinished  unitEnd = iota // range exhausted
+	unitLimited                  // the unit alone counted the whole budget
+	unitParked                   // poll said UnitPark; the engine is positioned
+	unitAbandoned                // poll said UnitAbandon, or executed said stop
+	unitPanicked                 // a panic was contained; res.PanicMsg is set
+)
+
+// unitDriver is what the unit loop asks of whoever drives it.
+type unitDriver struct {
+	// poll runs before every execution (nil = never stop early).
+	poll func() UnitAction
+	// budget is the pass's schedule budget, read after every counted
+	// schedule (<= 0 = unlimited).
+	budget func() int
+	// executed runs after every execution, before the next backtrack (nil =
+	// nothing to do); false abandons the unit.
+	executed func(eng searcher) bool
 }
+
+// exploreUnit is the one per-execution loop of the parallel drivers: poll,
+// execute and tally (runUnitOnce), stop once the unit by itself holds the
+// whole budget, backtrack. A unit parks only at the loop top, where the
+// engine is positioned. A panic anywhere inside — program, substrate, or an
+// injected worker death — is contained here, once: the unit ends forfeited
+// and the caller must abandon the executor the engine ran on.
+func exploreUnit(eng searcher, positioned bool, res *UnitResultState, d unitDriver) (end unitEnd) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res.PanicMsg = fmt.Sprint(rec)
+			end = unitPanicked
+		}
+	}()
+	for alive := positioned || eng.backtrack(); alive; alive = eng.backtrack() {
+		if d.poll != nil {
+			switch d.poll() {
+			case UnitPark:
+				return unitParked
+			case UnitAbandon:
+				return unitAbandoned
+			}
+		}
+		counted := runUnitOnce(eng, res)
+		if d.executed != nil && !d.executed(eng) {
+			return unitAbandoned
+		}
+		if b := d.budget(); counted && b > 0 && res.Schedules >= b {
+			end = unitLimited
+			break
+		}
+	}
+	res.Pruned = eng.wasPruned()
+	res.Branches = eng.prunedBranches()
+	return end
+}
+
+// runUnitOnce performs one execution on eng, folding every per-unit tally
+// — work counters, run statistics, schedule counting, first-bug capture —
+// into res, and reports whether the terminal-schedule count grew.
+func runUnitOnce(eng searcher, res *UnitResultState) bool {
+	out := eng.runOnce()
+	res.Executions++
+	res.Steps += int64(len(out.Trace))
+	if out.Aborted {
+		res.Aborted++
+	}
+	before := res.RunStats
+	if res.observe(out); res.RunStats != before {
+		res.StatMarks = append(res.StatMarks, StatMark{Before: res.Schedules, RunStats: res.RunStats})
+	}
+	if !eng.counts(out) {
+		return false
+	}
+	res.Schedules++
+	if out.Buggy() {
+		res.BuggyOffs = append(res.BuggyOffs, res.Schedules)
+		if res.Failure == nil {
+			res.Failure = out.Failure
+			res.Witness = out.Trace.Clone()
+		}
+	}
+	return true
+}
+
+// ---------------------------------------------------------------------------
+// The canonical merge and the early budget stop.
+
+// PassMerge is the merged outcome of one pass (one DFS/DPOR tree, or one
+// bound of an iterative sweep) over its units.
+type PassMerge struct {
+	Schedules      int
+	Buggy          int
+	BugFound       bool
+	FirstBugOffset int // 1-based, within this pass
+	Failure        *vthread.Failure
+	Witness        sched.Schedule
+	Pruned         bool
+	Branches       int
+	Truncated      bool // the budget cut the walk short
+	WorkerPanics   int
+	PanicMsg       string
+	RunStats
+	// Summed per-unit work tallies.
+	Executions int
+	Steps      int64
+	Aborted    int
+}
+
+// MergeUnitStates concatenates unit results in canonical order (branch-key
+// lexicographic, prefix-orders-first — sched.CompareBranchKeys) and is the
+// one place the schedule budget is applied: the walk takes exactly the
+// first budget schedules. When the units up to that cut are fully
+// enumerated — always on a finished pass, and BudgetReached is what lets a
+// driver end one early — totals, the cut, the first-bug offset and its
+// witness land exactly where a sequential search puts them (DPOR:
+// verdict-level under stealing). Executions a sequential search would not
+// have reached must not move its statistics: units past the cut contribute
+// work tallies and forfeitures only, and the unit the cut lands in reports
+// its maxima as of the cut (StatMarks). Duplicate completions of one unit
+// must be deduplicated by the caller.
+//
+// Forfeited units — a worker panicked mid-unit, or (in the distributed
+// driver) a lease was abandoned and the unit's stale result discarded —
+// keep the merge honest rather than optimistic:
+//   - the unit's schedule counts, bug offsets and witness are dropped, so
+//     a half-explored range can never masquerade as an enumerated one;
+//   - its run statistics (max enabled threads, scheduling points, thread
+//     count) and work tallies still fold in — they describe executions
+//     that really happened;
+//   - the forfeiture surfaces as WorkerPanics/PanicMsg, and every driver
+//     withholds Complete whenever WorkerPanics > 0.
+//
+// The contract under forfeiture is therefore verdict-level: a bug found
+// by a surviving unit is reported at its canonical offset, counts remain
+// exact over the surviving coverage and the budget still truncates
+// canonically, but completeness and totals describe only the units that
+// survived.
+func MergeUnitStates(done []*UnitResultState, budget int) PassMerge {
+	units := slices.Clone(done)
+	sort.Slice(units, func(a, b int) bool {
+		return sched.CompareBranchKeys(units[a].Key, units[b].Key) < 0
+	})
+	var m PassMerge
+	for _, u := range units {
+		m.Executions += u.Executions
+		m.Steps += u.Steps
+		m.Aborted += u.Aborted
+		if u.PanicMsg != "" {
+			m.WorkerPanics++
+			if m.PanicMsg == "" {
+				m.PanicMsg = u.PanicMsg
+			}
+		}
+		if m.Schedules >= budget {
+			m.Truncated = m.Truncated || (u.PanicMsg == "" && u.Schedules > 0)
+			continue
+		}
+		if u.PanicMsg != "" {
+			m.fold(u.RunStats)
+			continue
+		}
+		m.Pruned = m.Pruned || u.Pruned
+		m.Branches += u.Branches
+		take := u.Schedules
+		if m.Schedules+take > budget {
+			take = budget - m.Schedules
+			m.Truncated = true
+		}
+		m.fold(u.statsAt(take, m.Schedules+take >= budget))
+		for _, off := range u.BuggyOffs {
+			if off > take {
+				break
+			}
+			m.Buggy++
+			if !m.BugFound {
+				m.BugFound = true
+				m.FirstBugOffset = m.Schedules + off
+				m.Failure = u.Failure
+				m.Witness = u.Witness
+			}
+		}
+		m.Schedules += take
+	}
+	return m
+}
+
+// statsAt is the unit's run statistics as the merge may report them: all
+// of them, unless the budget cut falls inside (or exactly at the end of)
+// this unit — then only what the executions up to its take-th counted
+// schedule saw, which is where a sequential search stops.
+func (u *UnitResultState) statsAt(take int, cut bool) RunStats {
+	if !cut || len(u.StatMarks) == 0 {
+		return u.RunStats
+	}
+	var s RunStats
+	for _, mark := range u.StatMarks {
+		if mark.Before < take {
+			s = mark.RunStats
+		}
+	}
+	return s
+}
+
+// FoldInto folds a merged pass into r; prior is the number of schedules
+// counted by earlier (committed) passes, for the cross-pass first-bug
+// offset.
+func (m *PassMerge) FoldInto(r *Result, prior int) {
+	m.RunStats.foldInto(r)
+	r.BuggySchedules += m.Buggy
+	r.BranchesPruned += m.Branches
+	r.WorkerPanics += m.WorkerPanics
+	if m.PanicMsg != "" && r.WorkerPanicMsg == "" {
+		r.WorkerPanicMsg = m.PanicMsg
+	}
+	if m.BugFound && !r.BugFound {
+		r.BugFound = true
+		r.Failure = m.Failure
+		r.Witness = m.Witness
+		r.SchedulesToFirstBug = prior + m.FirstBugOffset
+	}
+	r.Executions += m.Executions
+	r.TotalSteps += m.Steps
+	r.AbortedExecutions += m.Aborted
+}
+
+// PassEnd is what a driver knows about a pass that ended, beyond its merge.
+type PassEnd struct {
+	// Iterative: the pass is one bound (Bound, of at most MaxBound) of an
+	// IPB/IDB sweep, not a whole DFS/DPOR tree.
+	Iterative       bool
+	Bound, MaxBound int
+	// Counted is the schedules committed by earlier bounds; Limit the
+	// search's schedule limit.
+	Counted, Limit int
+	// GuardHit: the MaxExecutions guard tripped during the pass.
+	GuardHit bool
+	// Stopped, when not StopCompleted, is why the pass was cut short from
+	// outside (interrupt, deadline, drain): the merge is then a partial
+	// result, and the units behind it are in a checkpoint.
+	Stopped StopReason
+}
+
+// Commit folds the merged pass into r and reports whether the search ends
+// with it — the per-pass verdict of every parallel driver, in the order the
+// sequential drivers reach theirs: the limits first, then completeness
+// (nothing pruned, nothing forfeited), then the paper's rule that the bound
+// exposing the bug is the last one enumerated (§5).
+func (m *PassMerge) Commit(r *Result, e PassEnd) (final bool) {
+	if e.Iterative {
+		r.Bound = e.Bound
+		r.NewSchedules = m.Schedules
+	}
+	m.FoldInto(r, e.Counted)
+	r.Schedules = e.Counted + m.Schedules
+	switch {
+	case e.Stopped != StopCompleted:
+		r.Stopped = e.Stopped
+	case r.Schedules >= e.Limit || m.Truncated || e.GuardHit:
+		r.LimitHit = true
+		r.Stopped = StopLimit
+	case !e.Iterative || !m.Pruned:
+		// The space is exhausted — unless a forfeited unit means coverage
+		// cannot be claimed.
+		r.Complete = r.WorkerPanics == 0
+	default:
+		return r.BugFound || e.Bound == e.MaxBound
+	}
+	return true
+}
+
+// BudgetReached is the early-stop predicate of a pass with a schedule
+// budget, shared by the pool and the distributed coordinator: it reports
+// that the finished units lexicographically before the earliest live unit
+// already hold the whole budget. done are the finished units' results, live
+// the keys of every unit still queued, running, leased or parked.
+//
+// This is the only condition under which a pass may end with units
+// outstanding: MergeUnitStates takes the budget from the front of the
+// canonical order, so it is safe to stop exactly when that front is known —
+// every unit ahead of the first gap is finished (exhausted, or stopped by
+// itself at a whole budget) and together they fill the budget. Schedules
+// counted behind a live unit say nothing about the front, however many; a
+// forfeited unit holds none. Callers skip the call while the finished units
+// hold fewer schedules than the budget in total, so a pass that completes
+// under its budget never pays for it.
+func BudgetReached(done []*UnitResultState, live [][]int, budget int) bool {
+	inFront := func([]int) bool { return true }
+	if len(live) > 0 {
+		first := slices.MinFunc(live, sched.CompareBranchKeys)
+		inFront = func(key []int) bool { return sched.CompareBranchKeys(key, first) < 0 }
+	}
+	held := 0
+	for _, u := range done {
+		if u.PanicMsg == "" && inFront(u.Key) {
+			held += u.Schedules
+		}
+	}
+	return held >= budget
+}
+
+// ---------------------------------------------------------------------------
+// The in-process pool.
 
 // job is one complete pass over the tree (one DFS, or one bound of an
 // iterative search) being explored by the pool.
 type job struct {
-	cfg Config
+	// All guarded by pool.mu. A unit is in exactly one of queue (donors
+	// append at the tail, thieves take the lexicographic head), running (a
+	// worker is inside it) and parked (a suspension or a stop set it aside,
+	// positioned or not, with whatever it had tallied), or it is finished
+	// and its result is in results.
+	queue   []*unit
+	running []*unit
+	parked  []*unit
+	results []*UnitResultState
+	// held sums the schedules of the finished, unforfeited units: the cheap
+	// gate in front of BudgetReached.
+	held   int
+	closed bool // done has been closed
 
-	queue   []*unit // guarded by pool.mu; donors append at the tail, thieves take the head
-	pending int     // guarded by pool.mu; queued + running units
-	closed  bool    // guarded by pool.mu; done has been closed
+	// stop cancels the job: running units finish their current execution
+	// only. budgetHit (guarded by pool.mu) and execLimitHit say why.
+	stop         atomic.Bool
+	budgetHit    bool
+	execLimitHit atomic.Bool
+	// budget is the pass's schedule budget, Limit minus what earlier bounds
+	// committed. It is compared against (exploreUnit, BudgetReached), never
+	// spent. A speculative bound runs under the budget known when it was
+	// created and is given the exact one on promotion.
+	budget atomic.Int64
 
-	results  []*unitResult // guarded by resMu
-	resMu    sync.Mutex
-	stop     atomic.Bool
-	limitHit atomic.Bool
-	budget   atomic.Int64 // remaining counted-schedule tickets
-
-	// execs counts every execution performed anywhere in the exploration,
-	// steps their summed trace lengths and aborts the chooser-aborted ones
-	// (the honest Result.Executions / TotalSteps / AbortedExecutions
-	// metrics, speculation included). own counts this job's executions
-	// alone and is what execLimit — the MaxExecutions budget left when the
-	// job was created, tightened as earlier bounds commit — guards, so
-	// speculative work never burns the active bound's execution budget.
-	execs     *atomic.Int64
-	steps     *atomic.Int64
-	aborts    *atomic.Int64
+	// own counts this job's executions and is what execLimit — the
+	// MaxExecutions budget left when the job was created, tightened as
+	// earlier bounds commit — guards, so speculative work never burns the
+	// active bound's execution budget.
 	own       atomic.Int64
 	execLimit atomic.Int64
 
 	// ctl is the exploration's shared stop signal; workers poll it before
-	// every execution and suspend the job when it trips.
-	ctl *stopCtl
-	// suspend asks running units to park instead of continuing; queued
-	// units are parked by suspendJob directly. suspended (guarded by
-	// pool.mu) collects the parked units — each a positioned engine plus
-	// its partial tallies — for checkpointing or in-process reseeding.
-	suspend   atomic.Bool
-	suspended []*unit
+	// every execution and suspend the job when it trips. suspend asks
+	// running units to park instead of continuing.
+	ctl     *stopCtl
+	suspend atomic.Bool
 
 	done chan struct{}
 }
 
 // pool runs worker goroutines over an ordered list of jobs; workers always
 // prefer the earliest job with queued work, so a speculative bound only
-// consumes cycles the active bound cannot use.
+// consumes cycles the active bound cannot use. All jobs of a pool explore
+// under one Config.
 type pool struct {
+	cfg    Config
 	mu     sync.Mutex
 	cond   *sync.Cond
 	jobs   []*job
@@ -399,40 +655,59 @@ type pool struct {
 	wg     sync.WaitGroup
 }
 
-func newPool(workers int) *pool {
-	p := &pool{}
+func newPool(cfg Config) *pool {
+	p := &pool{cfg: cfg}
 	p.cond = sync.NewCond(&p.mu)
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < max(cfg.Workers, 1); i++ {
+		p.wg.Add(1)
 		go p.worker()
 	}
 	return p
 }
 
-// addJob registers a job seeded with the whole-tree root unit.
-func (p *pool) addJob(j *job, root searcher) *job {
+// addJob registers a pass: fresh (units is the whole-tree root), or carried
+// over from a suspension with its parked units, finished results and
+// execution count. A resume checkpoint may carry only completed units — the
+// stop landed right after the last unit finished — or a front that already
+// fills the budget; either way the job is born drained and its done channel
+// closes here.
+func (p *pool) addJob(ctl *stopCtl, budget int, execLimit int64,
+	units []*unit, results []*UnitResultState, own int64) *job {
+	j := &job{ctl: ctl, queue: units, results: results, done: make(chan struct{})}
+	j.budget.Store(int64(budget))
+	j.execLimit.Store(execLimit)
+	j.own.Store(own)
+	for _, res := range results {
+		if res.PanicMsg == "" {
+			j.held += res.Schedules
+		}
+	}
 	p.mu.Lock()
-	j.queue = append(j.queue, &unit{eng: root, fresh: true})
-	j.pending = 1
 	p.jobs = append(p.jobs, j)
+	p.checkBudgetLocked(j)
+	p.settleLocked(j)
 	p.mu.Unlock()
-	p.cond.Signal()
+	p.cond.Broadcast()
 	return j
 }
 
 // removeJob drops a finished job from the scan list.
 func (p *pool) removeJob(j *job) {
 	p.mu.Lock()
-	for i, x := range p.jobs {
-		if x == j {
-			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
-			break
-		}
-	}
+	p.jobs = slices.DeleteFunc(p.jobs, func(x *job) bool { return x == j })
 	p.mu.Unlock()
 }
 
-// stopJob cancels a job: pending queued units are dropped, running units
+// settleLocked closes a job's done channel once no unit is queued or
+// running.
+func (p *pool) settleLocked(j *job) {
+	if len(j.queue)+len(j.running) == 0 && !j.closed {
+		j.closed = true
+		close(j.done)
+	}
+}
+
+// stopJob cancels a job: queued units are set aside unrun, running units
 // observe j.stop and finish their current execution only.
 func (p *pool) stopJob(j *job) {
 	p.mu.Lock()
@@ -442,12 +717,46 @@ func (p *pool) stopJob(j *job) {
 
 func (p *pool) stopJobLocked(j *job) {
 	j.stop.Store(true)
-	j.pending -= len(j.queue)
+	j.parked = append(j.parked, j.queue...)
 	j.queue = nil
-	if j.pending == 0 && !j.closed {
-		j.closed = true
-		close(j.done)
+	p.settleLocked(j)
+}
+
+// checkBudgetLocked stops a job whose finished front already holds its
+// budget (see BudgetReached). It runs when a unit finishes — the only event
+// that can make the predicate true: a donation adds a live unit behind its
+// live donor — and when a promotion tightens the budget.
+func (p *pool) checkBudgetLocked(j *job) {
+	budget := int(j.budget.Load())
+	if j.held < budget || j.stop.Load() {
+		return
 	}
+	var live [][]int
+	for _, us := range [][]*unit{j.queue, j.running, j.parked} {
+		for _, u := range us {
+			live = append(live, u.key)
+		}
+	}
+	if BudgetReached(j.results, live, budget) {
+		j.budgetHit = true
+		p.stopJobLocked(j)
+	}
+}
+
+// promote gives a speculative job that became the active one its exact
+// budgets: it ran under those known at its creation, before the bound just
+// committed had counted its schedules and spent consumed executions. Either
+// may already be used up — a small bound can finish speculatively before it
+// is promoted, and then no later execution would notice.
+func (p *pool) promote(j *job, budget int, consumed int64) {
+	p.mu.Lock()
+	j.budget.Store(int64(budget))
+	if j.own.Load() >= j.execLimit.Add(-consumed) {
+		j.execLimitHit.Store(true)
+		p.stopJobLocked(j)
+	}
+	p.checkBudgetLocked(j)
+	p.mu.Unlock()
 }
 
 // close stops every job and joins the workers.
@@ -465,8 +774,7 @@ func (p *pool) close() {
 // worker owns one reusable Executor for its whole lifetime: every unit it
 // picks up (whatever the job or bound) runs its executions on it, so
 // thread goroutines and buffers are recycled across units, not just
-// within one. All jobs of a pool share one Config, so the executor's
-// visibility/step options fit every unit.
+// within one.
 func (p *pool) worker() {
 	defer p.wg.Done()
 	var ex *vthread.Executor
@@ -481,10 +789,10 @@ func (p *pool) worker() {
 			return
 		}
 		if ex == nil {
-			ex = newExecutor(j.cfg)
+			ex = newExecutor(p.cfg)
 		}
 		u.eng.setExec(ex)
-		if !p.runUnit(j, u) {
+		if p.runUnit(j, u) == unitPanicked {
 			// The unit panicked mid-execution: the executor may hold a
 			// wedged run (on the reference engine, parked goroutines), so
 			// abandon it and build a fresh one for the next unit. The flat
@@ -498,10 +806,10 @@ func (p *pool) worker() {
 // take steals the lexicographically smallest queued unit of the earliest
 // job with work, or blocks. Lex-priority stealing keeps the workers
 // clustered on the earliest open regions of the tree, so the frontier
-// advances in approximately the sequential visit order — which makes a
-// budget-truncated parallel search count (and find bugs in) nearly the
-// same lexicographic window a sequential search would, instead of
-// scattering the budget across distant subtrees.
+// advances in approximately the sequential visit order — which is what
+// lets a budgeted pass fill its front (BudgetReached) soon after a
+// sequential search would have stopped, instead of scattering executions
+// across distant subtrees the merge will cut away.
 func (p *pool) take() (*job, *unit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -519,6 +827,7 @@ func (p *pool) take() (*job, *unit) {
 				}
 				u := j.queue[best]
 				j.queue = append(j.queue[:best], j.queue[best+1:]...)
+				j.running = append(j.running, u)
 				return j, u
 			}
 		}
@@ -528,19 +837,40 @@ func (p *pool) take() (*job, *unit) {
 	}
 }
 
-// finishUnit records a unit's result and signals job completion when it was
-// the last one out.
-func (p *pool) finishUnit(j *job, res *unitResult) {
-	j.resMu.Lock()
-	j.results = append(j.results, res)
-	j.resMu.Unlock()
+// leaveUnit takes a unit a worker is done with off the running list: parked
+// (a suspension — the unit is positioned and resumable — or a stop, where
+// only its tallies still matter) or finished, its result joining the merge.
+func (p *pool) leaveUnit(j *job, u *unit, end unitEnd) {
 	p.mu.Lock()
-	j.pending--
-	if j.pending == 0 && !j.closed {
-		j.closed = true
-		close(j.done)
+	j.running = slices.DeleteFunc(j.running, func(x *unit) bool { return x == u })
+	switch end {
+	case unitParked, unitAbandoned:
+		j.parked = append(j.parked, u)
+	default:
+		j.results = append(j.results, u.res)
+		if end != unitPanicked {
+			j.held += u.res.Schedules
+			p.checkBudgetLocked(j)
+		}
 	}
+	p.settleLocked(j)
 	p.mu.Unlock()
+}
+
+// enqueue adds a donated unit to a job's queue, unless the job was
+// cancelled in the meantime: the donor already gave the range up, so the
+// unit would have to be explored — by nobody. That is fine: what a stopped
+// job has not enumerated lies behind its budget cut, or the job's results
+// are discarded altogether.
+func (p *pool) enqueue(j *job, u *unit) {
+	p.mu.Lock()
+	if j.stop.Load() || p.closed {
+		p.mu.Unlock()
+		return
+	}
+	j.queue = append(j.queue, u)
+	p.mu.Unlock()
+	p.cond.Signal()
 }
 
 // maybeDonate splits the engine's shallowest open sibling range into a new
@@ -553,289 +883,113 @@ func (p *pool) maybeDonate(j *job, eng searcher) {
 	if !starving {
 		return
 	}
-	u := eng.split()
-	if u == nil {
-		return
+	if u := eng.split(); u != nil {
+		p.enqueue(j, u)
 	}
-	p.mu.Lock()
-	if j.stop.Load() || p.closed {
-		// The donation raced a cancellation; the donor already gave the
-		// range up, so the unit must still be explored — by nobody. That
-		// is fine: a stopped job's results are discarded.
+}
+
+// stallHead is the faultinject.PoolStallHead site: the worker inside the
+// job's lexicographically first unit donates what it can and then waits
+// until the units behind it have finished a whole budget's worth of
+// schedules (or nothing else is left to run) — the interleaving in which a
+// pass that handed its budget to whoever counted first would keep the wrong
+// schedules.
+func (p *pool) stallHead(j *job, eng searcher) {
+	if u := eng.split(); u != nil {
+		p.enqueue(j, u)
+	}
+	for {
+		p.mu.Lock()
+		release := j.held >= int(j.budget.Load()) || len(j.queue)+len(j.running) <= 1 ||
+			j.stop.Load() || p.closed
 		p.mu.Unlock()
-		return
+		if release {
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
-	j.queue = append(j.queue, u)
-	j.pending++
-	p.mu.Unlock()
-	p.cond.Signal()
 }
 
-// runUnit explores one unit to exhaustion (or cancellation), donating work
-// along the way. It returns false when the unit panicked: the panic is
-// recovered here — the pool survives a worker panic by failing that unit
-// alone — and the caller must abandon the worker's executor.
-func (p *pool) runUnit(j *job, u *unit) (ok bool) {
-	res := u.res
-	if res == nil {
-		res = &unitResult{key: u.key}
+// runUnit drives one unit through exploreUnit — to exhaustion, the budget,
+// a suspension or a cancellation, donating work along the way — and files
+// it under the job. unitPanicked tells the worker to abandon its executor.
+func (p *pool) runUnit(j *job, u *unit) unitEnd {
+	if u.res == nil {
+		u.res = &UnitResultState{Key: u.key}
 	}
-	eng := u.eng
-	ok = true
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-			res.panicMsg = fmt.Sprint(rec)
-			p.finishUnit(j, res)
-		}
-	}()
-	alive := u.fresh || eng.backtrack()
-	for alive && !j.stop.Load() {
-		if _, stop := j.ctl.poll(); stop {
-			p.suspendJob(j)
-		}
-		if j.suspend.Load() {
-			// Park positioned: the engine sits post-backtrack, ready for
-			// its next runOnce, which is exactly the state checkpoints
-			// serialize and Resume re-enters.
-			p.parkUnit(j, &unit{eng: eng, key: u.key, fresh: true, res: res})
-			return true
-		}
-		if faultinject.Hit(faultinject.PoolUnitPanic) {
-			panic("faultinject: worker death mid-unit")
-		}
-		out := eng.runOnce()
-		j.execs.Add(1)
-		j.steps.Add(int64(len(out.Trace)))
-		if out.Aborted {
-			j.aborts.Add(1)
-		}
-		res.observe(out)
-		if eng.counts(out) {
-			if j.budget.Add(-1) < 0 {
-				j.limitHit.Store(true)
+	end := exploreUnit(u.eng, u.positioned, u.res, unitDriver{
+		poll: func() UnitAction {
+			if j.stop.Load() {
+				return UnitAbandon
+			}
+			if _, stop := j.ctl.poll(); stop {
+				p.suspendJob(j)
+			}
+			if j.suspend.Load() {
+				return UnitPark
+			}
+			if faultinject.Hit(faultinject.PoolUnitPanic) {
+				panic("faultinject: worker death mid-unit")
+			}
+			if len(u.key) == 0 && faultinject.Hit(faultinject.PoolStallHead) {
+				p.stallHead(j, u.eng)
+			}
+			return UnitContinue
+		},
+		budget: func() int { return int(j.budget.Load()) },
+		executed: func(eng searcher) bool {
+			// Post-execution check with >=, matching the sequential driver:
+			// the execution that exhausts the guard still runs (and counts).
+			if j.own.Add(1) >= j.execLimit.Load() {
+				j.execLimitHit.Store(true)
 				p.stopJob(j)
-				break
+				return false
 			}
-			res.schedules++
-			if out.Buggy() {
-				res.buggyOffs = append(res.buggyOffs, res.schedules)
-				if res.failure == nil {
-					res.failure = out.Failure
-					res.witness = out.Trace.Clone()
-				}
-			}
-		}
-		// Post-execution check with >=, matching the sequential driver: the
-		// execution that exhausts the budget still runs (and counts), and a
-		// space that completes exactly at the budget reports LimitHit, not
-		// Complete, either way.
-		if j.own.Add(1) >= j.execLimit.Load() {
-			j.limitHit.Store(true)
-			p.stopJob(j)
-			break
-		}
-		p.maybeDonate(j, eng)
-		alive = eng.backtrack()
-	}
-	res.pruned = eng.wasPruned()
-	res.branches = eng.prunedBranches()
-	p.finishUnit(j, res)
-	return true
+			p.maybeDonate(j, eng)
+			return true
+		},
+	})
+	u.positioned = end == unitParked
+	p.leaveUnit(j, u, end)
+	return end
 }
 
-// suspendJob asks a running job to park: queued units move to the
-// suspended list immediately, running units park at their next
-// per-execution check. Idempotent, and a no-op on a stopped job (a
-// cancelled job's state is discarded, not checkpointed).
+// suspendJob asks a running job to park: queued units are set aside
+// immediately, running units park at their next per-execution check.
+// Idempotent, and a no-op on a stopped job (a cancelled job's state is
+// discarded, not checkpointed).
 func (p *pool) suspendJob(j *job) {
 	p.mu.Lock()
-	if j.stop.Load() || j.suspend.Load() {
-		p.mu.Unlock()
-		return
-	}
-	j.suspend.Store(true)
-	j.suspended = append(j.suspended, j.queue...)
-	j.pending -= len(j.queue)
-	j.queue = nil
-	if j.pending == 0 && !j.closed {
-		j.closed = true
-		close(j.done)
+	if !j.stop.Load() && !j.suspend.Load() {
+		j.suspend.Store(true)
+		j.parked = append(j.parked, j.queue...)
+		j.queue = nil
+		p.settleLocked(j)
 	}
 	p.mu.Unlock()
 }
 
-// parkUnit records a running unit parked by a suspension.
-func (p *pool) parkUnit(j *job, u *unit) {
+// collectJob gathers a drained job: its parked units, its finished results,
+// and why it was cut short from outside — StopCompleted when it was not, or
+// when its own budgets stopped it first (its finished front fills the
+// schedule budget, or the execution guard tripped): its merge is then
+// final, whatever else asked it to stop. Safe only after j.done has closed
+// (no worker owns any of the units then).
+func (p *pool) collectJob(j *job) (parked []*unit, results []*UnitResultState, cut StopReason) {
 	p.mu.Lock()
-	j.suspended = append(j.suspended, u)
-	j.pending--
-	if j.pending == 0 && !j.closed {
-		j.closed = true
-		close(j.done)
+	defer p.mu.Unlock()
+	if reason, stopped := j.ctl.reason(); stopped && !j.budgetHit && !j.execLimitHit.Load() {
+		cut = reason
 	}
-	p.mu.Unlock()
-}
-
-// collectJob gathers a drained job's parked units and finished results;
-// safe only after j.done has closed (no worker owns any of them then).
-func (p *pool) collectJob(j *job) (parked []*unit, results []*unitResult) {
-	p.mu.Lock()
-	parked = j.suspended
-	j.suspended = nil
-	p.mu.Unlock()
-	j.resMu.Lock()
-	results = j.results
-	j.resMu.Unlock()
-	return parked, results
-}
-
-// addJobUnits registers a job seeded with restored units (pool resume).
-// A resume checkpoint may carry only completed units — the stop landed
-// right after the last unit finished — in which case the job is born
-// drained and its done channel must close here or nothing ever will.
-func (p *pool) addJobUnits(j *job, units []*unit) *job {
-	p.mu.Lock()
-	j.queue = append(j.queue, units...)
-	j.pending = len(units)
-	if j.pending == 0 && !j.closed {
-		j.closed = true
-		close(j.done)
-	}
-	p.jobs = append(p.jobs, j)
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	return j
-}
-
-// passResult is the merged outcome of one job.
-type passResult struct {
-	runStats
-	schedules      int
-	buggy          int
-	bugFound       bool
-	firstBugOffset int // 1-based, within this pass
-	failure        *vthread.Failure
-	witness        sched.Schedule
-	pruned         bool
-	branches       int
-	truncated      bool // the merge-time budget cut the walk short
-	workerPanics   int
-	panicMsg       string
-	// Summed per-unit work tallies (distributed units only; see unitResult).
-	executions int
-	steps      int64
-	aborted    int
-}
-
-// mergeJob merges a drained job: its finished unit results plus the
-// partial tallies of any units parked by a suspension — a suspension that
-// raced a budget stop must not silently drop counted (budget-consuming)
-// schedules.
-func mergeJob(p *pool, j *job, budget int) passResult {
-	parked, results := p.collectJob(j)
-	for _, u := range parked {
-		if u.res != nil {
-			results = append(results, u.res)
-		}
-	}
-	return mergeUnits(results, budget)
-}
-
-// mergeUnits concatenates unit results in canonical order (branch-key
-// lexicographic, prefix-orders-first — sched.CompareBranchKeys), applying
-// the exact remaining schedule budget as it goes. Every DFS/IPB/IDB unit
-// covers a contiguous lexicographic range, so on a fully enumerated pass
-// this reproduces the sequential visit order — totals, the budget cut,
-// the first-bug offset and its witness all land exactly where a
-// sequential walk would put them (see the package comment; DPOR is
-// verdict-level under stealing).
-//
-// Forfeited units — a worker panicked mid-unit, or (in the distributed
-// driver) a lease was abandoned and the unit's stale result discarded —
-// keep the merge honest rather than optimistic:
-//   - the unit's schedule counts, bug offsets and witness are dropped, so
-//     a half-explored range can never masquerade as an enumerated one;
-//   - its run statistics (max enabled threads, scheduling points, thread
-//     count) and work tallies still fold in — they describe executions
-//     that really happened;
-//   - the forfeiture surfaces as workerPanics/panicMsg, and every driver
-//     withholds Complete whenever workerPanics > 0.
-//
-// The contract under forfeiture is therefore verdict-level: a bug found
-// by a surviving unit is reported at its canonical offset, counts remain
-// exact over the surviving coverage and the budget still truncates
-// canonically, but completeness and totals describe only the units that
-// survived.
-func mergeUnits(units []*unitResult, budget int) passResult {
-	sort.Slice(units, func(a, b int) bool {
-		return sched.CompareBranchKeys(units[a].key, units[b].key) < 0
-	})
-	var m passResult
-	for _, u := range units {
-		m.fold(u.runStats)
-		m.executions += u.executions
-		m.steps += u.steps
-		m.aborted += u.aborted
-		if u.panicMsg != "" {
-			m.workerPanics++
-			if m.panicMsg == "" {
-				m.panicMsg = u.panicMsg
-			}
-			continue
-		}
-		m.pruned = m.pruned || u.pruned
-		m.branches += u.branches
-		take := u.schedules
-		if m.schedules+take > budget {
-			take = budget - m.schedules
-			m.truncated = true
-		}
-		for _, off := range u.buggyOffs {
-			if off > take {
-				break
-			}
-			m.buggy++
-			if !m.bugFound {
-				m.bugFound = true
-				m.firstBugOffset = m.schedules + off
-				m.failure = u.failure
-				m.witness = u.witness
-			}
-		}
-		m.schedules += take
-	}
-	return m
-}
-
-// newCounters builds the shared execution/step/abort tallies one parallel
-// driver's jobs all feed.
-func newCounters() (execs, steps, aborts *atomic.Int64) {
-	return new(atomic.Int64), new(atomic.Int64), new(atomic.Int64)
-}
-
-// poolResume carries a restored pool checkpoint's live state into the
-// parallel drivers: the parked units, the finished unit results, and every
-// shared budget and counter of the suspended job.
-type poolResume struct {
-	units          []*unit
-	results        []*unitResult
-	budget         int64
-	execLimit      int64
-	ownExecs       int64
-	execs          int64
-	steps          int64
-	aborts         int64
-	counted        int   // iterative: schedules committed by earlier bounds
-	committedExecs int64 // iterative: executions committed by earlier bounds
-	bound          int   // iterative: the bound being enumerated
+	return j.parked, j.results, cut
 }
 
 // withParkedPartials appends the partial tallies of parked units to a
-// drained job's finished results — counted (budget-consuming) schedules
+// drained job's finished results: counted schedules and performed work
 // must never be dropped, whether the merge is for a checkpointed partial
-// result or for a suspension that raced a budget stop.
-func withParkedPartials(results []*unitResult, parked []*unit) []*unitResult {
+// result or for a job its budget stopped.
+func withParkedPartials(results []*UnitResultState, parked []*unit) []*UnitResultState {
+	results = slices.Clone(results)
 	for _, u := range parked {
 		if u.res != nil {
 			results = append(results, u.res)
@@ -844,93 +998,199 @@ func withParkedPartials(results []*unitResult, parked []*unit) []*unitResult {
 	return results
 }
 
+// cancelJob stops a job whose results are not wanted (a speculative bound
+// the search never reached), waits for its workers to let go, and folds the
+// work it did into r: Executions stays the honest total.
+func cancelJob(p *pool, j *job, r *Result) {
+	p.stopJob(j)
+	<-j.done
+	p.removeJob(j)
+	parked, results, _ := p.collectJob(j)
+	m := MergeUnitStates(withParkedPartials(results, parked), 0)
+	r.Executions += m.Executions
+	r.TotalSteps += m.Steps
+	r.AbortedExecutions += m.Aborted
+}
+
+// unitToState serializes a live unit.
+func unitToState(u *unit) UnitState {
+	return UnitState{
+		Key:        slices.Clone(u.key),
+		Positioned: u.positioned,
+		Engine:     u.eng.snapshot(),
+		Partial:    u.res,
+	}
+}
+
 // poolCheckpoint serializes a drained job: its parked units (each a
-// positioned engine plus partial tallies), its finished unit results, and
-// its budgets and counters. r must be the *pre-merge* cross-pass result:
-// the serialized units' contributions are folded in on resume, so folding
-// them here too would double-count.
-func poolCheckpoint(cfg Config, r *Result, tech string, j *job,
-	parked []*unit, results []*unitResult) *Checkpoint {
-	ck := newCheckpoint(cfg, tech, r)
-	ps := &PoolState{
-		BudgetLeft:    j.budget.Load(),
-		ExecLimitLeft: j.execLimit.Load(),
-		OwnExecs:      j.own.Load(),
-		Execs:         j.execs.Load(),
-		Steps:         j.steps.Load(),
-		Aborts:        j.aborts.Load(),
+// positioned engine plus partial tallies) and its finished unit results,
+// on top of the cross-pass totals.
+func poolCheckpoint(cfg Config, r *Result, j *job, parked []*unit, results []*UnitResultState,
+	bound, counted int, committedExecs int64) *Checkpoint {
+	units := make([]UnitState, len(parked))
+	for i, u := range parked {
+		units[i] = unitToState(u)
 	}
-	for _, u := range parked {
-		us := UnitState{
-			Key:        append([]int(nil), u.key...),
-			Positioned: u.fresh,
-			Engine:     snapshotSearcher(u.eng),
-		}
-		if u.res != nil {
-			us.Partial = unitResultToState(u.res)
-		}
-		ps.Units = append(ps.Units, us)
+	done := make([]UnitResultState, len(results))
+	for i, ur := range results {
+		done[i] = *ur
 	}
-	for _, ur := range results {
-		ps.Done = append(ps.Done, *unitResultToState(ur))
-	}
+	ck := NewPassCheckpoint(cfg, r, bound, counted, committedExecs, units, done)
+	// Equal to the per-unit sum already there unless the job was itself
+	// resumed from a file whose units carried no work tallies.
+	ck.Pool.OwnExecs = j.own.Load()
+	return ck
+}
+
+// NewPassCheckpoint assembles the resumable checkpoint of one suspended
+// pass, for the pool and the distributed coordinator alike. cfg carries the
+// search parameters (defaults applied) and Meta. r must be the *pre-merge*
+// cross-pass result — the units' contributions are folded in on resume, so
+// folding them here too would double-count — and its work tallies are the
+// baseline the units' own add to; counted and committedExecs are the
+// schedules and executions committed by earlier bounds.
+func NewPassCheckpoint(cfg Config, r *Result, bound, counted int, committedExecs int64,
+	units []UnitState, done []UnitResultState) *Checkpoint {
+	ps := &PoolState{Counted: counted, CommittedExecs: committedExecs, Units: units, Done: done}
+	pass, schedules := ps.unitWork()
+	ps.BudgetLeft = max(0, int64(cfg.Limit-counted-schedules))
+	ps.ExecLimitLeft = int64(cfg.MaxExecutions) - committedExecs
+	ps.OwnExecs = int64(pass.Executions)
+	ps.Execs = int64(r.Executions + pass.Executions)
+	ps.Steps = r.TotalSteps + pass.Steps
+	ps.Aborts = int64(r.AbortedExecutions + pass.Aborted)
+	ck := newCheckpoint(cfg, r.Technique.String(), r)
+	ck.Bound = bound
 	ck.Pool = ps
 	return ck
 }
 
-// runTreeParallel is the shared single-pass driver behind parallel DFS and
-// DPOR: one job seeded with root, explored to completion or the schedule
-// limit.
-func runTreeParallel(cfg Config, r *Result, root searcher) *Result {
-	return treeParallel(cfg, r, &poolResume{
-		units:     []*unit{{eng: root, fresh: true}},
-		budget:    int64(cfg.Limit),
-		execLimit: math.MaxInt64, // unbounded passes have no execution guard
-	})
+// unitWork sums the work tallies and counted schedules of the pass's units,
+// parked and done.
+func (ps *PoolState) unitWork() (work PassMerge, schedules int) {
+	add := func(u *UnitResultState) {
+		work.Executions += u.Executions
+		work.Steps += u.Steps
+		work.Aborted += u.Aborted
+		schedules += u.Schedules
+	}
+	for i := range ps.Done {
+		add(&ps.Done[i])
+	}
+	for i := range ps.Units {
+		if p := ps.Units[i].Partial; p != nil {
+			add(p)
+		}
+	}
+	return work, schedules
 }
 
-// treeParallel runs one single-pass job — fresh, or restored from a pool
-// checkpoint — to completion, the limit, or interruption.
-func treeParallel(cfg Config, r *Result, rs *poolResume) *Result {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+// RebaseWork sets r's work tallies to the baseline a resumed pass builds
+// on, so that baseline plus the merged per-unit tallies reproduces the
+// exploration's totals no matter who wrote the checkpoint: units that carry
+// their own tallies are subtracted here and added back by the merge; units
+// from a build whose pool counted work on shared counters carry none, and
+// the whole counter value lands in the baseline.
+func (ps *PoolState) RebaseWork(r *Result) {
+	pass, _ := ps.unitWork()
+	r.Executions = int(ps.Execs) - pass.Executions
+	r.TotalSteps = ps.Steps - pass.Steps
+	r.AbortedExecutions = int(ps.Aborts) - pass.Aborted
+}
+
+// doneResults lists the finished unit results a resumed job starts with.
+func (ps *PoolState) doneResults() []*UnitResultState {
+	results := make([]*UnitResultState, len(ps.Done))
+	for i := range ps.Done {
+		results[i] = &ps.Done[i]
 	}
-	p := newPool(workers)
+	return results
+}
+
+// runParallel is RunDFS, RunDPOR and RunIterative with cfg.Workers > 1.
+func runParallel(cfg Config, tech Technique) *Result {
+	cfg = cfg.withDefaults()
+	return runPasses(cfg, &Result{Technique: tech}, 0, nil, &PoolState{})
+}
+
+// runPasses is the one parallel driver of the tree techniques: each pass —
+// the DFS or DPOR tree (see the package comment for DPOR's exactness
+// caveat), or one bound of an IPB/IDB sweep — is one job, explored to
+// completion, the limit, or interruption; a sweep runs the next bound
+// speculatively behind the active one. units and ps resume the pass at
+// startBound from a pool checkpoint (units are ps.Units brought back to
+// life, r carries the work baseline — PoolState.RebaseWork): its parked
+// units and finished results are reseeded exactly, while a speculative
+// bound (whose progress a checkpoint discards — its results would have been
+// recomputed anyway) restarts from scratch. A fresh search passes no units
+// and an empty ps.
+func runPasses(cfg Config, r *Result, startBound int, units []*unit, ps *PoolState) *Result {
+	tech := r.Technique
+	sweep := tech == IPB || tech == IDB
+	maxBound := startBound
+	if sweep {
+		maxBound = cfg.MaxBound
+	}
+	p := newPool(cfg)
 	defer p.close()
-	execs, steps, aborts := newCounters()
-	execs.Store(rs.execs)
-	steps.Store(rs.steps)
-	aborts.Store(rs.aborts)
 	ctl := newStopCtl(cfg)
-	j := &job{cfg: cfg, ctl: ctl, execs: execs, steps: steps, aborts: aborts,
-		done: make(chan struct{})}
-	j.execLimit.Store(rs.execLimit)
-	j.budget.Store(rs.budget)
-	j.own.Store(rs.ownExecs)
-	j.results = rs.results
-	p.addJobUnits(j, rs.units)
-	j = p.waitTree(cfg, r, j, newCkWriter(cfg))
-	parked, results := p.collectJob(j)
-	reason, stopped := ctl.reason()
-	truncated := stopped && !j.limitHit.Load()
-	if truncated && !ctl.crashed.Load() {
-		writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, r.Technique.String(), j, parked, results))
+	ckw := newCkWriter(cfg)
+
+	committedExecs := ps.CommittedExecs // executions of committed bounds, speculation excluded
+	counted := ps.Counted               // schedules of committed bounds
+	newJob := func(bound int, units []*unit, results []*UnitResultState, own int64) *job {
+		if len(units)+len(results) == 0 {
+			root, _ := newSearcher(cfg, tech, bound) // tech is partitionable: the callers checked
+			units = []*unit{{eng: root, positioned: true}}
+		}
+		execLimit := int64(math.MaxInt64) // single passes have no execution guard
+		if sweep {
+			execLimit = int64(cfg.MaxExecutions) - committedExecs
+		}
+		return p.addJob(ctl, cfg.Limit-counted, execLimit, units, results, own)
 	}
-	m := mergeUnits(withParkedPartials(results, parked), cfg.Limit)
-	foldPass(r, &m, 0)
-	r.Schedules = m.schedules
-	if truncated {
-		r.Stopped = reason
-	} else if r.Schedules >= cfg.Limit || j.limitHit.Load() || m.truncated {
-		r.LimitHit = true
-		r.Stopped = StopLimit
-	} else if r.WorkerPanics == 0 {
-		r.Complete = true
+	// A pass suspended before it was seeded (a coordinator drained between
+	// bounds, or before sharding) has neither units nor results: like a
+	// fresh one, it starts from its root.
+	active := newJob(startBound, units, ps.doneResults(), ps.OwnExecs)
+	var spec *job
+	if startBound < maxBound {
+		spec = newJob(startBound+1, nil, nil, 0)
 	}
-	r.Executions = int(execs.Load())
-	r.TotalSteps = steps.Load()
-	r.AbortedExecutions = int(aborts.Load())
+	for bound := startBound; ; bound++ {
+		if sweep {
+			<-active.done
+		} else {
+			active = p.waitTree(cfg, r, active, ckw)
+		}
+		p.removeJob(active)
+		parked, results, reason := p.collectJob(active)
+		if reason != StopCompleted && spec != nil {
+			cancelJob(p, spec, r) // before the checkpoint: its work is part of the totals
+			spec = nil
+		}
+		if reason != StopCompleted && !ctl.crashed.Load() {
+			r.Bound = bound
+			writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, active, parked, results, bound, counted, committedExecs))
+		}
+		m := MergeUnitStates(withParkedPartials(results, parked), cfg.Limit-counted)
+		final := m.Commit(r, PassEnd{Iterative: sweep, Bound: bound, MaxBound: maxBound,
+			Counted: counted, Limit: cfg.Limit, GuardHit: active.execLimitHit.Load(), Stopped: reason})
+		counted += m.Schedules
+		if final {
+			break
+		}
+		ownExecs := active.own.Load()
+		committedExecs += ownExecs
+		active, spec = spec, nil
+		p.promote(active, cfg.Limit-counted, ownExecs)
+		if bound+1 < maxBound {
+			spec = newJob(bound+2, nil, nil, 0)
+		}
+	}
+	if spec != nil {
+		cancelJob(p, spec, r)
+	}
 	return r
 }
 
@@ -949,7 +1209,7 @@ func (p *pool) waitTree(cfg Config, r *Result, j *job, ckw *ckWriter) *job {
 		case <-j.done:
 			return j
 		case <-tick.C:
-			if _, stopped := j.ctl.reason(); stopped || !ckw.due(int(j.execs.Load())) {
+			if _, stopped := j.ctl.reason(); stopped || !ckw.due(int(j.own.Load())) {
 				continue
 			}
 			nj, ok := p.periodicTreeCheckpoint(cfg, r, j)
@@ -958,7 +1218,7 @@ func (p *pool) waitTree(cfg Config, r *Result, j *job, ckw *ckWriter) *job {
 				<-j.done
 				return j
 			}
-			ckw.last = int(j.execs.Load())
+			ckw.last = int(j.own.Load())
 		}
 	}
 }
@@ -968,210 +1228,23 @@ func (p *pool) waitTree(cfg Config, r *Result, j *job, ckw *ckWriter) *job {
 // identical job with the very same parked units (in-process — no
 // serialization round trip). ok=false when the job finished or stopped
 // instead of parking, or a simulated mid-write crash ended the run; the
-// parked units (if any) are put back for the final drain path either way.
+// drained job is then left as it is for the final merge.
 func (p *pool) periodicTreeCheckpoint(cfg Config, r *Result, j *job) (*job, bool) {
 	p.suspendJob(j)
 	<-j.done
-	p.removeJob(j)
-	p.mu.Lock()
-	parked := j.suspended
-	j.suspended = nil
-	stopped := j.stop.Load()
-	p.mu.Unlock()
-	restore := func() {
-		p.mu.Lock()
-		j.suspended = parked
-		p.mu.Unlock()
-	}
-	if _, trip := j.ctl.reason(); stopped || trip || len(parked) == 0 {
-		restore()
+	parked, results, _ := p.collectJob(j)
+	if _, trip := j.ctl.reason(); j.stop.Load() || trip || len(parked) == 0 {
 		return j, false
 	}
-	j.resMu.Lock()
-	results := j.results
-	j.resMu.Unlock()
-	if writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, r.Technique.String(), j, parked, results)) {
+	if writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, j, parked, results, 0, 0, 0)) {
 		// Simulated death mid-write: stop everything, leave the file as
 		// the crash left it.
 		j.ctl.crashed.Store(true)
 		j.ctl.trip(StopInterrupted)
-		restore()
 		return j, false
 	}
-	j2 := &job{cfg: cfg, ctl: j.ctl, execs: j.execs, steps: j.steps,
-		aborts: j.aborts, done: make(chan struct{})}
-	j2.budget.Store(j.budget.Load())
-	j2.execLimit.Store(j.execLimit.Load())
-	j2.own.Store(j.own.Load())
-	j2.results = results
-	p.addJobUnits(j2, parked)
-	return j2, true
-}
-
-// runDFSParallel is RunDFS with cfg.Workers > 1.
-func runDFSParallel(cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	return runTreeParallel(cfg, &Result{Technique: DFS}, newEngine(cfg, CostNone, 0))
-}
-
-// runDPORParallel is RunDPOR with cfg.Workers > 1; see the package comment
-// for the exactness caveat under work-stealing.
-func runDPORParallel(cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	return runTreeParallel(cfg, &Result{Technique: DPOR}, newDPOREngine(cfg))
-}
-
-// runIterativeParallel is RunIterative with cfg.Workers > 1: each bound is
-// one job, with the next bound running speculatively behind it. A non-nil
-// rs resumes a suspended sweep: the active bound's parked units are
-// reseeded exactly, while the speculative bound (whose progress a
-// checkpoint discards — its results would have been recomputed anyway)
-// restarts from scratch.
-func runIterativeParallel(cfg Config, model CostModel, r *Result, rs *poolResume) *Result {
-	cfg = cfg.withDefaults()
-	tech := IPB
-	if model == CostDelays {
-		tech = IDB
-	}
-	if r == nil {
-		r = &Result{Technique: tech}
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	p := newPool(workers)
-	defer p.close()
-	execs, steps, aborts := newCounters()
-	ctl := newStopCtl(cfg)
-
-	committedExecs := int64(0)
-	counted := 0
-	startBound := 0
-	newJob := func(bound, budget int) *job {
-		j := &job{cfg: cfg, ctl: ctl, execs: execs, steps: steps, aborts: aborts,
-			done: make(chan struct{})}
-		j.execLimit.Store(int64(cfg.MaxExecutions) - committedExecs)
-		j.budget.Store(int64(budget))
-		return p.addJob(j, newEngine(cfg, model, bound))
-	}
-
-	var active *job
-	if rs != nil {
-		counted = rs.counted
-		committedExecs = rs.committedExecs
-		startBound = rs.bound
-		execs.Store(rs.execs)
-		steps.Store(rs.steps)
-		aborts.Store(rs.aborts)
-		if len(rs.units) > 0 {
-			active = &job{cfg: cfg, ctl: ctl, execs: execs, steps: steps,
-				aborts: aborts, done: make(chan struct{})}
-			active.execLimit.Store(rs.execLimit)
-			active.budget.Store(rs.budget)
-			active.own.Store(rs.ownExecs)
-			active.results = rs.results
-			p.addJobUnits(active, rs.units)
-		} else {
-			active = newJob(startBound, cfg.Limit-counted)
-		}
-	} else {
-		active = newJob(0, cfg.Limit)
-	}
-	var spec *job
-	if startBound+1 <= cfg.MaxBound {
-		spec = newJob(startBound+1, cfg.Limit-counted)
-	}
-	for bound := startBound; ; bound++ {
-		<-active.done
-		p.removeJob(active)
-		parked, results := p.collectJob(active)
-		reason, stopped := ctl.reason()
-		if stopped && !active.limitHit.Load() {
-			if spec != nil {
-				p.stopJob(spec)
-			}
-			r.Bound = bound
-			if !ctl.crashed.Load() {
-				ck := poolCheckpoint(cfg, r, tech.String(), active, parked, results)
-				ck.Bound = bound
-				ck.Pool.Counted = counted
-				ck.Pool.CommittedExecs = committedExecs
-				writeCheckpoint(cfg, r, ck)
-			}
-			m := mergeUnits(withParkedPartials(results, parked), cfg.Limit-counted)
-			r.NewSchedules = m.schedules
-			foldPass(r, &m, counted)
-			counted += m.schedules
-			r.Schedules = counted
-			r.Stopped = reason
-			break
-		}
-		m := mergeUnits(withParkedPartials(results, parked), cfg.Limit-counted)
-		r.Bound = bound
-		r.NewSchedules = m.schedules
-		foldPass(r, &m, counted)
-		counted += m.schedules
-		r.Schedules = counted
-		if r.Schedules >= cfg.Limit || active.limitHit.Load() || m.truncated {
-			r.LimitHit = true
-			r.Stopped = StopLimit
-			break
-		}
-		if !m.pruned {
-			// Nothing was pruned anywhere: every schedule costs at most
-			// bound, so the space is fully explored — unless a worker
-			// panic forfeited a unit, in which case completeness cannot be
-			// claimed.
-			if r.WorkerPanics == 0 {
-				r.Complete = true
-			}
-			break
-		}
-		if r.BugFound {
-			// The bound that exposed the bug has been fully enumerated;
-			// stop, as in the paper's methodology (§5).
-			break
-		}
-		if bound == cfg.MaxBound {
-			break
-		}
-		ownExecs := active.own.Load()
-		committedExecs += ownExecs
-		active = spec
-		// The promoted job's budgets are stale snapshots from its creation
-		// (before the just-committed bound's consumption was known);
-		// tighten them by exactly what that bound consumed.
-		active.budget.Add(int64(-m.schedules))
-		active.execLimit.Add(-ownExecs)
-		if bound+2 <= cfg.MaxBound {
-			spec = newJob(bound+2, cfg.Limit-counted)
-		} else {
-			spec = nil
-		}
-	}
-	r.Executions = int(execs.Load())
-	r.TotalSteps = steps.Load()
-	r.AbortedExecutions = int(aborts.Load())
-	return r
-}
-
-// foldPass folds one merged pass into the result; prior is the number of
-// schedules counted by earlier (committed) passes.
-func foldPass(r *Result, m *passResult, prior int) {
-	m.runStats.foldInto(r)
-	r.BuggySchedules += m.buggy
-	r.BranchesPruned += m.branches
-	r.WorkerPanics += m.workerPanics
-	if m.panicMsg != "" && r.WorkerPanicMsg == "" {
-		r.WorkerPanicMsg = m.panicMsg
-	}
-	if m.bugFound && !r.BugFound {
-		r.BugFound = true
-		r.Failure = m.failure
-		r.Witness = m.witness
-		r.SchedulesToFirstBug = prior + m.firstBugOffset
-	}
+	p.removeJob(j)
+	return p.addJob(j.ctl, int(j.budget.Load()), j.execLimit.Load(), parked, results, j.own.Load()), true
 }
 
 // runRandParallel is RunRand with cfg.Workers > 1: the runs are independent
@@ -1197,7 +1270,7 @@ func runRandParallel(cfg Config, r *Result, start int) *Result {
 	var next atomic.Int64
 	next.Store(int64(start))
 	var wg sync.WaitGroup
-	stats := make([]runStats, cfg.Workers)
+	stats := make([]RunStats, cfg.Workers)
 	var witMu sync.Mutex
 	witIdx := -1
 	var witness sched.Schedule

@@ -3,15 +3,19 @@ package explore
 // The parallel driver's contract is equivalence: for DFS/IPB/IDB every
 // count a sequential search reports — totals, per-bound news, first-bug
 // position, witness, completeness — must be reproduced bit-identically by
-// any worker count, and for Rand the whole result is deterministic in the
-// seed. These tests pin that contract on the paper-example programs and on
-// a wider synthetic program whose tree is big enough to force real
-// work-stealing, and stress the pool under the race detector.
+// any worker count, whether the search completes or Limit cuts it, and for
+// Rand the whole result is deterministic in the seed. These tests pin that
+// contract on the paper-example programs, on SCTBench programs under
+// truncating limits, and on a wider synthetic program whose tree is big
+// enough to force real work-stealing, and stress the pool under the race
+// detector.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"sctbench/internal/faultinject"
 	"sctbench/internal/vthread"
 )
 
@@ -100,6 +104,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 					seq := Run(tech, Config{Program: newProg(), Workers: 1})
 					par := Run(tech, Config{Program: newProg(), Workers: workers})
 					assertEquivalent(t, name, seq, par)
+					// The pool's work metrics are the sum of its units' own
+					// tallies; on a complete single pass (no speculation,
+					// nothing behind a cut) that is the sequential total.
+					if tech == DFS && seq.Complete && (seq.Executions != par.Executions || seq.TotalSteps != par.TotalSteps) {
+						t.Errorf("%s: work %d execs / %d steps (seq) != %d / %d (par)", name,
+							seq.Executions, seq.TotalSteps, par.Executions, par.TotalSteps)
+					}
 				})
 			}
 		}
@@ -120,19 +131,100 @@ func TestParallelRandBitIdentical(t *testing.T) {
 
 func TestParallelLimitTruncationCountsExact(t *testing.T) {
 	// Figure 1 has 11 terminal schedules; a limit of 5 truncates the DFS.
-	// The schedule total must still be exactly the limit in parallel mode
-	// (which schedules land inside the budget is timing-dependent, so only
-	// the counts are compared).
+	// The parallel search must keep exactly the five schedules the
+	// sequential one does — the canonically first five — whichever worker
+	// counts what first.
 	seq := RunDFS(Config{Program: figure1(), Limit: 5, Workers: 1})
 	for _, workers := range []int{2, 8} {
 		par := RunDFS(Config{Program: figure1(), Limit: 5, Workers: workers})
-		if par.Schedules != seq.Schedules {
-			t.Errorf("workers=%d: Schedules = %d, want %d", workers, par.Schedules, seq.Schedules)
-		}
+		assertEquivalent(t, fmt.Sprintf("figure1/limit=5/workers=%d", workers), seq, par)
 		if !par.LimitHit || par.Complete {
 			t.Errorf("workers=%d: LimitHit=%v Complete=%v, want true,false",
 				workers, par.LimitHit, par.Complete)
 		}
+	}
+}
+
+// truncBenchNames are the programs the truncation-equivalence tests cut:
+// their DFS and IPB trees are much larger than the limits below, their bugs
+// sit at different depths of the canonical order, and none is uniform
+// enough for a wrong window of schedules to have the right counts.
+var truncBenchNames = []string{"CS.account_bad", "CS.circular_buffer_bad", "CS.queue_bad",
+	"CS.token_ring_bad", "CS.reorder_4_bad", "CS.wronglock_3_bad"}
+
+// TestParallelTruncatedMatchesSequential is the pool's determinism
+// contract where the paper's numbers live — under a truncating Limit (§5:
+// every technique is capped at 10,000 schedules): every Result field but
+// the work the pool performed behind the cut must equal the sequential
+// search's. A pool that hands its budget to whichever units count first
+// gets Schedules right and BuggySchedules, SchedulesToFirstBug and the
+// witness wrong; this is the test that tells the two apart.
+func TestParallelTruncatedMatchesSequential(t *testing.T) {
+	techniques := []struct {
+		name string
+		run  func(Config) *Result
+	}{
+		{"DFS", RunDFS},
+		{"IPB", func(c Config) *Result { return RunIterative(c, CostPreemptions) }},
+		{"IDB", func(c Config) *Result { return RunIterative(c, CostDelays) }},
+	}
+	limits := []int{7, 100, 300, 1000}
+	if testing.Short() {
+		limits = []int{7, 300}
+	}
+	for _, tech := range techniques {
+		for _, name := range truncBenchNames {
+			for _, limit := range limits {
+				base := tech.run(ckCfg(t, name, limit))
+				if !base.LimitHit {
+					continue // this limit does not cut this tree
+				}
+				for _, workers := range []int{2, 8} {
+					cfg := ckCfg(t, name, limit)
+					cfg.Workers = workers
+					got := tech.run(cfg)
+					if d := diffResults(maskWorkMetrics(base), maskWorkMetrics(got)); len(d) != 0 {
+						t.Errorf("%s/%s/limit=%d/workers=%d diverged from sequential:\n  %s",
+							tech.name, name, limit, workers, strings.Join(d, "\n  "))
+					}
+					if got.Executions < base.Executions {
+						t.Errorf("%s/%s/limit=%d/workers=%d: %d executions, fewer than the %d the kept schedules need",
+							tech.name, name, limit, workers, got.Executions, base.Executions)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelTruncatedHeadStalled pins the interleaving behind that
+// contract instead of waiting for the scheduler to produce it: the worker
+// inside the lexicographically first unit is held (faultinject) until the
+// units behind it have finished a whole budget's worth of schedules, and
+// only then released. Every schedule counted so far is then one a
+// sequential search would not have kept; the result must still be the
+// sequential one.
+func TestParallelTruncatedHeadStalled(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	const limit = 300
+	base := RunDFS(ckCfg(t, "CS.account_bad", limit))
+	if !base.LimitHit || base.BuggySchedules == 0 {
+		t.Fatalf("baseline must be truncated and buggy: %+v", base)
+	}
+	cfg := ckCfg(t, "CS.account_bad", limit)
+	cfg.Workers = 2
+	faultinject.Arm(faultinject.PoolStallHead, 2) // the head's second poll: it has a stack to donate from
+	got := RunDFS(cfg)
+	if faultinject.Hit(faultinject.PoolStallHead) {
+		t.Fatal("the head unit was never stalled")
+	}
+	if d := diffResults(maskWorkMetrics(base), maskWorkMetrics(got)); len(d) != 0 {
+		t.Errorf("with the head unit stalled the pool diverged from sequential:\n  %s",
+			strings.Join(d, "\n  "))
+	}
+	if got.Executions < base.Executions+limit {
+		t.Errorf("%d executions with the head stalled, want at least %d (the kept schedules plus a budget's worth behind them)",
+			got.Executions, base.Executions+limit)
 	}
 }
 

@@ -16,195 +16,13 @@ package explore
 // from the substrate's pending-operation footprints
 // (vthread.PendingInfo.Independent): operations commute when they touch
 // disjoint objects or share objects only read-only.
-
-import (
-	"sctbench/internal/sched"
-	"sctbench/internal/vthread"
-)
-
-type ssNode struct {
-	order []sched.ThreadID
-	infos []vthread.PendingInfo // pending op of order[i] at this point
-	idx   int
-	sleep map[sched.ThreadID]vthread.PendingInfo
-	// isCase marks a case-decision node (vthread.Context.SelectOf): order
-	// holds ready case indices of a granted Select, not thread ids. Every
-	// case is explored — alternative cases are distinct behaviours of the
-	// selecting thread, never Mazurkiewicz-equivalent — and the thread-
-	// keyed sleep map is never consulted with (or extended by) the case
-	// indices.
-	isCase bool
-}
-
-// ssEngine is the sleep-set DFS driver; like engine, it is the Chooser of
-// the executions it spawns.
-type ssEngine struct {
-	cfg        Config
-	exec       *vthread.Executor
-	stack      []ssNode
-	executions int
-	// freeOrders and freeInfos recycle popped nodes' buffers, as in engine.
-	freeOrders [][]sched.ThreadID
-	freeInfos  [][]vthread.PendingInfo
-	// pruned counts enabled siblings retired unexplored because they were
-	// asleep: whole subtrees plain DFS would have walked.
-	pruned int
-}
-
-// popOrderInfos pops recycled order/infos buffers from the free lists and
-// fills them with the canonical choice order and the per-choice pending
-// footprints for ctx — the fresh-node scaffold shared by the pruning
-// engines (ssEngine and dporEngine).
-func popOrderInfos(freeOrders *[][]sched.ThreadID, freeInfos *[][]vthread.PendingInfo,
-	ctx vthread.Context) ([]sched.ThreadID, []vthread.PendingInfo) {
-	var order []sched.ThreadID
-	if n := len(*freeOrders); n > 0 {
-		order, *freeOrders = (*freeOrders)[n-1], (*freeOrders)[:n-1]
-	}
-	order = sched.AppendCanonicalOrder(order, ctx.Enabled, ctx.Last, ctx.NumThreads)
-	var infos []vthread.PendingInfo
-	if n := len(*freeInfos); n > 0 {
-		infos, *freeInfos = (*freeInfos)[n-1], (*freeInfos)[:n-1]
-	}
-	for _, t := range order {
-		infos = append(infos, ctx.PendingOf(t))
-	}
-	return order, infos
-}
-
-// Choose implements vthread.Chooser.
-func (e *ssEngine) Choose(ctx vthread.Context) sched.ThreadID {
-	if ctx.Step < len(e.stack) {
-		nd := &e.stack[ctx.Step]
-		return nd.order[nd.idx]
-	}
-	if idx := e.push(ctx); idx >= 0 {
-		return e.stack[len(e.stack)-1].order[idx]
-	}
-	return ctx.Enabled[0] // ignored by the abort contract
-}
-
-// ObserveForcedStep implements vthread.StepObserver: a forced step still
-// needs its node — sleep sets propagate through it, and a single enabled
-// thread can itself be asleep, in which case push aborts the run exactly
-// as Choose would have.
-func (e *ssEngine) ObserveForcedStep(ctx vthread.Context) {
-	if ctx.Step < len(e.stack) {
-		return
-	}
-	e.push(ctx)
-}
-
-// push appends the fresh node for ctx and returns the index of the choice
-// taken: the first non-sleeping thread in canonical order. If everything
-// enabled is asleep, this subtree is fully redundant (Mazurkiewicz-
-// equivalent to an explored schedule): the run is aborted right here — the
-// substrate kills the remaining threads and the schedule's tail is never
-// executed — and push returns -1 with no alternatives on offer. The node
-// is then not pushed; its buffers go straight back to the free lists.
-func (e *ssEngine) push(ctx vthread.Context) int {
-	order, infos := popOrderInfos(&e.freeOrders, &e.freeInfos, ctx)
-	var sleep map[sched.ThreadID]vthread.PendingInfo
-	if len(e.stack) > 0 {
-		parent := &e.stack[len(e.stack)-1]
-		sleep = childSleep(parent)
-	}
-	nd := ssNode{order: order, infos: infos, sleep: sleep, isCase: ctx.SelectOf != vthread.NoThread}
-	nd.idx = firstAwake(nd, 0)
-	if nd.idx < 0 {
-		ctx.Abort()
-		e.pruned += len(order)
-		e.freeOrders = append(e.freeOrders, order[:0])
-		e.freeInfos = append(e.freeInfos, infos[:0])
-		return -1
-	}
-	e.stack = append(e.stack, nd)
-	return nd.idx
-}
-
-// childSleep computes the sleep set a child inherits: sleeping threads
-// (plus previously explored siblings) whose ops are independent of the
-// branch being taken now.
-func childSleep(parent *ssNode) map[sched.ThreadID]vthread.PendingInfo {
-	takenInfo := parent.infos[parent.idx]
-	out := make(map[sched.ThreadID]vthread.PendingInfo)
-	for t, info := range parent.sleep {
-		if !parent.isCase && t == parent.order[parent.idx] {
-			continue
-		}
-		if info.Independent(takenInfo) {
-			out[t] = info
-		}
-	}
-	if parent.isCase {
-		// A case node's siblings are case indices, not threads: they must
-		// never enter a thread-keyed sleep map. The inherited sleep above
-		// was already filtered by the full select footprint (a superset of
-		// the committed case's channel) at the enclosing thread node.
-		return out
-	}
-	// Previously explored siblings are the order entries before idx that
-	// were actually taken; with the firstAwake advance discipline those
-	// are exactly the non-sleeping ones before idx.
-	for i := 0; i < parent.idx; i++ {
-		t := parent.order[i]
-		if _, wasAsleep := parent.sleep[t]; wasAsleep {
-			continue
-		}
-		if parent.infos[i].Independent(takenInfo) {
-			out[t] = parent.infos[i]
-		}
-	}
-	return out
-}
-
-// firstAwake returns the first index >= from whose thread is not asleep,
-// or -1. At a case node the sleep map does not apply (its keys are thread
-// ids, the order entries case indices): every case is awake.
-func firstAwake(nd ssNode, from int) int {
-	if nd.isCase {
-		if from < len(nd.order) {
-			return from
-		}
-		return -1
-	}
-	for i := from; i < len(nd.order); i++ {
-		if _, asleep := nd.sleep[nd.order[i]]; !asleep {
-			return i
-		}
-	}
-	return -1
-}
-
-func (e *ssEngine) runOnce() *vthread.Outcome {
-	e.executions++
-	return e.exec.RunWith(e, nil, e.cfg.Program)
-}
-
-func (e *ssEngine) backtrack() bool {
-	for len(e.stack) > 0 {
-		nd := &e.stack[len(e.stack)-1]
-		next := firstAwake(*nd, nd.idx+1)
-		if next >= 0 {
-			nd.idx = next
-			return true
-		}
-		// Retire the node: its sleeping siblings were pruned subtrees. A
-		// case node never prunes (and its order entries are not thread ids).
-		if !nd.isCase {
-			for _, t := range nd.order {
-				if _, asleep := nd.sleep[t]; asleep {
-					e.pruned++
-				}
-			}
-		}
-		e.freeOrders = append(e.freeOrders, nd.order[:0])
-		e.freeInfos = append(e.freeInfos, nd.infos[:0])
-		nd.order, nd.infos = nil, nil
-		e.stack = e.stack[:len(e.stack)-1]
-	}
-	return false
-}
+//
+// In the DPOR lineage (Flanagan–Godefroid POPL'05, Abdulla et al. POPL'14)
+// this is the degenerate case in which every enabled thread is a backtrack
+// point, so there is no sleep-set engine of its own: RunSleepSetDFS drives
+// the DPOR walker of dpor.go with its backtrack sets born full and its race
+// analysis off (dporEngine.sleepOnly). golden_sleepset.json, generated by
+// the dedicated engine this replaced, pins that the two are the same search.
 
 // RunSleepSetDFS performs depth-first search with sleep-set partial-order
 // reduction. It explores a subset of RunDFS's terminal schedules covering
@@ -224,5 +42,5 @@ func RunSleepSetDFS(cfg Config) *Result {
 
 func runSleepSetCold(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	return runSequentialTree(cfg, &Result{Technique: DFS}, &ssEngine{cfg: cfg})
+	return runSequentialTree(cfg, &Result{Technique: DFS}, newSleepSetEngine(cfg))
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"sctbench/internal/corpus"
@@ -45,6 +46,16 @@ func (t Technique) String() string {
 	return "unknown"
 }
 
+// ParseTechnique is the inverse of Technique.String, ignoring case.
+func ParseTechnique(name string) (Technique, bool) {
+	for t := DFS; t <= DPOR; t++ {
+		if strings.EqualFold(name, t.String()) {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
 // Config parameterises an exploration.
 type Config struct {
 	// Program is the program under test. It must be deterministic modulo
@@ -84,9 +95,13 @@ type Config struct {
 	// space (0 or 1 = sequential). DFS/IPB/IDB partition the search tree
 	// into prefix-pinned subtrees with work-stealing, and IPB/IDB overlap
 	// bound k+1 speculatively behind bound k; Rand shards its independent
-	// runs. Schedule counts, bounds and completeness are identical to the
-	// sequential search; see internal/explore/parallel.go for the exact
-	// determinism contract under a truncating Limit.
+	// runs. Every Result field but the work tallies (Executions, TotalSteps,
+	// AbortedExecutions) is identical to the sequential search's — whether
+	// the search completes, Limit truncates it, or it is killed and resumed
+	// — because Limit is applied only by the canonical merge; a truncated
+	// parallel search pays for that with up to about Workers × Limit extra
+	// executions, which those tallies report. DPOR alone is verdict-level.
+	// See internal/explore/parallel.go for the contract.
 	Workers int
 	// Deadline, when nonzero, stops the search at that wall-clock time
 	// with Stopped = StopDeadline (and a checkpoint, when configured).
@@ -285,7 +300,7 @@ func (r *Result) recordBug(out *vthread.Outcome) {
 
 // runSequentialTree drives a single-pass engine (DFS, sleep-set DFS,
 // DPOR) over the whole tree to exhaustion or the schedule limit — the
-// sequential counterpart of runTreeParallel, shared so that limit
+// sequential counterpart of runPasses, shared so that limit
 // accounting and observation live in exactly one place per driver shape.
 // The engine must be positioned to run: fresh, or restored from a
 // checkpoint (which is only ever taken at the loop top, post-backtrack).
@@ -340,8 +355,8 @@ func runSequentialTree(cfg Config, r *Result, eng searcher) *Result {
 // (Executions, BranchesPruned) stay zero in the file and are reconstructed
 // from the engine's own counters when the resumed run exits.
 func treeCheckpoint(cfg Config, r *Result, eng searcher) *Checkpoint {
-	ck := newCheckpoint(cfg, engineTechName(eng), r)
-	ck.Engine = snapshotSearcher(eng)
+	ck := newCheckpoint(cfg, eng.techName(), r)
+	ck.Engine = eng.snapshot()
 	return ck
 }
 
@@ -352,7 +367,7 @@ func treeCheckpoint(cfg Config, r *Result, eng searcher) *Checkpoint {
 // a work-stealing worker pool with identical resulting counts.
 func RunDFS(cfg Config) *Result {
 	if cfg.Workers > 1 {
-		return runDFSParallel(cfg)
+		return runParallel(cfg, DFS)
 	}
 	cfg = cfg.withDefaults()
 	return runSequentialTree(cfg, &Result{Technique: DFS}, newEngine(cfg, CostNone, 0))
@@ -370,14 +385,14 @@ func RunIterative(cfg Config, model CostModel) *Result {
 	if model != CostPreemptions && model != CostDelays {
 		panic("explore: RunIterative needs a bounding cost model")
 	}
-	if cfg.Workers > 1 {
-		return runIterativeParallel(cfg, model, nil, nil)
-	}
-	cfg = cfg.withDefaults()
 	tech := IPB
 	if model == CostDelays {
 		tech = IDB
 	}
+	if cfg.Workers > 1 {
+		return runParallel(cfg, tech)
+	}
+	cfg = cfg.withDefaults()
 	return iterSequential(cfg, model, &Result{Technique: tech}, 0, 0, nil)
 }
 
@@ -472,7 +487,7 @@ func iterSequential(cfg Config, model CostModel, r *Result, startBound, priorExe
 
 // iterCheckpoint snapshots a sequential iterative search mid-bound.
 func iterCheckpoint(cfg Config, r *Result, bound, priorExecs int, eng *engine) *Checkpoint {
-	ck := newCheckpoint(cfg, engineTechName(eng), r)
+	ck := newCheckpoint(cfg, eng.techName(), r)
 	ck.Bound = bound
 	ck.BoundExecs = priorExecs
 	ck.Engine = eng.snapshot()

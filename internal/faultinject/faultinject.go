@@ -58,6 +58,12 @@ const (
 	// simulating the coordinator dying mid-merge; a resumed coordinator
 	// must reconstruct the job from its last checkpoint.
 	DistCoordCrash
+	// PoolStallHead fires in the parallel pool's per-execution poll of a
+	// job's lexicographically first unit: that worker donates what it can
+	// and then stands still until the units behind it have finished a whole
+	// schedule budget between them — pinning the interleaving in which a
+	// budget handed to whoever counts first keeps the wrong schedules.
+	PoolStallHead
 	// CorpusWrite fires in the schedule corpus's entry save, before any
 	// byte reaches the filesystem: the process dies with the update lost
 	// and the previous on-disk entry must remain byte-identical.

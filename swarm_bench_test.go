@@ -1,6 +1,7 @@
 // Corpus replay benchmarks: cold executions-to-first-bug versus a
-// corpus-seeded rerun that replays the stored witness. `make bench-json`
-// records them as BENCH_swarm.json; the replay_execs_to_bug metric is the
+// corpus-seeded rerun that replays the stored witness (`go test -bench
+// BenchmarkSwarmCorpusReplay .`; the end-to-end cold/warm pair is the
+// swarm_corpus workload of benchmark/). The replay_execs_to_bug metric is the
 // paper-independent payoff of the schedule corpus — a rerun reproduces
 // every known bug in a handful of executions instead of a search.
 package sctbench
