@@ -67,61 +67,41 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkStepOverhead isolates the per-step handoff cost of the
-// substrate's step-dispatch paths on yield-loop programs whose only work
-// is scheduling, reporting ns/step for each:
+// BenchmarkStepOverhead isolates the per-step cost of the substrate's two
+// transfers on yield-loop programs whose only work is scheduling,
+// reporting ns/step for each:
 //
-//   - same-thread: two runnable threads under an inline-run round-robin
-//     chooser that is not a StepObserver — every step runs the chooser on
-//     the current thread's goroutine and continues it (zero switches).
-//   - forced: one runnable thread under the opted-in RoundRobin — every
-//     step is granted without a Choose call (zero switches, no decision).
+//   - same-thread: two runnable threads under RoundRobin — every step runs
+//     the chooser on the current thread's goroutine and continues it (zero
+//     switches).
 //   - cross-thread: two threads under a strict-alternation chooser —
 //     every step is a direct thread-to-thread baton handoff (one switch).
-//   - bounced: the same alternation with direct handoff disabled — every
-//     grant routes through the exec goroutine, the two context switches
-//     per step the central-loop protocol paid for all steps.
 //
-// The flat/* rows run the same yield-loop shapes as compiled programs on
-// the single-goroutine flat engine, where a context switch is a function
-// call: flat/chooser (two threads, chooser consulted every step),
-// flat/forced (one runnable thread, grant without a Choose call) and
-// flat/cross-thread (strict alternation, one interpreter swap per step).
+// The flat/* rows run the same two shapes as compiled programs on the
+// single-goroutine flat engine, where a context switch is a function call.
 func BenchmarkStepOverhead(b *testing.B) {
-	const yields = 64
-	yielders := func(threads int) vthread.Program {
-		return func(t0 *vthread.Thread) {
-			bodies := make([]vthread.Program, threads)
-			for i := range bodies {
-				bodies[i] = func(tw *vthread.Thread) {
-					for s := 0; s < yields; s++ {
-						tw.Yield()
-					}
+	const yields, threads = 64, 2
+	var yielders vthread.Program = func(t0 *vthread.Thread) {
+		bodies := make([]vthread.Program, threads)
+		for i := range bodies {
+			bodies[i] = func(tw *vthread.Thread) {
+				for s := 0; s < yields; s++ {
+					tw.Yield()
 				}
 			}
-			t0.SpawnAll(bodies...)
 		}
+		t0.SpawnAll(bodies...)
 	}
-	compiledYielders := func(threads int) *vthread.CompiledProgram {
-		p := vthread.NewBuilder()
-		body := p.Body(0, 0)
-		for s := 0; s < yields; s++ {
-			body.Yield()
-		}
-		main := p.Main()
-		for i := 0; i < threads; i++ {
-			main.Spawn(body)
-		}
-		return p.Build()
+	p := vthread.NewBuilder()
+	body := p.Body(0, 0)
+	for s := 0; s < yields; s++ {
+		body.Yield()
 	}
-	// inlineRR mirrors RoundRobin without implementing StepObserver, so
-	// the chooser runs at every point (isolating path (a) from (b)).
-	inlineRR := vthread.ChooserFunc(func(ctx vthread.Context) vthread.ThreadID {
-		if ctx.LastEnabled {
-			return ctx.Last
-		}
-		return ctx.Enabled[0]
-	})
+	main := p.Main()
+	for i := 0; i < threads; i++ {
+		main.Spawn(body)
+	}
+	compiledYielders := p.Build()
 	alternate := vthread.ChooserFunc(func(ctx vthread.Context) vthread.ThreadID {
 		for _, t := range ctx.Enabled {
 			if t != ctx.Last {
@@ -132,32 +112,23 @@ func BenchmarkStepOverhead(b *testing.B) {
 	})
 	cases := []struct {
 		name    string
-		threads int
 		chooser vthread.Chooser
-		debug   vthread.Debug
-		flat    bool
+		prog    vthread.Runnable
 	}{
-		{"same-thread", 2, inlineRR, vthread.Debug{}, false},
-		{"forced", 1, vthread.RoundRobin(), vthread.Debug{}, false},
-		{"cross-thread", 2, alternate, vthread.Debug{}, false},
-		{"bounced", 2, alternate, vthread.Debug{NoDirectHandoff: true}, false},
-		{"flat/chooser", 2, inlineRR, vthread.Debug{}, true},
-		{"flat/forced", 1, vthread.RoundRobin(), vthread.Debug{}, true},
-		{"flat/cross-thread", 2, alternate, vthread.Debug{}, true},
+		{"same-thread", vthread.RoundRobin(), yielders},
+		{"cross-thread", alternate, yielders},
+		{"flat/same-thread", vthread.RoundRobin(), compiledYielders},
+		{"flat/cross-thread", alternate, compiledYielders},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			ex := vthread.NewExecutor(vthread.Options{Chooser: c.chooser, Debug: c.debug})
+			ex := vthread.NewExecutor(vthread.Options{Chooser: c.chooser})
 			defer ex.Close()
-			var prog vthread.Runnable = yielders(c.threads)
-			if c.flat {
-				prog = compiledYielders(c.threads)
-			}
 			b.ResetTimer()
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				out := ex.Run(prog)
+				out := ex.Run(c.prog)
 				if out.Failure != nil {
 					b.Fatalf("unexpected failure: %v", out.Failure)
 				}

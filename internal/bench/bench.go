@@ -1,10 +1,12 @@
-// Package bench contains the 52 SCTBench programs of the study,
-// re-implemented against the vthread substrate as behaviourally faithful
-// analogues of the original pthread benchmarks: same thread structure,
-// same synchronisation skeleton, same planted bug class, and — the
-// property the study actually measures — the same qualitative difficulty
-// for each exploration technique (which technique finds the bug, at what
-// bound, and roughly how hard it is for random scheduling).
+// Package bench is the benchmark registry: 64 programs. Ids 0–51 are the
+// 52 SCTBench programs of the study, re-implemented against the vthread
+// substrate as behaviourally faithful analogues of the original pthread
+// benchmarks: same thread structure, same synchronisation skeleton, same
+// planted bug class, and — the property the study actually measures — the
+// same qualitative difficulty for each exploration technique (which
+// technique finds the bug, at what bound, and roughly how hard it is for
+// random scheduling). Ids 52–63 are the GoIdiom and GoTime families
+// (goidiom.go, gotime.go), which extend the registry past the paper's rows.
 //
 // Substitutions relative to the originals are documented per suite in the
 // suite files and summarised in DESIGN.md §1/§7.
@@ -20,7 +22,8 @@ import (
 
 // Benchmark is one SCTBench entry.
 type Benchmark struct {
-	// ID is the Table 3 row id (0–51).
+	// ID is the Table 3 row id (0–51 for the paper's programs, 52+ for the
+	// GoIdiom and GoTime families).
 	ID int
 	// Name is the Table 3 name, e.g. "CS.account_bad".
 	Name string
@@ -86,7 +89,7 @@ func register(b *Benchmark) {
 	registry = append(registry, b)
 }
 
-// All returns the 52 benchmarks sorted by Table 3 id.
+// All returns every registered benchmark (all 64) sorted by Table 3 id.
 func All() []*Benchmark {
 	out := make([]*Benchmark, len(registry))
 	copy(out, registry)

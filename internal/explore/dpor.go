@@ -169,20 +169,6 @@ func (e *dporEngine) Choose(ctx vthread.Context) sched.ThreadID {
 	return ctx.Enabled[0] // ignored by the abort contract
 }
 
-// ObserveForcedStep implements vthread.StepObserver: a forced step still
-// needs its node — the race analysis reads the step's footprint and
-// thread-count watermark from it, sleep sets propagate through it, and a
-// single enabled thread can itself be asleep, in which case push aborts
-// the run exactly as Choose would have. The backtrack set of a forced
-// node can only ever hold its one thread: a race against a forced step
-// re-runs the same choice, which the done flag then retires.
-func (e *dporEngine) ObserveForcedStep(ctx vthread.Context) {
-	if ctx.Step < len(e.stack) {
-		return
-	}
-	e.push(ctx)
-}
-
 // push appends the fresh node for ctx and returns the index of the choice
 // taken (the first non-sleeping thread), or -1 after aborting a run whose
 // enabled threads are all asleep: the subtree is Mazurkiewicz-equivalent

@@ -120,24 +120,6 @@ func (e *engine) Choose(ctx vthread.Context) sched.ThreadID {
 	return e.push(ctx)
 }
 
-// ObserveForcedStep implements vthread.StepObserver: a forced step is a
-// single-choice node. Pushing it keeps the stack depth equal to the trace
-// length — the invariant the replay path (ctx.Step < len(stack)) indexes
-// by — and keeps the branch bookkeeping bit-identical to a fast-path-off
-// search; a one-element node simply never has alternatives to backtrack
-// into. Forced steps always have incremental cost zero under both models
-// (with one enabled thread, the choice is the deterministic scheduler's
-// pick and cannot preempt), which push's canonical-first sanity check
-// re-verifies.
-func (e *engine) ObserveForcedStep(ctx vthread.Context) {
-	if ctx.Step < len(e.stack) {
-		nd := &e.stack[ctx.Step]
-		e.running = nd.base + nd.costs[nd.idx]
-		return
-	}
-	e.push(ctx)
-}
-
 // push records the fresh node for ctx, advances the running cost, and
 // returns the choice taken (the canonical first).
 func (e *engine) push(ctx vthread.Context) sched.ThreadID {

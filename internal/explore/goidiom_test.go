@@ -4,8 +4,8 @@ package explore
 // points must be enumerated, replayed and counted by every engine, DFS at
 // workers 1 and 8 must stay bit-identical, the pruning engines (sleep-set
 // DFS, DPOR) must reach the same verdicts with no more schedules than DFS,
-// and all of it must hold for every combination of the PR-4 fast-path kill
-// switches. Also here: the TrySend/TryRecv/TryLock enabled-set edge-case
+// and every technique must count the same on the flat and the reference
+// engine. Also here: the TrySend/TryRecv/TryLock enabled-set edge-case
 // equivalence the try-ops satellite asks for.
 
 import (
@@ -15,20 +15,6 @@ import (
 	"sctbench/internal/bench"
 	"sctbench/internal/vthread"
 )
-
-// debugCombos enumerates every combination of fast-path kill switches,
-// all-on first (the production configuration).
-func debugCombos() []vthread.Debug {
-	out := make([]vthread.Debug, 0, 8)
-	for bits := 0; bits < 8; bits++ {
-		out = append(out, vthread.Debug{
-			NoInlineStep:    bits&1 != 0,
-			NoForcedStep:    bits&2 != 0,
-			NoDirectHandoff: bits&4 != 0,
-		})
-	}
-	return out
-}
 
 // pureSelectProgram has exactly one source of nondeterminism: a single
 // 3-way select whose three cases are all ready. The whole schedule space
@@ -91,37 +77,39 @@ func goidiomConfigs(t *testing.T) map[string]*bench.Benchmark {
 	return out
 }
 
-// TestGoIdiomFastPathEquivalence: on every GoIdiom benchmark, DFS,
-// sleep-set DFS and DPOR produce bit-identical counts, witnesses and
-// verdicts under every combination of the fast-path kill switches.
-func TestGoIdiomFastPathEquivalence(t *testing.T) {
-	combos := debugCombos()
+// assertEngineEquivalence: on each of the (compiled) benchmarks, DFS,
+// sleep-set DFS and DPOR find the registered bug and produce bit-identical
+// counts, steps, witnesses and verdicts on the flat engine and on the
+// reference engine (Debug.NoFlatEngine).
+func assertEngineEquivalence(t *testing.T, benches map[string]*bench.Benchmark) {
 	runs := map[string]func(Config) *Result{
 		"DFS":      RunDFS,
 		"sleepset": RunSleepSetDFS,
 		"DPOR":     RunDPOR,
 	}
-	for name, b := range goidiomConfigs(t) {
+	for name, b := range benches {
 		for tech, run := range runs {
 			t.Run(fmt.Sprintf("%s/%s", tech, name), func(t *testing.T) {
-				base := Config{Program: b.New(), BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps, Limit: 20000}
-				want := run(base)
-				if !want.BugFound {
+				cfg := Config{Program: b.New(), BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps, Limit: 20000}
+				flat := run(cfg)
+				if !flat.BugFound {
 					t.Fatalf("%s did not find the %s bug", tech, name)
 				}
-				if want.Failure.Kind != b.BugKind {
-					t.Fatalf("%s found a %v bug, registry says %v", tech, want.Failure.Kind, b.BugKind)
+				if flat.Failure.Kind != b.BugKind {
+					t.Fatalf("%s found a %v bug, registry says %v", tech, flat.Failure.Kind, b.BugKind)
 				}
-				for _, d := range combos[1:] {
-					cfg := base
-					cfg.Program = b.New()
-					cfg.Debug = d
-					got := run(cfg)
-					assertCountsEqual(t, fmt.Sprintf("%s/%s/%+v", tech, name, d), want, got)
-				}
+				cfg.Program = b.New()
+				cfg.Debug = vthread.Debug{NoFlatEngine: true}
+				assertCountsEqual(t, fmt.Sprintf("%s/%s/ref", tech, name), flat, run(cfg))
 			})
 		}
 	}
+}
+
+// TestGoIdiomFastPathEquivalence: the GoIdiom family explores identically
+// on both engines (see assertEngineEquivalence).
+func TestGoIdiomFastPathEquivalence(t *testing.T) {
+	assertEngineEquivalence(t, goidiomConfigs(t))
 }
 
 // TestGoIdiomPruningConsistency: the pruning engines reach the DFS verdict
@@ -249,9 +237,8 @@ func tryOpsProgram() vthread.Program {
 
 // TestTryOpsDPORvsDFSEquivalence is the try-ops satellite: on a
 // channel-heavy try-op program, DFS at workers 1 and 8 is bit-identical,
-// DPOR reaches the DFS verdict with no more schedules, both find the
-// TryLock-starvation bug, and sequential DPOR counts are stable across
-// every fast-path combination.
+// DPOR reaches the DFS verdict with no more schedules, and both find the
+// TryLock-starvation bug.
 func TestTryOpsDPORvsDFSEquivalence(t *testing.T) {
 	base := Config{Program: tryOpsProgram(), Limit: 20000}
 	dfs1 := RunDFS(base)
@@ -272,11 +259,6 @@ func TestTryOpsDPORvsDFSEquivalence(t *testing.T) {
 	}
 	if out := replayWitness(tryOpsProgram(), dpor.Witness); out == nil || out.Failure == nil {
 		t.Fatal("DPOR witness does not replay to a failure")
-	}
-	for _, d := range debugCombos()[1:] {
-		cfg := base
-		cfg.Debug = d
-		assertCountsEqual(t, fmt.Sprintf("tryops/DPOR/%+v", d), dpor, RunDPOR(cfg))
 	}
 	dpor8 := par
 	dpor8.Limit = 20000

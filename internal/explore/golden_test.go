@@ -38,9 +38,9 @@ type goldenRow struct {
 
 // branchKeyOf replays witness and records, at every scheduling point, the
 // index of the chosen value within sched.AppendCanonicalOrder — exactly
-// the branch-key elements the engine's nodes would carry. The replaying
-// chooser is not a StepObserver, so forced points also pass through Choose
-// and land in the key as index 0, matching the engine's stack depth.
+// the branch-key elements the engine's nodes would carry. Single-enabled
+// points pass through Choose like any other and land in the key as index
+// 0, matching the engine's stack depth.
 func branchKeyOf(t *testing.T, program vthread.Runnable, witness sched.Schedule) []int {
 	t.Helper()
 	key := make([]int, 0, len(witness))

@@ -4,10 +4,10 @@ package explore
 // firings) must be enumerated, replayed and counted by every engine, DFS
 // at workers 1 and 8 must stay bit-identical, and the pruning engines
 // (sleep-set DFS, DPOR) must reach the same verdicts with no more
-// schedules than DFS — all of it under every combination of the fast-path
-// kill switches. The virtual clock materialises as a pseudo-thread, so
-// these are the same contracts goidiom_test.go pins for case-decision
-// points, now over the timer dimension.
+// schedules than DFS — and every technique must count the same on the flat
+// and the reference engine. The virtual clock materialises as a
+// pseudo-thread, so these are the same contracts goidiom_test.go pins for
+// case-decision points, now over the timer dimension.
 
 import (
 	"fmt"
@@ -76,37 +76,10 @@ func gotimeConfigs(t *testing.T) map[string]*bench.Benchmark {
 	return out
 }
 
-// TestGoTimeFastPathEquivalence: on every GoTime benchmark, DFS, sleep-set
-// DFS and DPOR produce bit-identical counts, witnesses and verdicts under
-// every combination of the fast-path kill switches.
+// TestGoTimeFastPathEquivalence: the GoTime family explores identically on
+// both engines — clock steps included (see assertEngineEquivalence).
 func TestGoTimeFastPathEquivalence(t *testing.T) {
-	combos := debugCombos()
-	runs := map[string]func(Config) *Result{
-		"DFS":      RunDFS,
-		"sleepset": RunSleepSetDFS,
-		"DPOR":     RunDPOR,
-	}
-	for name, b := range gotimeConfigs(t) {
-		for tech, run := range runs {
-			t.Run(fmt.Sprintf("%s/%s", tech, name), func(t *testing.T) {
-				base := Config{Program: b.New(), BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps, Limit: 20000}
-				want := run(base)
-				if !want.BugFound {
-					t.Fatalf("%s did not find the %s bug", tech, name)
-				}
-				if want.Failure.Kind != b.BugKind {
-					t.Fatalf("%s found a %v bug, registry says %v", tech, want.Failure.Kind, b.BugKind)
-				}
-				for _, d := range combos[1:] {
-					cfg := base
-					cfg.Program = b.New()
-					cfg.Debug = d
-					got := run(cfg)
-					assertCountsEqual(t, fmt.Sprintf("%s/%s/%+v", tech, name, d), want, got)
-				}
-			})
-		}
-	}
+	assertEngineEquivalence(t, gotimeConfigs(t))
 }
 
 // TestGoTimePruningConsistency: the pruning engines reach the DFS verdict

@@ -94,6 +94,25 @@ func assertEquivalent(t *testing.T, name string, seq, par *Result) {
 	}
 }
 
+// assertCountsEqual extends assertEquivalent with the work counters that
+// are deterministic for sequential (and unstolen parallel) searches.
+func assertCountsEqual(t *testing.T, name string, a, b *Result) {
+	t.Helper()
+	assertEquivalent(t, name, a, b)
+	if a.Executions != b.Executions {
+		t.Errorf("%s: Executions %d != %d", name, a.Executions, b.Executions)
+	}
+	if a.TotalSteps != b.TotalSteps {
+		t.Errorf("%s: TotalSteps %d != %d", name, a.TotalSteps, b.TotalSteps)
+	}
+	if a.AbortedExecutions != b.AbortedExecutions {
+		t.Errorf("%s: AbortedExecutions %d != %d", name, a.AbortedExecutions, b.AbortedExecutions)
+	}
+	if a.BranchesPruned != b.BranchesPruned {
+		t.Errorf("%s: BranchesPruned %d != %d", name, a.BranchesPruned, b.BranchesPruned)
+	}
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	techniques := []Technique{DFS, IPB, IDB}
 	for progName, newProg := range paperPrograms() {

@@ -85,11 +85,10 @@ type Config struct {
 	// higher bounds (0 means DefaultMaxExecutions). Purely a guard rail;
 	// the study's benchmarks stay far below it.
 	MaxExecutions int
-	// Debug forwards the substrate's fast-path kill switches to every
-	// executor this exploration creates (vthread.Options.Debug). The zero
-	// value — all fast paths on — is correct for every production use;
-	// the fast-path equivalence tests flip individual switches to prove
-	// results are bit-identical either way.
+	// Debug forwards the engine switch to every executor this exploration
+	// creates (vthread.Options.Debug). The zero value is correct for every
+	// production use; the flat-vs-reference equivalence tests set
+	// NoFlatEngine to prove results are bit-identical on either engine.
 	Debug vthread.Debug
 	// Workers is the number of worker goroutines exploring the schedule
 	// space (0 or 1 = sequential). DFS/IPB/IDB partition the search tree

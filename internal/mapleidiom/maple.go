@@ -131,15 +131,6 @@ func (a *activeChooser) Choose(ctx vthread.Context) vthread.ThreadID {
 	return sched.CanonicalFirst(ctx.Enabled, ctx.Last, ctx.NumThreads)
 }
 
-// ObserveForcedStep implements vthread.StepObserver by delegating to
-// Choose and discarding the pick (which is forced anyway): steering state
-// — the fired flag and the give-up budget — advances inside Choose even
-// when only one thread is enabled (the candidate's first access may be
-// exactly that thread's pending operation), so forced steps must run the
-// same logic for an active run to behave identically with the fast path
-// on or off.
-func (a *activeChooser) ObserveForcedStep(ctx vthread.Context) { a.Choose(ctx) }
-
 func (a *activeChooser) steer(ctx vthread.Context) (vthread.ThreadID, bool) {
 	if ctx.SelectOf != vthread.NoThread {
 		// Case-decision point: Enabled holds select case indices, not

@@ -81,14 +81,6 @@ func (c *Chooser) Choose(ctx vthread.Context) sched.ThreadID {
 	return c.bestEnabled(ctx.Enabled)
 }
 
-// ObserveForcedStep implements vthread.StepObserver by delegating to
-// Choose and discarding the pick (which is forced anyway). PCT counts
-// steps, fires change points and lazily draws base priorities inside
-// Choose, and all three must advance identically at single-enabled
-// scheduling points for a fast-path run to schedule — and consume its rng
-// stream — exactly like a fast-path-off run.
-func (c *Chooser) ObserveForcedStep(ctx vthread.Context) { c.Choose(ctx) }
-
 func (c *Chooser) bestEnabled(enabled []sched.ThreadID) sched.ThreadID {
 	best := enabled[0]
 	bestP := c.prioOf(best)

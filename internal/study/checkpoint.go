@@ -60,16 +60,6 @@ func techNames(ts []explore.Technique) []string {
 	return out
 }
 
-func techByName(name string) (explore.Technique, bool) {
-	for _, t := range []explore.Technique{explore.IPB, explore.IDB,
-		explore.DFS, explore.Rand, explore.DPOR} {
-		if t.String() == name {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
 // newCheckpoint captures cfg (already defaulted) and the completed rows.
 func newCheckpoint(cfg Config, rows []*Row) *Checkpoint {
 	ck := &Checkpoint{
@@ -111,7 +101,7 @@ func (rs *RowState) row() *Row {
 		Maple:        rs.Maple,
 	}
 	for name, res := range rs.Results {
-		t, ok := techByName(name)
+		t, ok := explore.ParseTechnique(name)
 		if !ok {
 			return nil
 		}
@@ -148,7 +138,7 @@ func (ck *Checkpoint) validate() error {
 		return fmt.Errorf("format version %d, this build reads version %d", ck.Version, CheckpointVersion)
 	}
 	for _, name := range ck.Techniques {
-		if _, ok := techByName(name); !ok {
+		if _, ok := explore.ParseTechnique(name); !ok {
 			return fmt.Errorf("unknown technique %q", name)
 		}
 	}

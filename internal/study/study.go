@@ -50,11 +50,10 @@ type Config struct {
 	Workers int
 	// Progress, when non-nil, receives one line per completed phase.
 	Progress func(format string, args ...any)
-	// Debug forwards the substrate's kill switches (engine selection, fast
-	// path disables) to every exploration this study creates. The zero
-	// value is the production configuration: compiled benchmarks on the
-	// flat engine; set NoFlatEngine to force the goroutine reference
-	// engine for an A/B run.
+	// Debug forwards the engine switch to every exploration this study
+	// creates. The zero value is the production configuration: compiled
+	// benchmarks on the flat engine; set NoFlatEngine to force the
+	// goroutine reference engine for an A/B run.
 	Debug vthread.Debug
 	// Interrupt, when non-nil, truncates the study when it is closed: rows
 	// not yet started are skipped, rows in flight finish dirty and are
@@ -245,6 +244,20 @@ func RunAll(benches []*bench.Benchmark, cfg Config) []*Row {
 	return rows
 }
 
+// stopRequested reports whether a study or sweep should start no further
+// work: the interrupt channel (nil = none) is closed, or the deadline (zero
+// = none) has passed.
+func stopRequested(interrupt <-chan struct{}, deadline time.Time) bool {
+	if interrupt != nil {
+		select {
+		case <-interrupt:
+			return true
+		default:
+		}
+	}
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
+
 // RunStudy is RunAll with crash safety: rows already completed in a prior
 // checkpoint are carried over verbatim instead of re-run, and when
 // cfg.Interrupt fires or cfg.Deadline passes, benchmarks not yet started
@@ -275,17 +288,6 @@ func RunStudy(benches []*bench.Benchmark, cfg Config, prior *Checkpoint) (rows [
 		}
 	}
 
-	stopped := func() bool {
-		if cfg.Interrupt != nil {
-			select {
-			case <-cfg.Interrupt:
-				return true
-			default:
-			}
-		}
-		return !cfg.Deadline.IsZero() && !time.Now().Before(cfg.Deadline)
-	}
-
 	all := make([]*Row, len(benches))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cfg.Parallelism)
@@ -299,7 +301,7 @@ func RunStudy(benches []*bench.Benchmark, cfg Config, prior *Checkpoint) (rows [
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if stopped() {
+			if stopRequested(cfg.Interrupt, cfg.Deadline) {
 				return // skipped: deferred to the resumed run
 			}
 			row := RunBenchmark(b, cfg)

@@ -59,7 +59,7 @@ type SwarmConfig struct {
 	Parallelism int
 	// Workers is the per-exploration worker count (explore.Config.Workers).
 	Workers int
-	// Debug forwards the substrate kill switches to every cell.
+	// Debug forwards the engine switch to every cell.
 	Debug vthread.Debug
 	// Interrupt and Deadline truncate the sweep: benchmarks not yet
 	// started are skipped (their cells carry a nil Result), benchmarks in
@@ -137,17 +137,6 @@ func RunSwarm(benches []*bench.Benchmark, cfg SwarmConfig) []*SwarmCell {
 		benches = bench.All()
 	}
 
-	stopped := func() bool {
-		if cfg.Interrupt != nil {
-			select {
-			case <-cfg.Interrupt:
-				return true
-			default:
-			}
-		}
-		return !cfg.Deadline.IsZero() && !time.Now().Before(cfg.Deadline)
-	}
-
 	perBench := make([][]*SwarmCell, len(benches))
 	sem := make(chan struct{}, cfg.Parallelism)
 	done := make(chan struct{})
@@ -156,7 +145,7 @@ func RunSwarm(benches []*bench.Benchmark, cfg SwarmConfig) []*SwarmCell {
 			defer func() { done <- struct{}{} }()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			perBench[i] = runSwarmBench(b, cfg, stopped)
+			perBench[i] = runSwarmBench(b, cfg)
 		}(i, b)
 	}
 	for range benches {
@@ -185,14 +174,14 @@ func RunSwarm(benches []*bench.Benchmark, cfg SwarmConfig) []*SwarmCell {
 
 // runSwarmBench runs every cell of one benchmark, sequentially, in the
 // fixed seed → technique → bound order the determinism contract pins.
-func runSwarmBench(b *bench.Benchmark, cfg SwarmConfig, stopped func() bool) []*SwarmCell {
+func runSwarmBench(b *bench.Benchmark, cfg SwarmConfig) []*SwarmCell {
 	hash := ""
 	if cfg.Corpus != nil {
 		hash = b.Hash()
 	}
 	var cells []*SwarmCell
 	for _, seed := range cfg.Seeds {
-		if stopped() {
+		if stopRequested(cfg.Interrupt, cfg.Deadline) {
 			// Skipped seeds still contribute their grid cells, so the
 			// caller can see exactly what a truncated sweep deferred.
 			for _, tech := range cfg.Techniques {
@@ -218,7 +207,7 @@ func runSwarmBench(b *bench.Benchmark, cfg SwarmConfig, stopped func() bool) []*
 		for _, tech := range cfg.Techniques {
 			for _, bound := range cellBounds(tech, cfg.Bounds) {
 				cell := &SwarmCell{Bench: b, Technique: tech, Bound: bound, Seed: seed, Racy: len(phase.Racy)}
-				if stopped() {
+				if stopRequested(cfg.Interrupt, cfg.Deadline) {
 					cells = append(cells, cell)
 					continue
 				}

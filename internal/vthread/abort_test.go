@@ -81,6 +81,42 @@ func TestAbortPrefixMatchesUnaborted(t *testing.T) {
 	}
 }
 
+// TestAbortAtSingleEnabledPoint: Choose is consulted at scheduling points
+// with exactly one enabled thread too, and may abort there under the usual
+// contract — the run stops with the executed prefix (the sleep-set and DPOR
+// engines rely on this when the single enabled thread is asleep).
+func TestAbortAtSingleEnabledPoint(t *testing.T) {
+	// Single-threaded program: every scheduling point has one enabled thread.
+	var prog Program = func(t0 *Thread) {
+		v := t0.NewVar("v", 0)
+		for i := 0; i < 8; i++ {
+			v.Store(t0, i)
+		}
+	}
+	consulted := 0
+	inner := abortAfter(3)
+	ch := ChooserFunc(func(ctx Context) ThreadID {
+		if len(ctx.Enabled) != 1 {
+			t.Errorf("step %d: %d threads enabled, want 1", ctx.Step, len(ctx.Enabled))
+		}
+		consulted++
+		return inner.Choose(ctx)
+	})
+	out := NewWorld(Options{Chooser: ch}).Run(prog)
+	if !out.Aborted {
+		t.Fatal("run not aborted")
+	}
+	if len(out.Trace) != 3 {
+		t.Fatalf("trace %v, want the 3-step prefix", out.Trace)
+	}
+	if out.Failure != nil {
+		t.Fatalf("aborted run has failure %v", out.Failure)
+	}
+	if consulted != 4 {
+		t.Fatalf("chooser consulted %d times, want 4 (three steps + the aborting call)", consulted)
+	}
+}
+
 // TestAbortExecutorStaysReusable pins the tentpole substrate contract: an
 // Executor whose runs are chooser-aborted (at every depth, including 0)
 // keeps its worker pool, leaks no goroutines, and still produces

@@ -22,11 +22,6 @@ func (roundRobin) Choose(ctx Context) ThreadID {
 	return sched.CanonicalFirst(ctx.Enabled, ctx.Last, ctx.NumThreads)
 }
 
-// ObserveForcedStep implements StepObserver: round-robin is stateless and
-// would have picked the single enabled thread anyway, so a skipped Choose
-// needs no bookkeeping at all.
-func (roundRobin) ObserveForcedStep(Context) {}
-
 // NewRandom returns the naive random scheduler of the study (Rand): at
 // every scheduling point one enabled thread is chosen uniformly at random.
 // The schedule nondeterminism is fully controlled, so unlike schedule
@@ -42,14 +37,6 @@ type randomChooser struct{ rng *rand.Rand }
 func (c *randomChooser) Choose(ctx Context) ThreadID {
 	return ctx.Enabled[c.rng.IntN(len(ctx.Enabled))]
 }
-
-// ObserveForcedStep implements StepObserver. The throwaway draw is what
-// makes the opt-in sound for a stateful random chooser: Choose at a
-// single-enabled point would consume exactly one IntN(1) draw, so the
-// fast path must consume it too — otherwise every draw after the first
-// forced step, and with it the whole schedule, would diverge from a
-// fast-path-off run with the same seed.
-func (c *randomChooser) ObserveForcedStep(Context) { _ = c.rng.IntN(1) }
 
 // Replay follows a recorded schedule step by step. If the recorded thread
 // is not enabled at some step, or the execution outlives the recording, the
@@ -82,22 +69,6 @@ func (r *Replay) Choose(ctx Context) ThreadID {
 		return ctx.Last
 	}
 	return sched.CanonicalFirst(ctx.Enabled, ctx.Last, ctx.NumThreads)
-}
-
-// ObserveForcedStep implements StepObserver: the replay cursor is
-// ctx.Step, which advances with the trace whether or not Choose runs, so
-// a forced step only needs the divergence check Choose would have done —
-// with one enabled thread, "recorded thread enabled" collapses to
-// "recorded thread is the forced thread", and on a mismatch the fallback
-// Choose would pick is the forced thread anyway.
-func (r *Replay) ObserveForcedStep(ctx Context) {
-	if ctx.Step < len(r.schedule) && r.schedule[ctx.Step] == ctx.Enabled[0] {
-		return
-	}
-	if !r.failed {
-		r.failed = true
-		r.failStep = ctx.Step
-	}
 }
 
 // Failed reports whether the replay diverged from the recording.

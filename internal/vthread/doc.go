@@ -14,10 +14,13 @@ package vthread
 //
 // # Step handoff protocol
 //
-// When a running thread reaches its next visible operation it does not
-// notify a central loop; it runs the scheduling decision itself
-// (World.continueFrom → nextStep), on its own goroutine. Three dispatch
-// routes exist, ordered by cost:
+// One scheduling decision is made per visible operation, and every one of
+// them — single-enabled points included — consults the Chooser
+// (World.nextStep → choose). exec makes the first decision on the Run
+// caller's goroutine and performs the initial grant. From then on a
+// running thread that reaches its next visible operation does not notify
+// a central loop; it runs the decision itself (World.continueFrom →
+// nextStep), on its own goroutine, and one of two transfers follows:
 //
 //	same-thread continuation (0 switches)      — the decision picked the
 //	    running thread again: visible() simply returns and the thread
@@ -36,36 +39,24 @@ package vthread
 //	    <-T.gate  (blocks)                 executes its pending visible op
 //	                                       …until its own next visible op
 //
-//	bounced grant (2 switches)                 — the initial grant of each
-//	    execution, and every grant under a Debug kill switch: the decider
-//	    records the target in w.bounce, sends parkBounce on w.parked, and
-//	    the exec goroutine performs the grant. This is the cost the old
-//	    central-loop protocol paid on every step.
-//
-// A decision with exactly one enabled thread additionally takes the
-// forced-step fast path when the Chooser opted in by implementing
-// StepObserver: the Choose call is skipped entirely, ObserveForcedStep
-// keeps the chooser's bookkeeping aligned, and the step is granted
-// directly — almost always via same-thread continuation.
-//
 // When a thread's body returns, its goroutine runs one last decision
 // (World.exitFrom) and passes the baton on before going back to the pool.
 // When the execution is over — terminal, deadlock, failure, step limit,
 // chooser abort — whoever holds the baton sends parkDone (failNow sends
-// parkFailed) on w.parked and the exec goroutine tears the world down. A
-// panic out of a chooser running on a thread goroutine is captured into
-// w.schedPanic and rethrown by exec on the Run caller's goroutine, so the
-// chooser-bug panic contract is unchanged.
+// parkFailed) on w.parked: the end-of-run handback, the one message exec
+// waits for before it tears the world down. A panic out of a chooser
+// running on a thread goroutine is captured into w.schedPanic and
+// rethrown by exec on the Run caller's goroutine, so a chooser bug
+// surfaces where Run was called.
 //
 // Exactly one goroutine holds the baton at any instant, every transfer is
 // a channel operation, and every shared field of the World is accessed
 // only by the baton holder (or by exec after the final handback), so no
 // locks are needed anywhere in the substrate and the chooser — though it
 // migrates between goroutines — is never called concurrently. `go test
-// -race ./internal/vthread` runs clean. Executor reuse and the teardown
-// contract below are unaffected: which goroutine computes a decision has
-// no bearing on pooling, and the kill-by-grant path is driven by exec
-// exactly as before.
+// -race ./internal/vthread` runs clean. Which goroutine computes a
+// decision has no bearing on pooling, and the kill-by-grant teardown
+// below is driven by exec.
 //
 // # Spawn and the private first park
 //
@@ -118,12 +109,11 @@ package vthread
 // # Chooser-initiated abort
 //
 // A Chooser may end an execution early by calling ctx.Abort() inside
-// Choose (or inside ObserveForcedStep, on the forced path). The decision
-// then returns the baton to exec before performing another step
-// and reuses the normal teardown: abortRemaining kills the surviving
-// threads by grant, the outcome carries Aborted=true, Failure=nil and the
-// executed prefix as its Trace, and under an Executor the same pool
-// serves the next run. Abort is idempotent within one Choose call, legal
+// Choose. The decision then returns the baton to exec before performing
+// another step and reuses the normal teardown: abortRemaining kills the
+// surviving threads by grant, the outcome carries Aborted=true,
+// Failure=nil and the executed prefix as its Trace, and under an Executor
+// the same pool serves the next run. Abort is idempotent within one Choose call, legal
 // at step 0 (nothing has run; the trace is empty), and the thread id
 // returned by the aborting Choose is ignored — it need not be enabled.
 // This is the pruning hook of the partial-order-reduction engines

@@ -132,8 +132,8 @@ func (e *Executor) RunWith(chooser Chooser, sink EventSink, program Runnable) *O
 	return &e.outcome
 }
 
-// StepStats reports how the Executor's steps were dispatched across all
-// runs so far (see StepStats). Must be called between runs, like Run.
+// StepStats reports which engine ran the Executor's steps across all runs
+// so far (see StepStats). Must be called between runs, like Run.
 func (e *Executor) StepStats() StepStats { return e.w.StepStats() }
 
 // acquire pops a parked pool worker, or creates one (struct, channels,

@@ -56,6 +56,15 @@ func outcomesEqual(a, b *Outcome) bool {
 	return true
 }
 
+// failuresEqual compares failures including the message, which
+// outcomesEqual (kind-only) does not.
+func failuresEqual(a, b *Failure) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	return a == nil || (a.Kind == b.Kind && a.Thread == b.Thread && a.Message == b.Message)
+}
+
 // TestExecutorMatchesWorldAcrossReuse pins the core Executor contract: a
 // reused Executor produces outcomes bit-identical to a fresh World per
 // run, for clean, buggy and deadlocking executions alike.

@@ -10,14 +10,11 @@ import "fmt"
 // a context switch is a switch statement, not a channel rendezvous.
 //
 // The scheduling brain is untouched: execFlat drives the very same
-// World.nextStep loop — enabledness, forced-step fast-forward, the chooser,
-// select case resolution, clock firing, accounting, abort and deadlock
-// detection — so a flat run produces the bit-identical trace, Outcome,
-// Failure and event stream as a reference run of the same program under the
-// same Chooser. The fast-path Debug switches (NoInlineStep and friends)
-// change goroutine routing the flat engine does not have; they are
-// trivially no-ops here, exactly as documented ("transfer route only,
-// never which thread runs").
+// World.nextStep loop — enabledness, the chooser, select case resolution,
+// clock firing, accounting, abort and deadlock detection — so a flat run
+// produces the bit-identical trace, Outcome, Failure and event stream as a
+// reference run of the same program under the same Chooser, which is what
+// Debug.NoFlatEngine lets the equivalence tests check.
 //
 // Threads register operations by having interp.advance fill req, published
 // as Thread.pending; a grant is a flatStep call, which performs the pending
@@ -32,7 +29,6 @@ import "fmt"
 // caller (the decision runs on its goroutine), matching the reference
 // engine's rethrow contract.
 func (w *World) execFlat(cp *CompiledProgram) {
-	w.forcedObs, _ = w.opts.Chooser.(StepObserver)
 	env := cp.newEnv(w)
 	w.newFlatThread(cp, env, 0, nil, nil)
 	for {
@@ -52,12 +48,7 @@ func (w *World) execFlat(cp *CompiledProgram) {
 func (w *World) newFlatThread(cp *CompiledProgram, env *progEnv, body int, args []int, oargs []any) *Thread {
 	id := ThreadID(len(w.threads))
 	w.ensureNames(id)
-	var t *Thread
-	if w.pool != nil {
-		t = w.pool.acquireFlat()
-	} else {
-		t = &Thread{}
-	}
+	t := w.pool.acquireFlat() // execFlat only runs under an Executor
 	t.w = w
 	t.id = id
 	t.name = w.names[id]

@@ -207,30 +207,26 @@ func TestFlatMatchesReferenceOnGenerated(t *testing.T) {
 }
 
 // TestFlatMatchesReferenceAcrossDebugCombos runs the compiled generated
-// programs under every Debug kill-switch combination: the fast-path
-// toggles route goroutine transfers the flat engine does not have, so all
-// eight combinations (with and without NoFlatEngine on top) must stay
-// bit-identical to the all-off reference run.
+// programs under both values of the engine switch: on the flat engine and
+// bridged onto the reference engine (NoFlatEngine) they must stay
+// bit-identical to the closure original on a single-use World.
 func TestFlatMatchesReferenceAcrossDebugCombos(t *testing.T) {
-	combos := debugCombos()
 	f := func(shape uint32, seed uint64) bool {
 		ref := genProgram(shape)
 		cp := genCompiled(shape)
 		mk := func() Chooser { return NewRandom(seed) }
 		want := NewWorld(Options{Chooser: mk()}).Run(ref)
-		for _, d := range combos {
-			for _, noFlat := range []bool{false, true} {
-				d := d
-				d.NoFlatEngine = noFlat
-				ex := NewExecutor(Options{Debug: d})
-				got := ex.RunWith(mk(), nil, cp)
-				if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) {
-					t.Logf("shape=%d seed=%d debug=%+v: diverged\n got %+v\nwant %+v",
-						shape, seed, d, got, want)
-					ex.Close()
-					return false
-				}
-				ex.Close()
+		for _, d := range []Debug{{}, {NoFlatEngine: true}} {
+			ex := NewExecutor(Options{Debug: d})
+			got := ex.RunWith(mk(), nil, cp)
+			ok := outcomesEqual(want, got) && failuresEqual(want.Failure, got.Failure)
+			if !ok {
+				t.Logf("shape=%d seed=%d debug=%+v: diverged\n got %+v\nwant %+v",
+					shape, seed, d, got, want)
+			}
+			ex.Close()
+			if !ok {
+				return false
 			}
 		}
 		// Replay the reference trace through the flat engine: same trace

@@ -124,8 +124,7 @@ func TestPropertyCostOrdering(t *testing.T) {
 // a thread id within the thread count at an ordinary point, a case index
 // within the select's case count at a case-decision point — thread 0
 // appears first, and generated (bug-free) programs never fail. The domain
-// of each point is recorded by a wrapping chooser (which, not being a
-// StepObserver, also forces every point through Choose).
+// of each point is recorded by a wrapping chooser.
 func TestPropertyTraceWellFormed(t *testing.T) {
 	type domain struct {
 		isCase bool

@@ -222,8 +222,8 @@ func (t *Thread) grant() { t.gate <- struct{}{} }
 // until the scheduler grants the thread. On return the thread owns the
 // execution and must perform the operation it registered. Outside the
 // eager spawn prefix the thread holds the baton, so instead of notifying
-// anyone it runs the scheduling decision itself — and on the same-thread
-// fast path simply keeps going.
+// anyone it runs the scheduling decision itself — and when the decision
+// picks it again simply keeps going.
 func (t *Thread) visible(op pendingOp) {
 	if t.flat {
 		// A flat-engine thread has no goroutine to park: blocking API calls

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"sctbench/internal/sched"
 )
 
 // runRR executes a program once under the deterministic round-robin
@@ -392,6 +394,23 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestReplayForcedDivergenceDetected pins Replay.Failed at a single-enabled
+// point: a recording that names the wrong thread there is flagged as
+// diverged even though only one thread could run.
+func TestReplayForcedDivergenceDetected(t *testing.T) {
+	var prog Program = func(t0 *Thread) {
+		v := t0.NewVar("v", 0)
+		v.Store(t0, 1)
+		v.Store(t0, 2)
+	}
+	bogus := sched.Schedule{0, 99} // step 1 names a thread that cannot exist
+	rep := NewReplay(bogus)
+	NewWorld(Options{Chooser: rep}).Run(prog)
+	if !rep.Failed() || rep.FailStep() != 1 {
+		t.Errorf("divergence not detected (failed=%v step=%d)", rep.Failed(), rep.FailStep())
+	}
+}
+
 func TestNoGoroutineLeakAcrossManyExecutions(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var program Program = func(t0 *Thread) {
@@ -449,6 +468,47 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 	if out.Buggy() {
 		t.Fatalf("step-limited run must not report a bug, got %v", out.Failure)
+	}
+}
+
+// TestSchedPointsNotCountedAtStepLimit is the regression test for the
+// scheduling-point off-by-one: SchedPoints and MaxEnabled used to be
+// updated before the MaxSteps check, so a step-limited run counted a
+// scheduling point — and could observe its enabled-thread high-water mark
+// — at a point where no step ever executed.
+func TestSchedPointsNotCountedAtStepLimit(t *testing.T) {
+	// Thread 0's only step is the spawn (one enabled thread); the cut
+	// happens at the next decision, where all three children are enabled.
+	var prog Program = func(t0 *Thread) {
+		t0.SpawnAll(
+			func(tw *Thread) { tw.Yield() },
+			func(tw *Thread) { tw.Yield() },
+			func(tw *Thread) { tw.Yield() },
+		)
+	}
+	out := NewWorld(Options{Chooser: RoundRobin(), MaxSteps: 1}).Run(prog)
+	if !out.StepLimitHit {
+		t.Fatal("step limit not hit")
+	}
+	if len(out.Trace) != 1 {
+		t.Fatalf("trace %v, want exactly the spawn step", out.Trace)
+	}
+	if out.SchedPoints != 0 {
+		t.Errorf("SchedPoints = %d at a 1-step limit, want 0: the cut-off point counted", out.SchedPoints)
+	}
+	if out.MaxEnabled != 1 {
+		t.Errorf("MaxEnabled = %d, want 1: the never-executed point was observed", out.MaxEnabled)
+	}
+
+	// Sanity: one more step of budget executes one contested step, and
+	// exactly one scheduling point is counted.
+	out2 := NewWorld(Options{Chooser: RoundRobin(), MaxSteps: 2}).Run(prog)
+	if !out2.StepLimitHit || len(out2.Trace) != 2 {
+		t.Fatalf("MaxSteps=2: trace %v limit=%v", out2.Trace, out2.StepLimitHit)
+	}
+	if out2.SchedPoints != 1 || out2.MaxEnabled != 3 {
+		t.Errorf("MaxSteps=2: SchedPoints=%d MaxEnabled=%d, want 1 and 3",
+			out2.SchedPoints, out2.MaxEnabled)
 	}
 }
 

@@ -74,9 +74,8 @@ type Context struct {
 	// field.
 	SelectOf ThreadID
 
-	// world backs Abort. A Context is only valid during the Choose (or
-	// ObserveForcedStep) call it was built for, which is what makes the
-	// pointer safe to embed.
+	// world backs Abort. A Context is only valid during the Choose call it
+	// was built for, which is what makes the pointer safe to embed.
 	world *World
 }
 
@@ -94,9 +93,8 @@ type Context struct {
 // every enabled thread is in a sleep set) cuts the run short rather than
 // paying for the schedule's tail. Calling Abort more than once within a
 // Choose call is idempotent; calling it at step 0 aborts before any step
-// runs (empty trace). ObserveForcedStep may abort under the same
-// contract. A Context must not be retained: Abort outside the Choose (or
-// ObserveForcedStep) invocation the Context was passed to is unsupported.
+// runs (empty trace). A Context must not be retained: Abort outside the
+// Choose invocation the Context was passed to is unsupported.
 func (c Context) Abort() {
 	c.world.aborted = true
 }
@@ -153,43 +151,25 @@ func (a PendingInfo) Independent(b PendingInfo) bool {
 	return !a.Objects.Overlaps(b.Objects)
 }
 
-// Chooser selects the next thread to execute at a scheduling point. The
-// returned id must be an element of ctx.Enabled; the World panics otherwise,
-// since a chooser violating this invariant is an implementation bug, not a
-// property of the program under test. The one exception: a Choose call
-// that invoked ctx.Abort may return anything — the execution stops at this
-// point and the value is ignored (see Context.Abort).
+// Chooser selects the next thread to execute at a scheduling point. Choose
+// is called at every scheduling point, single-enabled ones included — one
+// decision per visible operation, the §2 step model — so per-step
+// bookkeeping (replay cursors, search-tree nodes, random draws) lives in
+// Choose alone. The returned id must be an element of ctx.Enabled; the
+// World panics otherwise, since a chooser violating this invariant is an
+// implementation bug, not a property of the program under test. The one
+// exception: a Choose call that invoked ctx.Abort may return anything —
+// the execution stops at this point and the value is ignored (see
+// Context.Abort).
 //
-// Goroutine migration: Choose is always called with the baton held (never
-// from two goroutines at once), but not always from the same goroutine —
-// the hot path runs it inline on the goroutine of the virtual thread that
-// just finished a step (see doc.go, "Step handoff protocol"). The channel
+// Goroutine migration: Choose may be called from different goroutines,
+// never concurrently. It always runs with the baton held, but on the
+// reference engine that is the goroutine of the virtual thread that just
+// finished a step (see doc.go, "Step handoff protocol"). The channel
 // operations that pass the baton provide the happens-before edges, so a
 // chooser needs no locking; it only must not assume goroutine identity.
 type Chooser interface {
 	Choose(ctx Context) ThreadID
-}
-
-// StepObserver is the opt-in capability interface of the forced-step fast
-// path. When exactly one thread is enabled at a scheduling point there is
-// no decision to make; if the Chooser also implements StepObserver, the
-// World skips the Choose call entirely and grants that thread directly,
-// invoking ObserveForcedStep instead so the chooser can keep its per-step
-// bookkeeping (replay cursors, search-tree nodes, pending-operation
-// footprints) bit-identical to a run with the fast path off. The Context
-// is exactly what Choose would have received — ctx.Enabled has length 1
-// and ctx.Enabled[0] is the thread about to run — and ObserveForcedStep
-// may call ctx.Abort() under the usual abort contract. The forced step is
-// still appended to the trace, still accounted in PC/DC/SchedPoints, and
-// still delivers its events to the EventSink when it executes.
-//
-// Choosers whose Choose call has side effects that must happen at every
-// scheduling point can either replicate them here (see NewRandom, which
-// consumes the one random draw Choose would have) or simply not implement
-// the interface, in which case they are consulted at every point as
-// always.
-type StepObserver interface {
-	ObserveForcedStep(ctx Context)
 }
 
 // ChooserFunc adapts a function to the Chooser interface.
@@ -221,9 +201,9 @@ type EventSink interface {
 // Concurrency contract: a World and everything wired into it (the Chooser,
 // the Sink) are confined to one execution at a time — none of them is
 // ever called from two goroutines at once, so implementations need no
-// locking. They are not confined to one *goroutine*: the hot path runs
-// the Chooser on the granted virtual thread's goroutine, and the Sink has
-// always been called from thread goroutines; the baton-passing channel
+// locking. They are not confined to one *goroutine*: the reference engine
+// runs the Chooser on the deciding virtual thread's goroutine, and the Sink
+// has always been called from thread goroutines; the baton-passing channel
 // operations provide the happens-before edges (see doc.go, "Step handoff
 // protocol"). Distinct Worlds share no state (the package has no mutable
 // globals), so running one World per driver goroutine is safe; that is
@@ -249,67 +229,29 @@ type Options struct {
 	// dropped, modelling the paper's observation that such bugs "do not
 	// always cause a crash" and are missed without additional checking.
 	BoundsCheck bool
-	// Debug holds the kill switches for the scheduling fast paths. The
-	// zero value (all paths on) is correct for every production use;
-	// equivalence tests flip individual switches to prove that the fast
-	// and slow paths produce bit-identical executions.
+	// Debug is the engine switch. The zero value is correct for every
+	// production use; equivalence tests and sctbench's -engine ref set
+	// NoFlatEngine to run compiled programs on the reference engine.
 	Debug Debug
 }
 
-// Debug bundles the substrate's fast-path kill switches. Disabling a path
-// changes only how control is transferred between goroutines (and
-// therefore speed), never which thread runs a step: a run with any
-// combination of switches produces the identical trace, Outcome and
-// Failure as a run with none, which is what the fast-path equivalence
-// tests assert.
+// Debug is the substrate's engine switch. It changes only how steps are
+// dispatched, never which thread runs one: a run with the switch set
+// produces the identical trace, Outcome and Failure as a run without,
+// which is what the flat-vs-reference equivalence tests assert.
 type Debug struct {
-	// NoInlineStep disables same-thread continuation: even when the
-	// scheduling decision picks the thread that is already running, the
-	// grant is routed through the exec goroutine instead of simply
-	// returning into the thread's body.
-	NoInlineStep bool
-	// NoForcedStep disables forced-step fast-forward: the Chooser is
-	// consulted at scheduling points with exactly one enabled thread even
-	// when it implements StepObserver.
-	NoForcedStep bool
-	// NoDirectHandoff disables direct thread-to-thread baton passing:
-	// cross-thread grants bounce through the exec goroutine, reproducing
-	// the two context switches per step of the pre-fast-path protocol.
-	NoDirectHandoff bool
 	// NoFlatEngine disables the goroutine-free flat engine for
 	// CompiledPrograms: the program runs through the blocking bridge on the
-	// reference engine instead (counted in StepStats.FlatFallbacks). Like
-	// the other switches this changes only how steps are dispatched, never
-	// which thread runs one — the equivalence tests flip it to prove the
-	// two engines bit-identical.
+	// reference engine instead (counted in StepStats.FlatFallbacks).
 	NoFlatEngine bool
 }
 
-// StepStats counts how scheduling decisions and grants were dispatched,
-// cumulative over the life of a World or Executor. InlineSteps,
-// DirectHandoffs and Bounces partition the grants by transfer route;
-// ForcedSteps counts decisions (a forced step's grant is also counted in
-// one of the route fields, usually InlineSteps).
+// StepStats counts which engine ran, cumulative over the life of a World
+// or Executor.
 type StepStats struct {
-	// InlineSteps counts same-thread continuations: the decision picked
-	// the thread that was already running, so control never left its
-	// goroutine (zero context switches).
-	InlineSteps int64
-	// ForcedSteps counts scheduling points fast-forwarded because exactly
-	// one thread was enabled and the chooser opted in via StepObserver:
-	// the step was granted without a Choose call.
-	ForcedSteps int64
-	// DirectHandoffs counts cross-thread baton passes: the finishing
-	// thread granted the next one gate-to-gate (one context switch).
-	DirectHandoffs int64
-	// Bounces counts grants routed through the exec goroutine (two
-	// context switches): the initial grant of every execution, and every
-	// grant suppressed by a Debug kill switch.
-	Bounces int64
 	// FlatSteps counts steps dispatched by the flat engine: a granted
 	// operation performed as a direct function call into the thread's
-	// interpreter — zero goroutine switches by construction, so flat steps
-	// appear in none of the transfer-route fields above.
+	// interpreter.
 	FlatSteps int64
 	// FlatFallbacks counts runs of a CompiledProgram that were routed to
 	// the reference engine instead of the flat engine (Debug.NoFlatEngine).
@@ -373,10 +315,6 @@ const (
 	parkPending parkKind = iota // parked at the next visible operation
 	parkExited                  // thread body returned
 	parkFailed                  // thread reported a failure; execution aborts
-	// parkBounce asks the exec goroutine to perform the grant recorded in
-	// w.bounce: the slow handoff route used for the initial grant's
-	// siblings under the Debug kill switches (see World.dispatch).
-	parkBounce
 	// parkDone reports the execution over (terminal, deadlock, failure,
 	// step limit, abort, or a captured scheduling panic): the baton
 	// returns to the exec goroutine for teardown.
@@ -412,16 +350,10 @@ type World struct {
 	parked chan parkKind
 	wg     sync.WaitGroup
 
-	// bounce is the thread the exec goroutine must grant after receiving
-	// parkBounce; schedPanic is a panic captured from a scheduling
-	// decision that ran on a virtual thread's goroutine, rethrown by exec
-	// on the Run caller's goroutine. Both are baton-protected.
-	bounce     *Thread
+	// schedPanic is a panic captured from a scheduling decision that ran
+	// on a virtual thread's goroutine, rethrown by exec on the Run caller's
+	// goroutine. Baton-protected.
 	schedPanic any
-
-	// forcedObs is opts.Chooser's StepObserver capability, type-asserted
-	// once per run (nil when the chooser does not opt in).
-	forcedObs StepObserver
 
 	stats StepStats
 
@@ -487,7 +419,6 @@ func (w *World) reset() {
 	w.failure = nil
 	w.stepLimitHit = false
 	w.aborted = false
-	w.bounce = nil
 	w.schedPanic = nil
 }
 
@@ -514,33 +445,25 @@ func (w *World) Run(program Runnable) *Outcome {
 
 // exec is the execution driver shared by World.Run and Executor runs. It
 // seeds thread 0, makes the first scheduling decision on the calling
-// goroutine, and then waits for the baton to come back: every later
-// decision runs inline on the goroutine of the virtual thread that just
-// finished a step (see doc.go, "Step handoff protocol"), so the common
+// goroutine, grants once, and waits once for the baton to come back:
+// every later decision runs inline on the goroutine of the virtual thread
+// that just finished a step (see doc.go, "Step handoff protocol"), so a
 // step costs zero goroutine switches (same-thread continuation) or one
-// (direct thread-to-thread handoff). The round trip through w.parked
-// survives only for the initial grant, the Debug slow routes, and the
-// end-of-execution notification.
+// (direct thread-to-thread handoff).
 func (w *World) exec(program Program) {
-	w.forcedObs, _ = w.opts.Chooser.(StepObserver)
 	w.newThread(program)
 
-	next := w.nextStep() // first decision: a chooser panic propagates directly
-	for next != nil {
-		w.stats.Bounces++
+	// First decision: a chooser panic propagates directly.
+	if next := w.nextStep(); next != nil {
 		next.grant()
-		if <-w.parked != parkBounce {
-			break
-		}
-		next = w.bounce
+		<-w.parked // parkDone or parkFailed: the execution is over
 	}
 	if p := w.schedPanic; p != nil {
 		// A scheduling decision running on a virtual thread's goroutine
 		// panicked (chooser bug, invalid choice, reentrant run). Rethrow on
-		// the Run caller's goroutine, where the pre-baton protocol raised
-		// it. No teardown: the execution is abandoned mid-flight, exactly
-		// as when the central loop unwound (the Executor is then unusable
-		// by the documented panic contract).
+		// the Run caller's goroutine. No teardown: the execution is
+		// abandoned mid-flight (the Executor is then unusable by the
+		// documented panic contract).
 		w.schedPanic = nil
 		panic(p)
 	}
@@ -549,13 +472,12 @@ func (w *World) exec(program Program) {
 }
 
 // nextStep runs scheduling decisions until one grants a program thread:
-// termination checks, accounting, the forced-step fast path or the
-// chooser — and, when the decision picks the clock pseudo-thread, the
-// timer fire itself, performed inline before looping to the next decision
-// (the clock has no goroutine to grant; see timer.go). It returns the
-// thread to grant, or nil when the execution is over (terminal, deadlock,
-// failure, step limit, or chooser abort). Runs on whichever goroutine
-// holds the baton.
+// termination checks, accounting, the chooser — and, when the decision
+// picks the clock pseudo-thread, the timer fire itself, performed inline
+// before looping to the next decision (the clock has no goroutine to
+// grant; see timer.go). It returns the thread to grant, or nil when the
+// execution is over (terminal, deadlock, failure, step limit, or chooser
+// abort). Runs on whichever goroutine holds the baton.
 func (w *World) nextStep() *Thread {
 	for {
 		// A failure may have been reported by the previous step's thread or,
@@ -582,21 +504,9 @@ func (w *World) nextStep() *Thread {
 			w.maxEnabled = len(enabled)
 		}
 
-		var choice ThreadID
-		if len(enabled) == 1 && w.forcedObs != nil && !w.opts.Debug.NoForcedStep {
-			// Forced-step fast-forward: a single enabled thread leaves nothing
-			// to decide, and the chooser opted in to not being asked.
-			choice = enabled[0]
-			w.forcedObs.ObserveForcedStep(w.makeContext(enabled))
-			if w.aborted {
-				return nil
-			}
-			w.stats.ForcedSteps++
-		} else {
-			choice = w.choose(enabled)
-			if w.aborted {
-				return nil
-			}
+		choice := w.choose(enabled)
+		if w.aborted {
+			return nil
 		}
 		t := w.threads[choice]
 		if t.isClock {
@@ -689,17 +599,16 @@ func (w *World) makeCaseContext(t *Thread, ready []ThreadID) Context {
 
 // continueFrom runs the scheduler on t's goroutine after t parked at its
 // next visible operation. It returns when t is granted again — immediately
-// on the same-thread fast path — and unwinds via killSignal when the
+// when the decision picks t itself — and unwinds via killSignal when the
 // execution is torn down before that.
 func (w *World) continueFrom(t *Thread) {
-	next, ok := w.threadSideStep()
-	if ok && next == t && !w.opts.Debug.NoInlineStep {
+	next := w.threadSideStep()
+	if next == t {
 		// Same-thread continuation: the running thread keeps the baton and
 		// proceeds straight into its granted operation. Zero switches.
-		w.stats.InlineSteps++
 		return
 	}
-	w.dispatch(t, next, ok)
+	w.dispatch(next)
 	t.awaitGrant()
 }
 
@@ -707,47 +616,37 @@ func (w *World) continueFrom(t *Thread) {
 // returned; the exiting thread passes the baton on and its goroutine goes
 // back to the pool (or exits, for a one-shot World).
 func (w *World) exitFrom() {
-	next, ok := w.threadSideStep()
-	w.dispatch(nil, next, ok)
+	w.dispatch(w.threadSideStep())
 }
 
-// dispatch hands the baton onward from cur's goroutine (cur is nil for an
-// exited thread): directly to next's gate, through the exec goroutine when
-// a Debug switch demands it or when next is cur itself (a goroutine cannot
-// rendezvous with its own unbuffered gate), or back to exec when the
-// execution is over.
-func (w *World) dispatch(cur, next *Thread, ok bool) {
-	switch {
-	case !ok || next == nil:
+// dispatch hands the baton onward from a goroutine that is giving it up:
+// gate-to-gate to next (one switch), or back to exec when the execution is
+// over (next is nil).
+func (w *World) dispatch(next *Thread) {
+	if next == nil {
 		w.parked <- parkDone
-	case next == cur || w.opts.Debug.NoDirectHandoff:
-		w.bounce = next
-		w.parked <- parkBounce
-	default:
-		w.stats.DirectHandoffs++
-		next.grant()
+		return
 	}
+	next.grant()
 }
 
 // threadSideStep is nextStep for decisions running on a virtual thread's
 // goroutine: panics out of the chooser (or the enabledness validation) are
 // captured into w.schedPanic so exec can rethrow them on the Run caller's
-// goroutine, preserving the panic contract of the central-loop protocol.
-// ok is false when a panic was captured.
-func (w *World) threadSideStep() (next *Thread, ok bool) {
+// goroutine.
+func (w *World) threadSideStep() (next *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.schedPanic = r
-			next, ok = nil, false
+			w.schedPanic = r // next stays nil: the execution is over
 		}
 	}()
-	return w.nextStep(), true
+	return w.nextStep()
 }
 
-// StepStats reports how this World's steps were dispatched, cumulative
-// across the executions it has run (one for a plain World, many under an
-// Executor). Purely diagnostic: benchmarks and fast-path tests read it;
-// nothing in the substrate does.
+// StepStats reports which engine ran this World's steps, cumulative across
+// the executions it has run (one for a plain World, many under an
+// Executor). Purely diagnostic: benchmarks and engine-selection tests read
+// it; nothing in the substrate does.
 func (w *World) StepStats() StepStats { return w.stats }
 
 // fillOutcome writes the execution's summary into out. The Trace field

@@ -124,11 +124,9 @@ type (
 	// Chooser decides the next thread at each scheduling point; implement
 	// it to plug in a custom search strategy. A Chooser instance is
 	// confined to one execution — it is never called concurrently, though
-	// the substrate's fast path invokes it from the running virtual
-	// thread's goroutine — so give every concurrent World its own. A
-	// Chooser that also implements vthread.StepObserver opts into the
-	// forced-step fast path: scheduling points with exactly one enabled
-	// thread skip the Choose call (see vthread.StepObserver).
+	// the substrate invokes it from the running virtual thread's goroutine
+	// — so give every concurrent World its own. Choose is called at every
+	// scheduling point, single-enabled ones included.
 	Chooser = vthread.Chooser
 	// WorldOptions configures a single raw execution (advanced use). Each
 	// World is confined to the goroutine that runs it — one world per
@@ -237,14 +235,15 @@ func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
 // Set Config.Workers > 1 to explore in parallel: DFS/IPB/IDB partition the
 // search tree across a work-stealing worker pool (and IPB/IDB additionally
 // overlap bound k+1 speculatively behind bound k), while Rand shards its
-// independent runs. For Rand, and for DFS/IPB/IDB whenever the search
-// completes within Config.Limit, the result — counts, bounds,
-// completeness, first bug, witness — is identical to a sequential
-// exploration; when the limit truncates a systematic search, totals stay
-// exact but which schedules (and hence which bug, if any) fall inside the
-// budget is timing-dependent. With Workers > 1 the Program body runs
-// concurrently in separate Worlds and must confine its state to the
-// invocation.
+// independent runs. For Rand and DFS/IPB/IDB every Result field but the
+// work tallies (Executions, TotalSteps, AbortedExecutions) is identical to
+// a sequential exploration's — counts, bounds, completeness, first bug,
+// witness — whether the search completes or Config.Limit truncates it:
+// the schedules inside the budget are the canonically first ones, at the
+// price of up to about Workers × Limit extra executions, which the
+// tallies report. DPOR alone is verdict-level (see Config.Workers). With
+// Workers > 1 the Program body runs concurrently in separate Worlds and
+// must confine its state to the invocation.
 func Explore(t Technique, cfg Config) *Result {
 	return explore.Run(t, cfg)
 }
