@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint study clean
+.PHONY: all build test bench bench-check lint study clean
 
 all: build
 
@@ -24,6 +24,14 @@ test:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 3x .
+
+# The ledger as a gate: the four benchmark/ workloads at BASE (default
+# HEAD~1) and at the working tree, PAIRS (default 3) alternating runs each,
+# then benchmark/run.sh -compare; fails on a REGRESSED metric, a drifted
+# count or a failed operation. `make bench-check BASE=HEAD PAIRS=1` — make
+# passes command-line variables on to scripts/bench-check.sh.
+bench-check:
+	bash scripts/bench-check.sh
 
 lint:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \

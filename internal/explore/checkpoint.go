@@ -14,9 +14,10 @@ package explore
 // (verdict-identical for parallel DPOR, whose counts already depend on
 // stealing; see parallel.go).
 //
-// What is NOT serialized: the DPOR race-analysis scratch (vector clocks,
-// prevOf/spawnOf, per-object access state) is per-run and recomputed from
-// step zero by the next analyze() pass, and the Rand scheduler's RNG needs
+// What is NOT serialized: the DPOR happens-before state (vector clocks,
+// prevOf/spawnOf, per-object access logs) is derived from the stack and
+// rebuilt from step zero by a restored engine's first analyze() pass
+// (dporEngine.hbValid), and the Rand scheduler's RNG needs
 // no state at all because every run i is seeded independently from
 // (Seed, i) — see randRun. Checkpoint files are written atomically (temp
 // file + rename), so a crash during the write leaves the previous

@@ -15,13 +15,14 @@ package explore
 // Abdulla et al. for the backtrack-point choice: instead of expanding
 // every enabled sibling at a scheduling point (DFS), a node starts with a
 // single choice and grows a *backtrack set* on demand. After every
-// execution the engine walks the newly executed suffix; for each step it
-// finds every earlier step by another thread whose operation is dependent
-// (vthread.PendingInfo footprints) and not already ordered by the
-// happens-before relation of the executed trace (computed with vector
-// clocks over the same footprints, including spawn and join program-order
-// edges). Each such pair is a reversible race: the racing thread joins
-// the backtrack set of the earlier scheduling point (or, when it was not
+// execution the engine analyses the steps that are new — the ones at or
+// past the node the last backtrack advanced. For each it extends the
+// happens-before relation of the executed trace (vector clocks over the
+// vthread.PendingInfo footprints, with spawn and join program-order edges)
+// and looks up, in a per-object access log, every earlier step by another
+// thread whose operation is dependent and not already ordered before it.
+// Each such pair is a reversible race: the racing thread joins the
+// backtrack set of the earlier scheduling point (or, when it was not
 // enabled there, every enabled thread does — the conservative source-set
 // over-approximation). Sleep sets then prune the
 // re-explorations that would only reproduce an already-covered
@@ -29,11 +30,19 @@ package explore
 // chooser-aborted on the spot (vthread.Context.Abort), so detected
 // redundancies cost their shared prefix only.
 //
-// The engine reuses the free-list discipline of engine: node
-// buffers (order, infos, done/backtrack flags, sleep maps) and the
-// race-analysis scratch (vector-clock rows, per-object access state) are
-// recycled, so the replay-and-extend hot path allocates only while the
-// stack or thread count grows past its high-water mark.
+// The clocks, the access logs and the rest of the happens-before state are
+// kept with the stack: the steps below the backtrack point are the same
+// nodes taking the same choices, so what the previous execution computed
+// for them stands, and backtrack pops exactly what the retired steps
+// added (dporEngine.hbValid). One analysis therefore costs O(new steps x
+// accesses to the same objects), not O(depth^2).
+//
+// The engine reuses the free-list discipline of engine: node buffers
+// (order, infos, done/backtrack flags, sleep maps) are recycled, and the
+// happens-before state grows with the structures it shadows — clock rows,
+// step records and access logs with the stack's high-water mark, the
+// interning table with the program's object count — so the
+// replay-and-extend hot path allocates only while one of those grows.
 
 import (
 	"sctbench/internal/sched"
@@ -68,13 +77,22 @@ type dporNode struct {
 	selOf sched.ThreadID
 }
 
-// dporObj is the per-object access state of one happens-before pass:
-// the last write step and the reads since it. run is the epoch that
-// invalidates stale state without clearing the map between runs.
-type dporObj struct {
-	run       int
-	lastWrite int
-	reads     []int
+// dporAccess is one entry of an object's access log: a step that touched
+// the object, the step's thread, and whether it may have modified the
+// object (two read-only accesses commute, everything else is a dependence).
+type dporAccess struct {
+	step, thread int32
+	write        bool
+}
+
+// dporStep is what the race analysis keeps per analysed step, so that
+// backtrack can unwind the happens-before state after the stack nodes
+// themselves are retired: the step's thread (the selecting thread at a
+// case node), that thread's previous step (-1 for none), and the end of
+// the step's interned object ids in dporEngine.stepObjs (they start where
+// the previous step's end).
+type dporStep struct {
+	thread, prev, objEnd int32
 }
 
 // dporEngine is the partial-order-reduction driver; like engine it doubles
@@ -109,24 +127,43 @@ type dporEngine struct {
 	freeFlags  [][]bool
 	freeSleeps []map[sched.ThreadID]vthread.PendingInfo
 
-	// Race-analysis scratch, persistent across runs. vc[i] is the vector
-	// clock of step i (vc[i][t] = 1 + the latest step of thread t
-	// happening-before-or-equal step i, 0 for none); prevOf[t] is thread
-	// t's previous step during the forward pass; spawnOf[t] is the step
-	// that created thread t (-1 for the initial thread), giving every
-	// first step its spawn happens-before edge — without it, a child's
-	// steps would look concurrent with everything before the spawn and
-	// trigger spurious backtrack points; objs carries the per-object
-	// last-write/readers state, epoch-invalidated by run.
-	vc      [][]int32
-	prevOf  []int
-	spawnOf []int
-	objs    map[string]*dporObj
-	run     int
+	// Happens-before state of the race analysis, valid for the stack prefix
+	// [0, hbValid). Invariant: steps below hbValid are the same nodes taking
+	// the same choices as when their state was computed. backtrack keeps it
+	// by truncating to the depth of the node it advances (truncateHB);
+	// anything that installs a stack the state was not computed from starts
+	// over at 0 — a fresh engine, a split donee and restoreDPOR (each a new
+	// engine value, so hbValid is zero by construction), and growth of
+	// maxThreads, which widens the clock rows (analyze). All of it is derived
+	// from the stack and rebuilt by the first analysis; none of it is ever
+	// serialised. A sleepOnly engine never analyses, so hbValid stays 0 and
+	// nothing below is allocated.
+	//
+	// clock(i) is the vector clock of step i (clock(i)[t] = 1 + the latest
+	// step of thread t happening-before-or-equal step i, 0 for none), a row
+	// of hbThreads entries in the vc slab; steps[i] is the step's unwind
+	// record; prevOf[t] is thread t's latest step and spawnOf[t] the step
+	// that created thread t (-1 for none / the initial thread), giving every
+	// first step its spawn happens-before edge — without it, a child's steps
+	// would look concurrent with everything before the spawn and trigger
+	// spurious backtrack points. Object keys are interned to dense ids
+	// (objIDs); logs[id] lists the accesses to object id in step order, and
+	// opaque the steps whose footprint is unknown (vthread.PendingInfo.Opaque)
+	// — together the index the race scan reads instead of the whole trace.
+	hbValid   int
+	hbThreads int
+	vc        []int32
+	steps     []dporStep
+	stepObjs  []int32
+	prevOf    []int32
+	spawnOf   []int32
+	objIDs    map[string]int32
+	logs      [][]dporAccess
+	opaque    []int32
 }
 
 func newDPOREngine(cfg Config) *dporEngine {
-	return &dporEngine{cfg: cfg, objs: make(map[string]*dporObj)}
+	return &dporEngine{cfg: cfg}
 }
 
 // newSleepSetEngine builds the walker RunSleepSetDFS drives.
@@ -268,32 +305,54 @@ func (e *dporEngine) runOnce() *vthread.Outcome {
 	return out
 }
 
-// analyze performs the DPOR race pass over the current stack: a forward
-// happens-before computation with vector clocks over the executed steps'
-// footprints, and, for every step not analyzed before, a backward scan
-// for dependent-and-concurrent steps by other threads. Each such race
-// adds a backtrack point at the earlier scheduling point. The forward
-// pass deliberately recomputes clocks from step 0 each run rather than
-// checkpointing per-depth state: the race scan alone is already O(new
-// steps x depth), the pass reuses pooled buffers, and on the CS-scale
-// traces the engine targets the whole analysis is a small fraction of
-// the execution it annotates.
+// dporCaseInfo is the footprint of a case-decision step in the race
+// analysis: none of its own (see analyze).
+var dporCaseInfo vthread.PendingInfo
+
+// dporCheck is the differential-oracle hook of the package's tests, nil
+// otherwise: called before an analysis, it returns the check to run after
+// it (dpor_oracle_test.go).
+var dporCheck func(e *dporEngine) (after func())
+
+// analyze performs the DPOR race pass over the steps of the current stack
+// that are new: from hbValid on, it extends the happens-before state
+// (vector clocks over the executed steps' footprints, the access logs) one
+// step at a time, and for every step not race-analysed before (analyzeFrom
+// on — the same depth unless the state is being rebuilt) it looks up the
+// dependent-and-concurrent earlier steps by other threads. Each such race
+// adds a backtrack point at the earlier scheduling point. See the hbValid
+// field for why the steps below it need no second look.
 func (e *dporEngine) analyze() {
 	n := len(e.stack)
-	if n == 0 || e.analyzeFrom >= n {
+	if e.analyzeFrom >= n {
 		return
 	}
-	e.run++
-	nt := e.maxThreads
-	e.ensureScratch(n, nt)
-	for t := 0; t < nt; t++ {
-		e.prevOf[t] = -1
-		e.spawnOf[t] = -1
+	if dporCheck != nil {
+		defer dporCheck(e)()
 	}
-	for i := 0; i < n; i++ {
+	nt := e.maxThreads
+	if nt != e.hbThreads {
+		// Rows widen: start over (a handful of times per search).
+		e.truncateHB(0)
+		e.hbThreads = nt
+		e.prevOf, e.spawnOf = make([]int32, nt), make([]int32, nt)
+		for t := range e.prevOf {
+			e.prevOf[t], e.spawnOf[t] = -1, -1
+		}
+	}
+	// Grow with the stack, so that both reach their high-water mark in the
+	// same few allocations.
+	rows := max(n, cap(e.stack))
+	if len(e.steps) < n {
+		e.steps = append(make([]dporStep, 0, rows), e.steps[:e.hbValid]...)[:rows]
+	}
+	if len(e.vc) < n*nt {
+		e.vc = append(make([]int32, 0, rows*nt), e.vc[:e.hbValid*nt]...)[:rows*nt]
+	}
+	for i := e.hbValid; i < n; i++ {
 		nd := &e.stack[i]
-		p := int(nd.order[nd.idx])
-		info := nd.infos[nd.idx]
+		p := int32(nd.order[nd.idx])
+		info := &nd.infos[nd.idx]
 		isCase := nd.selOf != vthread.NoThread
 		if isCase {
 			// A case-decision node is the second half of its select step:
@@ -302,119 +361,193 @@ func (e *dporEngine) analyze() {
 			// channel footprint (and recorded the writes), so every
 			// dependence edge and race involving the select lands there —
 			// where other threads were actual alternatives.
-			p = int(nd.selOf)
-			info = vthread.PendingInfo{}
+			p = int32(nd.selOf)
+			info = &dporCaseInfo
 		}
 		// Threads first seen at the next scheduling point were created by
-		// this step: record the spawn edge source.
+		// this step: record the spawn edge source. The deepest step has no
+		// successor to tell; backtrack truncates to at most n-1, so it is
+		// always analysed again once it has one.
 		if i+1 < n {
 			for t := nd.nthreads; t < e.stack[i+1].nthreads && t < nt; t++ {
-				e.spawnOf[t] = i
+				e.spawnOf[t] = int32(i)
 			}
 		}
-		v := e.vc[i][:nt]
-		for t := range v {
-			v[t] = 0
-		}
+		// The step's clock starts from p's pre-state clock: its previous
+		// step, or the step that spawned it (spawn happens-before the first
+		// step); nil only for the initial thread's first step.
+		var pre []int32
 		if pp := e.prevOf[p]; pp >= 0 {
-			joinVC(v, e.vc[pp][:nt])
+			pre = e.clock(int(pp))
 		} else if sp := e.spawnOf[p]; sp >= 0 {
-			joinVC(v, e.vc[sp][:nt]) // spawn happens-before the first step
+			pre = e.clock(int(sp))
+		}
+		v := e.clock(i)
+		if pre != nil {
+			copy(v, pre)
+		} else {
+			clear(v)
 		}
 		// A join is ordered after every step of the joined thread (its
 		// exit is not a scheduling point, so no object edge covers this).
 		if info.IsJoin {
 			if tgt := int(info.JoinOf); tgt >= 0 && tgt < nt {
 				if tp := e.prevOf[tgt]; tp >= 0 {
-					joinVC(v, e.vc[tp][:nt])
+					joinVC(v, e.clock(int(tp)))
 				}
 			}
 		}
-		// Dependence edges from the per-object access history.
+		// Dependence edges from the access logs: the last write of each
+		// object and, for a write, the reads since it.
+		objStart := len(e.stepObjs)
 		for k := 0; k < info.Objects.Len(); k++ {
-			st := e.obj(info.Objects.Obj(k))
-			if st.lastWrite >= 0 {
-				joinVC(v, e.vc[st.lastWrite][:nt])
-			}
-			if !info.ReadOnly {
-				for _, rj := range st.reads {
-					joinVC(v, e.vc[rj][:nt])
+			id := e.intern(info.Objects.Obj(k))
+			e.stepObjs = append(e.stepObjs, id)
+			log := e.logs[id]
+			for a := len(log) - 1; a >= 0; a-- {
+				if log[a].write || !info.ReadOnly {
+					joinVC(v, e.clock(int(log[a].step)))
+				}
+				if log[a].write {
+					break
 				}
 			}
 		}
+		ids := e.stepObjs[objStart:]
 
 		if i >= e.analyzeFrom && !isCase {
-			e.addRaceBacktracks(i, p, info, nt)
+			e.addRaceBacktracks(i, p, info, ids, pre)
 		}
 
-		// Update the access history and close the step's clock.
-		for k := 0; k < info.Objects.Len(); k++ {
-			st := e.obj(info.Objects.Obj(k))
-			if info.ReadOnly {
-				st.reads = append(st.reads, i)
-			} else {
-				st.lastWrite = i
-				st.reads = st.reads[:0]
-			}
+		// Record the step in the logs and close its clock.
+		for _, id := range ids {
+			e.logs[id] = append(e.logs[id], dporAccess{step: int32(i), thread: p, write: !info.ReadOnly})
 		}
+		if info.Opaque {
+			e.opaque = append(e.opaque, int32(i))
+		}
+		e.steps[i] = dporStep{thread: p, prev: e.prevOf[p], objEnd: int32(len(e.stepObjs))}
 		v[p] = int32(i + 1)
-		e.prevOf[p] = i
+		e.prevOf[p] = int32(i)
 	}
+	e.hbValid = n
 }
 
-// addRaceBacktracks scans backwards from step i (thread p, footprint
-// info) and adds a backtrack point at every earlier step by another
-// thread whose operation is dependent with i's and not already ordered
-// before p by the happens-before relation of the trace. Considering every
-// race of the trace — not only the most recent per step — is the
+// clock is the vector-clock row of step i.
+func (e *dporEngine) clock(i int) []int32 {
+	return e.vc[i*e.hbThreads : (i+1)*e.hbThreads]
+}
+
+// intern maps an object key to its dense id, creating the id (and its
+// empty access log) on first sight: one map lookup per object of a newly
+// analysed step.
+func (e *dporEngine) intern(key string) int32 {
+	id, ok := e.objIDs[key]
+	if !ok {
+		if e.objIDs == nil {
+			e.objIDs = make(map[string]int32)
+		}
+		id = int32(len(e.logs))
+		e.objIDs[key] = id
+		e.logs = append(e.logs, nil)
+	}
+	return id
+}
+
+// truncateHB pops the happens-before state of the steps at depth d and
+// deeper, restoring what the analysis of steps [0, d) left: the log entries
+// and opaque marks those steps appended, and prevOf/spawnOf as they stood
+// before step d.
+func (e *dporEngine) truncateHB(d int) {
+	if d >= e.hbValid {
+		return
+	}
+	for i := e.hbValid - 1; i >= d; i-- {
+		st := e.steps[i]
+		for _, id := range e.stepObjs[e.objStart(i):st.objEnd] {
+			e.logs[id] = e.logs[id][:len(e.logs[id])-1]
+		}
+		e.prevOf[st.thread] = st.prev
+	}
+	e.stepObjs = e.stepObjs[:e.objStart(d)]
+	for k := len(e.opaque); k > 0 && int(e.opaque[k-1]) >= d; k-- {
+		e.opaque = e.opaque[:k-1]
+	}
+	for t, sp := range e.spawnOf {
+		if int(sp) >= d {
+			e.spawnOf[t] = -1
+		}
+	}
+	e.hbValid = d
+}
+
+// objStart is where step i's interned object ids start in stepObjs.
+func (e *dporEngine) objStart(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return e.steps[i-1].objEnd
+}
+
+// addRaceBacktracks adds a backtrack point at every earlier step by
+// another thread whose operation is dependent with step i's (thread p,
+// footprint info, interned as ids) and not already ordered before p by the
+// happens-before relation of the trace (pre, p's pre-state clock). The
+// dependent steps are read off the index: the logged accesses to i's
+// objects, minus read/read pairs, plus the opaque steps; only an opaque
+// step i, dependent with everything, walks the whole stack. Considering
+// every race of the trace — not only the most recent per step — is the
 // source-set style formulation; it is what keeps the scan sound without a
 // may-be-co-enabled oracle: the classic "last dependent step only" rule
 // would let a release operation (never co-enabled with the acquire it
 // unblocks, hence never reversible) shadow the reversible acquire-acquire
-// race behind it.
-func (e *dporEngine) addRaceBacktracks(i, p int, info vthread.PendingInfo, nt int) {
-	// p's pre-state clock: its previous step, or the step that spawned it;
-	// nil only for the initial thread's first step.
-	var pre []int32
-	if pp := e.prevOf[p]; pp >= 0 {
-		pre = e.vc[pp][:nt]
-	} else if sp := e.spawnOf[p]; sp >= 0 {
-		pre = e.vc[sp][:nt]
-	}
-	for j := i - 1; j >= 0; j-- {
-		ndj := &e.stack[j]
-		if ndj.selOf != vthread.NoThread {
+// race behind it. Backtrack sets are sets, so a step met through two
+// shared objects is simply marked twice.
+func (e *dporEngine) addRaceBacktracks(i int, p int32, info *vthread.PendingInfo, ids, pre []int32) {
+	if info.Opaque {
+		for j := i - 1; j >= 0; j-- {
 			// A case node has no footprint of its own and no thread
 			// alternatives to reverse into; the race against its select, if
 			// any, is found at the enclosing thread node right above it.
-			continue
-		}
-		q := int(ndj.order[ndj.idx])
-		if q == p {
-			continue // program order, never reversible
-		}
-		if ndj.infos[ndj.idx].Independent(info) {
-			continue
-		}
-		if pre != nil && pre[q] >= int32(j+1) {
-			continue // already ordered before p's step by other dependences
-		}
-		// Reversible race (j, i): thread p must be tried at point j — or,
-		// when p was not enabled there, every enabled thread must (the
-		// conservative source-set over-approximation).
-		hit := false
-		for k, t := range ndj.order {
-			if int(t) == p {
-				ndj.backtrack[k] = true
-				hit = true
-				break
+			if e.stack[j].selOf == vthread.NoThread {
+				e.raceBacktrack(j, e.steps[j].thread, p, pre)
 			}
 		}
-		if !hit {
-			for k := range ndj.backtrack {
-				ndj.backtrack[k] = true
+		return
+	}
+	for _, id := range ids {
+		for _, a := range e.logs[id] {
+			if a.write || !info.ReadOnly {
+				e.raceBacktrack(int(a.step), a.thread, p, pre)
 			}
 		}
+	}
+	for _, j := range e.opaque {
+		e.raceBacktrack(int(j), e.steps[j].thread, p, pre)
+	}
+}
+
+// raceBacktrack handles one dependent pair: step j by thread q against a
+// later step of thread p whose pre-state clock is pre.
+func (e *dporEngine) raceBacktrack(j int, q, p int32, pre []int32) {
+	if q == p {
+		return // program order, never reversible
+	}
+	if pre != nil && pre[q] >= int32(j+1) {
+		return // already ordered before p's step by other dependences
+	}
+	// Reversible race: thread p must be tried at point j — or, when p was
+	// not enabled there, every enabled thread must (the conservative
+	// source-set over-approximation).
+	ndj := &e.stack[j]
+	for k, t := range ndj.order {
+		if int32(t) == p {
+			ndj.backtrack[k] = true
+			return
+		}
+	}
+	for k := range ndj.backtrack {
+		ndj.backtrack[k] = true
 	}
 }
 
@@ -431,6 +564,7 @@ func (e *dporEngine) backtrack() bool {
 		if next >= 0 {
 			nd.idx = next
 			e.analyzeFrom = d
+			e.truncateHB(d)
 			return true
 		}
 		// Retire the node; every choice never explored is a subtree DFS
@@ -505,42 +639,6 @@ func (e *dporEngine) getSleep() map[sched.ThreadID]vthread.PendingInfo {
 func (e *dporEngine) putSleep(s map[sched.ThreadID]vthread.PendingInfo) {
 	clear(s)
 	e.freeSleeps = append(e.freeSleeps, s)
-}
-
-// ensureScratch sizes the vector-clock rows for n steps of nt threads.
-func (e *dporEngine) ensureScratch(n, nt int) {
-	for len(e.vc) < n {
-		e.vc = append(e.vc, nil)
-	}
-	for i := 0; i < n; i++ {
-		if cap(e.vc[i]) < nt {
-			e.vc[i] = make([]int32, nt)
-		}
-		e.vc[i] = e.vc[i][:nt]
-	}
-	if cap(e.prevOf) < nt {
-		e.prevOf = make([]int, nt)
-	}
-	e.prevOf = e.prevOf[:nt]
-	if cap(e.spawnOf) < nt {
-		e.spawnOf = make([]int, nt)
-	}
-	e.spawnOf = e.spawnOf[:nt]
-}
-
-// obj returns the epoch-validated access state of an object key.
-func (e *dporEngine) obj(key string) *dporObj {
-	st := e.objs[key]
-	if st == nil {
-		st = &dporObj{}
-		e.objs[key] = st
-	}
-	if st.run != e.run {
-		st.run = e.run
-		st.lastWrite = -1
-		st.reads = st.reads[:0]
-	}
-	return st
 }
 
 func joinVC(dst, src []int32) {

@@ -260,12 +260,10 @@ func TestSleepSetAbortCutsWork(t *testing.T) {
 	}
 }
 
-// TestDPORSpawnEdgesSuppressFalseRaces pins the spawn happens-before edge
-// of the race analysis: a parent's pre-spawn write and its child's write
-// to the same variable are causally ordered, never a race, so a chain of
-// parent-then-child accesses must still collapse to a single execution.
-func TestDPORSpawnEdgesSuppressFalseRaces(t *testing.T) {
-	var program vthread.Program = func(t0 *vthread.Thread) {
+// spawnChain: a parent's pre-spawn write, its child's write and its
+// grandchild's write to one variable, ordered by spawn edges alone.
+func spawnChain() vthread.Program {
+	return func(t0 *vthread.Thread) {
 		v := t0.NewVar("v", 0)
 		v.Store(t0, 1)
 		c := t0.Spawn(func(tc *vthread.Thread) {
@@ -277,7 +275,28 @@ func TestDPORSpawnEdgesSuppressFalseRaces(t *testing.T) {
 		})
 		t0.Join(c)
 	}
-	r := RunDPOR(Config{Program: program})
+}
+
+// joinThenCheck: independent children, then a parent whose post-join reads
+// are ordered after the children's writes by join edges alone.
+func joinThenCheck() vthread.Program {
+	return func(t0 *vthread.Thread) {
+		x := t0.NewVar("x", 0)
+		y := t0.NewVar("y", 0)
+		a := t0.Spawn(func(ta *vthread.Thread) { x.Store(ta, 1) })
+		b := t0.Spawn(func(tb *vthread.Thread) { y.Store(tb, 1) })
+		t0.Join(a)
+		t0.Join(b)
+		t0.Assert(x.Load(t0) == 1 && y.Load(t0) == 1, "lost writes")
+	}
+}
+
+// TestDPORSpawnEdgesSuppressFalseRaces pins the spawn happens-before edge
+// of the race analysis: a parent's pre-spawn write and its child's write
+// to the same variable are causally ordered, never a race, so a chain of
+// parent-then-child accesses must still collapse to a single execution.
+func TestDPORSpawnEdgesSuppressFalseRaces(t *testing.T) {
+	r := RunDPOR(Config{Program: spawnChain()})
 	if !r.Complete || r.BugFound {
 		t.Fatalf("complete=%v bug=%v, want complete and bug-free", r.Complete, r.BugFound)
 	}
@@ -291,16 +310,7 @@ func TestDPORSpawnEdgesSuppressFalseRaces(t *testing.T) {
 // writes, so independent children plus a join-then-check parent must
 // still collapse to a single execution.
 func TestDPORJoinEdgesSuppressFalseRaces(t *testing.T) {
-	var program vthread.Program = func(t0 *vthread.Thread) {
-		x := t0.NewVar("x", 0)
-		y := t0.NewVar("y", 0)
-		a := t0.Spawn(func(ta *vthread.Thread) { x.Store(ta, 1) })
-		b := t0.Spawn(func(tb *vthread.Thread) { y.Store(tb, 1) })
-		t0.Join(a)
-		t0.Join(b)
-		t0.Assert(x.Load(t0) == 1 && y.Load(t0) == 1, "lost writes")
-	}
-	r := RunDPOR(Config{Program: program})
+	r := RunDPOR(Config{Program: joinThenCheck()})
 	if !r.Complete || r.BugFound {
 		t.Fatalf("complete=%v bug=%v, want complete and bug-free", r.Complete, r.BugFound)
 	}

@@ -106,7 +106,14 @@ func TestGoldenDFSCountsAndWitnessKeys(t *testing.T) {
 		got[b.Name] = row
 	}
 
-	path := filepath.Join("testdata", "golden_dfs.json")
+	compareGolden(t, "golden_dfs.json", got)
+}
+
+// compareGolden holds got, one row per benchmark, against the named file
+// under testdata — or, under -update, rewrites the file from it.
+func compareGolden[Row any](t *testing.T, file string, got map[string]Row) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -126,23 +133,23 @@ func TestGoldenDFSCountsAndWitnessKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	want := make(map[string]goldenRow)
+	want := make(map[string]Row)
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("corrupt golden file %s: %v", path, err)
 	}
 	for name, w := range want {
 		g, here := got[name]
 		if !here {
-			t.Errorf("%s: in golden file but not in registry", name)
+			t.Errorf("%s: in %s but not run", name, file)
 			continue
 		}
 		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s:\n got %+v\nwant %+v", name, g, w)
+			t.Errorf("%s drifted from %s:\n got %+v\nwant %+v", name, file, g, w)
 		}
 	}
 	for name := range got {
 		if _, pinned := want[name]; !pinned {
-			t.Errorf("%s: benchmark not pinned in golden file (run with -update)", name)
+			t.Errorf("%s: not pinned in %s (run with -update)", name, file)
 		}
 	}
 }
@@ -195,27 +202,50 @@ func TestGoldenSleepSet(t *testing.T) {
 		got[name] = row
 	}
 
-	path := filepath.Join("testdata", "golden_sleepset.json")
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+	compareGolden(t, "golden_sleepset.json", got)
+}
+
+// dporGoldenRow is what a DPOR run at the fixed budget pins per benchmark:
+// every tally the walker and its race analysis produce, so a change to how
+// races are found cannot move a backtrack point, a pruning decision or the
+// witness unnoticed.
+type dporGoldenRow struct {
+	Schedules         int   `json:"schedules"`
+	Executions        int   `json:"executions"`
+	AbortedExecutions int   `json:"abortedExecutions"`
+	BranchesPruned    int   `json:"branchesPruned"`
+	TotalSteps        int64 `json:"totalSteps"`
+	Complete          bool  `json:"complete"`
+	BugFound          bool  `json:"bugFound"`
+	WitnessKey        []int `json:"witnessKey,omitempty"` // canonical branch key of the first witness
+}
+
+// TestGoldenDPOR pins RunDPOR on the golden benchmark set at the fixed
+// budget. The file was generated by the whole-trace race analysis (the one
+// dpor_oracle_test.go keeps as its oracle) before the incremental analysis
+// replaced it; it must never change.
+func TestGoldenDPOR(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweep is not short")
+	}
+	got := make(map[string]dporGoldenRow)
+	for _, b := range goldenBenchmarks() {
+		r := RunDPOR(Config{Program: b.New(), BoundsCheck: b.BoundsCheck,
+			MaxSteps: b.MaxSteps, Limit: goldenLimit})
+		row := dporGoldenRow{
+			Schedules:         r.Schedules,
+			Executions:        r.Executions,
+			AbortedExecutions: r.AbortedExecutions,
+			BranchesPruned:    r.BranchesPruned,
+			TotalSteps:        r.TotalSteps,
+			Complete:          r.Complete,
+			BugFound:          r.BugFound,
 		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		if r.BugFound {
+			row.WitnessKey = branchKeyOf(t, b.New(), r.Witness)
 		}
-		t.Logf("rewrote %s with %d rows", path, len(got))
-		return
+		got[b.Name] = row
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	want := make(map[string]sleepsetGoldenRow)
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt golden file %s: %v", path, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sleep-set counts drifted from %s:\n got %+v\nwant %+v", path, got, want)
-	}
+
+	compareGolden(t, "golden_dpor.json", got)
 }

@@ -29,15 +29,18 @@ type Chooser struct {
 	prio []int
 	// changePoints[i] = step at which the i-th priority drop fires.
 	changePoints []int
-	nextPrio     int // counts down: each new assignment is lower
-	steps        int
+	// demotions counts the change points fired so far: the i-th demoted
+	// thread gets priority -i, below every base priority and every earlier
+	// demotion, so the later demotion runs last.
+	demotions int
+	steps     int
 }
 
 // New creates a PCT chooser with depth d (d−1 change points) over an
 // execution of approximately k steps.
 func New(seed uint64, d, k int) *Chooser {
 	rng := rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))
-	c := &Chooser{rng: rng, nextPrio: 1 << 30}
+	c := &Chooser{rng: rng}
 	for i := 0; i < d-1; i++ {
 		if k > 0 {
 			c.changePoints = append(c.changePoints, rng.IntN(k))
@@ -66,16 +69,13 @@ func (c *Chooser) Choose(ctx vthread.Context) sched.ThreadID {
 	}
 	step := c.steps
 	c.steps++
-	// Fire any change point scheduled for this step: the currently
-	// highest-priority enabled thread drops to the bottom.
+	// Fire every change point scheduled for this step: each drops the
+	// currently highest-priority enabled thread to the bottom.
 	for _, cp := range c.changePoints {
 		if cp == step {
-			best := c.bestEnabled(ctx.Enabled)
-			c.prioOf(best)
-			c.nextPrio--
-			c.prio[best] = -1 << 20 // below every base priority
-			_ = c.nextPrio
-			break
+			best := c.bestEnabled(ctx.Enabled) // grows c.prio to cover best
+			c.demotions++
+			c.prio[best] = -c.demotions
 		}
 	}
 	return c.bestEnabled(ctx.Enabled)

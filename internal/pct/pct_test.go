@@ -1,8 +1,10 @@
 package pct
 
 import (
+	"slices"
 	"testing"
 
+	"sctbench/internal/sched"
 	"sctbench/internal/vthread"
 )
 
@@ -81,5 +83,46 @@ func TestPCTRunsHighestPriorityEnabled(t *testing.T) {
 	res := Run(Config{Program: p, Runs: 300, Depth: 3, Seed: 3})
 	if res.BugFound {
 		t.Fatalf("spurious failure: %v", res.Failure)
+	}
+}
+
+// TestPCTDemotionsKeepTheirOrder pins the change-point rule on three
+// threads that stay enabled: demoted threads rank below every base
+// priority and below every earlier demotion (the later demotion runs
+// last, whatever the thread ids), and two change points drawn on the same
+// step both fire.
+func TestPCTDemotionsKeepTheirOrder(t *testing.T) {
+	choose := func(c *Chooser, enabled ...sched.ThreadID) sched.ThreadID {
+		return c.Choose(vthread.Context{Enabled: enabled, SelectOf: vthread.NoThread})
+	}
+	picks := func(c *Chooser, n int) []sched.ThreadID {
+		var got []sched.ThreadID
+		for i := 0; i < n; i++ {
+			got = append(got, choose(c, 0, 1, 2))
+		}
+		return got
+	}
+
+	c := New(1, 3, 10)
+	c.prio = []int{20, 30, 10}
+	c.changePoints = []int{1, 2}
+	// Step 0 runs thread 1; step 1 demotes it, step 2 demotes thread 0.
+	if got, want := picks(c, 3), []sched.ThreadID{1, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("picks = %v, want %v", got, want)
+	}
+	// With thread 2 gone the two demoted threads compete: thread 1 was
+	// demoted first, so it outranks thread 0 although its id is higher.
+	if got := choose(c, 0, 1); got != 1 {
+		t.Errorf("after demoting 1 then 0, chose %d of {0, 1}: the later demotion must run last", got)
+	}
+
+	c = New(1, 3, 10)
+	c.prio = []int{30, 20, 10}
+	c.changePoints = []int{1, 1}
+	if got, want := picks(c, 2), []sched.ThreadID{0, 2}; !slices.Equal(got, want) {
+		t.Errorf("two change points on step 1: picks = %v, want %v (both must fire)", got, want)
+	}
+	if got := choose(c, 0, 1); got != 0 {
+		t.Errorf("after demoting 0 then 1 on one step, chose %d of {0, 1}, want 0", got)
 	}
 }
