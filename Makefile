@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check lint study clean
+.PHONY: all build test bench bench-check loc lint study clean
 
 all: build
 
@@ -20,7 +20,7 @@ test:
 	$(GO) build ./...
 	$(GO) test -race -count=1 ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -count=20 -run 'TestKillAndResumeParallel|Truncat' ./internal/explore/ ./internal/dist/
+	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic' ./internal/explore/ ./internal/dist/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 3x .
@@ -32,6 +32,12 @@ bench:
 # passes command-line variables on to scripts/bench-check.sh.
 bench-check:
 	bash scripts/bench-check.sh
+
+# Size, reproducibly: non-test, non-generated Go lines per package at REV
+# (default HEAD~1) and in the working tree, with the difference — the figure
+# a CHANGES.md "Size:" line quotes. `make loc REV=<rev>`.
+loc:
+	bash scripts/loc.sh $(REV)
 
 lint:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \

@@ -28,15 +28,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"syscall"
 	"time"
 
 	"sctbench/internal/bench"
+	"sctbench/internal/cli"
 	"sctbench/internal/corpus"
 	"sctbench/internal/explore"
 	"sctbench/internal/report"
@@ -44,35 +42,15 @@ import (
 	"sctbench/internal/vthread"
 )
 
-// Exit statuses (also asserted by the CLI tests and the CI resume smoke).
+// The exit-status contract, by its local names.
 const (
-	exitClean     = 0
-	exitBug       = 1
-	exitTruncated = 2
-	exitError     = 3
+	exitClean     = cli.ExitClean
+	exitBug       = cli.ExitBug
+	exitTruncated = cli.ExitTruncated
+	exitError     = cli.ExitError
 )
 
-func main() {
-	interrupt, stop := notifyInterrupt()
-	defer stop()
-	os.Exit(run(os.Args[1:], interrupt, os.Stdout, os.Stderr))
-}
-
-// notifyInterrupt maps the first SIGINT/SIGTERM to closing the returned
-// channel; a second signal kills the process the usual way.
-func notifyInterrupt() (<-chan struct{}, func()) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	interrupt := make(chan struct{})
-	var once sync.Once
-	go func() {
-		for range ch {
-			once.Do(func() { close(interrupt) })
-			signal.Stop(ch)
-		}
-	}()
-	return interrupt, func() { signal.Stop(ch) }
-}
+func main() { cli.Main(run) }
 
 // run is the testable entry point: parses args, runs the study, renders
 // the reports, and returns the exit status.

@@ -23,14 +23,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"sctbench/internal/bench"
+	"sctbench/internal/cli"
 	"sctbench/internal/explore"
 	"sctbench/internal/mapleidiom"
 	"sctbench/internal/race"
@@ -39,36 +37,15 @@ import (
 	"sctbench/internal/vthread"
 )
 
-// Exit statuses (also asserted by the CLI tests and the CI resume smoke).
+// The exit-status contract, by its local names.
 const (
-	exitClean     = 0
-	exitBug       = 1
-	exitTruncated = 2
-	exitError     = 3
+	exitClean     = cli.ExitClean
+	exitBug       = cli.ExitBug
+	exitTruncated = cli.ExitTruncated
+	exitError     = cli.ExitError
 )
 
-func main() {
-	interrupt, stop := notifyInterrupt()
-	defer stop()
-	os.Exit(run(os.Args[1:], interrupt, os.Stdout, os.Stderr))
-}
-
-// notifyInterrupt maps the first SIGINT/SIGTERM to closing the returned
-// channel — the explore drivers poll it once per execution and flush a
-// checkpoint. A second signal kills the process the usual way.
-func notifyInterrupt() (<-chan struct{}, func()) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	interrupt := make(chan struct{})
-	var once sync.Once
-	go func() {
-		for range ch {
-			once.Do(func() { close(interrupt) })
-			signal.Stop(ch)
-		}
-	}()
-	return interrupt, func() { signal.Stop(ch) }
-}
+func main() { cli.Main(run) }
 
 // run is the testable entry point: parses args, runs, and returns the
 // exit status. interrupt may be nil (no signal handling, as in tests that
@@ -81,7 +58,7 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 	limit := fs.Int("limit", explore.DefaultLimit, "terminal-schedule limit")
 	seed := fs.Uint64("seed", 1, "random seed")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"schedule-exploration worker goroutines (1 = sequential; applies to ipb/idb/dfs/rand)")
+		"schedule-exploration worker goroutines (1 = sequential; applies to ipb/idb/dfs/dpor/rand)")
 	noRace := fs.Bool("norace", false, "skip the race-detection phase (every access visible)")
 	replay := fs.Bool("replay", false, "replay the witness schedule and print it")
 	minimize := fs.Bool("minimize", false, "simplify the witness (merge blocks, reduce preemptions)")
@@ -155,31 +132,25 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 		Meta: explore.CheckpointMeta{Benchmark: b.Name, Racy: racyVars, NoRace: *noRace},
 	}
 
-	if strings.EqualFold(*tech, "sleepset") {
-		res := explore.RunSleepSetDFS(cfg)
-		return reportSleepSet(b, visible, racyVars, res, *ckPath, *replay, *minimize, *savePath, *logTrace, stdout, stderr)
-	}
-
-	var t explore.Technique
-	switch strings.ToLower(*tech) {
-	case "ipb":
-		t = explore.IPB
-	case "idb":
-		t = explore.IDB
-	case "dfs":
-		t = explore.DFS
-	case "dpor":
-		t = explore.DPOR
-	case "rand":
-		t = explore.Rand
-	default:
+	// maple, above, and sleepset are the two names that are not an
+	// explore.Technique.
+	var res *explore.Result
+	techName := sleepSet
+	if strings.EqualFold(*tech, sleepSet) {
+		res = explore.RunSleepSetDFS(cfg)
+	} else if t, ok := explore.ParseTechnique(*tech); ok {
+		res, techName = explore.Run(t, cfg), t.String()
+	} else {
 		fmt.Fprintf(stderr, "unknown technique %q\n", *tech)
 		return exitError
 	}
-	res := explore.Run(t, cfg)
-	return reportResult(b, visible, racyVars, t.String(), res, *ckPath,
+	return reportResult(b, visible, racyVars, techName, res, *ckPath,
 		*replay, *minimize, *savePath, *logTrace, stdout, stderr)
 }
+
+// sleepSet is sleep-set DFS's name on the command line, in checkpoints and in
+// saved witnesses.
+const sleepSet = "sleepset"
 
 // resumeRun continues an exploration from a frontier checkpoint. The
 // benchmark and the promoted variable set come from the checkpoint itself
@@ -223,9 +194,6 @@ func resumeRun(path, ckPath, name string, workers int, deadline time.Time, inter
 		fmt.Fprintln(stderr, err)
 		return exitError
 	}
-	if ck.Technique == "sleepset" {
-		return reportSleepSet(b, visible, ck.Racy, res, ckPath, replay, minimize, savePath, logTrace, stdout, stderr)
-	}
 	return reportResult(b, visible, ck.Racy, ck.Technique, res, ckPath,
 		replay, minimize, savePath, logTrace, stdout, stderr)
 }
@@ -257,8 +225,9 @@ func truncatedStatus(res *explore.Result, ckPath string, stdout io.Writer) bool 
 	return true
 }
 
-// reportResult prints an exploration summary and maps it to an exit
-// status: a found bug outranks truncation.
+// reportResult prints an exploration summary — sleep-set DFS has a phrasing
+// of its own — and maps it to an exit status: a found bug outranks
+// truncation.
 func reportResult(b *bench.Benchmark, visible func(string) bool, racy []string, tech string,
 	res *explore.Result, ckPath string, replay, minimize bool, savePath string, logTrace bool,
 	stdout, stderr io.Writer) int {
@@ -268,40 +237,30 @@ func reportResult(b *bench.Benchmark, visible func(string) bool, racy []string, 
 		fmt.Fprintf(stdout, "DPOR: %d executions (%d aborted as redundant, %d branches pruned, %d total steps)\n",
 			res.Executions, res.AbortedExecutions, res.BranchesPruned, res.TotalSteps)
 	}
-	if !res.BugFound {
-		fmt.Fprintf(stdout, "%s: no bug within %d schedules (bound reached %d, complete=%v)\n",
-			tech, res.Schedules, res.Bound, res.Complete)
-		if truncated {
-			return exitTruncated
-		}
-		return exitClean
-	}
-	fmt.Fprintf(stdout, "%s: bug at bound %d after %d schedules (%d total within bound, %d buggy)\n",
-		tech, res.Bound, res.SchedulesToFirstBug, res.Schedules, res.BuggySchedules)
-	fmt.Fprintf(stdout, "failure: %v\n", res.Failure)
-	fmt.Fprintf(stdout, "witness: %v\n", res.Witness)
-	finishWitness(b, visible, racy, res.Witness, tech, replay, minimize, savePath, logTrace, stdout, stderr)
-	return exitBug
-}
-
-// reportSleepSet is reportResult with the sleep-set DFS phrasing.
-func reportSleepSet(b *bench.Benchmark, visible func(string) bool, racy []string,
-	res *explore.Result, ckPath string, replay, minimize bool, savePath string, logTrace bool,
-	stdout, stderr io.Writer) int {
-	warnWorkerPanics(res, stderr)
-	truncated := truncatedStatus(res, ckPath, stdout)
-	if !res.BugFound {
+	switch {
+	case !res.BugFound && tech == sleepSet:
 		fmt.Fprintf(stdout, "sleep-set DFS: no bug within %d schedules (complete=%v, %d of %d executions aborted as redundant)\n",
 			res.Schedules, res.Complete, res.AbortedExecutions, res.Executions)
-		if truncated {
-			return exitTruncated
-		}
-		return exitClean
+	case !res.BugFound:
+		fmt.Fprintf(stdout, "%s: no bug within %d schedules (bound reached %d, complete=%v)\n",
+			tech, res.Schedules, res.Bound, res.Complete)
+	case tech == sleepSet:
+		fmt.Fprintf(stdout, "sleep-set DFS: bug after %d schedules (%d executions, %d aborted as redundant): %v\n",
+			res.SchedulesToFirstBug, res.Executions, res.AbortedExecutions, res.Failure)
+	default:
+		fmt.Fprintf(stdout, "%s: bug at bound %d after %d schedules (%d total within bound, %d buggy)\n",
+			tech, res.Bound, res.SchedulesToFirstBug, res.Schedules, res.BuggySchedules)
+		fmt.Fprintf(stdout, "failure: %v\n", res.Failure)
+		fmt.Fprintf(stdout, "witness: %v\n", res.Witness)
 	}
-	fmt.Fprintf(stdout, "sleep-set DFS: bug after %d schedules (%d executions, %d aborted as redundant): %v\n",
-		res.SchedulesToFirstBug, res.Executions, res.AbortedExecutions, res.Failure)
-	finishWitness(b, visible, racy, res.Witness, "sleepset", replay, minimize, savePath, logTrace, stdout, stderr)
-	return exitBug
+	if res.BugFound {
+		finishWitness(b, visible, racy, res.Witness, tech, replay, minimize, savePath, logTrace, stdout, stderr)
+		return exitBug
+	}
+	if truncated {
+		return exitTruncated
+	}
+	return exitClean
 }
 
 // finishWitness applies the post-discovery workflow: optional

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sctbench/internal/explore"
 	"sctbench/internal/faultinject"
 )
 
@@ -114,6 +115,36 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("corrupt checkpoint exited %d, want %d", code, exitError)
 	}
 	if !strings.Contains(errOut, "corrupt or truncated") {
+		t.Fatalf("error does not say what is wrong: %s", errOut)
+	}
+}
+
+// TestResumeRejectsMisfitFrontier: a checkpoint whose frontier names a thread
+// the program never offers is an error with a message (status 3) — not a Go
+// runtime crash, whose status 2 would read as "truncated, no bug".
+func TestResumeRejectsMisfitFrontier(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	p := filepath.Join(t.TempDir(), "ck.json")
+	faultinject.Arm(faultinject.ExploreInterrupt, 6)
+	code, out, _ := runCLI(t, "-bench", "CS.account_bad", "-technique", "dfs",
+		"-limit", "200", "-workers", "1", "-norace", "-checkpoint", p)
+	faultinject.Reset()
+	if code != exitTruncated {
+		t.Fatalf("interrupted run exited %d, want %d\n%s", code, exitTruncated, out)
+	}
+	ck, err := explore.LoadCheckpoint(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Engine.Nodes[1].Order[0] = 77
+	if err := ck.Save(p); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := runCLI(t, "-resume", p, "-workers", "1")
+	if code != exitError {
+		t.Fatalf("misfit checkpoint exited %d, want %d", code, exitError)
+	}
+	if !strings.Contains(errOut, "frontier does not fit this program") {
 		t.Fatalf("error does not say what is wrong: %s", errOut)
 	}
 }

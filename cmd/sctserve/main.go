@@ -37,50 +37,27 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"sctbench/internal/bench"
+	"sctbench/internal/cli"
 	"sctbench/internal/dist"
 	"sctbench/internal/explore"
 	"sctbench/internal/race"
 	"sctbench/internal/report"
 )
 
-// Exit statuses (also asserted by the CLI tests and the CI distributed
-// smoke).
+// The exit-status contract, by its local names.
 const (
-	exitClean     = 0
-	exitBug       = 1
-	exitTruncated = 2
-	exitError     = 3
+	exitClean     = cli.ExitClean
+	exitBug       = cli.ExitBug
+	exitTruncated = cli.ExitTruncated
+	exitError     = cli.ExitError
 )
 
-func main() {
-	interrupt, stop := notifyInterrupt()
-	defer stop()
-	os.Exit(run(os.Args[1:], interrupt, os.Stdout, os.Stderr))
-}
-
-// notifyInterrupt maps the first SIGINT/SIGTERM to closing the returned
-// channel — the coordinator drains, workers park. A second signal kills
-// the process the usual way.
-func notifyInterrupt() (<-chan struct{}, func()) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	interrupt := make(chan struct{})
-	var once sync.Once
-	go func() {
-		for range ch {
-			once.Do(func() { close(interrupt) })
-			signal.Stop(ch)
-		}
-	}()
-	return interrupt, func() { signal.Stop(ch) }
-}
+func main() { cli.Main(run) }
 
 // run is the testable entry point.
 func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int {
@@ -122,15 +99,16 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 		deadline = time.Now().Add(*maxWall)
 	}
 
-	if *local {
-		return runLocal(*name, *tech, *limit, *seed, *noRace, deadline, interrupt,
-			*ckPath, *csvOut, stdout, stderr)
-	}
-
-	t, ok := parseTechnique(*tech)
-	if !ok {
+	// Rand's runs are independent: there is no tree to partition.
+	t, ok := explore.ParseTechnique(*tech)
+	if !ok || t == explore.Rand {
 		fmt.Fprintf(stderr, "unknown technique %q (want dfs, ipb, idb or dpor)\n", *tech)
 		return exitError
+	}
+
+	if *local {
+		return runLocal(*name, t, *limit, *seed, *noRace, deadline, interrupt,
+			*ckPath, *csvOut, stdout, stderr)
 	}
 
 	var c *dist.Coordinator
@@ -166,14 +144,7 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 			fmt.Fprintf(stderr, "unknown benchmark %q (use sctrun -list)\n", *name)
 			return exitError
 		}
-		var racy []string
-		if !*noRace {
-			phase := race.RunPhase(race.PhaseConfig{
-				Program: b.New(), Seed: *seed, MaxSteps: b.MaxSteps, BoundsCheck: b.BoundsCheck,
-			})
-			racy = phase.Racy
-			fmt.Fprintf(stderr, "race phase: %d racy variable(s): %s\n", len(racy), strings.Join(racy, ", "))
-		}
+		racy := racePhase(b, *seed, *noRace, stderr)
 		var err error
 		c, err = dist.NewCoordinator(dist.JobConfig{
 			Bench: b, Technique: t, Limit: *limit, Seed: *seed,
@@ -226,20 +197,6 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 	return report1(benchName, techName, res, *ckPath, *csvOut, stdout, stderr)
 }
 
-func parseTechnique(s string) (explore.Technique, bool) {
-	switch strings.ToLower(s) {
-	case "dfs":
-		return explore.DFS, true
-	case "ipb":
-		return explore.IPB, true
-	case "idb":
-		return explore.IDB, true
-	case "dpor":
-		return explore.DPOR, true
-	}
-	return 0, false
-}
-
 // runWorker is worker mode: connect, execute leased units until the job
 // ends, exit clean.
 func runWorker(connect, name string, interrupt <-chan struct{}, stderr io.Writer) int {
@@ -261,28 +218,18 @@ func runWorker(connect, name string, interrupt <-chan struct{}, stderr io.Writer
 // runLocal runs the job sequentially in one process — no server, no
 // leases — producing the baseline artifact a distributed run of the same
 // job must reproduce bit-identically (DFS/IPB/IDB, completed runs).
-func runLocal(name, tech string, limit int, seed uint64, noRace bool,
+func runLocal(name string, t explore.Technique, limit int, seed uint64, noRace bool,
 	deadline time.Time, interrupt <-chan struct{}, ckPath string, csvOut bool,
 	stdout, stderr io.Writer) int {
-	t, ok := parseTechnique(tech)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown technique %q (want dfs, ipb, idb or dpor)\n", tech)
-		return exitError
-	}
 	b := bench.ByName(name)
 	if b == nil {
 		fmt.Fprintf(stderr, "unknown benchmark %q (use sctrun -list)\n", name)
 		return exitError
 	}
+	racy := racePhase(b, seed, noRace, stderr)
 	var visible func(string) bool
-	var racy []string
 	if !noRace {
-		phase := race.RunPhase(race.PhaseConfig{
-			Program: b.New(), Seed: seed, MaxSteps: b.MaxSteps, BoundsCheck: b.BoundsCheck,
-		})
-		racy = phase.Racy
 		visible = race.Promoted(racy)
-		fmt.Fprintf(stderr, "race phase: %d racy variable(s): %s\n", len(racy), strings.Join(racy, ", "))
 	}
 	res := explore.Run(t, explore.Config{
 		Program: b.New(), Visible: visible, BoundsCheck: b.BoundsCheck,
@@ -291,6 +238,19 @@ func runLocal(name, tech string, limit int, seed uint64, noRace bool,
 		Meta: explore.CheckpointMeta{Benchmark: b.Name, Racy: racy, NoRace: noRace},
 	})
 	return report1(b.Name, t.String(), res, ckPath, csvOut, stdout, stderr)
+}
+
+// racePhase runs the race-detection phase, unless disabled, and returns the
+// variables it promotes.
+func racePhase(b *bench.Benchmark, seed uint64, noRace bool, stderr io.Writer) []string {
+	if noRace {
+		return nil
+	}
+	racy := race.RunPhase(race.PhaseConfig{
+		Program: b.New(), Seed: seed, MaxSteps: b.MaxSteps, BoundsCheck: b.BoundsCheck,
+	}).Racy
+	fmt.Fprintf(stderr, "race phase: %d racy variable(s): %s\n", len(racy), strings.Join(racy, ", "))
+	return racy
 }
 
 // report1 prints one job result and maps it to the exit-status contract.

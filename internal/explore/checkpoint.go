@@ -1,14 +1,18 @@
 package explore
 
-// Checkpoint/resume: crash-safe exploration. The sequential drivers and the
-// parallel pool serialize their live frontier — the branch-keyed stack (or
-// parked unit set) of the depth-first walk, per-node backtrack/sleep/done
-// state for the pruning engines, and every counter of the partial Result —
-// into a versioned JSON file, and Resume reconstructs the search from it.
-// A checkpoint is only ever taken when an engine is *positioned to run*:
-// after a successful backtrack (or on a fresh engine), before the next
-// runOnce. Restoring such a state and re-entering the driver loop therefore
-// continues the exact schedule enumeration, so a killed-and-resumed
+// Checkpoint/resume: crash-safe exploration. Every driver serializes the
+// live units of the pass it is in — each a branch-keyed depth-first stack,
+// with per-node backtrack/sleep/done state for the pruning engines, and its
+// tallies so far — next to the Result earlier passes committed, into a
+// versioned JSON file, and Resume reconstructs the search from it. The file
+// has two shapes for a tree search, told apart by what they hold: the
+// sequential driver's one root unit (top-level engine, bound and boundExecs,
+// the pass folded into the partial Result — sequentialCheckpoint) and the
+// pool's or coordinator's unit set (PoolState). A checkpoint is only ever
+// taken when an engine is *positioned to run*: at the top of the unit loop
+// (exploreUnit), after a successful backtrack or on a fresh engine, before
+// the next execution. Restoring such a state and re-entering that loop
+// therefore continues the exact schedule enumeration, so a killed-and-resumed
 // exploration finishes with bit-identical counts and witnesses to an
 // uninterrupted one — sequential or pool, complete or cut by Limit
 // (verdict-identical for parallel DPOR, whose counts already depend on
@@ -75,13 +79,14 @@ type Checkpoint struct {
 	Racy      []string `json:"racy,omitempty"`
 	NoRace    bool     `json:"noRace,omitempty"`
 
-	// Result is the partial result at the moment of interruption. Fields
-	// the drivers fill only at exit (Executions, the engines' pruning
-	// tallies) are reconstructed from the engine state on resume.
+	// Result is the partial result at the moment of interruption. In a
+	// sequential file it has the interrupted pass folded in, except for
+	// Executions and the engines' pruning tallies, which the engine state
+	// carries; in a pool file it is the pre-merge baseline (PoolState).
 	Result *Result `json:"result"`
 
-	// Engine is the sequential frontier (nil for parallel checkpoints and
-	// for Rand, which has no frontier).
+	// Engine is the sequential driver's root unit (nil for pool checkpoints
+	// and for Rand, which has no frontier).
 	Engine *EngineState `json:"engine,omitempty"`
 
 	// Bound and BoundExecs are the iterative-bounding sweep position:
@@ -283,9 +288,9 @@ func (s StopReason) String() string {
 }
 
 // stopCtl is the shared stop signal of one exploration: polled once before
-// every execution by the sequential drivers and by every pool worker. The
-// fast path when nothing is configured and nothing armed is two nil checks
-// and one atomic load.
+// every execution by runSequential, every Rand sweeper and every pool
+// worker. The fast path when nothing is configured and nothing armed is two
+// nil checks and one atomic load.
 type stopCtl struct {
 	interrupt <-chan struct{}
 	deadline  time.Time
@@ -306,6 +311,13 @@ func (c *stopCtl) trip(r StopReason) {
 	c.tripped.CompareAndSwap(0, int32(r)+1)
 }
 
+// crash is a simulated death in the middle of a periodic checkpoint write
+// (faultinject): stop as if killed, leaving on disk whatever the crash left.
+func (c *stopCtl) crash() {
+	c.crashed.Store(true)
+	c.trip(StopInterrupted)
+}
+
 // reason returns the latched stop reason, false while running.
 func (c *stopCtl) reason() (StopReason, bool) {
 	if v := c.tripped.Load(); v != 0 {
@@ -316,9 +328,6 @@ func (c *stopCtl) reason() (StopReason, bool) {
 
 // poll checks every stop source and latches the first that fires.
 func (c *stopCtl) poll() (StopReason, bool) {
-	if c == nil {
-		return StopCompleted, false
-	}
 	if v := c.tripped.Load(); v != 0 {
 		return StopReason(v - 1), true
 	}
@@ -343,7 +352,6 @@ func (c *stopCtl) poll() (StopReason, bool) {
 
 // ckWriter paces periodic checkpoint writes by execution count.
 type ckWriter struct {
-	path  string
 	every int
 	last  int
 }
@@ -352,7 +360,7 @@ func newCkWriter(cfg Config) *ckWriter {
 	if cfg.CheckpointPath == "" || cfg.CheckpointEvery <= 0 {
 		return nil
 	}
-	return &ckWriter{path: cfg.CheckpointPath, every: cfg.CheckpointEvery}
+	return &ckWriter{every: cfg.CheckpointEvery}
 }
 
 // due reports that another periodic write is owed at this execution count.
@@ -648,16 +656,44 @@ func restoreDPOR(cfg Config, st *EngineState) (*dporEngine, error) {
 // ---------------------------------------------------------------------------
 // Resume.
 
+// sequentialCheckpoint snapshots runSequential between two executions of a
+// pass's root unit, in the sequential shape version 1 has always had: one
+// engine frontier next to a partial Result with the pass folded in. It folds
+// the unit into a copy of the committed r the way a pass stopped from outside
+// is folded (Commit: the tallies, no verdict) and leaves the two counters the
+// engine state carries, Executions and BranchesPruned, to it; e.Stopped is
+// why the run is stopping, StopCompleted for a periodic snapshot.
+func sequentialCheckpoint(cfg Config, r *Result, e PassEnd, eng searcher, res *UnitResultState) *Checkpoint {
+	part, why := *r, e.Stopped
+	e.Stopped = StopInterrupted
+	m := MergeUnitStates([]*UnitResultState{res}, e.Limit-e.Counted)
+	m.Commit(&part, e)
+	part.Stopped = why
+	part.Executions, part.BranchesPruned = 0, 0
+	ck := newCheckpoint(cfg, eng.techName(), &part)
+	ck.Engine = eng.snapshot()
+	if e.Iterative {
+		ck.Bound, ck.BoundExecs = e.Bound, r.Executions
+	}
+	return ck
+}
+
 // Resume reconstructs an interrupted exploration from a checkpoint and
 // runs it onward — to completion, the limit, or the next interruption.
 // cfg supplies the program and environment (Program, Visible, BoundsCheck,
 // MaxSteps, Debug, Workers) plus fresh stop/checkpoint controls; the search
 // parameters (Limit, Seed, MaxBound, MaxExecutions) come from the
-// checkpoint. A sequential checkpoint resumes sequentially regardless of
-// cfg.Workers; a parallel (pool) checkpoint resumes on the pool; Rand
-// checkpoints carry no frontier and resume on either driver with identical
-// results.
-func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
+// checkpoint. Every shape resumes the same way — a baseline Result, the live
+// units of the interrupted pass, and the driver that wrote them: a
+// sequential file is one positioned root unit and resumes on runSequential
+// whatever cfg.Workers says, a pool file resumes on the pool, and a Rand file
+// carries no frontier and resumes at any worker count with identical results.
+//
+// A frontier that does not fit cfg.Program (a hand-edited file, or a program
+// that changed since it was written) makes the engine replay a choice the
+// program does not offer; the substrate reports that as a chooser-misuse
+// panic, and Resume returns it as an error, whichever driver met it.
+func Resume(ck *Checkpoint, cfg Config) (res *Result, err error) {
 	if err := ck.validate(); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -673,18 +709,44 @@ func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
 	// stop early, so a natural finish must read completed).
 	r.Stopped = StopCompleted
 	r.CheckpointError = ""
-	if ck.Pool != nil {
-		return resumeParallel(ck, cfg, r)
+	tech, ok := ParseTechnique(ck.Technique)
+	if ck.Technique == "sleepset" && ck.Pool == nil { // a sequential-only form of DFS
+		tech, ok = DFS, true
 	}
-	if ck.Technique == "Rand" {
+	if !ok || tech != r.Technique {
+		return nil, fmt.Errorf("checkpoint: technique %q does not match its result's (%s)", ck.Technique, r.Technique)
+	}
+	if tech == Rand {
 		if ck.NextRun < 0 || ck.NextRun > cfg.Limit {
 			return nil, fmt.Errorf("checkpoint: nextRun %d out of range", ck.NextRun)
 		}
-		if cfg.Workers > 1 {
-			return runRandParallel(cfg, r, ck.NextRun), nil
-		}
-		return randSequential(cfg, r, ck.NextRun), nil
+		return runRand(cfg, r, ck.NextRun), nil
 	}
+
+	misfit := func(panicMsg string) error {
+		if !vthread.IsChooserMisuse(panicMsg) {
+			return nil
+		}
+		return fmt.Errorf("checkpoint: frontier does not fit this program (%s)", panicMsg)
+	}
+	if ps := ck.Pool; ps != nil {
+		units := make([]*unit, len(ps.Units))
+		for i := range ps.Units {
+			us := &ps.Units[i]
+			eng, err := restoreSearcher(cfg, us.Engine)
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: unit %d: %w", i, err)
+			}
+			units[i] = &unit{eng: eng, key: us.Key, positioned: us.Positioned, res: us.Partial.clone()}
+		}
+		ps.RebaseWork(r)
+		runPasses(cfg, r, ck.Bound, units, ps)
+		if err := misfit(r.WorkerPanicMsg); err != nil { // contained: a forfeited unit
+			return nil, err
+		}
+		return r, nil
+	}
+
 	eng, err := restoreSearcher(cfg, ck.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -693,36 +755,34 @@ func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("checkpoint: technique %s with the engine state of a %s search",
 			ck.Technique, eng.techName())
 	}
-	if e, ok := eng.(*engine); ok && e.model != CostNone {
-		if e.bound != ck.Bound {
+	// The file's Result has the interrupted pass folded in (see
+	// sequentialCheckpoint). Read it as what it is: the baseline earlier
+	// passes committed, plus one positioned unit whose tallies so far are the
+	// pass's counted schedules and the engine's executions — everything else
+	// the pass found stays in the baseline, where the merge only adds to it.
+	unit := &UnitResultState{Schedules: r.Schedules, Executions: ck.Engine.Executions}
+	if tech == IPB || tech == IDB {
+		if ck.Engine.Bound != ck.Bound {
 			return nil, fmt.Errorf("checkpoint: engine bound %d does not match %s at bound %d",
-				e.bound, ck.Technique, ck.Bound)
+				ck.Engine.Bound, ck.Technique, ck.Bound)
 		}
-		return iterSequential(cfg, e.model, r, ck.Bound, ck.BoundExecs, e), nil
+		unit.Schedules = r.NewSchedules
 	}
-	return runSequentialTree(cfg, r, eng), nil
-}
-
-// resumeParallel reconstructs a suspended pool job.
-func resumeParallel(ck *Checkpoint, cfg Config, r *Result) (*Result, error) {
-	ps := ck.Pool
-	units := make([]*unit, len(ps.Units))
-	for i := range ps.Units {
-		us := &ps.Units[i]
-		eng, err := restoreSearcher(cfg, us.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: unit %d: %w", i, err)
+	if unit.Schedules < 0 || unit.Schedules > r.Schedules {
+		return nil, fmt.Errorf("checkpoint: a pass of %d schedules in a total of %d", unit.Schedules, r.Schedules)
+	}
+	r.Schedules -= unit.Schedules
+	r.Executions = ck.BoundExecs
+	defer func() {
+		// runSequential contains nothing: the panic arrives here as it was.
+		if rec := recover(); rec != nil {
+			if err = misfit(fmt.Sprint(rec)); err == nil {
+				panic(rec)
+			}
+			res = nil
 		}
-		units[i] = &unit{eng: eng, key: us.Key, positioned: us.Positioned, res: us.Partial.clone()}
-	}
-	ps.RebaseWork(r)
-	if tech, ok := ParseTechnique(ck.Technique); !ok || tech != r.Technique {
-		return nil, fmt.Errorf("checkpoint: technique %q does not match its result's (%s)", ck.Technique, r.Technique)
-	}
-	if _, err := newSearcher(cfg, r.Technique, ck.Bound); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return runPasses(cfg, r, ck.Bound, units, ps), nil
+	}()
+	return runSequential(cfg, r, ck.Bound, eng, unit), nil
 }
 
 // clone copies a unit's tallies so a run can extend them without writing

@@ -176,6 +176,32 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 			requireSameResult(t, "resume from periodic snapshot", base, res)
 		})
 	}
+	// Rand paces periodic checkpoints by folded runs at every worker count.
+	t.Run("Rand/workers=4", func(t *testing.T) {
+		base := RunRand(ckCfg(t, "CS.account_bad", limit))
+		path := filepath.Join(t.TempDir(), "ck.json")
+		cfg := ckCfg(t, "CS.account_bad", limit)
+		cfg.Workers = 4
+		cfg.CheckpointPath = path
+		cfg.CheckpointEvery = 3
+		requireSameResult(t, "periodic-checkpointed run", base, RunRand(cfg))
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("no periodic checkpoint left behind: %v", err)
+		}
+		if ck.NextRun <= 0 || ck.NextRun >= limit || ck.Result.Stopped != StopCompleted {
+			t.Fatalf("left behind nextRun %d, Stopped %v: not a periodic snapshot", ck.NextRun, ck.Result.Stopped)
+		}
+		for _, workers := range []int{1, 4} {
+			cfg := ckCfg(t, "CS.account_bad", limit)
+			cfg.Workers = workers
+			res, err := Resume(ck, cfg)
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			requireSameResult(t, fmt.Sprintf("resume at workers=%d", workers), base, res)
+		}
+	})
 }
 
 // TestDeadlineStops: an already-expired wall-clock deadline stops the
@@ -449,6 +475,107 @@ func TestResumeRejectsOldSleepSetCheckpoint(t *testing.T) {
 	_, err = Resume(ck, ckCfg(t, "CS.account_bad", 100))
 	if err == nil || !strings.Contains(err.Error(), "inconsistent frontier node") {
 		t.Fatalf("Resume(old sleepset checkpoint) = %v, want an inconsistent-frontier error", err)
+	}
+}
+
+// TestResumeRejectsMisfitFrontier: a structurally sound frontier that names
+// a thread the program never offers (a hand-edited file, or a program that
+// changed since the file was written) makes the engine replay a choice that
+// is not enabled. The substrate panics; Resume must return that as an error,
+// not crash the process — for the tree and for a bound of a sweep.
+func TestResumeRejectsMisfitFrontier(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	for _, tech := range ckTechniques[:2] { // DFS, IPB
+		t.Run(tech.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.json")
+			cfg := ckCfg(t, "CS.account_bad", 100)
+			cfg.CheckpointPath = path
+			faultinject.Arm(faultinject.ExploreInterrupt, 6)
+			tech.run(cfg)
+			faultinject.Reset()
+			ck, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Engine.Nodes[1].Order[0] = 77
+			res, err := Resume(ck, ckCfg(t, "CS.account_bad", 100))
+			if err == nil || !strings.Contains(err.Error(), "frontier does not fit this program") ||
+				!strings.Contains(err.Error(), "thread 77") {
+				t.Fatalf("Resume(misfit frontier) = %v, %v; want a does-not-fit error naming thread 77", res, err)
+			}
+			if res != nil {
+				t.Fatalf("Resume returned a result next to its error: %+v", res)
+			}
+		})
+	}
+	// The pool contains the panic as a forfeited unit; Resume still says why.
+	t.Run("pool", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		cfg := ckCfg(t, "CS.account_bad", 300)
+		cfg.Workers = 2
+		cfg.CheckpointPath = path
+		faultinject.Arm(faultinject.ExploreInterrupt, 10)
+		r := RunDFS(cfg)
+		faultinject.Reset()
+		if r.Stopped != StopInterrupted {
+			t.Skipf("the pool finished before its 10th poll (Stopped = %v)", r.Stopped)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range ck.Pool.Units {
+			if len(u.Engine.Nodes) > 0 {
+				u.Engine.Nodes[0].Order[0] = 77 // the root choice every unit replays
+			}
+		}
+		cfg = ckCfg(t, "CS.account_bad", 300)
+		cfg.Workers = 2
+		res, err := Resume(ck, cfg)
+		if err == nil || !strings.Contains(err.Error(), "frontier does not fit this program") || res != nil {
+			t.Fatalf("Resume(misfit pool frontier) = %v, %v; want a does-not-fit error", res, err)
+		}
+	})
+}
+
+// TestResumeGoldenCheckpoints resumes files this build did not write: the
+// four checkpoints pinned in golden_checkpoint.json are bytes an earlier
+// build's drivers produced, and each must finish as the uninterrupted run of
+// the same configuration does.
+func TestResumeGoldenCheckpoints(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden_checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &files); err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func(Config) *Result{
+		"dfs":  RunDFS,
+		"ipb":  func(c Config) *Result { return RunIterative(c, CostPreemptions) },
+		"dpor": RunDPOR,
+		"rand": RunRand,
+	}
+	if len(files) != len(runs) {
+		t.Fatalf("golden file holds %d checkpoints, want %d", len(files), len(runs))
+	}
+	for key, run := range runs {
+		t.Run(key, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), key+".json")
+			if err := os.WriteFile(path, files[key], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			res, err := Resume(ck, ckCfg(t, "CS.account_bad", 100))
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			requireSameResult(t, "resumed pinned checkpoint", run(ckCfg(t, "CS.account_bad", 100)), res)
+		})
 	}
 }
 

@@ -100,13 +100,8 @@ func replayFirst(t Technique, techName string, cfg Config, cold func(Config) *Re
 			out := ex.RunWith(rep, nil, cfg.Program)
 			replays++
 			if out.Buggy() && !rep.Failed() {
-				r := &Result{Technique: t, BugFound: true, CorpusHit: true}
-				r.observe(out)
-				r.Failure = out.Failure
-				r.Witness = out.Trace.Clone()
-				r.Schedules = replays
-				r.SchedulesToFirstBug = replays
-				r.BuggySchedules = 1
+				r := earlyBug(t, out, replays)
+				r.CorpusHit = true
 				if i > 0 {
 					// The witnesses before this one went stale; drop them.
 					entry.Witnesses = entry.Witnesses[i:]
@@ -135,14 +130,7 @@ func replayFirst(t Technique, techName string, cfg Config, cold func(Config) *Re
 				out := ex.RunWith(probe, nil, cfg.Program)
 				probes++
 				if out.Buggy() {
-					r := &Result{Technique: t, BugFound: true}
-					r.observe(out)
-					r.Failure = out.Failure
-					r.Witness = out.Trace.Clone()
-					r.Schedules = replays + probes
-					r.SchedulesToFirstBug = replays + probes
-					r.BuggySchedules = 1
-					early = r
+					early = earlyBug(t, out, replays+probes)
 					break
 				}
 			}
@@ -201,6 +189,17 @@ func replayFirst(t Technique, techName string, cfg Config, cold func(Config) *Re
 	return res
 }
 
+// earlyBug is the result of a replay-first phase whose n-th execution, out,
+// reproduced a bug: the search itself never runs.
+func earlyBug(t Technique, out *vthread.Outcome, n int) *Result {
+	r := &Result{Technique: t, BugFound: true, Failure: out.Failure, Witness: out.Trace.Clone(),
+		Schedules: n, SchedulesToFirstBug: n, BuggySchedules: 1, TotalSteps: int64(len(out.Trace))}
+	var s RunStats
+	s.observe(out)
+	s.foldInto(r)
+	return r
+}
+
 // captureFrontier extracts the deepest unexplored-node prefixes from a
 // truncated sequential search into cfg.frontier. Complete runs have no
 // frontier; parallel runs don't capture (their frontier lives across
@@ -210,26 +209,10 @@ func captureFrontier(cfg Config, r *Result, eng searcher) {
 	if cfg.frontier == nil || r.Complete {
 		return
 	}
-	st := eng.snapshot()
-	if st == nil || len(st.Nodes) == 0 {
-		return
-	}
-	n := len(st.Nodes)
-	keep := n
-	if keep > maxFrontierPrefixes {
-		keep = maxFrontierPrefixes
-	}
-	out := make([]sched.Schedule, 0, keep)
-	for i := n - keep; i < n; i++ {
-		order := st.Nodes[i].Order
-		if len(order) == 0 {
-			continue
+	nodes := eng.snapshot().Nodes
+	for _, nd := range nodes[max(0, len(nodes)-maxFrontierPrefixes):] {
+		if len(nd.Order) > 0 {
+			*cfg.frontier = append(*cfg.frontier, mapSlice(nd.Order, intToThread))
 		}
-		p := make(sched.Schedule, len(order))
-		for j, v := range order {
-			p[j] = sched.ThreadID(v)
-		}
-		out = append(out, p)
 	}
-	*cfg.frontier = append(*cfg.frontier, out...)
 }

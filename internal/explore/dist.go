@@ -4,10 +4,11 @@ package explore
 // (internal/dist) builds on. There is one set of unit types — UnitState
 // frontiers travel from coordinator to worker, UnitResultState tallies
 // travel back, and the pool fills and checkpoints the very same structs —
-// one unit step (exploreUnit, which RunUnit and the pool worker both
-// drive), one merge (MergeUnitStates) and one early-stop rule
-// (BudgetReached), all in parallel.go. What a distributed job adds is only
-// what this file holds: sharding up front, and running one leased unit.
+// one unit step (exploreUnit, which RunUnit, the pool worker and the
+// sequential driver all drive), one merge (MergeUnitStates) and one
+// early-stop rule (BudgetReached), all in parallel.go. What a distributed
+// job adds is only what this file holds: sharding up front, and running one
+// leased unit.
 //
 // The distributed partitioning deliberately differs from the pool's in one
 // way: there is NO worker-side donation. The pool donates lazily because
@@ -113,7 +114,7 @@ type UnitRun struct {
 
 // RunUnit restores a unit's frontier and explores it to exhaustion, the
 // budget, or the poll callback's verdict — the pool worker's unit step
-// (exploreUnit) over a leased unit. poll (nil = never stop early) runs
+// (exploreContained) over a leased unit. poll (nil = never stop early) runs
 // before every execution. budget <= 0 means unlimited. A panic inside the
 // program or substrate is contained exactly as in the pool: the unit
 // completes with PanicMsg set (its counts will be forfeited at merge time)
@@ -131,7 +132,7 @@ func RunUnit(cfg Config, us *UnitState, budget int, poll func() UnitAction) (*Un
 	}
 	ex := newExecutor(cfg)
 	eng.setExec(ex)
-	end := exploreUnit(eng, us.Positioned, res, unitDriver{
+	end := exploreContained(eng, us.Positioned, res, unitDriver{
 		poll:   poll,
 		budget: func() int { return budget },
 	})

@@ -658,10 +658,4 @@ func joinVC(dst, src []int32) {
 // explored by the work-stealing pool (see parallel.go); parallel counts
 // are exact when no work was stolen and may otherwise include duplicated
 // equivalence classes, but the bug verdict is preserved either way.
-func RunDPOR(cfg Config) *Result {
-	if cfg.Workers > 1 {
-		return runParallel(cfg, DPOR)
-	}
-	cfg = cfg.withDefaults()
-	return runSequentialTree(cfg, &Result{Technique: DPOR}, newDPOREngine(cfg))
-}
+func RunDPOR(cfg Config) *Result { return runTree(cfg, DPOR) }

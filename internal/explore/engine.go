@@ -7,11 +7,15 @@
 // reduction (dpor.go) — one walker, dporEngine, in two forms — both of
 // which cut detected-redundant runs short through the substrate's
 // chooser-abort path. There are two search engines: engine (this file;
-// DFS/IPB/IDB) and dporEngine. Every technique driver runs sequentially
-// by default and as a work-partitioned worker pool when Config.Workers > 1
-// (see parallel.go), with identical results either way for
-// DFS/IPB/IDB/Rand, complete or truncated by Limit (DPOR preserves
-// verdicts; its counts are exact unless work was stolen).
+// DFS/IPB/IDB) and dporEngine. Either is driven through one unit step, one
+// canonical merge and one per-pass verdict (exploreUnit, MergeUnitStates,
+// PassMerge.Commit in parallel.go) by whichever driver Config.Workers
+// selects — runSequential on the caller's goroutine, or the work-partitioned
+// worker pool (runPasses) when Workers > 1 — and Rand by the one sweep
+// runRand at any worker count, so a worker count says where a technique
+// runs, never which code runs it. Results are identical either way for
+// DFS/IPB/IDB/Rand, complete or truncated by Limit (DPOR preserves verdicts;
+// its counts are exact unless work was stolen).
 package explore
 
 import (

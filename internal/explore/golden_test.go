@@ -249,3 +249,62 @@ func TestGoldenDPOR(t *testing.T) {
 
 	compareGolden(t, "golden_dpor.json", got)
 }
+
+// iterativeGoldenRow is what one IPB or IDB sweep at the fixed budget pins:
+// everything the per-pass verdict (PassMerge.Commit) decides for a
+// sequential sweep — the bound reached or exposing the bug, the counts at and
+// below it, how the sweep ended — plus the work tallies and Table 3 maxima.
+type iterativeGoldenRow struct {
+	Bound               int   `json:"bound"`
+	Schedules           int   `json:"schedules"`
+	NewSchedules        int   `json:"newSchedules"`
+	BuggySchedules      int   `json:"buggySchedules"`
+	SchedulesToFirstBug int   `json:"schedulesToFirstBug"`
+	Executions          int   `json:"executions"`
+	TotalSteps          int64 `json:"totalSteps"`
+	Complete            bool  `json:"complete"`
+	LimitHit            bool  `json:"limitHit"`
+	MaxEnabled          int   `json:"maxEnabled"`
+	MaxSchedPoints      int   `json:"maxSchedPoints"`
+	Threads             int   `json:"threads"`
+	WitnessKey          []int `json:"witnessKey,omitempty"` // canonical branch key of the first witness
+}
+
+// TestGoldenIterative pins RunIterative under both cost models on the golden
+// benchmark set at the fixed budget. The file was generated by the dedicated
+// sequential sweep loop before the sweep became one root unit per bound under
+// the shared unit step, merge and verdict; it must never change.
+func TestGoldenIterative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweep is not short")
+	}
+	got := make(map[string]map[string]iterativeGoldenRow)
+	for _, b := range goldenBenchmarks() {
+		rows := make(map[string]iterativeGoldenRow)
+		for _, model := range []CostModel{CostPreemptions, CostDelays} {
+			r := RunIterative(Config{Program: b.New(), BoundsCheck: b.BoundsCheck,
+				MaxSteps: b.MaxSteps, Limit: goldenLimit}, model)
+			row := iterativeGoldenRow{
+				Bound:               r.Bound,
+				Schedules:           r.Schedules,
+				NewSchedules:        r.NewSchedules,
+				BuggySchedules:      r.BuggySchedules,
+				SchedulesToFirstBug: r.SchedulesToFirstBug,
+				Executions:          r.Executions,
+				TotalSteps:          r.TotalSteps,
+				Complete:            r.Complete,
+				LimitHit:            r.LimitHit,
+				MaxEnabled:          r.MaxEnabled,
+				MaxSchedPoints:      r.MaxSchedPoints,
+				Threads:             r.Threads,
+			}
+			if r.BugFound {
+				row.WitnessKey = branchKeyOf(t, b.New(), r.Witness)
+			}
+			rows[model.String()] = row
+		}
+		got[b.Name] = rows
+	}
+
+	compareGolden(t, "golden_iterative.json", got)
+}

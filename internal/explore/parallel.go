@@ -1,10 +1,15 @@
 package explore
 
-// Parallel exploration driver. The schedule space of one program is a tree
-// whose nodes are scheduling points and whose edges are CanonicalOrder
-// choices; the sequential engines walk it depth first. This driver
-// partitions that tree into prefix-pinned subtrees ("units") explored by a
-// pool of workers, with work-stealing: whenever the pool starves, a running
+// Units, the one unit step, and the parallel driver. The schedule space of
+// one program is a tree whose nodes are scheduling points and whose edges are
+// CanonicalOrder choices; an engine walks it depth first. Every tree search
+// is a set of prefix-pinned subtrees ("units") driven through one loop
+// (exploreUnit), merged in canonical order (MergeUnitStates) and judged per
+// pass (PassMerge.Commit). Three drivers stand on that: runSequential
+// (techniques.go) explores each pass as its one root unit on the caller's
+// goroutine; RunUnit (dist.go) explores one leased unit for the distributed
+// coordinator; and the pool in this file partitions the tree among its
+// workers, with work-stealing: whenever the pool starves, a running
 // worker donates the untried sibling range of the shallowest open node on
 // its stack as a new unit (the owner works at the tail of its stack, the
 // donation is carved off at the head — the deque discipline of the
@@ -52,7 +57,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,13 +66,13 @@ import (
 	"sctbench/internal/vthread"
 )
 
-// searcher is the engine contract every driver of this package runs: the
-// sequential loops, the worker pool and RunUnit. It has exactly two
-// implementations — engine (DFS/IPB/IDB: cost-bounded backtracking shares
-// only scaffolding with partial-order reduction) and dporEngine (DPOR and,
-// in its sleep-set-only form, sleep-set DFS). A searcher is confined to one
-// worker goroutine at a time; donation transfers ownership of the returned
-// unit's engine to whichever worker takes it.
+// searcher is the engine contract of the one unit step (exploreUnit) and so
+// of its three drivers: runSequential, the worker pool and RunUnit. It has
+// exactly two implementations — engine (DFS/IPB/IDB: cost-bounded
+// backtracking shares only scaffolding with partial-order reduction) and
+// dporEngine (DPOR and, in its sleep-set-only form, sleep-set DFS). A
+// searcher is confined to one goroutine at a time; donation transfers
+// ownership of the returned unit's engine to whichever worker takes it.
 type searcher interface {
 	// setExec points the engine at the executor of the worker currently
 	// running it.
@@ -92,8 +96,6 @@ type searcher interface {
 	// prunedBranches is the number of enabled siblings retired unexplored
 	// by partial-order reduction (pruning engines only; 0 otherwise).
 	prunedBranches() int
-	// execCount is the number of executions this engine performed.
-	execCount() int
 	// techName is the checkpoint technique string of the search this engine
 	// performs; snapshot serializes its frontier (checkpoint.go).
 	techName() string
@@ -105,7 +107,6 @@ type searcher interface {
 func (e *engine) setExec(ex *vthread.Executor) { e.exec = ex }
 func (e *engine) wasPruned() bool              { return e.pruned }
 func (e *engine) prunedBranches() int          { return 0 }
-func (e *engine) execCount() int               { return e.executions }
 
 // counts reports whether the execution is a terminal schedule this engine
 // counts: every terminal one for DFS, exactly-at-bound ones for IPB/IDB.
@@ -163,7 +164,6 @@ func (e *engine) split() *unit {
 func (e *dporEngine) setExec(ex *vthread.Executor) { e.exec = ex }
 func (e *dporEngine) wasPruned() bool              { return false }
 func (e *dporEngine) prunedBranches() int          { return e.pruned }
-func (e *dporEngine) execCount() int               { return e.executions }
 
 // counts: aborted runs are detected redundancies, not terminal schedules.
 func (e *dporEngine) counts(out *vthread.Outcome) bool {
@@ -274,7 +274,8 @@ func (s RunStats) foldInto(r *Result) {
 }
 
 // ---------------------------------------------------------------------------
-// The unit step: one loop for the pool worker and for RunUnit.
+// The unit step: one loop under three drivers — runSequential (the root unit
+// of each pass, on the caller's goroutine), the pool worker and RunUnit.
 
 // UnitAction is the verdict of a unit's per-execution poll.
 type UnitAction int
@@ -299,7 +300,7 @@ const (
 	unitLimited                  // the unit alone counted the whole budget
 	unitParked                   // poll said UnitPark; the engine is positioned
 	unitAbandoned                // poll said UnitAbandon, or executed said stop
-	unitPanicked                 // a panic was contained; res.PanicMsg is set
+	unitPanicked                 // exploreContained caught a panic; res.PanicMsg is set
 )
 
 // unitDriver is what the unit loop asks of whoever drives it.
@@ -314,18 +315,16 @@ type unitDriver struct {
 	executed func(eng searcher) bool
 }
 
-// exploreUnit is the one per-execution loop of the parallel drivers: poll,
-// execute and tally (runUnitOnce), stop once the unit by itself holds the
-// whole budget, backtrack. A unit parks only at the loop top, where the
-// engine is positioned. A panic anywhere inside — program, substrate, or an
-// injected worker death — is contained here, once: the unit ends forfeited
-// and the caller must abandon the executor the engine ran on.
-func exploreUnit(eng searcher, positioned bool, res *UnitResultState, d unitDriver) (end unitEnd) {
+// exploreUnit is the one per-execution loop of every tree-search driver:
+// poll, execute and tally (runUnitOnce), stop once the unit by itself holds
+// the whole budget, backtrack. A unit parks only at the loop top, where the
+// engine is positioned. However the unit is left, res says what its engine
+// had pruned by then. A panic out of an execution passes through: whether it
+// is contained is the driver's promise, not the loop's (exploreContained).
+func exploreUnit(eng searcher, positioned bool, res *UnitResultState, d unitDriver) unitEnd {
 	defer func() {
-		if rec := recover(); rec != nil {
-			res.PanicMsg = fmt.Sprint(rec)
-			end = unitPanicked
-		}
+		res.Pruned = eng.wasPruned()
+		res.Branches = eng.prunedBranches()
 	}()
 	for alive := positioned || eng.backtrack(); alive; alive = eng.backtrack() {
 		if d.poll != nil {
@@ -341,13 +340,24 @@ func exploreUnit(eng searcher, positioned bool, res *UnitResultState, d unitDriv
 			return unitAbandoned
 		}
 		if b := d.budget(); counted && b > 0 && res.Schedules >= b {
-			end = unitLimited
-			break
+			return unitLimited
 		}
 	}
-	res.Pruned = eng.wasPruned()
-	res.Branches = eng.prunedBranches()
-	return end
+	return unitFinished
+}
+
+// exploreContained is exploreUnit for the two drivers that promise to
+// survive a panic — the pool and RunUnit. Program, substrate or an injected
+// worker death, it is contained here, once: the unit ends forfeited
+// (res.PanicMsg) and the caller must abandon the executor the engine ran on.
+func exploreContained(eng searcher, positioned bool, res *UnitResultState, d unitDriver) (end unitEnd) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res.PanicMsg = fmt.Sprint(rec)
+			end = unitPanicked
+		}
+	}()
+	return exploreUnit(eng, positioned, res, d)
 }
 
 // runUnitOnce performs one execution on eng, folding every per-unit tally
@@ -432,10 +442,13 @@ type PassMerge struct {
 // canonically, but completeness and totals describe only the units that
 // survived.
 func MergeUnitStates(done []*UnitResultState, budget int) PassMerge {
-	units := slices.Clone(done)
-	sort.Slice(units, func(a, b int) bool {
-		return sched.CompareBranchKeys(units[a].Key, units[b].Key) < 0
-	})
+	units := done
+	if len(done) > 1 { // a sequential pass is always its one root unit
+		units = slices.Clone(done)
+		slices.SortFunc(units, func(a, b *UnitResultState) int {
+			return sched.CompareBranchKeys(a.Key, b.Key)
+		})
+	}
 	var m PassMerge
 	for _, u := range units {
 		m.Executions += u.Executions
@@ -537,10 +550,10 @@ type PassEnd struct {
 }
 
 // Commit folds the merged pass into r and reports whether the search ends
-// with it — the per-pass verdict of every parallel driver, in the order the
-// sequential drivers reach theirs: the limits first, then completeness
-// (nothing pruned, nothing forfeited), then the paper's rule that the bound
-// exposing the bug is the last one enumerated (§5).
+// with it — the per-pass verdict of every driver, sequential, pool and
+// coordinator: the limits first, then completeness (nothing pruned, nothing
+// forfeited), then the paper's rule that the bound exposing the bug is the
+// last one enumerated (§5). A pass cut short from outside gets no verdict.
 func (m *PassMerge) Commit(r *Result, e PassEnd) (final bool) {
 	if e.Iterative {
 		r.Bound = e.Bound
@@ -910,14 +923,14 @@ func (p *pool) stallHead(j *job, eng searcher) {
 	}
 }
 
-// runUnit drives one unit through exploreUnit — to exhaustion, the budget,
-// a suspension or a cancellation, donating work along the way — and files
-// it under the job. unitPanicked tells the worker to abandon its executor.
+// runUnit drives one unit through exploreContained — to exhaustion, the
+// budget, a suspension or a cancellation, donating work along the way — and
+// files it under the job. unitPanicked tells the worker to abandon its executor.
 func (p *pool) runUnit(j *job, u *unit) unitEnd {
 	if u.res == nil {
 		u.res = &UnitResultState{Key: u.key}
 	}
-	end := exploreUnit(u.eng, u.positioned, u.res, unitDriver{
+	end := exploreContained(u.eng, u.positioned, u.res, unitDriver{
 		poll: func() UnitAction {
 			if j.stop.Load() {
 				return UnitAbandon
@@ -938,8 +951,8 @@ func (p *pool) runUnit(j *job, u *unit) unitEnd {
 		},
 		budget: func() int { return int(j.budget.Load()) },
 		executed: func(eng searcher) bool {
-			// Post-execution check with >=, matching the sequential driver:
-			// the execution that exhausts the guard still runs (and counts).
+			// Post-execution check with >=, as in runSequential: the execution
+			// that exhausts the guard still runs (and counts).
 			if j.own.Add(1) >= j.execLimit.Load() {
 				j.execLimitHit.Store(true)
 				p.stopJob(j)
@@ -1107,12 +1120,6 @@ func (ps *PoolState) doneResults() []*UnitResultState {
 	return results
 }
 
-// runParallel is RunDFS, RunDPOR and RunIterative with cfg.Workers > 1.
-func runParallel(cfg Config, tech Technique) *Result {
-	cfg = cfg.withDefaults()
-	return runPasses(cfg, &Result{Technique: tech}, 0, nil, &PoolState{})
-}
-
 // runPasses is the one parallel driver of the tree techniques: each pass —
 // the DFS or DPOR tree (see the package comment for DPOR's exactness
 // caveat), or one bound of an IPB/IDB sweep — is one job, explored to
@@ -1170,7 +1177,6 @@ func runPasses(cfg Config, r *Result, startBound int, units []*unit, ps *PoolSta
 			spec = nil
 		}
 		if reason != StopCompleted && !ctl.crashed.Load() {
-			r.Bound = bound
 			writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, active, parked, results, bound, counted, committedExecs))
 		}
 		m := MergeUnitStates(withParkedPartials(results, parked), cfg.Limit-counted)
@@ -1237,125 +1243,9 @@ func (p *pool) periodicTreeCheckpoint(cfg Config, r *Result, j *job) (*job, bool
 		return j, false
 	}
 	if writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, j, parked, results, 0, 0, 0)) {
-		// Simulated death mid-write: stop everything, leave the file as
-		// the crash left it.
-		j.ctl.crashed.Store(true)
-		j.ctl.trip(StopInterrupted)
+		j.ctl.crash()
 		return j, false
 	}
 	p.removeJob(j)
 	return p.addJob(j.ctl, int(j.budget.Load()), j.execLimit.Load(), parked, results, j.own.Load()), true
-}
-
-// runRandParallel is RunRand with cfg.Workers > 1: the runs are independent
-// and the per-run seed depends only on the run index, so an atomic index
-// dispenser makes the parallel result — including the witness — identical
-// to the sequential one. Workers capture the witness of the lowest-index
-// buggy run as they go, so exactly Limit executions are performed, as in
-// the sequential sweep. start > 0 resumes a checkpointed sweep at that
-// run index. An interruption checkpoints the watermark — the first run
-// index not yet accounted for; runs a worker overshot beyond it re-run on
-// resume, which is harmless because every run is a pure function of its
-// index.
-func runRandParallel(cfg Config, r *Result, start int) *Result {
-	n := cfg.Limit
-
-	type rec struct {
-		terminal, buggy bool
-		steps           int
-	}
-	recs := make([]rec, n)
-	done := make([]atomic.Bool, n)
-	ctl := newStopCtl(cfg)
-	var next atomic.Int64
-	next.Store(int64(start))
-	var wg sync.WaitGroup
-	stats := make([]RunStats, cfg.Workers)
-	var witMu sync.Mutex
-	witIdx := -1
-	var witness sched.Schedule
-	var failure *vthread.Failure
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ex := newExecutor(cfg)
-			defer ex.Close()
-			for {
-				if _, stop := ctl.poll(); stop {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out := randRun(ex, cfg, i)
-				stats[w].observe(out)
-				recs[i] = rec{terminal: !out.StepLimitHit, buggy: out.Buggy(), steps: len(out.Trace)}
-				if out.Buggy() {
-					witMu.Lock()
-					if witIdx < 0 || i < witIdx {
-						witIdx = i
-						witness = out.Trace.Clone()
-						failure = out.Failure
-					}
-					witMu.Unlock()
-				}
-				done[i].Store(true)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	reason, stopped := ctl.reason()
-	end := n
-	if stopped {
-		// The dispenser hands out indices in order and a claimed index
-		// always runs to completion, so the done flags are a contiguous
-		// prefix [start, end).
-		end = start
-		for end < n && done[end].Load() {
-			end++
-		}
-	}
-	for i := start; i < end; i++ {
-		rc := recs[i]
-		r.TotalSteps += int64(rc.steps)
-		if !rc.terminal {
-			continue
-		}
-		r.Schedules++
-		if rc.buggy {
-			r.BuggySchedules++
-			if !r.BugFound && i == witIdx {
-				r.BugFound = true
-				r.SchedulesToFirstBug = r.Schedules
-				r.Failure = failure
-				r.Witness = witness
-			}
-		}
-	}
-	// The max-fold statistics may include overshot runs beyond the
-	// watermark; re-folding them on resume is idempotent.
-	for _, s := range stats {
-		s.foldInto(r)
-	}
-	if stopped {
-		r.Stopped = reason
-		r.Executions = end
-		writeCheckpoint(cfg, r, randCheckpoint(cfg, r, end))
-		return r
-	}
-	r.Executions = n
-	r.LimitHit = true
-	r.Stopped = StopLimit
-	return r
-}
-
-// randRun executes run i of a Rand sweep on the caller's executor. It is
-// the single definition of the per-run seed formula, used by both the
-// sequential and the parallel sweep, so the two execute identical
-// schedules by construction.
-func randRun(ex *vthread.Executor, cfg Config, i int) *vthread.Outcome {
-	return ex.RunWith(vthread.NewRandom(cfg.Seed+uint64(i)*0x9e3779b9), nil, cfg.Program)
 }

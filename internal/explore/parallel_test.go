@@ -13,6 +13,7 @@ package explore
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sctbench/internal/faultinject"
@@ -329,5 +330,63 @@ func TestParallelWorkerPoolStress(t *testing.T) {
 				t.Fatalf("iter %d: %s explored no schedules", i, tech)
 			}
 		}
+	}
+}
+
+// misusingProgram is a compiled program that on its panicAt-th execution
+// (counted across every invocation, whichever goroutine runs it) calls a
+// blocking operation from an operand closure. The substrate does not contain
+// that as a program failure: engine misuse is rethrown to whoever called Run.
+func misusingProgram(panicAt int64) vthread.Runnable {
+	var execs atomic.Int64
+	p := vthread.NewBuilder()
+	v := p.Var("v", 0)
+	wk := p.Body(0, 0)
+	wk.Store(v, 1)
+	wk.Store(v, 2)
+	mn := p.Main()
+	w1 := mn.Spawn(wk)
+	w2 := mn.Spawn(wk)
+	mn.Store(v, func(t *vthread.Thread) int {
+		if execs.Add(1) == panicAt {
+			return t.NewVar("misuse", 0).Load(t)
+		}
+		return 3
+	})
+	mn.Join(w1)
+	mn.Join(w2)
+	return p.Build()
+}
+
+// TestSequentialPanicReachesCaller pins both halves of the panic contract.
+// Under Workers <= 1 a panic that escapes an execution reaches explore.Run's
+// caller as the value it was thrown with; the pool contains the same panic as
+// one forfeited unit, reports it, and withholds Complete.
+func TestSequentialPanicReachesCaller(t *testing.T) {
+	const panicAt = 20
+	func() {
+		defer func() {
+			rec := recover()
+			if got := fmt.Sprintf("%T", rec); got != "vthread.misuseError" {
+				t.Fatalf("recovered a %s (%v), want the vthread.misuseError the substrate threw", got, rec)
+			}
+			if !strings.Contains(fmt.Sprint(rec), "blocking operation on a flat-engine thread") {
+				t.Fatalf("recovered %v", rec)
+			}
+		}()
+		r := Run(DFS, Config{Program: misusingProgram(panicAt)})
+		t.Fatalf("sequential Run returned (%d executions) instead of panicking", r.Executions)
+	}()
+
+	clean := Run(DFS, Config{Program: misusingProgram(-1)})
+	if !clean.Complete || clean.Executions <= panicAt {
+		t.Fatalf("baseline: complete %v after %d executions", clean.Complete, clean.Executions)
+	}
+	r := Run(DFS, Config{Program: misusingProgram(panicAt), Workers: 2})
+	if r.WorkerPanics != 1 || !strings.Contains(r.WorkerPanicMsg, "blocking operation") {
+		t.Fatalf("WorkerPanics = %d (%q), want the one contained panic", r.WorkerPanics, r.WorkerPanicMsg)
+	}
+	if r.Complete {
+		t.Fatal("Complete reported despite a forfeited unit")
 	}
 }

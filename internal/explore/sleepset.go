@@ -42,5 +42,5 @@ func RunSleepSetDFS(cfg Config) *Result {
 
 func runSleepSetCold(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	return runSequentialTree(cfg, &Result{Technique: DFS}, newSleepSetEngine(cfg))
+	return runSequential(cfg, &Result{Technique: DFS}, 0, newSleepSetEngine(cfg), nil)
 }

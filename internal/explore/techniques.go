@@ -3,6 +3,8 @@ package explore
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sctbench/internal/corpus"
@@ -91,15 +93,17 @@ type Config struct {
 	// NoFlatEngine to prove results are bit-identical on either engine.
 	Debug vthread.Debug
 	// Workers is the number of worker goroutines exploring the schedule
-	// space (0 or 1 = sequential). DFS/IPB/IDB partition the search tree
-	// into prefix-pinned subtrees with work-stealing, and IPB/IDB overlap
-	// bound k+1 speculatively behind bound k; Rand shards its independent
-	// runs. Every Result field but the work tallies (Executions, TotalSteps,
-	// AbortedExecutions) is identical to the sequential search's — whether
-	// the search completes, Limit truncates it, or it is killed and resumed
-	// — because Limit is applied only by the canonical merge; a truncated
-	// parallel search pays for that with up to about Workers × Limit extra
-	// executions, which those tallies report. DPOR alone is verdict-level.
+	// space (0 or 1 = sequential: the search runs on the caller's goroutine,
+	// through the same unit step, merge and verdict the pool runs).
+	// DFS/IPB/IDB/DPOR partition the search tree into prefix-pinned subtrees
+	// with work-stealing, and IPB/IDB overlap bound k+1 speculatively behind
+	// bound k; Rand shards its independent runs. Every Result field but the
+	// work tallies (Executions, TotalSteps, AbortedExecutions) is identical
+	// to the sequential search's — whether the search completes, Limit
+	// truncates it, or it is killed and resumed — because Limit is applied
+	// only by the canonical merge; a truncated parallel search pays for that
+	// with up to about Workers × Limit extra executions, which those tallies
+	// report. DPOR alone is verdict-level.
 	// See internal/explore/parallel.go for the contract.
 	Workers int
 	// Deadline, when nonzero, stops the search at that wall-clock time
@@ -114,7 +118,11 @@ type Config struct {
 	// temp file + rename). See Resume.
 	CheckpointPath string
 	// CheckpointEvery additionally writes a checkpoint every N executions
-	// (0 = only at interruption/deadline).
+	// (0 = only at interruption/deadline). Paced by: every sequential tree
+	// search, the pool's single-pass trees (DFS, DPOR: a stop-the-world
+	// snapshot), and Rand at any worker count (N folded runs). A parallel
+	// IPB/IDB sweep does not write periodic checkpoints — a known limit; it
+	// still checkpoints when interrupted.
 	CheckpointEvery int
 	// Meta is CLI context carried verbatim into checkpoint files.
 	Meta CheckpointMeta
@@ -255,108 +263,103 @@ func Run(t Technique, cfg Config) *Result {
 // runCold dispatches the technique with no corpus involvement.
 func runCold(t Technique, cfg Config) *Result {
 	switch t {
-	case DFS:
-		return RunDFS(cfg)
-	case IPB:
-		return RunIterative(cfg, CostPreemptions)
-	case IDB:
-		return RunIterative(cfg, CostDelays)
 	case Rand:
 		return RunRand(cfg)
-	case DPOR:
-		return RunDPOR(cfg)
+	case DFS, IPB, IDB, DPOR:
+		return runTree(cfg, t)
 	}
 	panic(fmt.Sprintf("explore: unknown technique %d", int(t)))
 }
 
-// observe folds an execution's statistics into the result.
-func (r *Result) observe(out *vthread.Outcome) {
-	if out.MaxEnabled > r.MaxEnabled {
-		r.MaxEnabled = out.MaxEnabled
+// runTree runs a tree technique — every one but Rand — where cfg.Workers
+// puts it: a worker count selects the driver, never the code that explores,
+// tallies, merges and judges (exploreUnit, MergeUnitStates, Commit).
+func runTree(cfg Config, tech Technique) *Result {
+	cfg = cfg.withDefaults()
+	r := &Result{Technique: tech}
+	if cfg.Workers > 1 {
+		return runPasses(cfg, r, 0, nil, &PoolState{})
 	}
-	if out.SchedPoints > r.MaxSchedPoints {
-		r.MaxSchedPoints = out.SchedPoints
-	}
-	if out.Threads > r.Threads {
-		r.Threads = out.Threads
-	}
-	r.TotalSteps += int64(len(out.Trace))
-	if out.Aborted {
-		r.AbortedExecutions++
-	}
+	root, _ := newSearcher(cfg, tech, 0) // never Rand: the callers name the technique
+	return runSequential(cfg, r, 0, root, nil)
 }
 
-// recordBug records the first bug.
-func (r *Result) recordBug(out *vthread.Outcome) {
-	r.BuggySchedules++
-	if !r.BugFound {
-		r.BugFound = true
-		r.Failure = out.Failure
-		r.Witness = out.Trace.Clone()
-		r.SchedulesToFirstBug = r.Schedules
+// runSequential is the tree techniques' driver on the caller's goroutine:
+// what Workers <= 1 selects, where runPasses puts a pool and internal/dist a
+// coordinator. A pass — the DFS, sleep-set or DPOR tree, or one bound of an
+// IPB/IDB sweep — is one positioned root unit, explored by exploreUnit,
+// merged by MergeUnitStates and judged by PassMerge.Commit, so limit
+// accounting, first-bug capture, the statistics fold and the per-pass verdict
+// are the very code the other two drivers run; what is this driver's own is
+// only when it stops (the stop control), when it checkpoints (CheckpointEvery
+// pacing, and the version-1 sequential file: sequentialCheckpoint) and the
+// sweep's MaxExecutions guard. eng and res are the root unit of the pass at
+// bound — fresh (res nil), or as Resume restored it, res holding what the
+// pass had tallied — and r what earlier passes committed.
+//
+// A panic out of an execution (chooser or engine misuse, which the substrate
+// rethrows to its caller by contract; checkCost's invariants) is not
+// contained here as the pool contains it: it reaches the caller with its
+// value. The executor is then left unclosed — it may hold the wedged run,
+// and Close would wait for it.
+func runSequential(cfg Config, r *Result, bound int, eng searcher, res *UnitResultState) *Result {
+	if res == nil {
+		res = &UnitResultState{}
 	}
-}
-
-// runSequentialTree drives a single-pass engine (DFS, sleep-set DFS,
-// DPOR) over the whole tree to exhaustion or the schedule limit — the
-// sequential counterpart of runPasses, shared so that limit
-// accounting and observation live in exactly one place per driver shape.
-// The engine must be positioned to run: fresh, or restored from a
-// checkpoint (which is only ever taken at the loop top, post-backtrack).
-func runSequentialTree(cfg Config, r *Result, eng searcher) *Result {
-	ex := newExecutor(cfg)
-	defer ex.Close()
-	eng.setExec(ex)
+	sweep := r.Technique == IPB || r.Technique == IDB
+	end := PassEnd{Iterative: sweep, Bound: bound, MaxBound: bound, Counted: r.Schedules, Limit: cfg.Limit}
+	if sweep {
+		end.MaxBound = cfg.MaxBound
+	}
+	ex := newExecutor(cfg) // one pool of recycled threads across all bounds
 	ctl := newStopCtl(cfg)
 	ckw := newCkWriter(cfg)
-	for {
-		if reason, stop := ctl.poll(); stop {
-			r.Stopped = reason
-			writeCheckpoint(cfg, r, treeCheckpoint(cfg, r, eng))
-			break
-		}
-		if ckw.due(eng.execCount()) {
-			if writeCheckpoint(cfg, r, treeCheckpoint(cfg, r, eng)) {
-				// Simulated death mid-write: stop as if killed, leaving
-				// whatever the crash left on disk.
-				r.Stopped = StopInterrupted
-				break
-			}
-			ckw.last = eng.execCount()
-		}
-		out := eng.runOnce()
-		r.observe(out)
-		// Step-limited and chooser-aborted runs are not terminal schedules.
-		if eng.counts(out) {
-			r.Schedules++
-			if out.Buggy() {
-				r.recordBug(out)
-			}
-		}
-		if r.Schedules >= cfg.Limit {
-			r.LimitHit = true
-			r.Stopped = StopLimit
-			break
-		}
-		if !eng.backtrack() {
-			r.Complete = true
-			break
-		}
+	units := []*UnitResultState{res}
+	checkpoint := func() (crashed bool) {
+		return writeCheckpoint(cfg, r, sequentialCheckpoint(cfg, r, end, eng, res))
 	}
-	r.Executions = eng.execCount()
-	r.BranchesPruned += eng.prunedBranches()
+	driver := unitDriver{
+		poll: func() UnitAction {
+			if _, stop := ctl.poll(); stop {
+				return UnitPark
+			}
+			if n := r.Executions + res.Executions; ckw.due(n) {
+				if checkpoint() {
+					ctl.crash()
+					return UnitPark
+				}
+				ckw.last = n
+			}
+			return UnitContinue
+		},
+		budget: func() int { return end.Limit - end.Counted },
+		executed: func(searcher) bool {
+			// Post-execution check with >=: the execution that exhausts the
+			// guard still runs (and counts). Single passes have no guard.
+			end.GuardHit = sweep && r.Executions+res.Executions >= cfg.MaxExecutions
+			return !end.GuardHit
+		},
+	}
+	for {
+		eng.setExec(ex)
+		if exploreUnit(eng, true, res, driver) == unitParked {
+			end.Stopped, _ = ctl.reason()
+			if !ctl.crashed.Load() {
+				checkpoint()
+			}
+		}
+		m := MergeUnitStates(units, end.Limit-end.Counted)
+		if m.Commit(r, end) {
+			break
+		}
+		end.Counted += m.Schedules
+		end.Bound++
+		eng, _ = newSearcher(cfg, r.Technique, end.Bound) // a sweep: always partitionable
+		*res = UnitResultState{BuggyOffs: res.BuggyOffs[:0], StatMarks: res.StatMarks[:0]}
+	}
+	ex.Close()
 	captureFrontier(cfg, r, eng)
 	return r
-}
-
-// treeCheckpoint snapshots a single-pass sequential search. The partial
-// Result is serialized as-is: the fields the driver fills only at exit
-// (Executions, BranchesPruned) stay zero in the file and are reconstructed
-// from the engine's own counters when the resumed run exits.
-func treeCheckpoint(cfg Config, r *Result, eng searcher) *Checkpoint {
-	ck := newCheckpoint(cfg, eng.techName(), r)
-	ck.Engine = eng.snapshot()
-	return ck
 }
 
 // RunDFS performs unbounded depth-first search up to the schedule limit.
@@ -364,13 +367,7 @@ func treeCheckpoint(cfg Config, r *Result, eng searcher) *Checkpoint {
 // bug: it continues to the limit (or exhaustion) so the fraction of buggy
 // schedules can be reported. With cfg.Workers > 1 the tree is explored by
 // a work-stealing worker pool with identical resulting counts.
-func RunDFS(cfg Config) *Result {
-	if cfg.Workers > 1 {
-		return runParallel(cfg, DFS)
-	}
-	cfg = cfg.withDefaults()
-	return runSequentialTree(cfg, &Result{Technique: DFS}, newEngine(cfg, CostNone, 0))
-}
+func RunDFS(cfg Config) *Result { return runTree(cfg, DFS) }
 
 // RunIterative performs iterative schedule bounding (IPB for
 // CostPreemptions, IDB for CostDelays): all schedules with cost 0 are
@@ -384,113 +381,10 @@ func RunIterative(cfg Config, model CostModel) *Result {
 	if model != CostPreemptions && model != CostDelays {
 		panic("explore: RunIterative needs a bounding cost model")
 	}
-	tech := IPB
 	if model == CostDelays {
-		tech = IDB
+		return runTree(cfg, IDB)
 	}
-	if cfg.Workers > 1 {
-		return runParallel(cfg, tech)
-	}
-	cfg = cfg.withDefaults()
-	return iterSequential(cfg, model, &Result{Technique: tech}, 0, 0, nil)
-}
-
-// iterSequential drives the bound sweeps of a sequential iterative search
-// from startBound upward. A non-nil eng resumes mid-bound: it must be
-// positioned to run at startBound, with r carrying the partial sweep and
-// priorExecs the executions committed by earlier bounds.
-func iterSequential(cfg Config, model CostModel, r *Result, startBound, priorExecs int, eng *engine) *Result {
-	executions := priorExecs
-	ex := newExecutor(cfg) // one pool of recycled threads across all bounds
-	defer ex.Close()
-	ctl := newStopCtl(cfg)
-	ckw := newCkWriter(cfg)
-
-	for bound := startBound; bound <= cfg.MaxBound; bound++ {
-		r.Bound = bound
-		if eng == nil {
-			r.NewSchedules = 0
-			eng = newEngine(cfg, model, bound)
-		}
-		eng.exec = ex
-		boundDone := false
-		stopped := false
-		for {
-			if reason, stop := ctl.poll(); stop {
-				r.Stopped = reason
-				writeCheckpoint(cfg, r, iterCheckpoint(cfg, r, bound, executions, eng))
-				stopped = true
-				break
-			}
-			if ckw.due(executions + eng.executions) {
-				if writeCheckpoint(cfg, r, iterCheckpoint(cfg, r, bound, executions, eng)) {
-					r.Stopped = StopInterrupted
-					stopped = true
-					break
-				}
-				ckw.last = executions + eng.executions
-			}
-			out := eng.runOnce()
-			r.observe(out)
-			if !out.StepLimitHit {
-				cost := out.PC
-				if model == CostDelays {
-					cost = out.DC
-				}
-				if cost == bound {
-					r.Schedules++
-					r.NewSchedules++
-					if out.Buggy() {
-						r.recordBug(out)
-					}
-				}
-			}
-			if r.Schedules >= cfg.Limit {
-				r.LimitHit = true
-				r.Stopped = StopLimit
-				break
-			}
-			if executions+eng.executions >= cfg.MaxExecutions {
-				r.LimitHit = true
-				r.Stopped = StopLimit
-				break
-			}
-			if !eng.backtrack() {
-				boundDone = true
-				break
-			}
-		}
-		executions += eng.executions
-		pruned := eng.pruned
-		if stopped || r.LimitHit {
-			captureFrontier(cfg, r, eng)
-			eng = nil
-			break
-		}
-		eng = nil
-		if boundDone && !pruned {
-			// Nothing was pruned anywhere: every schedule costs at most
-			// bound, so the space is fully explored.
-			r.Complete = true
-			break
-		}
-		if r.BugFound {
-			// The bound that exposed the bug has been fully enumerated;
-			// stop, as in the paper's methodology (§5).
-			break
-		}
-	}
-	r.Executions = executions
-	return r
-}
-
-// iterCheckpoint snapshots a sequential iterative search mid-bound.
-func iterCheckpoint(cfg Config, r *Result, bound, priorExecs int, eng *engine) *Checkpoint {
-	ck := newCheckpoint(cfg, eng.techName(), r)
-	ck.Bound = bound
-	ck.BoundExecs = priorExecs
-	ck.Engine = eng.snapshot()
-	return ck
+	return runTree(cfg, IPB)
 }
 
 // RunRand performs Limit independent runs under the naive random scheduler.
@@ -498,49 +392,125 @@ func iterCheckpoint(cfg Config, r *Result, bound, priorExecs int, eng *engine) *
 // the search never "completes" (§3 of the paper).
 func RunRand(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	if cfg.Workers > 1 {
-		return runRandParallel(cfg, &Result{Technique: Rand}, 0)
-	}
-	return randSequential(cfg, &Result{Technique: Rand}, 0)
+	return runRand(cfg, &Result{Technique: Rand}, 0)
 }
 
-// randSequential sweeps run indices [start, Limit). Rand's checkpoint is
-// just the next run index: every run i is independently seeded from
-// (cfg.Seed, i), so no scheduler state needs to survive an interruption.
-func randSequential(cfg Config, r *Result, start int) *Result {
-	ex := newExecutor(cfg)
-	defer ex.Close()
+// randRec is what one Rand run contributes to the fold.
+type randRec struct {
+	RunStats
+	steps           int
+	terminal, buggy bool
+	// failure and witness are kept only while no lower run is known buggy.
+	failure *vthread.Failure
+	witness sched.Schedule
+}
+
+// runRand is the one Rand sweep, over run indices [start, Limit): an atomic
+// index dispenser hands them out to cfg.Workers sweepers, the caller's
+// goroutine being the first. Run i is seeded from (cfg.Seed, i) alone
+// (randRun), so no scheduler state crosses runs or survives an interruption,
+// and the fold is by run index: a finished run waits in pending until every
+// lower run has been folded, which makes r — witness included — the same at
+// every worker count. r is therefore always exact up
+// to the watermark (the first run not folded), and that is what a checkpoint
+// holds, periodic (CheckpointEvery counts folded runs) or at a stop; runs a
+// sweeper finished beyond the watermark re-run on resume, which is harmless
+// because every run is a pure function of its index.
+func runRand(cfg Config, r *Result, start int) *Result {
+	n := cfg.Limit
 	ctl := newStopCtl(cfg)
 	ckw := newCkWriter(cfg)
-	for i := start; i < cfg.Limit; i++ {
-		if reason, stop := ctl.poll(); stop {
-			r.Stopped = reason
-			writeCheckpoint(cfg, r, randCheckpoint(cfg, r, i))
-			r.Executions = i
-			return r
-		}
-		if ckw.due(i) {
-			if writeCheckpoint(cfg, r, randCheckpoint(cfg, r, i)) {
-				r.Stopped = StopInterrupted
-				r.Executions = i
-				return r
-			}
-			ckw.last = i
-		}
-		out := randRun(ex, cfg, i)
-		r.observe(out)
-		if out.StepLimitHit {
-			continue
+	var next atomic.Int64
+	next.Store(int64(start))
+
+	var mu sync.Mutex // guards r, watermark, pending and ckw
+	watermark := start
+	var pending map[int]randRec
+	fold := func(rc randRec) {
+		watermark++
+		rc.foldInto(r)
+		r.TotalSteps += int64(rc.steps)
+		if !rc.terminal {
+			return
 		}
 		r.Schedules++
-		if out.Buggy() {
-			r.recordBug(out)
+		if rc.buggy {
+			r.BuggySchedules++
+			if !r.BugFound {
+				r.BugFound = true
+				r.Failure, r.Witness = rc.failure, rc.witness
+				r.SchedulesToFirstBug = r.Schedules
+			}
 		}
 	}
-	r.Executions = cfg.Limit
+	sweep := func() {
+		ex := newExecutor(cfg)
+		for {
+			if _, stop := ctl.poll(); stop {
+				break
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				break
+			}
+			out := randRun(ex, cfg, i)
+			rc := randRec{steps: len(out.Trace), terminal: !out.StepLimitHit, buggy: out.Buggy()}
+			rc.observe(out)
+			mu.Lock()
+			if rc.buggy && !r.BugFound {
+				rc.failure, rc.witness = out.Failure, out.Trace.Clone()
+			}
+			if i != watermark {
+				if pending == nil {
+					pending = make(map[int]randRec)
+				}
+				pending[i] = rc
+			} else {
+				fold(rc)
+				for rc, ok := pending[watermark]; ok; rc, ok = pending[watermark] {
+					delete(pending, watermark)
+					fold(rc)
+				}
+				if watermark < n && ckw.due(watermark) {
+					if writeCheckpoint(cfg, r, randCheckpoint(cfg, r, watermark)) {
+						ctl.crash()
+					}
+					ckw.last = watermark
+				}
+			}
+			mu.Unlock()
+		}
+		ex.Close()
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sweep()
+		}()
+	}
+	sweep() // the caller's goroutine is the first sweeper, and with Workers <= 1 the only one
+	wg.Wait()
+
+	if reason, stopped := ctl.reason(); stopped {
+		r.Stopped = reason
+		if !ctl.crashed.Load() {
+			writeCheckpoint(cfg, r, randCheckpoint(cfg, r, watermark))
+		}
+		r.Executions = watermark
+		return r
+	}
+	r.Executions = n
 	r.LimitHit = true
 	r.Stopped = StopLimit
 	return r
+}
+
+// randRun executes run i of a Rand sweep on the caller's executor: the
+// single definition of the per-run seed formula.
+func randRun(ex *vthread.Executor, cfg Config, i int) *vthread.Outcome {
+	return ex.RunWith(vthread.NewRandom(cfg.Seed+uint64(i)*0x9e3779b9), nil, cfg.Program)
 }
 
 // randCheckpoint snapshots a Rand sweep: the watermark below which every

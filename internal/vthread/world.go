@@ -19,6 +19,7 @@ package vthread
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"sctbench/internal/sched"
@@ -691,10 +692,20 @@ func (w *World) choose(enabled []ThreadID) ThreadID {
 		return NoThread
 	}
 	if !containsThread(enabled, choice) {
-		panic(fmt.Sprintf("vthread: chooser picked thread %d which is not enabled %v", choice, enabled))
+		panic(fmt.Sprintf(chooserMisuse+" %d which is not enabled %v", choice, enabled))
 	}
 	return choice
 }
+
+// chooserMisuse opens the panic message of a Chooser that returned a thread
+// that is not enabled.
+const chooserMisuse = "vthread: chooser picked thread"
+
+// IsChooserMisuse reports whether msg — a recovered panic value, printed — is
+// that diagnostic. A search engine replaying a stored frontier against a
+// program it was not recorded on fails this way, and a caller that restored
+// the frontier from a file wants to say so (explore.Resume).
+func IsChooserMisuse(msg string) bool { return strings.HasPrefix(msg, chooserMisuse) }
 
 // accountStep appends the choice to the trace and updates the online
 // preemption and delay counts with the §2 definitions.

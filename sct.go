@@ -257,8 +257,8 @@ func Explore(t Technique, cfg Config) *Result {
 // paper's §7 names partial-order reduction as the natural extension of
 // the study; Explore(DPOR, …) adds race-driven backtracking on top and
 // does run on the parallel pool.) Sleep-set search is sequential:
-// Config.Workers is ignored here, because its cross-branch state is not
-// partitioned for the parallel driver the way the DPOR engine's is.
+// Config.Workers is ignored here (it is the DPOR walker with its race
+// analysis off and could be partitioned the same way; no driver does yet).
 func ExploreSleepSet(cfg Config) *Result {
 	return explore.RunSleepSetDFS(cfg)
 }
