@@ -79,6 +79,14 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 //
 // The flat/* rows run the same two shapes as compiled programs on the
 // single-goroutine flat engine, where a context switch is a function call.
+//
+// The two flat/threads=100 rows show how a scheduling point scales with the
+// thread count, under the random scheduler (whose picks are far from the
+// previous thread in round-robin order, the expensive case for delay
+// accounting): 100 threads that only yield, where nobody's enabledness ever
+// changes, and 100 threads queued on one mutex, where every lock and unlock
+// flips 99 of them — the case keeping the enabled set across steps cannot
+// help, which must not cost more than rescanning did.
 func BenchmarkStepOverhead(b *testing.B) {
 	const yields, threads = 64, 2
 	var yielders vthread.Program = func(t0 *vthread.Thread) {
@@ -102,6 +110,21 @@ func BenchmarkStepOverhead(b *testing.B) {
 		main.Spawn(body)
 	}
 	compiledYielders := p.Build()
+	hundred := func(body func(c *vthread.Code, m vthread.MutexH)) *vthread.CompiledProgram {
+		p := vthread.NewBuilder()
+		m := p.Mutex("m")
+		wk := p.Body(0, 0)
+		for s := 0; s < 8; s++ {
+			body(wk, m)
+		}
+		main := p.Main()
+		for i := 0; i < 100; i++ {
+			main.Spawn(wk)
+		}
+		return p.Build()
+	}
+	spinners := hundred(func(c *vthread.Code, _ vthread.MutexH) { c.Yield() })
+	queued := hundred(func(c *vthread.Code, m vthread.MutexH) { c.Lock(m); c.Unlock(m) })
 	alternate := vthread.ChooserFunc(func(ctx vthread.Context) vthread.ThreadID {
 		for _, t := range ctx.Enabled {
 			if t != ctx.Last {
@@ -119,6 +142,8 @@ func BenchmarkStepOverhead(b *testing.B) {
 		{"cross-thread", alternate, yielders},
 		{"flat/same-thread", vthread.RoundRobin(), compiledYielders},
 		{"flat/cross-thread", alternate, compiledYielders},
+		{"flat/threads=100", vthread.NewRandom(1), spinners},
+		{"flat/threads=100-blocked", vthread.NewRandom(1), queued},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -20,6 +20,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 
 	"sctbench/internal/sched"
 	"sctbench/internal/vthread"
@@ -127,17 +128,29 @@ func (e *engine) Choose(ctx vthread.Context) sched.ThreadID {
 // push records the fresh node for ctx, advances the running cost, and
 // returns the choice taken (the canonical first).
 func (e *engine) push(ctx vthread.Context) sched.ThreadID {
+	// Recycled buffers, or — while the stack grows past its high-water mark —
+	// one allocation each, sized for the point.
 	var order []sched.ThreadID
 	if n := len(e.freeOrders); n > 0 {
 		order, e.freeOrders = e.freeOrders[n-1], e.freeOrders[:n-1]
 	}
-	order = sched.AppendCanonicalOrder(order, ctx.Enabled, ctx.Last, ctx.NumThreads)
+	order = sched.AppendCanonicalOrder(slices.Grow(order, len(ctx.Enabled)), ctx.Enabled, ctx.Last, ctx.NumThreads)
 	var costs []int
 	if n := len(e.freeCosts); n > 0 {
 		costs, e.freeCosts = e.freeCosts[n-1], e.freeCosts[:n-1]
 	}
-	for _, t := range order {
-		costs = append(costs, e.stepCost(ctx, t))
+	costs = slices.Grow(costs, len(order))
+	// order is the canonical one, so under delay bounding a choice costs its
+	// position in it (sched.DelayCost).
+	for i, t := range order {
+		cost := 0
+		switch e.model {
+		case CostPreemptions:
+			cost = sched.PCStep(ctx.Last, ctx.LastEnabled, t)
+		case CostDelays:
+			cost = sched.DelayCost(ctx.Last, i)
+		}
+		costs = append(costs, cost)
 	}
 	nd := node{order: order, costs: costs, hi: len(order) - 1, base: e.running}
 	// The canonical first choice is the deterministic scheduler's pick and
@@ -149,25 +162,6 @@ func (e *engine) push(ctx vthread.Context) sched.ThreadID {
 	e.stack = append(e.stack, nd)
 	e.running = nd.base + costs[0]
 	return order[0]
-}
-
-// stepCost is the incremental schedule cost of picking choice at ctx.
-func (e *engine) stepCost(ctx vthread.Context, choice sched.ThreadID) int {
-	switch e.model {
-	case CostPreemptions:
-		return sched.PCStep(ctx.Last, ctx.LastEnabled, choice)
-	case CostDelays:
-		return sched.DCStep(ctx.Last, choice, ctx.NumThreads, func(t sched.ThreadID) bool {
-			for _, x := range ctx.Enabled {
-				if x == t {
-					return true
-				}
-			}
-			return false
-		})
-	default:
-		return 0
-	}
 }
 
 // runOnce executes the program once on the engine's executor, replaying

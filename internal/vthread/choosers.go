@@ -2,6 +2,7 @@ package vthread
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"sctbench/internal/sched"
 )
@@ -57,7 +58,7 @@ func NewReplay(schedule sched.Schedule) *Replay {
 func (r *Replay) Choose(ctx Context) ThreadID {
 	if ctx.Step < len(r.schedule) {
 		want := r.schedule[ctx.Step]
-		if containsThread(ctx.Enabled, want) {
+		if _, ok := slices.BinarySearch(ctx.Enabled, want); ok {
 			return want
 		}
 	}

@@ -58,6 +58,34 @@ package vthread
 // decision has no bearing on pooling, and the kill-by-grant teardown
 // below is driven by exec.
 //
+// # The scheduling point and the enabled set
+//
+// A scheduling point costs what changed since the previous one. The World
+// keeps its enabled set (World.enabled, ascending) across points and
+// World.syncEnabled brings it up to date under one invariant, kept by both
+// engines: between two scheduling points only the thread that stepped and
+// the threads created during that step change state or pending operation.
+// So the stepped thread and the new ones are taken in; every other
+// thread's enabledness can move only if its pending operation is
+// conditional — one whose enabledness reads object state: lock,
+// cond-resume, sem-P, join, barrier-wait, r-lock, w-lock, chan-send,
+// chan-recv, select without a default, wg-wait, once-do, timer-fire — and
+// exactly those threads, kept on an intrusive list, are re-evaluated.
+// pendingOp.enabled reports "executable now" and "conditional" from one
+// switch. A non-blocking channel operation (opChanTry) and the first half
+// of a condvar wait (opCondWait, which only releases and enqueues; the
+// blocking half is opCondResume) are unconditional, like everything not
+// listed. The evaluate-every-thread scan is the oracle the maintained set is
+// compared with in enabled_oracle_test.go, through the World's one test
+// hook (enabledCheck, nil outside tests).
+//
+// Context.Enabled aliases that set: strictly ascending, never empty, valid
+// only during the Choose call, updated in place before the next one. On
+// the sorted set one binary search for the previous thread
+// (sched.CanonicalStart) gives LastEnabled and the rotation point of the
+// canonical order, and one for the chooser's pick (sched.CanonicalPosition)
+// validates it and gives its position in that order — its delay cost.
+//
 // # Spawn and the private first park
 //
 // Spawn runs the child's invisible prefix eagerly (newThread sends the

@@ -60,6 +60,7 @@ func (w *World) newFlatThread(cp *CompiledProgram, env *progEnv, body int, args 
 	t.isClock = false
 	t.parkTo = nil
 	t.flat = true
+	t.untrack()
 	if t.fi == nil {
 		t.fi = &interp{}
 	}

@@ -68,61 +68,68 @@ type pendingOp struct {
 	write   bool    // store vs load (opAccess only)
 }
 
-// enabled reports whether the operation can execute in the current state.
-// Operations that would immediately fault (locking a destroyed mutex,
+// enabled reports whether the operation can execute in the current state
+// (on), and whether that answer depends on the state of the operation's
+// target object at all (conditional). An unconditional operation is
+// executable for as long as its thread is parked at it, so the World asks
+// once; a conditional one is asked again at every scheduling point
+// (World.syncEnabled). One switch answers both so that the two cannot drift
+// apart. Operations that would immediately fault (locking a destroyed mutex,
 // double unlock, sending on a closed channel, …) are enabled so that the
 // crash can manifest — a disabled crash would silently mask the bug.
-func (op *pendingOp) enabled(w *World) bool {
+func (op *pendingOp) enabled(w *World) (on, conditional bool) {
 	switch op.kind {
 	case opLock:
-		return op.mutex.owner == nil || op.mutex.destroyed
+		return op.mutex.owner == nil || op.mutex.destroyed, true
 	case opCondResume:
-		return op.thread.woken && (op.mutex.owner == nil || op.mutex.destroyed)
+		return op.thread.woken && (op.mutex.owner == nil || op.mutex.destroyed), true
 	case opSemP:
-		return op.sem.count > 0
+		return op.sem.count > 0, true
 	case opJoin:
-		return op.target.state == stateExited
+		return op.target.state == stateExited, true
 	case opBarrierWait:
-		return op.barrier.gen != op.gen
+		return op.barrier.gen != op.gen, true
 	case opRLock:
 		// Shared acquisition: blocked by a writer or (writer preference) a
 		// waiting writer.
-		return op.rw.writer == nil && op.rw.waitingWriters == 0
+		return op.rw.writer == nil && op.rw.waitingWriters == 0, true
 	case opWLock:
-		return op.rw.writer == nil && op.rw.readers == 0
+		return op.rw.writer == nil && op.rw.readers == 0, true
 	case opChanSend:
 		// A send on a closed channel is enabled so the crash can manifest.
-		return op.ch.sendReady()
+		return op.ch.sendReady(), true
 	case opChanRecv:
-		return op.ch.recvReady()
+		return op.ch.recvReady(), true
 	case opSelect:
 		if op.sel.hasDefault {
-			return true
+			return true, false // the default makes it executable in any state
 		}
 		for i := range op.sel.cases {
 			if op.sel.cases[i].ready() {
-				return true
+				return true, true
 			}
 		}
-		return false
+		return false, true
 	case opWGWait:
-		return op.wg.count == 0
+		return op.wg.count == 0, true
 	case opOnceDo:
 		// Disabled while another thread is between the Once's entry and its
 		// completion marker — exactly Go's "Do blocks until f returns"
 		// semantics, including the reentrant-Do self-deadlock.
-		return !op.once.started || op.once.done
+		return !op.once.started || op.once.done, true
 	case opTimerFire:
 		// The clock pseudo-thread: schedulable while some timer can fire
 		// and some program thread is live to observe it.
-		return w.clockEnabled()
+		return w.clockEnabled(), true
 	default:
 		// opSpawn, opYield, opUnlock, opCondWait, opSignal,
 		// opBroadcast, opSemV, opBarrierArrive, opAccess, opAtomic,
 		// opDestroy, opChanTry, opChanClose, opWGAdd, opOnceDone,
 		// opTimerArm, opTimerStop, opCtxNew, opCtxCancel are always
-		// executable.
-		return true
+		// executable: they never block (opChanTry reports failure instead,
+		// opCondWait only releases and enqueues — the blocking half of a
+		// condvar wait is its opCondResume).
+		return true, false
 	}
 }
 

@@ -79,6 +79,21 @@ type Thread struct {
 	// woken marks a condvar waiter that has been signalled and may now
 	// re-contend for the mutex.
 	woken bool
+
+	// The World's enabled-set bookkeeping (World.syncEnabled): inEnabled
+	// says the thread is listed in World.enabled; inCond that it is parked
+	// at a conditional operation and linked, through condPrev and condNext,
+	// into the list World.condHead starts. Per-execution state: untrack
+	// clears it when the struct is handed to a new execution.
+	inEnabled, inCond  bool
+	condPrev, condNext *Thread
+}
+
+// untrack clears the enabled-set bookkeeping a recycled Thread struct
+// carries over from its previous execution.
+func (t *Thread) untrack() {
+	t.inEnabled, t.inCond = false, false
+	t.condPrev, t.condNext = nil, nil
 }
 
 // threadKey is the sync-object key used for spawn/join happens-before
@@ -128,6 +143,7 @@ func (w *World) newThread(body Program) *Thread {
 	t.woken = false
 	t.isClock = false
 	t.flat = false
+	t.untrack()
 	t.parkTo = t.first
 	w.threads = append(w.threads, t)
 	w.wg.Add(1)

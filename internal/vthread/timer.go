@@ -146,6 +146,7 @@ func (w *World) ensureClock() *Thread {
 	t.woken = false
 	t.parkTo = nil
 	t.isClock = true
+	t.untrack()
 	w.threads = append(w.threads, t)
 	w.clk.thread = t
 	return t
@@ -156,15 +157,7 @@ func (w *World) ensureClock() *Thread {
 // ends executions cleanly instead of ticking forever after the last
 // program thread exits — an unobservable fire cannot matter.
 func (w *World) clockEnabled() bool {
-	if w.clk.nextFireable() == nil {
-		return false
-	}
-	for _, t := range w.threads {
-		if !t.isClock && t.state != stateExited {
-			return true
-		}
-	}
-	return false
+	return w.live > 0 && w.clk.nextFireable() != nil
 }
 
 // armTimer registers v with the clock (deadline = now + d, fresh arm

@@ -19,6 +19,7 @@ package vthread
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -41,8 +42,12 @@ type Program func(t *Thread)
 type Context struct {
 	// Step is the index of this scheduling point in the execution (0-based).
 	Step int
-	// Enabled lists the enabled threads in ascending ThreadID order. It is
-	// never empty and must not be mutated.
+	// Enabled lists the enabled threads in strictly ascending ThreadID order
+	// (the precondition of the sched.Canonical* functions). It is never empty
+	// and must not be mutated. It is valid only during the Choose call: it
+	// aliases the World's own enabled set, which is kept across scheduling
+	// points and updated in place between Choose calls, so a chooser that
+	// wants it later must copy it.
 	Enabled []ThreadID
 	// Last is the thread that executed the previous step, or NoThread at the
 	// first step.
@@ -358,7 +363,23 @@ type World struct {
 
 	stats StepStats
 
-	enabledBuf []ThreadID
+	// enabled is the enabled set, ascending, kept across scheduling points:
+	// syncEnabled brings it up to date by re-evaluating only the threads
+	// that can have changed since the previous point (see there). seen is
+	// the number of threads it has taken in, condHead the list of threads
+	// parked at an operation whose enabledness depends on object state, and
+	// live the number of program threads that have not exited (what the
+	// clock pseudo-thread's enabledness asks). All four are per-execution
+	// state. The list is threaded through the Thread structs so that the
+	// bookkeeping allocates nothing.
+	enabled  []ThreadID
+	seen     int
+	condHead *Thread
+	live     int
+	// enabledCheck, nil outside tests, is called with the World at every
+	// scheduling point once the enabled set is up to date: the hook the
+	// whole-scan oracle of enabled_oracle_test.go hangs on.
+	enabledCheck func(*World)
 	// pendingFn is w.pendingOf bound once; building the method value at
 	// every scheduling point would allocate a closure per step. casePendFn
 	// is the case-decision counterpart (w.casePendingOf), reading the
@@ -412,6 +433,8 @@ func (w *World) reset() {
 	w.last = NoThread
 	w.trace = w.trace[:0]
 	w.pc, w.dc = 0, 0
+	w.enabled = w.enabled[:0]
+	w.seen, w.condHead, w.live = 0, nil, 0
 	w.schedPoints, w.maxEnabled = 0, 0
 	w.selPoints = 0
 	w.timerPoints = 0
@@ -486,7 +509,7 @@ func (w *World) nextStep() *Thread {
 		if w.failure != nil {
 			return nil
 		}
-		enabled := w.enabledThreads()
+		enabled := w.syncEnabled()
 		if len(enabled) == 0 {
 			w.finishIdle()
 			return nil
@@ -505,7 +528,11 @@ func (w *World) nextStep() *Thread {
 			w.maxEnabled = len(enabled)
 		}
 
-		choice := w.choose(enabled)
+		// One lookup of last and one of the choice in the sorted set answer
+		// everything the step needs: LastEnabled, the chooser validation,
+		// and both schedule costs.
+		start, lastEnabled := sched.CanonicalStart(enabled, w.last)
+		choice, pos := w.choose(enabled, start, lastEnabled)
 		if w.aborted {
 			return nil
 		}
@@ -516,7 +543,7 @@ func (w *World) nextStep() *Thread {
 			// arithmetic), fire the due timer inline on this goroutine, and
 			// continue to the next decision — no baton transfer, because
 			// the clock has no goroutine.
-			w.accountStep(choice, enabled)
+			w.accountStep(choice, pos, lastEnabled)
 			w.last = choice
 			w.fireTimer()
 			continue
@@ -530,7 +557,7 @@ func (w *World) nextStep() *Thread {
 				return nil
 			}
 		}
-		w.accountStep(choice, enabled)
+		w.accountStep(choice, pos, lastEnabled)
 		if casePick != NoThread {
 			// The case-decision entry: trace position step+1, cost zero under
 			// both schedule-cost models (no thread switched).
@@ -574,7 +601,7 @@ func (w *World) resolveSelect(t *Thread) (pick ThreadID, ok bool) {
 	if w.aborted {
 		return NoThread, false
 	}
-	if !containsThread(ready, choice) {
+	if !slices.Contains(ready, choice) {
 		panic(fmt.Sprintf("vthread: chooser picked select case %d which is not ready %v", choice, ready))
 	}
 	sel.pick = int(choice)
@@ -669,32 +696,29 @@ func (w *World) fillOutcome(out *Outcome) {
 	}
 }
 
-// makeContext builds the Context for the current scheduling point.
-func (w *World) makeContext(enabled []ThreadID) Context {
-	return Context{
+// choose consults the chooser and validates its decision. start and
+// lastEnabled are sched.CanonicalStart of the enabled set; pos is the
+// choice's position in the canonical order, which is what it costs in delays.
+func (w *World) choose(enabled []ThreadID, start int, lastEnabled bool) (choice ThreadID, pos int) {
+	choice = w.opts.Chooser.Choose(Context{
 		Step:        len(w.trace),
 		Enabled:     enabled,
 		Last:        w.last,
-		LastEnabled: w.lastEnabled(enabled),
+		LastEnabled: lastEnabled,
 		NumThreads:  len(w.threads),
 		PendingOf:   w.pendingFn,
 		SelectOf:    NoThread,
 		world:       w,
-	}
-}
-
-// choose consults the chooser and validates its decision.
-func (w *World) choose(enabled []ThreadID) ThreadID {
-	choice := w.opts.Chooser.Choose(w.makeContext(enabled))
+	})
 	if w.aborted {
 		// The return value of an aborting Choose is ignored by contract;
 		// skip the enabledness validation.
-		return NoThread
+		return NoThread, 0
 	}
-	if !containsThread(enabled, choice) {
+	if pos = sched.CanonicalPosition(enabled, start, choice); pos < 0 {
 		panic(fmt.Sprintf(chooserMisuse+" %d which is not enabled %v", choice, enabled))
 	}
-	return choice
+	return choice, pos
 }
 
 // chooserMisuse opens the panic message of a Chooser that returned a thread
@@ -708,30 +732,119 @@ const chooserMisuse = "vthread: chooser picked thread"
 func IsChooserMisuse(msg string) bool { return strings.HasPrefix(msg, chooserMisuse) }
 
 // accountStep appends the choice to the trace and updates the online
-// preemption and delay counts with the §2 definitions.
-func (w *World) accountStep(choice ThreadID, enabled []ThreadID) {
-	lastEnabled := w.lastEnabled(enabled)
+// preemption and delay counts with the §2 definitions, the delay cost read
+// off the choice's position in the canonical order (sched.DelayCost).
+func (w *World) accountStep(choice ThreadID, pos int, lastEnabled bool) {
 	w.pc += sched.PCStep(w.last, lastEnabled, choice)
-	w.dc += sched.DCStep(w.last, choice, len(w.threads), func(t ThreadID) bool {
-		return containsThread(enabled, t)
-	})
+	w.dc += sched.DelayCost(w.last, pos)
 	w.trace = append(w.trace, choice)
 }
 
-func (w *World) lastEnabled(enabled []ThreadID) bool {
-	return w.last != NoThread && containsThread(enabled, w.last)
-}
-
-// enabledThreads returns the enabled threads in ascending id order. The
-// returned slice is reused across calls.
-func (w *World) enabledThreads() []ThreadID {
-	w.enabledBuf = w.enabledBuf[:0]
-	for _, t := range w.threads {
-		if t.state == stateParked && t.pending.enabled(w) {
-			w.enabledBuf = append(w.enabledBuf, t.id)
+// syncEnabled brings the enabled set up to date for the scheduling point
+// being entered and returns it, ascending; the slice is updated in place at
+// the next point. It rests on one invariant, which both engines keep:
+// between two scheduling points only the thread that stepped and the
+// threads created during that step change state or pending operation. Every
+// other thread's enabledness can therefore move only if its pending
+// operation is one whose enabledness reads object state (see
+// pendingOp.enabled), so those threads — and no others — are re-evaluated at
+// every point.
+func (w *World) syncEnabled() []ThreadID {
+	stale := false
+	if w.last != NoThread {
+		t := w.threads[w.last]
+		if t.state == stateExited {
+			w.live--
+		}
+		stale = w.track(t)
+	}
+	for ; w.seen < len(w.threads); w.seen++ {
+		t := w.threads[w.seen]
+		if !t.isClock && t.state != stateExited {
+			w.live++
+		}
+		stale = w.track(t) || stale
+	}
+	for t := w.condHead; t != nil; t = t.condNext {
+		on, _ := t.pending.enabled(w)
+		stale = w.setEnabled(t, on) || stale
+	}
+	if stale {
+		// Some thread joined or left the set elsewhere than at its end: list
+		// the members again, in id order. This reads one flag a thread and
+		// evaluates nothing.
+		w.enabled = w.enabled[:0]
+		for _, t := range w.threads {
+			if t.inEnabled {
+				w.enabled = append(w.enabled, t.id)
+			}
 		}
 	}
-	return w.enabledBuf
+	if w.enabledCheck != nil {
+		w.enabledCheck(w)
+	}
+	return w.enabled
+}
+
+// track takes in t, whose state or pending operation may have changed: it
+// files t under the conditional threads, or else settles its membership of
+// the enabled set for as long as it stays where it is — a thread parked at
+// an unconditional operation is enabled, an exited one is not. It reports
+// whether the enabled slice went stale (see setEnabled).
+func (w *World) track(t *Thread) (stale bool) {
+	on, cond := false, false
+	if t.state == stateParked {
+		on, cond = t.pending.enabled(w)
+	}
+	if cond != t.inCond {
+		t.inCond = cond
+		if cond {
+			w.condLink(t)
+		} else {
+			w.condUnlink(t)
+		}
+	}
+	if cond {
+		return false // syncEnabled evaluates it with the other conditional threads
+	}
+	return w.setEnabled(t, on)
+}
+
+// condLink puts t at the head of the conditional threads.
+func (w *World) condLink(t *Thread) {
+	t.condPrev, t.condNext = nil, w.condHead
+	if w.condHead != nil {
+		w.condHead.condPrev = t
+	}
+	w.condHead = t
+}
+
+// condUnlink takes t out of the conditional threads.
+func (w *World) condUnlink(t *Thread) {
+	if t.condPrev != nil {
+		t.condPrev.condNext = t.condNext
+	} else {
+		w.condHead = t.condNext
+	}
+	if t.condNext != nil {
+		t.condNext.condPrev = t.condPrev
+	}
+	t.condPrev, t.condNext = nil, nil
+}
+
+// setEnabled records whether t is enabled. A thread that joins with the
+// largest id of the set — every freshly spawned one — is appended; any other
+// change leaves the slice stale, for syncEnabled to list again.
+func (w *World) setEnabled(t *Thread, on bool) (stale bool) {
+	if on == t.inEnabled {
+		return false
+	}
+	t.inEnabled = on
+	if n := len(w.enabled); on && (n == 0 || w.enabled[n-1] < t.id) {
+		w.enabled = append(w.enabled, t.id)
+		return false
+	}
+	return true
 }
 
 // finishIdle classifies the no-enabled-thread state: clean termination if
@@ -910,13 +1023,4 @@ func (w *World) isVisibleVar(key string) bool {
 		return true
 	}
 	return w.opts.Visible(key)
-}
-
-func containsThread(s []ThreadID, t ThreadID) bool {
-	for _, x := range s {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }
