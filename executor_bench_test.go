@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"sctbench/internal/bench"
 	"sctbench/internal/explore"
@@ -201,6 +202,105 @@ func BenchmarkSubstrateThroughputParallel(b *testing.B) {
 			reportExecRate(b, execs)
 		})
 	}
+}
+
+// lockedCounters is two workers through n locked increments each: executions
+// of about 8n steps whose every scheduling point has an alternative.
+func lockedCounters(n int) *vthread.CompiledProgram {
+	p := vthread.NewBuilder()
+	m := p.Mutex("m")
+	v := p.Var("v", 0)
+	wk := p.Body(0, 0)
+	i := wk.Let(0)
+	wk.While(func(t *vthread.Thread) bool { return t.Reg(i) < n }, func() {
+		wk.Lock(m)
+		wk.AddVar(v, 1)
+		wk.Unlock(m)
+		wk.Set(i, func(t *vthread.Thread) int { return t.Reg(i) + 1 })
+	})
+	mn := p.Main()
+	a, b := mn.Spawn(wk), mn.Spawn(wk)
+	mn.Join(a)
+	mn.Join(b)
+	return p.Build()
+}
+
+// tailFlip is round-robin except at step at, where — every other run — it
+// takes the second enabled thread: consecutive runs share the at steps below.
+type tailFlip struct {
+	at int
+	on bool
+}
+
+func (f *tailFlip) Choose(ctx vthread.Context) vthread.ThreadID {
+	if ctx.Step == f.at && f.on && len(ctx.Enabled) > 1 {
+		for _, t := range ctx.Enabled {
+			if t != ctx.Last {
+				return t
+			}
+		}
+	}
+	if ctx.LastEnabled {
+		return ctx.Last
+	}
+	return ctx.Enabled[0]
+}
+
+// BenchmarkPrefixResume shows the prefix-state cache by itself: one
+// execution that differs from the previous one in its last 8 steps, at depth
+// 20 and at depth 12,000, run from the initial state (scratch: RunWith) and
+// continued from a saved state (resumed: RunFrom). steps_run/op is what the
+// execution performed itself; a resumed run's ns/op is one restore plus that
+// tail plus the snapshots the tail takes. The snapshot row is the cost of
+// saving: a 12,000-step run that saves as it goes (RunFrom, nothing shared)
+// against the same run that does not (RunWith), per snapshot taken.
+func BenchmarkPrefixResume(b *testing.B) {
+	for _, n := range []int{3, 1500} {
+		prog := lockedCounters(n)
+		ex := vthread.NewExecutor(vthread.Options{})
+		f := &tailFlip{at: 1 << 30}
+		depth := len(ex.RunWith(f, nil, prog).Trace)
+		f.at = depth - 8
+		for _, mode := range []string{"scratch", "resumed"} {
+			b.Run(fmt.Sprintf("depth=%d/%s", depth, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				ex.RunFrom(f, prog, 0)
+				before := ex.StepStats()
+				for i := 0; i < b.N; i++ {
+					f.on = !f.on
+					if mode == "scratch" {
+						ex.RunWith(f, nil, prog)
+					} else {
+						ex.RunFrom(f, prog, f.at)
+					}
+				}
+				after := ex.StepStats()
+				run := after.FlatSteps - before.FlatSteps - (after.StepsSkipped - before.StepsSkipped)
+				b.ReportMetric(float64(run)/float64(b.N), "steps_run/op")
+			})
+		}
+		ex.Close()
+	}
+	b.Run("snapshot", func(b *testing.B) {
+		prog := lockedCounters(1500)
+		ex := vthread.NewExecutor(vthread.Options{})
+		defer ex.Close()
+		rr := vthread.RoundRobin()
+		before := ex.StepStats().Snapshots
+		var saving, plain time.Duration
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			ex.RunWith(rr, nil, prog)
+			t1 := time.Now()
+			ex.RunFrom(rr, prog, 0)
+			plain += t1.Sub(t0)
+			saving += time.Since(t1)
+		}
+		if taken := ex.StepStats().Snapshots - before; taken > 0 {
+			b.ReportMetric(float64((saving-plain).Nanoseconds())/float64(taken), "ns/snapshot")
+			b.ReportMetric(float64(taken)/float64(b.N), "snapshots/op")
+		}
+	})
 }
 
 // reportExecRate attaches the executions/sec custom metric.

@@ -553,6 +553,20 @@ func (c *Coordinator) checkpointLocked() *explore.Checkpoint {
 // --------------------------------------------------------------------------
 // HTTP handlers.
 
+// deadLocked answers a request that reached a crashed coordinator, and
+// reports whether it did. crashLocked closes the server on a goroutine of its
+// own, and until that lands the listener still accepts: a dead coordinator
+// must answer nothing but errors in the meantime — telling a worker the job
+// is done, or its result stale, would let it exit cleanly through a kill -9.
+// Every handler asks under the lock it does its work under.
+func (c *Coordinator) deadLocked(w http.ResponseWriter) bool {
+	if c.phase != phaseCrashed {
+		return false
+	}
+	http.Error(w, "coordinator crashed", http.StatusInternalServerError)
+	return true
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -567,6 +581,12 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	dead := c.deadLocked(w)
+	c.mu.Unlock()
+	if dead {
+		return
+	}
 	spec := JobSpec{
 		Benchmark: c.jc.Bench.Name,
 		Technique: c.jc.Technique.String(),
@@ -592,11 +612,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.deadLocked(w) {
+		return
+	}
 	if req.Worker != "" {
 		c.workers[req.Worker] = true
 	}
 	switch c.phase {
-	case phaseDone, phaseCrashed:
+	case phaseDone:
 		writeJSON(w, LeaseReply{Status: StatusDone})
 		return
 	case phaseDraining:
@@ -645,6 +668,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.deadLocked(w) {
+		return
+	}
 	l, ok := c.leases[req.LeaseID]
 	if !ok {
 		writeJSON(w, HeartbeatReply{Status: StatusStale})
@@ -653,7 +679,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case c.phase == phaseDraining:
 		writeJSON(w, HeartbeatReply{Status: StatusDrain})
-	case c.phase == phaseDone || c.phase == phaseCrashed || c.sealed:
+	case c.phase == phaseDone || c.sealed:
 		delete(c.leases, req.LeaseID)
 		writeJSON(w, HeartbeatReply{Status: StatusCancel})
 	default:
@@ -678,11 +704,15 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
+	if c.deadLocked(w) {
+		c.mu.Unlock()
+		return
+	}
 	if l, ok := c.leases[req.LeaseID]; ok && l.unitID == req.UnitID {
 		delete(c.leases, req.LeaseID)
 	}
 	u, ok := c.units[req.UnitID]
-	if !ok || c.sealed || c.phase == phaseDone || c.phase == phaseCrashed {
+	if !ok || c.sealed || c.phase == phaseDone {
 		// The pass moved on without this unit (the budget was already held by
 		// the units ahead of it, or the next bound began): the result is
 		// dropped. Covered ranges are re-derived from the units actually
@@ -748,6 +778,10 @@ func (c *Coordinator) handlePark(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
+	if c.deadLocked(w) {
+		c.mu.Unlock()
+		return
+	}
 	u, ok := c.units[req.UnitID]
 	// Parks are fenced: only the current lease may replace the unit's
 	// stored frontier. A stale park (expired lease, re-dispatch already
@@ -770,6 +804,9 @@ func (c *Coordinator) handlePark(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.deadLocked(w) {
+		return
+	}
 	st := StatusReply{
 		Phase:   c.phase.String(),
 		Bound:   c.bound,

@@ -10,8 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -452,6 +455,37 @@ func TestDistCoordCrashResume(t *testing.T) {
 		t.Fatalf("resumed Wait: %v", err)
 	}
 	requireSame(t, "coord-crash-resume", base, got)
+}
+
+// TestCrashedCoordinatorAnswersOnlyErrors: between the simulated crash and
+// the server's Close landing (it runs on a goroutine of its own) the listener
+// still accepts. Whatever arrives then must get an error, never a protocol
+// reply: "done" or "stale" would let a worker exit cleanly through a kill -9.
+func TestCrashedCoordinatorAnswersOnlyErrors(t *testing.T) {
+	c, err := NewCoordinator(testJob(t, "CS.account_bad", explore.DFS, distLimit))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	c.mu.Lock()
+	c.crashLocked()
+	c.mu.Unlock()
+	for path, handler := range map[string]http.HandlerFunc{
+		"/v1/job":       c.handleJob,
+		"/v1/lease":     c.handleLease,
+		"/v1/heartbeat": c.handleHeartbeat,
+		"/v1/complete":  c.handleComplete,
+		"/v1/park":      c.handlePark,
+		"/v1/status":    c.handleStatus,
+	} {
+		// A body every handler accepts, so that the answer is the crashed
+		// coordinator's and not a bad-request one.
+		body := `{"worker":"w","leaseId":1,"unitId":1,"result":{},"unit":{}}`
+		rec := httptest.NewRecorder()
+		handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code < 500 {
+			t.Errorf("%s answered %d %q after the crash, want a 5xx", path, rec.Code, rec.Body.String())
+		}
+	}
 }
 
 // TestDistDrainResumeInProcess: SIGTERM-style drain parks the in-flight

@@ -108,6 +108,8 @@ type dporEngine struct {
 	sleepOnly bool
 
 	stack []dporNode
+	// shared is engine.shared: the depth of the node backtrack advanced.
+	shared int
 	// analyzeFrom is the shallowest stack depth whose taken step has not
 	// been race-analyzed yet: 0 for a fresh engine, the advanced node's
 	// depth after a backtrack, len(stack) right after an analysis.
@@ -297,7 +299,8 @@ func dporChildSleep(parent *dporNode, dst map[sched.ThreadID]vthread.PendingInfo
 // DFS starts every backtrack set full, so it has nothing to analyze).
 func (e *dporEngine) runOnce() *vthread.Outcome {
 	e.executions++
-	out := e.exec.RunWith(e, nil, e.cfg.Program)
+	out := execute(e.cfg, e.exec, e, e.shared)
+	e.shared = 0
 	if !e.sleepOnly {
 		e.analyze()
 	}
@@ -563,6 +566,7 @@ func (e *dporEngine) backtrack() bool {
 		next := e.firstPending(nd)
 		if next >= 0 {
 			nd.idx = next
+			e.shared = d
 			e.analyzeFrom = d
 			e.truncateHB(d)
 			return true

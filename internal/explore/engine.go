@@ -84,6 +84,13 @@ type engine struct {
 
 	stack   []node
 	running int // cumulative cost of the current execution so far
+	// shared is the number of leading steps the next execution repeats from
+	// the previous one this engine ran on exec (vthread.Executor.RunFrom):
+	// backtrack leaves every node below the one it advanced as it was, so it
+	// is that node's depth. Zero — nothing promised — for a new engine value
+	// (fresh, donated, restored from a checkpoint), after setExec and once
+	// the execution has been run.
+	shared int
 
 	// freeOrders and freeCosts recycle the per-node order/costs buffers:
 	// backtrack pushes a popped node's slices here and Choose pops them for
@@ -170,9 +177,25 @@ func (e *engine) push(ctx vthread.Context) sched.ThreadID {
 func (e *engine) runOnce() *vthread.Outcome {
 	e.running = 0
 	e.executions++
-	out := e.exec.RunWith(e, nil, e.cfg.Program)
+	out := execute(e.cfg, e.exec, e, e.shared)
+	e.shared = 0
 	e.checkCost(out)
 	return out
+}
+
+// runHook is the differential-oracle hook of the package's tests, nil
+// otherwise: it is handed every execution of both engines in execute's place
+// (prefix_oracle_test.go), to run it from the initial state instead, or to
+// hold the outcome against one that was.
+var runHook func(cfg Config, ex *vthread.Executor, c vthread.Chooser, shared int) *vthread.Outcome
+
+// execute runs cfg.Program once on ex for an engine — the chooser c — whose
+// first shared choices repeat those of the execution it ran there before.
+func execute(cfg Config, ex *vthread.Executor, c vthread.Chooser, shared int) *vthread.Outcome {
+	if runHook != nil {
+		return runHook(cfg, ex, c, shared)
+	}
+	return ex.RunFrom(c, cfg.Program, shared)
 }
 
 // checkCost cross-validates the engine's running cost against the world's
@@ -210,6 +233,7 @@ func (e *engine) backtrack() bool {
 			break
 		}
 		if advanced {
+			e.shared = len(e.stack) - 1
 			return true
 		}
 		// Pop the exhausted node and recycle its buffers. Donated stacks

@@ -75,7 +75,7 @@ import (
 // ownership of the returned unit's engine to whichever worker takes it.
 type searcher interface {
 	// setExec points the engine at the executor of the worker currently
-	// running it.
+	// running it; its next execution there shares nothing with the last.
 	setExec(ex *vthread.Executor)
 	// runOnce executes the program once, replaying the stack prefix.
 	runOnce() *vthread.Outcome
@@ -104,7 +104,7 @@ type searcher interface {
 
 // searcher implementation for the DFS/IPB/IDB engine.
 
-func (e *engine) setExec(ex *vthread.Executor) { e.exec = ex }
+func (e *engine) setExec(ex *vthread.Executor) { e.exec, e.shared = ex, 0 }
 func (e *engine) wasPruned() bool              { return e.pruned }
 func (e *engine) prunedBranches() int          { return 0 }
 
@@ -161,7 +161,7 @@ func (e *engine) split() *unit {
 
 // searcher implementation for the DPOR engine.
 
-func (e *dporEngine) setExec(ex *vthread.Executor) { e.exec = ex }
+func (e *dporEngine) setExec(ex *vthread.Executor) { e.exec, e.shared = ex, 0 }
 func (e *dporEngine) wasPruned() bool              { return false }
 func (e *dporEngine) prunedBranches() int          { return e.pruned }
 

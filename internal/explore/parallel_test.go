@@ -337,8 +337,16 @@ func TestParallelWorkerPoolStress(t *testing.T) {
 // (counted across every invocation, whichever goroutine runs it) calls a
 // blocking operation from an operand closure. The substrate does not contain
 // that as a program failure: engine misuse is rethrown to whoever called Run.
+//
+// The counting closure breaks the contract of operand closures on purpose —
+// they are pure functions of registers, cells and object registers, and an
+// execution continued from a saved prefix state does not evaluate the
+// operands of that prefix again — so it sits where evaluations and executions
+// are the same number: on the initial thread's last operation, registered
+// once both workers are joined. From there on only one thread is left, so no
+// search backtracks to those steps and every execution performs them itself.
 func misusingProgram(panicAt int64) vthread.Runnable {
-	var execs atomic.Int64
+	var evals atomic.Int64
 	p := vthread.NewBuilder()
 	v := p.Var("v", 0)
 	wk := p.Body(0, 0)
@@ -347,14 +355,15 @@ func misusingProgram(panicAt int64) vthread.Runnable {
 	mn := p.Main()
 	w1 := mn.Spawn(wk)
 	w2 := mn.Spawn(wk)
-	mn.Store(v, func(t *vthread.Thread) int {
-		if execs.Add(1) == panicAt {
-			return t.NewVar("misuse", 0).Load(t)
-		}
-		return 3
-	})
+	mn.Store(v, 3)
 	mn.Join(w1)
 	mn.Join(w2)
+	mn.Store(v, func(t *vthread.Thread) int {
+		if evals.Add(1) == panicAt {
+			return t.NewVar("misuse", 0).Load(t)
+		}
+		return 4
+	})
 	return p.Build()
 }
 

@@ -192,7 +192,7 @@ package vthread
 // Every arm reads the virtual now and every fire advances it, so all
 // arm/fire footprints share clockKey — that is what lets the
 // partial-order engines see that arms and fires never commute. The clock
-// Thread never enters the Executor pool (RunWith filters isClock; the
+// Thread never enters the Executor pool (the Executor filters isClock; the
 // struct is cached on World.clk across runs) and all clock state is
 // cleared by reset, so reuse cannot carry virtual time across runs.
 //
@@ -223,6 +223,33 @@ package vthread
 // prog.go for the registration/perform protocol and the op-for-op
 // translation contract that equivalence rests on, and
 // internal/bench/equiv_test.go for the registry-wide enforcement.
+//
+// # Continuing from a saved prefix (Executor.RunFrom)
+//
+// Every run above starts from the program's initial state. A depth-first
+// search runs executions that differ from their predecessor only below the
+// backtrack point, and Executor.RunFrom lets it say so: "for the steps below
+// shared, this chooser makes the choices it made in its previous run here".
+// During RunFrom runs of a CompiledProgram on the flat engine the World saves
+// its state at some scheduling points (snapshot.go: the World's counters and
+// enabled-set bookkeeping, the trace length, every thread's pending operation
+// and registers, every declared object's value), and a later RunFrom
+// continues from the deepest saved point at or below shared instead of
+// re-executing the prefix. The state is written back into the same Thread
+// and object structs, because pending operations, lock owners, waiter lists
+// and object registers point at them; so a saved state is usable only while
+// those structs are what the Executor hands the run, and only for the chooser
+// and program it came from. The Executor checks all three, and any other run
+// on it — RunWith, Run, another chooser, another program — discards what was
+// saved. The cache is only ever a cache: the Outcome (full-length Trace, every
+// counter) and StepStats.FlatSteps are those of a run from the initial state;
+// StepStats.RunsResumed, StepsSkipped and Snapshots say what it did instead.
+// Closure Programs, Debug.NoFlatEngine runs and programs that create objects
+// at run time (selects, timers, tickers, contexts, dynamic mutexes) are never
+// saved: for them RunFrom is RunWith. What RunFrom asks of a program is what
+// prog.go asks already: operand closures are pure functions of registers,
+// cells and object registers, because a continued run does not evaluate the
+// prefix's operands again.
 //
 // # Determinism contract
 //

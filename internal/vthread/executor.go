@@ -17,20 +17,33 @@ import "sync"
 // In steady state a run allocates nothing in the substrate — only what the
 // program under test allocates for its own objects.
 //
+// # Continuing from a saved prefix
+//
+// RunFrom is RunWith for a chooser that repeats the first choices of its
+// previous run — a depth-first search after a backtrack. For flat-engine
+// runs the Executor then keeps a bounded number of saved prefix states of
+// that chooser's last execution and continues the next one from the deepest
+// it shares, instead of re-executing the prefix; the Outcome is the same
+// either way. The cache belongs to one chooser and one program and dies with
+// any other run on the Executor (Run, RunWith, RunFrom by another chooser or
+// of another program). See RunFrom and snapshot.go.
+//
 // # Aliasing contract
 //
-// Run and RunWith return a pointer to an Outcome that the next run
+// Run, RunWith and RunFrom return a pointer to an Outcome that the next run
 // overwrites, and Outcome.Trace aliases the Executor's internal schedule
 // buffer, which the next run rewrites in place. Both are valid only until
-// the next Run/RunWith (or Close). A caller that retains the trace must
-// copy it (sched.Schedule.Clone); a caller that retains other Outcome
-// fields must copy them out before the next run. Outcome.Failure is
-// exempt: failures are freshly allocated per run and never recycled.
+// the next run (or Close), and the trace must not be written to: a continued
+// run keeps the prefix it shares with the previous one where it is. A caller
+// that retains the trace must copy it (sched.Schedule.Clone); a caller that
+// retains other Outcome fields must copy them out before the next run.
+// Outcome.Failure is exempt: failures are freshly allocated per run and
+// never recycled.
 //
 // # Confinement
 //
 // An Executor is confined to one goroutine, exactly like a World: Run,
-// RunWith and Close must all be called from the same goroutine, and
+// RunWith, RunFrom and Close must all be called from the same goroutine, and
 // distinct Executors share no state, so one Executor per worker goroutine
 // is the intended parallel pattern. Reusing an Executor while a run is in
 // flight (for example from inside its own Chooser) panics.
@@ -48,6 +61,8 @@ type Executor struct {
 	outcome  Outcome
 	running  bool
 	closed   bool
+	// cache holds the prefix states of the last RunFrom runs (snapshot.go).
+	cache prefixCache
 
 	// defChooser and defSink are the Options the Executor was created
 	// with; Run always uses these, regardless of what earlier RunWith
@@ -71,10 +86,11 @@ func (e *Executor) Run(program Runnable) *Outcome {
 	return e.RunWith(e.defChooser, e.defSink, program)
 }
 
-// RunWith executes program once with this run's chooser and event sink
-// (either may differ per run; sink may be nil for no observer). The other
-// Options fields (Visible, MaxSteps, BoundsCheck) stay as configured. See
-// the type comment for the aliasing contract on the result.
+// RunWith executes program once, from its initial state, with this run's
+// chooser and event sink (either may differ per run; sink may be nil for no
+// observer). The other Options fields (Visible, MaxSteps, BoundsCheck) stay
+// as configured. See the type comment for the aliasing contract on the
+// result.
 //
 // Engine selection: a closure Program runs on the reference (goroutine)
 // engine; a *CompiledProgram runs on the flat single-goroutine engine —
@@ -82,6 +98,73 @@ func (e *Executor) Run(program Runnable) *Outcome {
 // reference engine (counted in StepStats.FlatFallbacks). Either way the
 // execution is bit-identical: same trace, Outcome, Failure and events.
 func (e *Executor) RunWith(chooser Chooser, sink EventSink, program Runnable) *Outcome {
+	e.cache.drop()
+	return e.run(chooser, sink, program, nil)
+}
+
+// RunFrom is RunWith(chooser, nil, program) for a chooser that can say how
+// much of the run is a repeat: for the steps below shared it makes the
+// choices it made in the previous run it was given on this Executor (a
+// depth-first search after a backtrack; 0 promises nothing and is what a
+// chooser's first run on an Executor must pass). The Outcome is the one
+// RunWith would return — full-length Trace, every counter, StepStats.FlatSteps
+// — but where the Executor holds a saved state of that previous run at a
+// depth <= shared, the execution continues from it instead of re-executing
+// the prefix (see snapshot.go). States are saved during RunFrom runs only,
+// are trusted only for the same chooser (compared as an interface value, so
+// choosers passing shared > 0 must be of a comparable type) and program, and
+// are discarded by any other run on the Executor. Closure Programs, programs
+// that create objects at run time and Debug.NoFlatEngine runs are never
+// saved: for them RunFrom is RunWith.
+func (e *Executor) RunFrom(chooser Chooser, program Runnable, shared int) *Outcome {
+	cp, _ := program.(*CompiledProgram)
+	if cp == nil || cp.dynamic || e.w.opts.Debug.NoFlatEngine {
+		return e.RunWith(chooser, nil, program)
+	}
+	c := &e.cache
+	var from *snapshot
+	if shared > 0 && c.cp == cp && c.owner == chooser {
+		from = e.claim(c.resumeAt(shared))
+	}
+	if from == nil {
+		c.drop()
+	}
+	// Nothing is trusted while the run is in flight: one that panics leaves
+	// the cache ownerless, and the next run starts from scratch.
+	c.owner = nil
+	e.w.cache = c
+	defer func() { e.w.cache = nil }()
+	out := e.run(chooser, nil, cp, from)
+	c.owner, c.cp, c.tail = chooser, cp, out.Threads
+	return out
+}
+
+// claim takes the thread structs a snapshot names back out of flatFree, where
+// the previous run left them (its threads are the last cache.tail entries, in
+// id order), for restore to install as the thread table. A snapshot whose
+// structs are not the ones found there cannot be restored in place: nil is
+// returned, for a run from scratch.
+func (e *Executor) claim(s *snapshot) *snapshot {
+	if s == nil {
+		return nil
+	}
+	base, n := len(e.flatFree)-e.cache.tail, len(s.threads)
+	if base < 0 || n > e.cache.tail {
+		return nil
+	}
+	last := e.flatFree[base:]
+	for i := range s.threads {
+		if last[i] != s.threads[i].t {
+			return nil
+		}
+	}
+	e.flatFree = append(e.flatFree[:base], last[n:]...)
+	return s
+}
+
+// run is one execution: from the initial state, or — flat engine only — from
+// a claimed snapshot.
+func (e *Executor) run(chooser Chooser, sink EventSink, program Runnable, from *snapshot) *Outcome {
 	if chooser == nil {
 		panic("vthread: Executor run without a Chooser")
 	}
@@ -105,7 +188,7 @@ func (e *Executor) RunWith(chooser Chooser, sink EventSink, program Runnable) *O
 			e.w.stats.FlatFallbacks++
 			e.w.exec(p.asProgram())
 		} else {
-			e.w.execFlat(p)
+			e.w.execFlat(p, from)
 		}
 	default:
 		panic("vthread: Executor run on unknown Runnable implementation")

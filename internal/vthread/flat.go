@@ -27,10 +27,18 @@ import "fmt"
 // execFlat is exec for compiled programs: same seeding, same decision loop,
 // no goroutines, no baton. A chooser panic propagates directly to the Run
 // caller (the decision runs on its goroutine), matching the reference
-// engine's rethrow contract.
-func (w *World) execFlat(cp *CompiledProgram) {
-	env := cp.newEnv(w)
-	w.newFlatThread(cp, env, 0, nil, nil)
+// engine's rethrow contract. With from set (Executor.RunFrom) the seeding is
+// replaced by restoring that prefix state; the loop is the same.
+func (w *World) execFlat(cp *CompiledProgram, from *snapshot) {
+	if from != nil {
+		w.cache.resume(w, from)
+	} else {
+		env := cp.newEnv(w)
+		if w.cache != nil {
+			w.cache.begin(env)
+		}
+		w.newFlatThread(cp, env, 0, nil, nil)
+	}
 	for {
 		t := w.nextStep()
 		if t == nil {

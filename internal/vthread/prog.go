@@ -35,6 +35,20 @@ import "fmt"
 // (asProgram) maps them onto Thread.visible, which parks the goroutine — so
 // a CompiledProgram also runs, bit-identically, on the reference engine.
 //
+// # Operand closures are pure
+//
+// The func(*Thread) operands, conditions and names of instructions are pure
+// functions of what the interpreter holds for them: the thread's registers
+// (Reg), the declared cells (Cell) and its object registers (Obj). They must
+// not read or write anything else that changes between or during executions —
+// a captured counter, a Go variable another closure updates — nor call a
+// visible operation (Thread.visible panics on a flat thread). Two parts of
+// the substrate rest on it: ProgramHash evaluates operands out of any
+// execution to fingerprint them (hash.go), and an execution continued from a
+// saved prefix state (Executor.RunFrom, snapshot.go) does not evaluate the
+// prefix's operands again — a closure that counted its evaluations would
+// count fewer than there were executions.
+//
 // # Equivalence contract
 //
 // A CompiledProgram translated op-for-op from a closure Program produces
@@ -148,6 +162,11 @@ type CompiledProgram struct {
 	cellInit  []int
 	refNames  []string
 	bodies    []*fbody
+	// dynamic reports that some instruction creates an object at run time (a
+	// select's case snapshot, a timer, ticker or context, a dynamic mutex):
+	// state that lives outside the declared environment, which the
+	// prefix-state cache does not save. Set as such an instruction is emitted.
+	dynamic bool
 }
 
 // refObj is the runtime state of a RefH: an object-valued shared variable.

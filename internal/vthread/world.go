@@ -262,6 +262,14 @@ type StepStats struct {
 	// FlatFallbacks counts runs of a CompiledProgram that were routed to
 	// the reference engine instead of the flat engine (Debug.NoFlatEngine).
 	FlatFallbacks int64
+	// RunsResumed counts Executor.RunFrom runs that continued from a saved
+	// prefix state instead of the initial state, and StepsSkipped the steps
+	// those runs did not execute (each still counted in FlatSteps, as in the
+	// trace: the execution is the same, only the work is not). Snapshots
+	// counts the prefix states saved.
+	RunsResumed  int64
+	StepsSkipped int64
+	Snapshots    int64
 }
 
 // DefaultMaxSteps is the per-execution visible-operation budget used when
@@ -380,6 +388,12 @@ type World struct {
 	// scheduling point once the enabled set is up to date: the hook the
 	// whole-scan oracle of enabled_oracle_test.go hangs on.
 	enabledCheck func(*World)
+	// cache, non-nil only during an Executor.RunFrom run of a program that can
+	// be snapshotted, is where nextStep saves prefix states (snapshot.go).
+	// restoreCheck, nil outside tests, is called right after such a run has
+	// restored one, before its first step.
+	cache        *prefixCache
+	restoreCheck func(*World)
 	// pendingFn is w.pendingOf bound once; building the method value at
 	// every scheduling point would allocate a closure per step. casePendFn
 	// is the case-decision counterpart (w.casePendingOf), reading the
@@ -508,6 +522,9 @@ func (w *World) nextStep() *Thread {
 		// via Spawn's eager prefix execution, by a child it created.
 		if w.failure != nil {
 			return nil
+		}
+		if c := w.cache; c != nil && len(w.trace) >= c.next {
+			c.take(w)
 		}
 		enabled := w.syncEnabled()
 		if len(enabled) == 0 {
