@@ -20,7 +20,7 @@ test:
 	$(GO) build ./...
 	$(GO) test -race -count=1 ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic' ./internal/explore/ ./internal/dist/
+	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic|TestDistDrainResume' ./internal/explore/ ./internal/dist/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 3x .

@@ -23,7 +23,9 @@ import (
 // included. The Executor rows split by engine — "ref" runs the closure
 // twin on the goroutine reference engine (the pre-flat history row),
 // "flat" runs the compiled form on the single-goroutine flat engine — so
-// one run carries the before/after of the engine swap.
+// one run carries the before/after of the engine swap. "flat-assert" is an
+// execution that ends in a failed assertion, the fate of most executions of a
+// buggy program's search: what a failure costs the flat engine.
 func BenchmarkExecutorThroughput(b *testing.B) {
 	bm := bench.ByName("CS.account_bad")
 	b.Run("NewWorldPerRun", func(b *testing.B) {
@@ -40,11 +42,13 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 		reportExecRate(b, b.N)
 	})
 	engines := []struct {
-		name string
-		prog vthread.Runnable
+		name  string
+		prog  vthread.Runnable
+		buggy bool
 	}{
-		{"Executor/ref", bm.Ref()},
-		{"Executor/flat", bm.New()},
+		{"Executor/ref", bm.Ref(), false},
+		{"Executor/flat", bm.New(), false},
+		{"Executor/flat-assert", failingSum(), true},
 	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
@@ -57,8 +61,8 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 			steps := 0
 			for i := 0; i < b.N; i++ {
 				out := ex.Run(eng.prog)
-				if out.Threads == 0 {
-					b.Fatal("no threads ran")
+				if out.Threads == 0 || out.Buggy() != eng.buggy {
+					b.Fatalf("threads %d, failure %v", out.Threads, out.Failure)
 				}
 				steps += len(out.Trace)
 			}
@@ -80,6 +84,10 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 //
 // The flat/* rows run the same two shapes as compiled programs on the
 // single-goroutine flat engine, where a context switch is a function call.
+//
+// flat/random-6 is the shape of the radbench programs that dominate a study
+// pass's Rand cells: six threads in an AddVar loop under the random
+// scheduler, whose every pick lands anywhere in the enabled set.
 //
 // The two flat/threads=100 rows show how a scheduling point scales with the
 // thread count, under the random scheduler (whose picks are far from the
@@ -124,6 +132,21 @@ func BenchmarkStepOverhead(b *testing.B) {
 		}
 		return p.Build()
 	}
+	adders := func(n, loops int) *vthread.CompiledProgram {
+		p := vthread.NewBuilder()
+		v := p.Var("v", 0)
+		wk := p.Body(0, 0)
+		i := wk.Let(0)
+		wk.While(func(t *vthread.Thread) bool { return t.Reg(i) < loops }, func() {
+			wk.AddVar(v, 1)
+			wk.Set(i, func(t *vthread.Thread) int { return t.Reg(i) + 1 })
+		})
+		main := p.Main()
+		for k := 0; k < n; k++ {
+			main.Spawn(wk)
+		}
+		return p.Build()
+	}
 	spinners := hundred(func(c *vthread.Code, _ vthread.MutexH) { c.Yield() })
 	queued := hundred(func(c *vthread.Code, m vthread.MutexH) { c.Lock(m); c.Unlock(m) })
 	alternate := vthread.ChooserFunc(func(ctx vthread.Context) vthread.ThreadID {
@@ -143,6 +166,7 @@ func BenchmarkStepOverhead(b *testing.B) {
 		{"cross-thread", alternate, yielders},
 		{"flat/same-thread", vthread.RoundRobin(), compiledYielders},
 		{"flat/cross-thread", alternate, compiledYielders},
+		{"flat/random-6", vthread.NewRandom(1), adders(6, 32)},
 		{"flat/threads=100", vthread.NewRandom(1), spinners},
 		{"flat/threads=100-blocked", vthread.NewRandom(1), queued},
 	}
@@ -222,6 +246,22 @@ func lockedCounters(n int) *vthread.CompiledProgram {
 	a, b := mn.Spawn(wk), mn.Spawn(wk)
 	mn.Join(a)
 	mn.Join(b)
+	return p.Build()
+}
+
+// failingSum is two unlocked AddVar workers and a main that joins them and
+// asserts the sum is 3: every execution ends in a failed assertion.
+func failingSum() *vthread.CompiledProgram {
+	p := vthread.NewBuilder()
+	v := p.Var("v", 0)
+	wk := p.Body(0, 0)
+	wk.AddVar(v, 1)
+	mn := p.Main()
+	a, b := mn.Spawn(wk), mn.Spawn(wk)
+	mn.Join(a)
+	mn.Join(b)
+	sum := mn.Load(v)
+	mn.Assert(func(t *vthread.Thread) bool { return t.Reg(sum) == 3 }, "sum %d, want 3", sum)
 	return p.Build()
 }
 

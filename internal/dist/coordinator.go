@@ -512,6 +512,14 @@ func (c *Coordinator) commit(units []*explore.UnitResultState, stopped explore.S
 // completed unit's result of the current pass — the same pre-fold contract
 // as the in-process pool's checkpoints, so `sctrun -resume` can also
 // finish a drained distributed job in-process.
+//
+// Once the job's last pass is folded into c.res (commit, phaseDone) there
+// is no such state left to write: c.res and c.counted then include the
+// pass whose units c.units still holds, and a file pairing the two counts
+// those units twice (a resume reports every offset shifted by the pass's
+// schedules). Handlers write after letting go of c.mu, so their write can
+// land after finishDrain's commit; it is dropped, and the drain's own
+// checkpoint, written before the commit, stays the last one on disk.
 func (c *Coordinator) writeCheckpoint() {
 	if c.jc.CheckpointPath == "" {
 		return
@@ -522,6 +530,10 @@ func (c *Coordinator) writeCheckpoint() {
 	c.ckMu.Lock()
 	defer c.ckMu.Unlock()
 	c.mu.Lock()
+	if c.phase == phaseDone {
+		c.mu.Unlock()
+		return
+	}
 	ck := c.checkpointLocked()
 	c.mu.Unlock()
 	if err := ck.Save(c.jc.CheckpointPath); err != nil {

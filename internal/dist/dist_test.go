@@ -583,6 +583,71 @@ func TestDistDrainResumeInProcess(t *testing.T) {
 	}
 }
 
+// TestDistDrainLateCheckpointWrite is TestDistDrainResumeInProcess/truncated
+// with its one racy interleaving forced: handleComplete and handlePark write
+// the checkpoint after letting go of the coordinator's lock, so a handler's
+// write can land after the drain has committed the pass. The test completes
+// one unit by hand, drains, waits for the job to end, and only then makes
+// that late write. A checkpoint written then paired the result with the pass
+// already folded in (counted 18, say) with the pass's units still listed, and
+// the resume reported its first bug 18 schedules late — with the same witness
+// and buggy count, and, for a limit-truncated pass, the same total.
+func TestDistDrainLateCheckpointWrite(t *testing.T) {
+	const name, limit = "CS.account_bad", 300
+	base := explore.RunDFS(baseCfg(t, name, limit))
+	ckPath := filepath.Join(t.TempDir(), "job.ckpt")
+	interrupt := make(chan struct{})
+	jc := testJob(t, name, explore.DFS, limit)
+	jc.CheckpointPath = ckPath
+	jc.Interrupt = interrupt
+	c, err := NewCoordinator(jc)
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	startCoord(t, c)
+	cl := fastClient(c)
+	var lease LeaseReply
+	for lease.Status != StatusUnit {
+		if err := cl.call("/v1/lease", LeaseRequest{Worker: "hand"}, &lease); err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+		if lease.Status != StatusUnit && lease.Status != StatusWait {
+			t.Fatalf("lease: status %q", lease.Status)
+		}
+	}
+	run, err := explore.RunUnit(exploreConfig(jc.Bench, nil, true, limit, jc.Seed), lease.Unit, lease.Budget, nil)
+	if err != nil || run.Done == nil {
+		t.Fatalf("RunUnit: %+v, %v", run, err)
+	}
+	if run.Done.Schedules == 0 {
+		t.Fatal("the leased unit counted no schedule: a late write would shift nothing")
+	}
+	var done CompleteReply
+	req := CompleteRequest{LeaseID: lease.LeaseID, UnitID: lease.UnitID, Result: run.Done, LimitHit: run.LimitHit}
+	if err := cl.call("/v1/complete", req, &done); err != nil || done.Status != StatusOK {
+		t.Fatalf("complete: %q, %v", done.Status, err)
+	}
+	close(interrupt) // no lease is out: the pass ends, is checkpointed and committed
+	r1, err := c.Wait()
+	if err != nil || r1.Stopped != explore.StopInterrupted {
+		t.Fatalf("Wait: stopped %v, %v", r1.Stopped, err)
+	}
+	c.writeCheckpoint() // the handler's write, after the commit
+	ck, err := explore.LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := baseCfg(t, name, limit)
+		cfg.Workers = workers
+		got, err := explore.Resume(ck, cfg)
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		requireSame(t, fmt.Sprintf("late write, resume workers=%d", workers), maskWork(base), maskWork(got))
+	}
+}
+
 // waitUnitsDone blocks until the coordinator has recorded n completed units
 // (or the job has ended).
 func waitUnitsDone(t *testing.T, c *Coordinator, n int) {

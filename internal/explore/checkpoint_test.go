@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,6 +203,52 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 			requireSameResult(t, fmt.Sprintf("resume at workers=%d", workers), base, res)
 		}
 	})
+}
+
+// TestRandPeriodicCheckpointLateRunZero holds run 0 of a four-sweeper Rand
+// sweep back until every other run has been drawn, run and held pending —
+// each of the other three sweepers has drawn the index past the end it quits
+// on — so that run 0's fold releases all of them at once and the watermark
+// goes from 0 to Limit in one drain. CheckpointEvery counts folded runs, so
+// that drain owes periodic checkpoints; asked only once the drain was over,
+// at Limit, it wrote none.
+func TestRandPeriodicCheckpointLateRunZero(t *testing.T) {
+	const limit, workers = 40, 4
+	base := RunRand(ckCfg(t, "CS.account_bad", limit))
+	path := filepath.Join(t.TempDir(), "ck.json")
+	cfg := ckCfg(t, "CS.account_bad", limit)
+	cfg.Workers = workers
+	cfg.CheckpointPath = path
+	cfg.CheckpointEvery = 3
+	rest := make(chan struct{})
+	var mu sync.Mutex
+	quit := 0
+	randDispensed = func(i int) {
+		switch {
+		case i == 0:
+			<-rest
+		case i >= limit:
+			mu.Lock()
+			if quit++; quit == workers-1 {
+				close(rest)
+			}
+			mu.Unlock()
+		}
+	}
+	defer func() { randDispensed = nil }()
+	requireSameResult(t, "late run 0", base, RunRand(cfg))
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("no periodic checkpoint left behind: %v", err)
+	}
+	if ck.NextRun <= 0 || ck.NextRun >= limit || ck.Result.Stopped != StopCompleted {
+		t.Fatalf("left behind nextRun %d, Stopped %v: not a periodic snapshot", ck.NextRun, ck.Result.Stopped)
+	}
+	res, err := Resume(ck, ckCfg(t, "CS.account_bad", limit))
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	requireSameResult(t, "resume", base, res)
 }
 
 // TestDeadlineStops: an already-expired wall-clock deadline stops the

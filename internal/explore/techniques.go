@@ -450,6 +450,9 @@ func runRand(cfg Config, r *Result, start int) *Result {
 				break
 			}
 			i := int(next.Add(1)) - 1
+			if randDispensed != nil {
+				randDispensed(i)
+			}
 			if i >= n {
 				break
 			}
@@ -466,16 +469,20 @@ func runRand(cfg Config, r *Result, start int) *Result {
 				}
 				pending[i] = rc
 			} else {
-				fold(rc)
-				for rc, ok := pending[watermark]; ok; rc, ok = pending[watermark] {
-					delete(pending, watermark)
+				// Fold run i, then every run it held back. The periodic
+				// checkpoint is owed by the count of folded runs, so it is
+				// asked after each fold: a late run 0 releases all the others
+				// in this one drain, and asking only at its end, where the
+				// watermark is Limit, would write none.
+				for ok := true; ok; rc, ok = pending[watermark] {
+					delete(pending, watermark) // run i itself was never pending
 					fold(rc)
-				}
-				if watermark < n && ckw.due(watermark) {
-					if writeCheckpoint(cfg, r, randCheckpoint(cfg, r, watermark)) {
-						ctl.crash()
+					if watermark < n && ckw.due(watermark) && !ctl.crashed.Load() {
+						if writeCheckpoint(cfg, r, randCheckpoint(cfg, r, watermark)) {
+							ctl.crash()
+						}
+						ckw.last = watermark
 					}
-					ckw.last = watermark
 				}
 			}
 			mu.Unlock()
@@ -506,6 +513,11 @@ func runRand(cfg Config, r *Result, start int) *Result {
 	r.Stopped = StopLimit
 	return r
 }
+
+// randDispensed, nil outside tests, is called with every run index a Rand
+// sweeper draws, the past-the-end one it quits on included: the seam
+// checkpoint_test.go fixes the order runs finish in with.
+var randDispensed func(i int)
 
 // randRun executes run i of a Rand sweep on the caller's executor: the
 // single definition of the per-run seed formula.

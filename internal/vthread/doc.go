@@ -76,15 +76,19 @@ package vthread
 // of a condvar wait (opCondWait, which only releases and enqueues; the
 // blocking half is opCondResume) are unconditional, like everything not
 // listed. The evaluate-every-thread scan is the oracle the maintained set is
-// compared with in enabled_oracle_test.go, through the World's one test
+// compared with in enabled_oracle_test.go, through a World test
 // hook (enabledCheck, nil outside tests).
 //
 // Context.Enabled aliases that set: strictly ascending, never empty, valid
-// only during the Choose call, updated in place before the next one. On
-// the sorted set one binary search for the previous thread
-// (sched.CanonicalStart) gives LastEnabled and the rotation point of the
-// canonical order, and one for the chooser's pick (sched.CanonicalPosition)
-// validates it and gives its position in that order — its delay cost.
+// only during the Choose call, updated in place before the next one. Each
+// member carries its index in the set (Thread.pos), so the previous
+// thread's membership flag and index give LastEnabled and the rotation point
+// of the canonical order, and the chooser's pick is validated by its flag
+// and positioned in that order — its delay cost — by its index, all in
+// O(1). Only a previous thread that has left the set costs a binary search
+// (sched.CanonicalStart) for the first member after it. The searches are the
+// reference of position_oracle_test.go (hook positionCheck, nil outside
+// tests).
 //
 // # Spawn and the private first park
 //
@@ -120,10 +124,11 @@ package vthread
 // # Panic containment
 //
 // A Go panic escaping a program body is a found bug, not a crash: the
-// recover in runBody (reference engine) and the interp.perform wrapper
-// (flat engine) convert it into Failure{Kind: FailPanic} carrying the
-// panicking thread id and the panic value's message, with the executed
-// prefix as the trace — so a panic is replayable and minimisable exactly
+// recover in runBody (reference engine) and the one recover of the flat
+// step loop (flat engine, see below) convert it into
+// Failure{Kind: FailPanic} carrying the panicking thread id and the panic
+// value's message, with the executed prefix as the trace — so a panic is
+// replayable and minimisable exactly
 // like an assertion failure or a deadlock. Containment reuses the normal
 // failure teardown (abortRemaining, wg.Wait), so the Executor and its
 // thread pool stay reusable after a panicking run, and a worker pool
@@ -214,6 +219,23 @@ package vthread
 // bit-identical — trace, Outcome, Failure, event stream, footprints — to
 // the same program's reference run, and why this whole file remains true
 // under the flat engine with "goroutine switch" read as "function call".
+//
+// Containment and failure take two routes there, neither paid per step.
+// World.stepFlat is the step loop — the next decision, the granted
+// operation's perform, the advance to the thread's next registration — under
+// one deferred recover per run: a crash a commit helper raises through
+// failNow's killSignal, or any other panic of an operand closure (recorded
+// as FailPanic), ends the loop, and execFlat re-enters it for the recorded
+// failure to end the run at the next decision. Misuse diagnostics are
+// rethrown, and a panic out of the decision itself (a chooser) is not
+// recovered at all. A child's invisible prefix, run inside its spawner's
+// step, has its own recover (runFlatPrefix), so the spawner carries on as
+// on the reference engine. A failed compiled assertion does not unwind:
+// interp.failMsg records the Failure, retires the thread and advance
+// returns; flatAdvance gives the retired thread no exit release edge, as
+// the unwinding failNow gives none. Only the blocking bridge (runBlocking)
+// still unwinds a failed assertion, because there a goroutine must give the
+// baton back.
 //
 // Engine selection is by representation, at the Executor: RunWith runs a
 // closure Program on the reference engine and a *CompiledProgram on the

@@ -13,7 +13,7 @@ import (
 // (World.syncEnabled). The whole scan it replaced — every thread's
 // enabledness evaluated afresh — lives on here, as the reference the
 // maintained set is compared with at every scheduling point through the
-// World's one test hook, enabledCheck.
+// World's test hook enabledCheck.
 
 // scanEnabled is that whole scan: the enabled threads in id order, and the
 // number of live program threads, computed from the thread table alone —

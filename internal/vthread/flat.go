@@ -17,10 +17,10 @@ import "fmt"
 // Debug.NoFlatEngine lets the equivalence tests check.
 //
 // Threads register operations by having interp.advance fill req, published
-// as Thread.pending; a grant is a flatStep call, which performs the pending
-// op's effect (interp.perform, through the same commit helpers) and then
-// advances to the next registration. Thread bodies therefore never block —
-// which is why only CompiledPrograms run here, and why Thread.visible
+// as Thread.pending; a grant is one turn of stepFlat's loop, which performs
+// the pending op's effect (interp.perform, through the same commit helpers)
+// and then advances to the next registration. Thread bodies therefore never
+// block — which is why only CompiledPrograms run here, and why Thread.visible
 // panics on a flat thread: a closure operation inside an operand callback
 // has no goroutine to park (see the misuse guard in thread.go).
 
@@ -39,14 +39,47 @@ func (w *World) execFlat(cp *CompiledProgram, from *snapshot) {
 		}
 		w.newFlatThread(cp, env, 0, nil, nil)
 	}
-	for {
-		t := w.nextStep()
-		if t == nil {
-			break
-		}
-		w.flatStep(t)
+	for !w.stepFlat() {
 	}
 	w.abortRemainingFlat()
+}
+
+// stepFlat is the flat engine's step loop: it grants the thread each decision
+// picks — perform the pending operation's effect, then either publish the
+// op's follow-up phase (condvar re-acquire, barrier wait, Once completion) or
+// advance to the next registration — until nextStep ends the execution, and
+// then reports over.
+//
+// Its one deferred recover is the engine's containment, paid once per run
+// rather than once per step. A step that panics — a crash raised through
+// failNow's killSignal, or an instruction operand or condition closure
+// crashing, recorded as a FailPanic failure — ends the loop with over false,
+// for execFlat to re-enter: the recorded failure then ends the run at the
+// first nextStep, with the trace intact, and the World resets cleanly for the
+// executor's next run. A panic out of nextStep itself (a chooser, the
+// chooser-misuse check) is no step's: t is nil then, nothing is recovered,
+// and it propagates to the Run caller. A failed assertion does not panic at
+// all: failMsg retires the thread and advance returns (see flatAdvance).
+func (w *World) stepFlat() (over bool) {
+	var t *Thread
+	defer func() {
+		if t == nil {
+			return
+		}
+		if r := recover(); r != nil {
+			w.containFlatPanic(t, r)
+		}
+	}()
+	for {
+		t = nil // while nextStep decides, no step is running
+		if t = w.nextStep(); t == nil {
+			return true
+		}
+		w.stats.FlatSteps++
+		if !t.fi.perform(t) {
+			w.flatAdvance(t)
+		}
+	}
 }
 
 // newFlatThread registers a goroutine-free thread running the given body
@@ -81,60 +114,45 @@ func (w *World) newFlatThread(cp *CompiledProgram, env *progEnv, body int, args 
 
 // runFlatPrefix mirrors runBody's opening: the spawn/exec acquire edge,
 // then the invisible prefix up to the first registration (or exit). A
-// failure in the prefix (an assertion in fully invisible code) unwinds via
-// killSignal, caught here — the spawner continues and the failure surfaces
-// at the next scheduling decision, as on the reference engine. Any other
-// panic out of the prefix (an operand closure crashing) is contained as a
-// FailPanic failure, matching runBody's containment on the reference
-// engine.
+// failed assertion in the prefix (fully invisible code) retires the thread
+// and returns, and a crash unwinds via killSignal, caught here — either way
+// the spawner continues and the failure surfaces at the next scheduling
+// decision, as on the reference engine. Any other panic out of the prefix
+// (an operand closure crashing) is contained as a FailPanic failure,
+// matching runBody's containment on the reference engine.
 func (t *Thread) runFlatPrefix() {
-	defer t.w.containFlatPanic(t)
+	defer func() {
+		if r := recover(); r != nil {
+			t.w.containFlatPanic(t, r)
+		}
+	}()
 	t.sinkAcquire(t.key)
 	t.w.flatAdvance(t)
 }
 
 // flatAdvance runs t's interpreter to its next registration, publishing it
 // as the thread's pending op, or retires the thread at body end (the
-// release edge and exited state of runBody's clean-exit path).
+// release edge and exited state of runBody's clean-exit path). A thread that
+// failed an assertion on the way (failMsg) is already retired and gets no
+// release edge: a failing thread's end is not an exit, and on the reference
+// engine failNow emits none either.
 func (w *World) flatAdvance(t *Thread) {
 	if t.fi.advance(t) {
 		t.state = stateParked
+		return
+	}
+	if t.state == stateExited {
 		return
 	}
 	t.sinkRelease(t.key)
 	t.state = stateExited
 }
 
-// flatStep executes one granted step: perform the pending operation's
-// effect, then either publish the op's follow-up phase (condvar
-// re-acquire, barrier wait, Once completion) or advance to the next
-// registration. A failure inside the step (crash, assertion, negative
-// WaitGroup …) unwinds via killSignal, caught here; the recorded failure
-// ends the run at the next nextStep call. A non-killSignal panic — an
-// instruction operand or condition closure crashing — is converted into a
-// FailPanic failure the same way, so a crashing compiled program is a
-// found bug with its trace intact, not a dead process.
-func (w *World) flatStep(t *Thread) {
-	defer w.containFlatPanic(t)
-	w.stats.FlatSteps++
-	if t.fi.perform(t) {
-		return
-	}
-	w.flatAdvance(t)
-}
-
-// containFlatPanic is the flat engine's teardown/containment recover,
-// deferred once per step (same count as the former killSignal-only
-// recover, so the hot path is untaxed): killSignal unwinds of a failing
-// thread are swallowed as before; any other panic is recorded as the
-// execution's FailPanic failure and the thread retired. The recorded
-// failure ends the run at the next nextStep call with the trace intact,
-// and the World resets cleanly for the executor's next run.
-func (w *World) containFlatPanic(t *Thread) {
-	r := recover()
-	if r == nil {
-		return
-	}
+// containFlatPanic is the flat engine's containment of a panic r recovered
+// out of t's code: killSignal unwinds of a failing thread (failNow) are
+// swallowed; misuse diagnostics are rethrown; any other panic is recorded as
+// the execution's FailPanic failure and the thread retired.
+func (w *World) containFlatPanic(t *Thread, r any) {
 	if _, ok := r.(killSignal); ok {
 		return
 	}

@@ -563,8 +563,10 @@ func (fi *interp) advance(t *Thread) bool {
 				continue
 			}
 			fi.failMsg(t, FailAssert, in)
+			return false
 		case iFail:
 			fi.failMsg(t, FailAssert, in)
+			return false
 		case iNewMutex:
 			fi.objs[in.odst] = &Mutex{key: "mutex/" + in.name(t)}
 			f.pc++
@@ -791,10 +793,13 @@ func (fi *interp) advance(t *Thread) bool {
 	}
 }
 
-// failMsg raises an assertion/checker failure from a compiled body,
+// failMsg records an assertion/checker failure of a compiled body,
 // mirroring Thread.Assert/Fail (message args evaluate at failure time over
 // registers and cells — pure reads, like the argument expressions of a
-// closure's Assert call).
+// closure's Assert call). On the flat engine it retires the thread and
+// returns, for advance to return false: nothing above it needs unwinding, and
+// flatAdvance gives the retired thread no exit edge. On the blocking bridge
+// it unwinds through failNow, as Thread.Assert does.
 func (fi *interp) failMsg(t *Thread, kind FailureKind, in *instr) {
 	if t.killed {
 		panic(killSignal{})
@@ -803,7 +808,13 @@ func (fi *interp) failMsg(t *Thread, kind FailureKind, in *instr) {
 	for i, af := range in.args {
 		vals[i] = af(t)
 	}
-	t.failNow(&Failure{Kind: kind, Thread: t.id, Message: fmt.Sprintf(in.str, vals...)})
+	f := &Failure{Kind: kind, Thread: t.id, Message: fmt.Sprintf(in.str, vals...)}
+	if t.flat {
+		t.w.fail(f)
+		t.state = stateExited
+		return
+	}
+	t.failNow(f)
 }
 
 // timerOf resolves the vtimer behind a Timer or Ticker object register.

@@ -165,7 +165,8 @@ func (s *snapshot) save(w *World, env *progEnv) {
 
 // restore writes the snapshot back into the structs it was taken from, which
 // the Executor has taken out of its free list (claim), and makes them the
-// thread table of the (reset) World.
+// thread table of the (reset) World. The members' positions in the enabled set
+// are not saved: they are its indices, written back once the table is in place.
 func (s *snapshot) restore(w *World, env *progEnv) {
 	w.trace = w.trace[:s.depth]
 	w.last, w.pc, w.dc = s.last, s.pc, s.dc
@@ -192,6 +193,9 @@ func (s *snapshot) restore(w *World, env *progEnv) {
 		fi.argv = append(fi.argv[:0], ints[:ts.nargv]...)
 		ints = ints[ts.nargv:]
 		objs = objs[copy(fi.objs, objs):]
+	}
+	for i, id := range w.enabled {
+		w.threads[id].pos = i
 	}
 
 	for _, v := range env.vars {

@@ -83,9 +83,12 @@ type Thread struct {
 	// The World's enabled-set bookkeeping (World.syncEnabled): inEnabled
 	// says the thread is listed in World.enabled; inCond that it is parked
 	// at a conditional operation and linked, through condPrev and condNext,
-	// into the list World.condHead starts. Per-execution state: untrack
-	// clears it when the struct is handed to a new execution.
+	// into the list World.condHead starts; pos, meaningful only while
+	// inEnabled, is the thread's index in World.enabled, written wherever
+	// that slice is. Per-execution state: untrack clears the flags when the
+	// struct is handed to a new execution.
 	inEnabled, inCond  bool
+	pos                int
 	condPrev, condNext *Thread
 }
 
@@ -284,8 +287,10 @@ func (t *Thread) failNow(f *Failure) {
 	t.state = stateExited
 	if t.flat {
 		// No goroutine, no baton: unwind the interpreter call stack; the
-		// flat drive loop catches the signal and the recorded failure ends
-		// the run at its next scheduling decision.
+		// flat step loop's one recover catches the signal and the recorded
+		// failure ends the run at its next scheduling decision. (Only
+		// crashes in the commit helpers come this way: a failed compiled
+		// assertion returns instead, see interp.failMsg.)
 		panic(killSignal{})
 	}
 	if t.parkTo != nil {

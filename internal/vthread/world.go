@@ -386,8 +386,11 @@ type World struct {
 	live     int
 	// enabledCheck, nil outside tests, is called with the World at every
 	// scheduling point once the enabled set is up to date: the hook the
-	// whole-scan oracle of enabled_oracle_test.go hangs on.
-	enabledCheck func(*World)
+	// whole-scan oracle of enabled_oracle_test.go hangs on. positionCheck,
+	// likewise, is called at every thread-choice point with what choose read
+	// off the members' positions (position_oracle_test.go).
+	enabledCheck  func(*World)
+	positionCheck func(w *World, start int, lastEnabled bool, choice ThreadID, pos int)
 	// cache, non-nil only during an Executor.RunFrom run of a program that can
 	// be snapshotted, is where nextStep saves prefix states (snapshot.go).
 	// restoreCheck, nil outside tests, is called right after such a run has
@@ -545,10 +548,18 @@ func (w *World) nextStep() *Thread {
 			w.maxEnabled = len(enabled)
 		}
 
-		// One lookup of last and one of the choice in the sorted set answer
-		// everything the step needs: LastEnabled, the chooser validation,
-		// and both schedule costs.
-		start, lastEnabled := sched.CanonicalStart(enabled, w.last)
+		// Every member of the set knows its index in it, so last's flag and
+		// index answer LastEnabled and where the canonical order starts (at
+		// last itself, the non-preemptive continuation). Only a last that has
+		// left the set needs the search for the first id after it.
+		start, lastEnabled := 0, false
+		if w.last != NoThread {
+			if lt := w.threads[w.last]; lt.inEnabled {
+				start, lastEnabled = lt.pos, true
+			} else {
+				start, _ = sched.CanonicalStart(enabled, w.last)
+			}
+		}
 		choice, pos := w.choose(enabled, start, lastEnabled)
 		if w.aborted {
 			return nil
@@ -715,7 +726,8 @@ func (w *World) fillOutcome(out *Outcome) {
 
 // choose consults the chooser and validates its decision. start and
 // lastEnabled are sched.CanonicalStart of the enabled set; pos is the
-// choice's position in the canonical order, which is what it costs in delays.
+// choice's position in the canonical order, which is what it costs in delays:
+// its index in the set, rotated to start there.
 func (w *World) choose(enabled []ThreadID, start int, lastEnabled bool) (choice ThreadID, pos int) {
 	choice = w.opts.Chooser.Choose(Context{
 		Step:        len(w.trace),
@@ -732,8 +744,14 @@ func (w *World) choose(enabled []ThreadID, start int, lastEnabled bool) (choice 
 		// skip the enabledness validation.
 		return NoThread, 0
 	}
-	if pos = sched.CanonicalPosition(enabled, start, choice); pos < 0 {
+	if uint(choice) >= uint(len(w.threads)) || !w.threads[choice].inEnabled {
 		panic(fmt.Sprintf(chooserMisuse+" %d which is not enabled %v", choice, enabled))
+	}
+	if pos = w.threads[choice].pos - start; pos < 0 {
+		pos += len(enabled)
+	}
+	if w.positionCheck != nil {
+		w.positionCheck(w, start, lastEnabled, choice, pos)
 	}
 	return choice, pos
 }
@@ -788,11 +806,12 @@ func (w *World) syncEnabled() []ThreadID {
 	}
 	if stale {
 		// Some thread joined or left the set elsewhere than at its end: list
-		// the members again, in id order. This reads one flag a thread and
-		// evaluates nothing.
+		// the members again, in id order, each told its new index. This reads
+		// one flag a thread and evaluates nothing.
 		w.enabled = w.enabled[:0]
 		for _, t := range w.threads {
 			if t.inEnabled {
+				t.pos = len(w.enabled)
 				w.enabled = append(w.enabled, t.id)
 			}
 		}
@@ -858,6 +877,7 @@ func (w *World) setEnabled(t *Thread, on bool) (stale bool) {
 	}
 	t.inEnabled = on
 	if n := len(w.enabled); on && (n == 0 || w.enabled[n-1] < t.id) {
+		t.pos = n
 		w.enabled = append(w.enabled, t.id)
 		return false
 	}
