@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check loc lint study clean
+.PHONY: all build test fuzz bench bench-check loc lint study clean
 
 all: build
 
@@ -12,15 +12,22 @@ build:
 # -count=1: a cached "ok" once hid a package that failed four runs in five.
 # benchmark/ is its own module, which the root ./... does not reach; its
 # build is what proves the exported surface it drives still compiles. The
-# last step repeats the tests that pin the parallel drivers' contract under
-# a truncating limit and across kill-and-resume: it is a statement about
-# every interleaving, so run them enough times to meet a few.
+# last step repeats the tests that pin the partitioned drivers' contract
+# under a truncating limit, across kill-and-resume and under donation: it is
+# a statement about every interleaving, so run them enough times to meet a
+# few.
 test:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -count=1 ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic|TestDistDrainResume' ./internal/explore/ ./internal/dist/
+	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic|TestDistDrainResume|TestDistDonation|TestDistDrainAfterPeriodic' ./internal/explore/ ./internal/dist/
+
+# The decoders that cross a trust boundary, fuzzed for ten seconds each:
+# checkpoint files, and the coordinator's request bodies.
+fuzz:
+	$(GO) test -run xxx -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/explore/
+	$(GO) test -run xxx -fuzz '^FuzzCoordinatorBodies$$' -fuzztime 10s ./internal/dist/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 3x .

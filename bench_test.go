@@ -278,8 +278,8 @@ func BenchmarkParallelRand(b *testing.B) {
 
 // BenchmarkParallelIDB measures the tree-partitioned parallel driver on
 // iterative delay bounding: the same schedule counts as sequential IDB,
-// spread over work-stealing workers with the next bound speculated behind
-// the active one.
+// spread over the unit scheduler's workers with the next bound speculated
+// behind the active one.
 func BenchmarkParallelIDB(b *testing.B) {
 	program := func() vthread.Runnable { return bench.ByName("CS.reorder_5_bad").New() }
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -293,7 +293,7 @@ func BenchmarkParallelIDB(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDFS measures the work-stealing pool on an unbounded
+// BenchmarkParallelDFS measures the unit scheduler on an unbounded
 // depth-first search truncated at the schedule limit.
 func BenchmarkParallelDFS(b *testing.B) {
 	program := func() vthread.Runnable { return bench.ByName("CS.reorder_4_bad").New() }

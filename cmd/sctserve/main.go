@@ -1,6 +1,7 @@
 // Command sctserve runs one exploration job across processes: a
-// coordinator that shards the schedule space into leased units, and
-// workers that execute them. A fully completed distributed run is
+// coordinator that partitions the schedule space into leased units — split
+// further whenever a worker runs out of work — and workers that execute
+// them. A fully completed distributed run is
 // bit-identical to the sequential in-process exploration for DFS/IPB/IDB
 // and verdict-identical for DPOR; dead, hung or partitioned workers are
 // survived by lease expiry and re-dispatch.
@@ -9,7 +10,7 @@
 //
 //	sctserve -bench CS.account_bad [-technique idb|ipb|dfs|dpor]
 //	         [-limit 10000] [-seed 1] [-listen 127.0.0.1:0] [-addr-file f]
-//	         [-shards 8] [-lease-ttl 2s] [-local-workers N] [-norace]
+//	         [-lease-ttl 2s] [-local-workers N] [-norace]
 //	         [-checkpoint job.ckpt] [-resume job.ckpt] [-max-wall 30s] [-csv]
 //
 // Worker (any number, started before or after the coordinator):
@@ -76,7 +77,6 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 	noRace := fs.Bool("norace", false, "skip the race-detection phase (every access visible)")
 	listen := fs.String("listen", "127.0.0.1:0", "coordinator listen address")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file (port discovery with :0)")
-	shards := fs.Int("shards", 8, "units per pass (failover granularity)")
 	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "unit lease TTL; a silent worker's unit is re-dispatched after this")
 	localWorkers := fs.Int("local-workers", 0, "also run N in-process workers over loopback")
 	ckPath := fs.String("checkpoint", "", "write the resumable job checkpoint here (drain, and after every unit)")
@@ -130,7 +130,7 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 		}
 		c, err = dist.ResumeCoordinator(ck, dist.JobConfig{
 			Bench: b, Deadline: deadline, Interrupt: interrupt,
-			LeaseTTL: *leaseTTL, Shards: *shards, CheckpointPath: out,
+			LeaseTTL: *leaseTTL, CheckpointPath: out,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -149,7 +149,7 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 		c, err = dist.NewCoordinator(dist.JobConfig{
 			Bench: b, Technique: t, Limit: *limit, Seed: *seed,
 			Racy: racy, NoRace: *noRace, Deadline: deadline, Interrupt: interrupt,
-			LeaseTTL: *leaseTTL, Shards: *shards, CheckpointPath: *ckPath,
+			LeaseTTL: *leaseTTL, CheckpointPath: *ckPath,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -35,40 +36,18 @@ type JobConfig struct {
 	NoRace bool
 	// Deadline, when nonzero, drains the job at that wall-clock time with
 	// Stopped = StopDeadline. Interrupt, when non-nil, drains when closed
-	// (the CLI wires SIGINT/SIGTERM here).
+	// (the CLI wires SIGINT/SIGTERM here). Both are noticed within a
+	// quarter of LeaseTTL.
 	Deadline  time.Time
 	Interrupt <-chan struct{}
 	// LeaseTTL is how long a unit lease survives without a heartbeat
 	// before the unit is re-dispatched (default 2s).
 	LeaseTTL time.Duration
-	// Shards is how many units each pass is split into up front (default
-	// 8). More shards = finer failover granularity and better balance,
-	// at slightly more dispatch overhead.
-	Shards int
-	// CheckpointPath, when nonempty, is where the coordinator durably
-	// writes its resumable job checkpoint after every completion, park
-	// and drain (explore.Checkpoint format — `sctrun -resume` and
-	// ResumeCoordinator both read it).
+	// CheckpointPath, when nonempty, is where the job's resumable
+	// checkpoint is durably written after every completion, park and drain
+	// (explore.Checkpoint format — `sctrun -resume` and ResumeCoordinator
+	// both read it).
 	CheckpointPath string
-}
-
-func (jc JobConfig) withDefaults() JobConfig {
-	if jc.Limit == 0 {
-		jc.Limit = explore.DefaultLimit
-	}
-	if jc.MaxBound == 0 {
-		jc.MaxBound = explore.DefaultMaxBound
-	}
-	if jc.MaxExecutions == 0 {
-		jc.MaxExecutions = explore.DefaultMaxExecutions
-	}
-	if jc.LeaseTTL <= 0 {
-		jc.LeaseTTL = 2 * time.Second
-	}
-	if jc.Shards <= 0 {
-		jc.Shards = 8
-	}
-	return jc
 }
 
 // exploreConfig is the program environment of a job, identical in every
@@ -98,41 +77,11 @@ var ErrCoordinatorCrashed = errors.New("dist: coordinator crashed (injected)")
 // forfeited at merge time (surfacing as Result.WorkerPanics).
 const maxUnitRetries = 2
 
-type coordPhase int
-
-const (
-	phaseSeeding coordPhase = iota
-	phaseRunning
-	phaseDraining
-	phaseDone
-	phaseCrashed
-)
-
-func (p coordPhase) String() string {
-	switch p {
-	case phaseSeeding:
-		return "seeding"
-	case phaseRunning:
-		return "running"
-	case phaseDraining:
-		return "draining"
-	case phaseDone:
-		return "done"
-	case phaseCrashed:
-		return "crashed"
-	}
-	return "unknown"
-}
-
-// unitEntry is one shard of the current pass.
-type unitEntry struct {
-	id      int
-	us      *explore.UnitState
-	done    bool
-	res     *explore.UnitResultState
-	leaseID int64 // 0 = not leased
-	retries int   // panicked completions so far
-}
+// maxBodyBytes caps every /v1/* request body. The largest legitimate body
+// is a completion whose unit counted every buggy schedule of a big search
+// (about a megabyte of offsets at 200,000 of them); a body past the cap is
+// refused with 413 before it is decoded.
+const maxBodyBytes = 16 << 20
 
 // leaseRec is one outstanding lease.
 type leaseRec struct {
@@ -140,112 +89,89 @@ type leaseRec struct {
 	expiry time.Time
 }
 
-// Coordinator owns one job: it shards each pass into leased units, serves
-// them to workers over HTTP, re-dispatches expired leases, merges
-// completions canonically and folds passes into the final Result exactly
-// as the in-process drivers do.
+// Coordinator serves one job's unit scheduler (explore.Scheduler) to
+// workers over HTTP. It keeps only what a network needs on top: lease IDs
+// with a TTL and the reaper that expires them, park fencing, bounded retry
+// of panicked units, and the progress endpoint.
 type Coordinator struct {
-	jc   JobConfig
-	ecfg explore.Config
-	iter bool // IPB/IDB: bound loop; DFS/DPOR: single pass
+	jc    JobConfig
+	spec  JobSpec
+	sched *explore.Scheduler
 
+	// mu guards what follows; it is taken before the scheduler's lock.
 	mu       sync.Mutex
-	cond     *sync.Cond
-	phase    coordPhase
-	sealed   bool // current pass merged; late submissions are stale
-	bound    int
-	counted  int             // schedules committed by earlier bounds
-	res      *explore.Result // committed (pre-current-pass) result
-	units    map[int]*unitEntry
-	leases   map[int64]*leaseRec
-	nextUnit int
+	crashed  bool
+	leases   map[int64]*leaseRec // at most one per unit: the one that may park it
+	retries  map[int]int         // unit → panicked completions so far
 	nextLse  int64
-	drainRsn explore.StopReason
 	workers  map[string]bool
-	ckMu     sync.Mutex // serializes checkpoint writes (one temp file)
-
 	final    *explore.Result
 	finalErr error
-	doneCh   chan struct{}
-	stopCh   chan struct{}
-	srv      *http.Server
-	lis      net.Listener
+
+	doneCh chan struct{} // closed once the scheduler's Run returns
+	srv    *http.Server
+	lis    net.Listener
 }
 
 // NewCoordinator builds a coordinator for a fresh job.
 func NewCoordinator(jc JobConfig) (*Coordinator, error) {
-	jc = jc.withDefaults()
 	if jc.Bench == nil {
 		return nil, errors.New("dist: JobConfig.Bench is required")
 	}
-	switch jc.Technique {
-	case explore.DFS, explore.IPB, explore.IDB, explore.DPOR:
-	default:
+	s, err := explore.NewScheduler(jobConfig(jc), jc.Technique)
+	if err != nil {
 		return nil, fmt.Errorf("dist: technique %s cannot be distributed", jc.Technique)
 	}
-	c := &Coordinator{
-		jc:      jc,
-		ecfg:    exploreConfig(jc.Bench, jc.Racy, jc.NoRace, jc.Limit, jc.Seed),
-		iter:    jc.Technique == explore.IPB || jc.Technique == explore.IDB,
-		phase:   phaseSeeding,
-		res:     &explore.Result{Technique: jc.Technique},
-		units:   map[int]*unitEntry{},
-		leases:  map[int64]*leaseRec{},
-		workers: map[string]bool{},
-		doneCh:  make(chan struct{}),
-		stopCh:  make(chan struct{}),
-	}
-	c.ecfg.MaxBound, c.ecfg.MaxExecutions = jc.MaxBound, jc.MaxExecutions
-	c.cond = sync.NewCond(&c.mu)
-	return c, nil
+	return newCoordinator(jc, s), nil
 }
 
 // ResumeCoordinator rebuilds a coordinator from a job checkpoint written
-// by a previous coordinator (or by the in-process pool — both write the
-// same PoolState format). The search parameters come from the checkpoint,
+// by a previous coordinator or by the in-process scheduler — both write the
+// same PoolState format. The search parameters come from the checkpoint,
 // overriding jc, so a resumed job cannot diverge from the original.
 func ResumeCoordinator(ck *explore.Checkpoint, jc JobConfig) (*Coordinator, error) {
-	if ck.Pool == nil {
-		return nil, errors.New("dist: checkpoint has no pool state (sequential checkpoints resume via sctrun -resume)")
+	if jc.Bench == nil {
+		return nil, errors.New("dist: JobConfig.Bench is required")
 	}
-	// A technique that parses but cannot be distributed (Rand) is refused
-	// by NewCoordinator below.
-	tech, ok := explore.ParseTechnique(ck.Technique)
-	if !ok {
-		return nil, fmt.Errorf("dist: technique %q cannot be distributed", ck.Technique)
-	}
-	jc.Technique = tech
-	jc.Limit = ck.Limit
-	jc.Seed = ck.Seed
-	jc.MaxBound = ck.MaxBound
-	jc.MaxExecutions = ck.MaxExecutions
-	jc.Racy = ck.Racy
-	jc.NoRace = ck.NoRace
-	c, err := NewCoordinator(jc)
+	jc.Technique, _ = explore.ParseTechnique(ck.Technique) // ResumeScheduler checks it
+	jc.Limit, jc.Seed = ck.Limit, ck.Seed
+	jc.MaxBound, jc.MaxExecutions = ck.MaxBound, ck.MaxExecutions
+	jc.Racy, jc.NoRace = ck.Racy, ck.NoRace
+	s, err := explore.ResumeScheduler(ck, jobConfig(jc))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	rr := *ck.Result
-	rr.Stopped = explore.StopCompleted
-	rr.CheckpointError = ""
-	ck.Pool.RebaseWork(&rr)
-	c.res = &rr
-	c.bound = ck.Bound
-	c.counted = ck.Pool.Counted
-	for i := range ck.Pool.Units {
-		us := ck.Pool.Units[i]
-		c.nextUnit++
-		c.units[c.nextUnit] = &unitEntry{id: c.nextUnit, us: &us}
+	return newCoordinator(jc, s), nil
+}
+
+// jobConfig is the scheduler's configuration of a job.
+func jobConfig(jc JobConfig) explore.Config {
+	cfg := exploreConfig(jc.Bench, jc.Racy, jc.NoRace, jc.Limit, jc.Seed)
+	cfg.MaxBound, cfg.MaxExecutions = jc.MaxBound, jc.MaxExecutions
+	cfg.Deadline, cfg.Interrupt, cfg.CheckpointPath = jc.Deadline, jc.Interrupt, jc.CheckpointPath
+	return cfg
+}
+
+func newCoordinator(jc JobConfig, s *explore.Scheduler) *Coordinator {
+	if jc.Limit == 0 {
+		jc.Limit = explore.DefaultLimit
 	}
-	for i := range ck.Pool.Done {
-		ds := ck.Pool.Done[i]
-		c.nextUnit++
-		c.units[c.nextUnit] = &unitEntry{id: c.nextUnit, done: true, res: &ds}
+	if jc.LeaseTTL <= 0 {
+		jc.LeaseTTL = 2 * time.Second
 	}
-	if len(c.units) > 0 {
-		c.phase = phaseRunning
+	spec := JobSpec{
+		Benchmark: jc.Bench.Name, Technique: jc.Technique.String(),
+		Limit: jc.Limit, Seed: jc.Seed, Racy: jc.Racy, NoRace: jc.NoRace,
+		ProgramHash: jc.Bench.Hash(), Version: explore.CheckpointVersion,
 	}
-	return c, nil
+	if !jc.Deadline.IsZero() {
+		spec.DeadlineMillis = jc.Deadline.UnixMilli()
+	}
+	return &Coordinator{
+		jc: jc, spec: spec, sched: s,
+		leases: map[int64]*leaseRec{}, retries: map[int]int{},
+		workers: map[string]bool{}, doneCh: make(chan struct{}),
+	}
 }
 
 // Serve starts the coordinator on l and returns immediately; Wait blocks
@@ -262,17 +188,16 @@ func (c *Coordinator) Serve(l net.Listener) {
 	mux.HandleFunc("/v1/status", c.handleStatus)
 	c.srv = &http.Server{Handler: mux}
 	go func() { _ = c.srv.Serve(l) }()
-	go c.run()
+	go func() {
+		res := c.sched.Run()
+		c.mu.Lock()
+		if !c.crashed {
+			c.final = res
+		}
+		c.mu.Unlock()
+		close(c.doneCh)
+	}()
 	go c.reaper()
-	if c.jc.Interrupt != nil {
-		go func() {
-			select {
-			case <-c.jc.Interrupt:
-				c.drain(explore.StopInterrupted)
-			case <-c.stopCh:
-			}
-		}()
-	}
 }
 
 // Addr is the coordinator's listen address.
@@ -288,65 +213,50 @@ func (c *Coordinator) Wait() (*explore.Result, error) {
 	return c.final, c.finalErr
 }
 
-// Close tears the coordinator down (idempotent).
+// Close tears the coordinator down (idempotent). A job still running is
+// abandoned as a crash would leave it: its last checkpoint stands.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	select {
-	case <-c.stopCh:
-	default:
-		close(c.stopCh)
-	}
-	c.mu.Unlock()
+	c.sched.Halt()
 	if c.srv != nil {
 		_ = c.srv.Close()
 	}
 }
 
-// drain asks the job to stop gracefully: running workers park at their
-// next poll, and the final checkpoint preserves everything.
-func (c *Coordinator) drain(reason explore.StopReason) {
-	c.mu.Lock()
-	if c.phase == phaseSeeding || c.phase == phaseRunning {
-		c.phase = phaseDraining
-		c.drainRsn = reason
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-}
-
-// reaper expires leases (re-queueing their units) and watches the
-// deadline. It ticks at a quarter of the lease TTL.
+// reaper expires leases, putting their units back in the queue as they are
+// stored: the worker is dead, hung or partitioned, and the re-run loses
+// nothing. It ticks at a quarter of the lease TTL until the job ends, and
+// every tick polls the job's interrupt and deadline.
 func (c *Coordinator) reaper() {
 	tick := time.NewTicker(c.jc.LeaseTTL / 4)
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.stopCh:
+		case <-c.doneCh:
 			return
 		case now := <-tick.C:
-			if !c.jc.Deadline.IsZero() && now.After(c.jc.Deadline) {
-				c.drain(explore.StopDeadline)
-			}
+			c.sched.PollStop()
 			c.mu.Lock()
-			changed := false
 			for id, l := range c.leases {
-				if now.After(l.expiry) {
-					// The worker is dead, hung or partitioned: take the
-					// lease back. The unit's stored frontier is exactly
-					// what was dispatched, so the re-run loses nothing.
-					if u := c.units[l.unitID]; u != nil && u.leaseID == id {
-						u.leaseID = 0
-					}
-					delete(c.leases, id)
-					changed = true
+				if !now.After(l.expiry) {
+					continue
 				}
-			}
-			if changed {
-				c.cond.Broadcast()
+				if unit := c.dropLeaseLocked(id); unit != 0 {
+					c.sched.Release(unit)
+				}
 			}
 			c.mu.Unlock()
 		}
 	}
+}
+
+// dropLeaseLocked forgets a lease and returns its unit (0: no such lease).
+func (c *Coordinator) dropLeaseLocked(id int64) int {
+	l := c.leases[id]
+	if l == nil {
+		return 0
+	}
+	delete(c.leases, id)
+	return l.unitID
 }
 
 // crashLocked simulates the coordinator dying abruptly (DistCoordCrash):
@@ -354,229 +264,67 @@ func (c *Coordinator) reaper() {
 // disk (the checkpoint just written) is all a resumed coordinator gets —
 // exactly like a real kill -9.
 func (c *Coordinator) crashLocked() {
-	c.phase = phaseCrashed
+	c.crashed = true
 	c.finalErr = ErrCoordinatorCrashed
-	c.cond.Broadcast()
-	srv := c.srv
-	go func() {
-		if srv != nil {
-			_ = srv.Close()
-		}
-	}()
-}
-
-// run is the job's main loop: seed a pass, wait for it to end, merge,
-// fold, decide — mirroring runIterativeParallel's per-bound structure.
-func (c *Coordinator) run() {
-	defer close(c.doneCh)
-	for {
-		c.mu.Lock()
-		needSeed := len(c.units) == 0 && c.phase == phaseSeeding
-		bound := c.bound
-		c.mu.Unlock()
-		if needSeed {
-			set, err := explore.ShardTree(c.ecfg, c.jc.Technique, bound, c.jc.Shards)
-			if err != nil {
-				c.mu.Lock()
-				c.phase = phaseDone
-				c.finalErr = err
-				c.mu.Unlock()
-				return
-			}
-			c.installShards(set)
-		}
-
-		c.mu.Lock()
-		if c.phase == phaseSeeding {
-			c.phase = phaseRunning
-		}
-		c.sealed = false
-		c.cond.Broadcast()
-		for !c.passEndLocked() {
-			c.cond.Wait()
-		}
-		if c.phase == phaseCrashed {
-			c.mu.Unlock()
-			return
-		}
-		c.sealed = true
-		draining := c.phase == phaseDraining
-		done, pending := c.collectLocked()
-		c.mu.Unlock()
-
-		if draining {
-			c.finishDrain(done, pending)
-			return
-		}
-		if c.commit(done, explore.StopCompleted) {
-			return
-		}
+	go c.sched.Halt()
+	if srv := c.srv; srv != nil {
+		go srv.Close()
 	}
-}
-
-// passEndLocked: the current pass is over when every unit completed, when
-// the completed units ahead of the earliest outstanding one already hold
-// the schedule budget (explore.BudgetReached — the pool's rule; in-flight
-// work is cancelled, and the canonical merge cuts exactly), or when a drain
-// has no leases left outstanding (each was parked, completed or expired).
-func (c *Coordinator) passEndLocked() bool {
-	if c.phase == phaseCrashed {
-		return true
-	}
-	if c.phase == phaseDraining {
-		return len(c.leases) == 0
-	}
-	done, pending := c.collectLocked()
-	budget, held := c.jc.Limit-c.counted, 0
-	for _, d := range done {
-		held += d.Schedules
-	}
-	live := make([][]int, len(pending))
-	for i, us := range pending {
-		live[i] = us.Key
-	}
-	return len(live) == 0 || (held >= budget && explore.BudgetReached(done, live, budget))
-}
-
-// collectLocked snapshots the pass: completed results and the not-done
-// units (whose stored frontiers and partial tallies a drain checkpoints).
-func (c *Coordinator) collectLocked() (done []*explore.UnitResultState, pending []*explore.UnitState) {
-	for _, u := range c.units {
-		if u.done {
-			done = append(done, u.res)
-		} else {
-			pending = append(pending, u.us)
-		}
-	}
-	return done, pending
-}
-
-// installShards makes a freshly sharded pass leasable.
-func (c *Coordinator) installShards(set *explore.ShardSet) {
-	c.mu.Lock()
-	for i := range set.Done {
-		c.nextUnit++
-		c.units[c.nextUnit] = &unitEntry{id: c.nextUnit, done: true, res: &set.Done[i]}
-	}
-	for i := range set.Units {
-		c.nextUnit++
-		c.units[c.nextUnit] = &unitEntry{id: c.nextUnit, us: &set.Units[i]}
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.writeCheckpoint()
-}
-
-// finishDrain checkpoints the drained pass (pre-fold, matching the pool's
-// checkpoint contract) and produces the partial result: completed units
-// plus the partial tallies of parked ones, folded exactly as the pool's
-// stopped path folds them.
-func (c *Coordinator) finishDrain(done []*explore.UnitResultState, pending []*explore.UnitState) {
-	c.writeCheckpoint()
-	for _, us := range pending {
-		if us.Partial != nil {
-			done = append(done, us.Partial)
-		}
-	}
-	c.commit(done, c.drainRsn)
-}
-
-// commit merges a pass's units under its budget and folds them into the
-// job's result with the pool's per-pass verdict (explore.PassMerge.Commit):
-// the job is over (true), or the next bound is to be seeded (false).
-func (c *Coordinator) commit(units []*explore.UnitResultState, stopped explore.StopReason) (final bool) {
-	m := explore.MergeUnitStates(units, c.jc.Limit-c.counted)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	final = m.Commit(c.res, explore.PassEnd{
-		Iterative: c.iter, Bound: c.bound, MaxBound: c.jc.MaxBound,
-		Counted: c.counted, Limit: c.jc.Limit, Stopped: stopped,
-		GuardHit: c.iter && c.res.Executions+m.Executions >= c.jc.MaxExecutions,
-	})
-	c.counted += m.Schedules
-	if final {
-		c.phase = phaseDone
-		c.final = c.res
-		c.cond.Broadcast()
-	} else {
-		c.units = map[int]*unitEntry{}
-		c.leases = map[int64]*leaseRec{}
-		c.bound++
-		c.phase = phaseSeeding
-	}
-	return final
-}
-
-// writeCheckpoint durably writes the resumable job state: the committed
-// (pre-current-pass) Result, plus every not-done unit's frontier and every
-// completed unit's result of the current pass — the same pre-fold contract
-// as the in-process pool's checkpoints, so `sctrun -resume` can also
-// finish a drained distributed job in-process.
-//
-// Once the job's last pass is folded into c.res (commit, phaseDone) there
-// is no such state left to write: c.res and c.counted then include the
-// pass whose units c.units still holds, and a file pairing the two counts
-// those units twice (a resume reports every offset shifted by the pass's
-// schedules). Handlers write after letting go of c.mu, so their write can
-// land after finishDrain's commit; it is dropped, and the drain's own
-// checkpoint, written before the commit, stays the last one on disk.
-func (c *Coordinator) writeCheckpoint() {
-	if c.jc.CheckpointPath == "" {
-		return
-	}
-	// Handlers checkpoint concurrently; Save goes through one temp file, and
-	// the snapshot must be taken inside the same critical section so the
-	// file on disk never goes back in time.
-	c.ckMu.Lock()
-	defer c.ckMu.Unlock()
-	c.mu.Lock()
-	if c.phase == phaseDone {
-		c.mu.Unlock()
-		return
-	}
-	ck := c.checkpointLocked()
-	c.mu.Unlock()
-	if err := ck.Save(c.jc.CheckpointPath); err != nil {
-		c.mu.Lock()
-		c.res.CheckpointError = err.Error()
-		c.mu.Unlock()
-	}
-}
-
-func (c *Coordinator) checkpointLocked() *explore.Checkpoint {
-	var units []explore.UnitState
-	var done []explore.UnitResultState
-	for _, u := range c.units {
-		if u.done {
-			done = append(done, *u.res)
-		} else {
-			units = append(units, *u.us)
-		}
-	}
-	// Snapshot the committed Result: the checkpoint is marshaled outside
-	// the lock (Save fsyncs — too slow to hold c.mu across), and c.res
-	// keeps mutating as passes fold in. FoldInto replaces reference
-	// fields rather than mutating their backing arrays, so a shallow
-	// copy is a stable marshal source.
-	rr := *c.res
-	return explore.NewPassCheckpoint(c.ecfg, &rr, c.bound, c.counted, int64(rr.Executions), units, done)
 }
 
 // --------------------------------------------------------------------------
 // HTTP handlers.
 
-// deadLocked answers a request that reached a crashed coordinator, and
-// reports whether it did. crashLocked closes the server on a goroutine of its
-// own, and until that lands the listener still accepts: a dead coordinator
-// must answer nothing but errors in the meantime — telling a worker the job
-// is done, or its result stale, would let it exit cleanly through a kill -9.
-// Every handler asks under the lock it does its work under.
-func (c *Coordinator) deadLocked(w http.ResponseWriter) bool {
-	if c.phase != phaseCrashed {
-		return false
+// afterWrite is an answer sent once the job's checkpoint is written; crash
+// (DistCoordCrash) kills the coordinator instead of sending it.
+type afterWrite struct {
+	rep   any
+	crash bool
+}
+
+// serve answers one request. It decodes the body — at most maxBodyBytes; an
+// empty one is a zero request — into a Req and replies, under the
+// coordinator's lock, with what answer returns (an error is a bad request).
+// An afterWrite answer is sent once the checkpoint is written, and the lock
+// is let go for the write: leases, heartbeats and the reaper do not wait on
+// the disk. A crashed coordinator answers nothing but errors: crashLocked
+// closes the server on a goroutine of its own, and until that lands the
+// listener still accepts; telling a worker the job is done, or its result
+// stale, would let it exit cleanly through a kill -9.
+func serve[Req any](c *Coordinator, w http.ResponseWriter, r *http.Request, answer func(*Req) any) {
+	var req Req
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil && err != io.EOF:
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
 	}
-	http.Error(w, "coordinator crashed", http.StatusInternalServerError)
-	return true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var rep any
+	if !c.crashed {
+		rep = answer(&req)
+	}
+	if aw, ok := rep.(afterWrite); ok {
+		c.mu.Unlock()
+		c.sched.WriteCheckpoint()
+		c.mu.Lock()
+		if rep = aw.rep; aw.crash {
+			// The answer is recorded and checkpointed but never sent.
+			c.crashLocked()
+		}
+	}
+	if err, bad := rep.(error); c.crashed {
+		http.Error(w, "coordinator crashed", http.StatusInternalServerError)
+	} else if bad {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	} else {
+		writeJSON(w, rep)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -584,257 +332,111 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
+func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
+	serve(c, w, r, func(*struct{}) any { return c.spec })
 }
 
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	dead := c.deadLocked(w)
-	c.mu.Unlock()
-	if dead {
-		return
-	}
-	spec := JobSpec{
-		Benchmark: c.jc.Bench.Name,
-		Technique: c.jc.Technique.String(),
-		Limit:     c.jc.Limit,
-		Seed:      c.jc.Seed,
-		Racy:      c.jc.Racy,
-		NoRace:    c.jc.NoRace,
-	}
-	if !c.jc.Deadline.IsZero() {
-		spec.DeadlineMillis = c.jc.Deadline.UnixMilli()
-	}
-	writeJSON(w, spec)
+// leaseStatus is the wire form of a lease that carries no unit.
+var leaseStatus = map[explore.LeaseStatus]string{
+	explore.LeaseWait: StatusWait, explore.LeaseDrain: StatusDrain, explore.LeaseDone: StatusDone,
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	hb := c.jc.LeaseTTL / 3
-	if hb <= 0 {
-		hb = time.Millisecond
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.deadLocked(w) {
-		return
-	}
-	if req.Worker != "" {
-		c.workers[req.Worker] = true
-	}
-	switch c.phase {
-	case phaseDone:
-		writeJSON(w, LeaseReply{Status: StatusDone})
-		return
-	case phaseDraining:
-		writeJSON(w, LeaseReply{Status: StatusDrain})
-		return
-	case phaseSeeding:
-		writeJSON(w, LeaseReply{Status: StatusWait, RetryMillis: 20})
-		return
-	}
-	if c.sealed {
-		writeJSON(w, LeaseReply{Status: StatusWait, RetryMillis: 20})
-		return
-	}
-	// Lex-smallest pending unit first: the frontier advances in
-	// approximately the sequential visit order, the same heuristic as the
-	// pool's lex-priority stealing.
-	var pick *unitEntry
-	for _, u := range c.units {
-		if u.done || u.leaseID != 0 {
-			continue
+	serve(c, w, r, func(req *LeaseRequest) any {
+		if req.Worker != "" {
+			c.workers[req.Worker] = true
 		}
-		if pick == nil || explore.CompareUnitKeys(u.us.Key, pick.us.Key) < 0 {
-			pick = u
+		l, st := c.sched.Lease()
+		if l == nil {
+			return LeaseReply{Status: leaseStatus[st], RetryMillis: 20}
 		}
-	}
-	if pick == nil {
-		writeJSON(w, LeaseReply{Status: StatusWait, RetryMillis: 20})
-		return
-	}
-	c.nextLse++
-	id := c.nextLse
-	c.leases[id] = &leaseRec{unitID: pick.id, expiry: time.Now().Add(c.jc.LeaseTTL)}
-	pick.leaseID = id
-	writeJSON(w, LeaseReply{
-		Status: StatusUnit, LeaseID: id, UnitID: pick.id, Unit: pick.us,
-		Budget:          c.jc.Limit - c.counted,
-		HeartbeatMillis: hb.Milliseconds(),
-		RetryMillis:     20,
+		c.nextLse++
+		c.leases[c.nextLse] = &leaseRec{unitID: l.UnitID, expiry: time.Now().Add(c.jc.LeaseTTL)}
+		return LeaseReply{
+			Status: StatusUnit, LeaseID: c.nextLse, UnitID: l.UnitID, Unit: l.Unit, Budget: l.Budget,
+			HeartbeatMillis: max(c.jc.LeaseTTL/3, time.Millisecond).Milliseconds(), RetryMillis: 20,
+		}
 	})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.deadLocked(w) {
-		return
-	}
-	l, ok := c.leases[req.LeaseID]
-	if !ok {
-		writeJSON(w, HeartbeatReply{Status: StatusStale})
-		return
-	}
-	switch {
-	case c.phase == phaseDraining:
-		writeJSON(w, HeartbeatReply{Status: StatusDrain})
-	case c.phase == phaseDone || c.sealed:
-		delete(c.leases, req.LeaseID)
-		writeJSON(w, HeartbeatReply{Status: StatusCancel})
-	default:
-		if u := c.units[l.unitID]; u == nil || u.done {
-			// Completed by a re-dispatch race; stop the wasted work.
-			delete(c.leases, req.LeaseID)
-			writeJSON(w, HeartbeatReply{Status: StatusCancel})
-			return
+	serve(c, w, r, func(req *HeartbeatRequest) any {
+		l, ok := c.leases[req.LeaseID]
+		if !ok {
+			return HeartbeatReply{Status: StatusStale}
+		}
+		switch c.sched.Poll(l.unitID) {
+		case explore.UnitPark: // a drain, a periodic checkpoint or a donation
+			return HeartbeatReply{Status: StatusDrain}
+		case explore.UnitAbandon:
+			// Completed by a re-dispatch race, or its pass is over: stop the
+			// wasted work.
+			c.dropLeaseLocked(req.LeaseID)
+			return HeartbeatReply{Status: StatusCancel}
 		}
 		l.expiry = time.Now().Add(c.jc.LeaseTTL)
-		writeJSON(w, HeartbeatReply{Status: StatusOK})
-	}
+		return HeartbeatReply{Status: StatusOK}
+	})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Result == nil {
-		http.Error(w, "complete without result", http.StatusBadRequest)
-		return
-	}
-	c.mu.Lock()
-	if c.deadLocked(w) {
-		c.mu.Unlock()
-		return
-	}
-	if l, ok := c.leases[req.LeaseID]; ok && l.unitID == req.UnitID {
-		delete(c.leases, req.LeaseID)
-	}
-	u, ok := c.units[req.UnitID]
-	if !ok || c.sealed || c.phase == phaseDone {
-		// The pass moved on without this unit (the budget was already held by
-		// the units ahead of it, or the next bound began): the result is
-		// dropped. Covered ranges are re-derived from the units actually
-		// merged, so dropping is always safe.
-		c.mu.Unlock()
-		writeJSON(w, CompleteReply{Status: StatusStale})
-		return
-	}
-	if u.done {
-		// Duplicate completion (re-dispatch race, duplicated message):
-		// determinism makes it identical to the recorded one — ignore.
-		c.mu.Unlock()
-		writeJSON(w, CompleteReply{Status: StatusOK})
-		return
-	}
-	// A completion from an expired lease (re-dispatch race) is accepted:
-	// first wins, and the re-dispatched worker's next heartbeat gets
-	// StatusCancel from the u.done check. Only the current lease is
-	// detached here; a foreign lease ID stays for the reaper.
-	if req.LeaseID == u.leaseID {
-		u.leaseID = 0
-	}
-	if req.Result.PanicMsg != "" && u.retries < maxUnitRetries {
-		// The worker panicked inside this unit. Retry it a bounded number
-		// of times (the panic may have been the worker's own corruption);
-		// a deterministic panic is accepted — forfeited — after the cap.
-		u.retries++
-		u.leaseID = 0
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		writeJSON(w, CompleteReply{Status: StatusOK})
-		return
-	}
-	// req.LimitHit needs no handling: a unit that stopped at its own budget
-	// is a finished unit, and passEndLocked decides from the finished units
-	// alone whether the pass may end.
-	u.done = true
-	u.res = req.Result
-	c.cond.Broadcast()
-	crash := faultinject.Hit(faultinject.DistCoordCrash)
-	c.mu.Unlock()
-	c.writeCheckpoint()
-	if crash {
-		// The result is recorded and checkpointed but never acknowledged:
-		// the coordinator dies mid-merge. The worker's retry will fail,
-		// and a resumed coordinator finds the unit already done.
-		c.mu.Lock()
-		c.crashLocked()
-		c.mu.Unlock()
-		http.Error(w, "coordinator crashed", http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, CompleteReply{Status: StatusOK})
+	serve(c, w, r, func(req *CompleteRequest) any {
+		if req.Result == nil {
+			return errors.New("complete without result")
+		}
+		var holder int // the unit, when this lease holds it
+		if l, ok := c.leases[req.LeaseID]; ok && l.unitID == req.UnitID {
+			holder = c.dropLeaseLocked(req.LeaseID)
+		}
+		if req.Result.PanicMsg != "" && c.retries[req.UnitID] < maxUnitRetries {
+			// The worker panicked inside this unit. Retry it a bounded number
+			// of times (the panic may have been the worker's own corruption);
+			// a deterministic panic is accepted — forfeited — after the cap.
+			c.retries[req.UnitID]++
+			if holder != 0 {
+				c.sched.Release(holder)
+			}
+			return CompleteReply{Status: StatusOK}
+		}
+		// A completion from an expired lease (re-dispatch race) is accepted:
+		// first wins, and the re-dispatched worker's next heartbeat is
+		// cancelled. One the pass moved on without is dropped: covered ranges
+		// are re-derived from the units actually merged.
+		if !c.sched.Report(req.UnitID, &explore.UnitRun{Done: req.Result}) {
+			return CompleteReply{Status: StatusStale}
+		}
+		// An injected crash: the worker's retry fails, and a resumed
+		// coordinator finds the unit already done.
+		return afterWrite{rep: CompleteReply{Status: StatusOK}, crash: faultinject.Hit(faultinject.DistCoordCrash)}
+	})
 }
 
 func (c *Coordinator) handlePark(w http.ResponseWriter, r *http.Request) {
-	var req ParkRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Unit == nil {
-		http.Error(w, "park without unit", http.StatusBadRequest)
-		return
-	}
-	c.mu.Lock()
-	if c.deadLocked(w) {
-		c.mu.Unlock()
-		return
-	}
-	u, ok := c.units[req.UnitID]
-	// Parks are fenced: only the current lease may replace the unit's
-	// stored frontier. A stale park (expired lease, re-dispatch already
-	// out) could otherwise regress the unit to an older position — the
-	// re-run would then double-count the range in between.
-	if !ok || u.done || u.leaseID != req.LeaseID || c.sealed {
-		c.mu.Unlock()
-		writeJSON(w, ParkReply{Status: StatusStale})
-		return
-	}
-	u.us = req.Unit
-	u.leaseID = 0
-	delete(c.leases, req.LeaseID)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.writeCheckpoint()
-	writeJSON(w, ParkReply{Status: StatusOK})
+	serve(c, w, r, func(req *ParkRequest) any {
+		if req.Unit == nil {
+			return errors.New("park without unit")
+		}
+		// Parks are fenced: only the lease holding the unit may replace its
+		// stored frontier. A stale park (expired lease, re-dispatch already
+		// out) could otherwise regress the unit to an older position — the
+		// re-run would then double-count the range in between.
+		if l, ok := c.leases[req.LeaseID]; !ok || l.unitID != req.UnitID {
+			return ParkReply{Status: StatusStale}
+		}
+		c.dropLeaseLocked(req.LeaseID)
+		if !c.sched.Report(req.UnitID, &explore.UnitRun{Parked: req.Unit}) {
+			return ParkReply{Status: StatusStale}
+		}
+		return afterWrite{rep: ParkReply{Status: StatusOK}}
+	})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.deadLocked(w) {
-		return
-	}
-	st := StatusReply{
-		Phase:   c.phase.String(),
-		Bound:   c.bound,
-		Leases:  len(c.leases),
-		Workers: len(c.workers),
-	}
-	sched := c.counted
-	for _, u := range c.units {
-		st.UnitsTotal++
-		if u.done {
-			st.UnitsDone++
-			sched += u.res.Schedules
-		} else if u.us.Partial != nil {
-			sched += u.us.Partial.Schedules
+	serve(c, w, r, func(*struct{}) any {
+		st := c.sched.Status()
+		return StatusReply{
+			Phase: st.Phase, Bound: st.Bound, UnitsDone: st.UnitsDone, UnitsTotal: st.UnitsTotal,
+			Leases: len(c.leases), Schedules: st.Schedules, Workers: len(c.workers),
 		}
-	}
-	st.Schedules = sched
-	writeJSON(w, st)
+	})
 }

@@ -7,15 +7,20 @@ package dist
 // in-process exploration (DFS/IPB/IDB) or verdict-identical (DPOR).
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,7 +55,7 @@ func testJob(t *testing.T, name string, tech explore.Technique, limit int) JobCo
 	}
 	return JobConfig{
 		Bench: b, Technique: tech, Limit: limit, Seed: 7, NoRace: true,
-		LeaseTTL: 200 * time.Millisecond, Shards: 6,
+		LeaseTTL: 200 * time.Millisecond,
 	}
 }
 
@@ -165,7 +170,7 @@ func TestDistTruncatedMatchesSequential(t *testing.T) {
 		{"CS.reorder_4_bad", explore.IDB, 300},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/%s/limit=%d", tc.bench, tc.tech, tc.limit), func(t *testing.T) {
+		run := func(t *testing.T, stall bool) {
 			base := explore.Run(tc.tech, baseCfg(t, tc.bench, tc.limit))
 			if !base.LimitHit {
 				t.Fatalf("baseline was not truncated (%d schedules); lower the limit", base.Schedules)
@@ -175,7 +180,28 @@ func TestDistTruncatedMatchesSequential(t *testing.T) {
 				t.Fatalf("NewCoordinator: %v", err)
 			}
 			startCoord(t, c)
-			for i, werr := range runWorkers(c, 2) {
+			sw := &stallWatch{}
+			client := fastClient(c)
+			if stall {
+				// The pass's head unit is split when first leased and its
+				// head half held back until the units behind it have
+				// finished a whole budget (explore's
+				// TestParallelTruncatedHeadStalled, on this transport).
+				faultinject.Arm(faultinject.PoolStallHead, 1)
+				t.Cleanup(faultinject.Reset)
+				client.HTTP = &http.Client{Transport: sw}
+			}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = RunWorker(WorkerConfig{Addr: "http://" + c.Addr(), Name: fmt.Sprintf("w%d", i), Client: client})
+				}(i)
+			}
+			wg.Wait()
+			for i, werr := range errs {
 				if werr != nil {
 					t.Errorf("worker %d: %v", i, werr)
 				}
@@ -184,8 +210,25 @@ func TestDistTruncatedMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Wait: %v", err)
 			}
+			if stall && faultinject.Hit(faultinject.PoolStallHead) {
+				t.Fatal("the head unit was never stalled")
+			}
+			// A DFS tree holds more than a budget behind its head half; the
+			// first bound of a sweep may not, and then the half goes once
+			// nothing else is left to run.
+			if stall && tc.tech == explore.DFS {
+				switch behind, ok := sw.atRelease(); {
+				case !ok:
+					t.Error("the held head half was never leased")
+				case behind < tc.limit:
+					t.Errorf("the head half was released with %d schedules completed behind it, short of the budget %d", behind, tc.limit)
+				}
+			}
 			requireSame(t, "truncated", maskWork(base), maskWork(got))
-		})
+		}
+		name := fmt.Sprintf("%s/%s/limit=%d", tc.bench, tc.tech, tc.limit)
+		t.Run(name, func(t *testing.T) { run(t, false) })
+		t.Run(name+"/stalled", func(t *testing.T) { run(t, true) })
 	}
 }
 
@@ -632,7 +675,7 @@ func TestDistDrainLateCheckpointWrite(t *testing.T) {
 	if err != nil || r1.Stopped != explore.StopInterrupted {
 		t.Fatalf("Wait: stopped %v, %v", r1.Stopped, err)
 	}
-	c.writeCheckpoint() // the handler's write, after the commit
+	c.sched.WriteCheckpoint() // the handler's write, after the commit
 	ck, err := explore.LoadCheckpoint(ckPath)
 	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
@@ -648,24 +691,476 @@ func TestDistDrainLateCheckpointWrite(t *testing.T) {
 	}
 }
 
+// TestSlowCheckpointWriteHoldsNoLease: the checkpoint write after a
+// completion is disk I/O, and the coordinator makes it with its lock let go.
+// While one write takes several lease TTLs (CheckpointSlow), another
+// worker's heartbeats are answered at once and its lease is never expired.
+func TestSlowCheckpointWriteHoldsNoLease(t *testing.T) {
+	const name = "CS.account_bad"
+	base := explore.RunDFS(baseCfg(t, name, distLimit))
+	jc := testJob(t, name, explore.DFS, distLimit)
+	jc.CheckpointPath = filepath.Join(t.TempDir(), "job.ckpt")
+	c, err := NewCoordinator(jc)
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	startCoord(t, c)
+	cl := fastClient(c)
+	lease := func() (l LeaseReply) {
+		for l.Status != StatusUnit {
+			if err := cl.call("/v1/lease", LeaseRequest{Worker: "hand"}, &l); err != nil {
+				t.Fatalf("lease: %v", err)
+			}
+		}
+		return l
+	}
+	live, done := lease(), lease()
+	run, err := explore.RunUnit(exploreConfig(jc.Bench, nil, true, distLimit, jc.Seed), done.Unit, done.Budget, nil)
+	if err != nil || run.Done == nil {
+		t.Fatalf("RunUnit: %+v, %v", run, err)
+	}
+	faultinject.Arm(faultinject.CheckpointSlow, 1)
+	t.Cleanup(faultinject.Reset)
+	completed := make(chan error, 1)
+	go func() {
+		req := CompleteRequest{LeaseID: done.LeaseID, UnitID: done.UnitID, Result: run.Done, LimitHit: run.LimitHit}
+		completed <- cl.call("/v1/complete", req, &CompleteReply{})
+	}()
+	waitStatus(t, c, "the completion recorded", func(st StatusReply) bool { return st.UnitsDone >= 1 })
+	beats := 0
+	for writing := true; writing; {
+		select {
+		case err := <-completed:
+			if err != nil {
+				t.Fatalf("complete: %v", err)
+			}
+			writing = false
+		default:
+			start := time.Now()
+			var hb HeartbeatReply
+			rawPost(t, c, "/v1/heartbeat", HeartbeatRequest{LeaseID: live.LeaseID}, &hb)
+			if took := time.Since(start); hb.Status != StatusOK || took > jc.LeaseTTL {
+				t.Fatalf("heartbeat during the write: %q after %v", hb.Status, took)
+			}
+			beats++
+			time.Sleep(jc.LeaseTTL / 4)
+		}
+	}
+	if want := int(faultinject.SlowWrite / jc.LeaseTTL); beats < want {
+		t.Errorf("%d heartbeats answered during a %v write, want at least %d", beats, faultinject.SlowWrite, want)
+	}
+	// Hand the live unit back as dispatched; real workers finish the job.
+	var pr ParkReply
+	rawPost(t, c, "/v1/park", ParkRequest{LeaseID: live.LeaseID, UnitID: live.UnitID, Unit: live.Unit}, &pr)
+	if pr.Status != StatusOK {
+		t.Fatalf("park after the write: %q, the lease did not survive", pr.Status)
+	}
+	for i, werr := range runWorkers(c, 2) {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	got, err := c.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	requireSame(t, "slow write", base, got)
+}
+
+// TestResumeGoldenPoolCheckpoints resumes, on a coordinator and two workers,
+// the unit-set files an earlier build's in-process pool and coordinator
+// wrote (explore/testdata/golden_pool_checkpoint.json; the in-process half
+// is explore's TestResumeGoldenCheckpoints). Each must keep the sequential
+// run's counts, first bug and witness.
+func TestResumeGoldenPoolCheckpoints(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "explore", "testdata", "golden_pool_checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &files); err != nil {
+		t.Fatal(err)
+	}
+	for key, raw := range files {
+		t.Run(key, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.json")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := explore.LoadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			tech, _ := explore.ParseTechnique(ck.Technique)
+			base := explore.Run(tech, baseCfg(t, "CS.account_bad", ck.Limit))
+			c, err := ResumeCoordinator(ck, testJob(t, "CS.account_bad", tech, ck.Limit))
+			if err != nil {
+				t.Fatalf("ResumeCoordinator: %v", err)
+			}
+			startCoord(t, c)
+			for i, werr := range runWorkers(c, 2) {
+				if werr != nil {
+					t.Errorf("worker %d: %v", i, werr)
+				}
+			}
+			got, err := c.Wait()
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			requireSame(t, key, maskWork(base), maskWork(got))
+		})
+	}
+}
+
 // waitUnitsDone blocks until the coordinator has recorded n completed units
 // (or the job has ended).
 func waitUnitsDone(t *testing.T, c *Coordinator, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		done, over := 0, c.phase == phaseDone
-		for _, u := range c.units {
-			if u.done {
-				done++
-			}
-		}
-		c.mu.Unlock()
-		if done >= n || over {
+		if st := c.sched.Status(); st.UnitsDone >= n || st.Phase == "done" {
 			return
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
 	t.Fatalf("coordinator never saw %d completed units", n)
+}
+
+// armOnDrain is a worker's HTTP transport that arms a fault point the first
+// time it carries a heartbeat reply asking the worker to park: the worker's
+// next request — the park itself — is the one the fault hits.
+type armOnDrain struct {
+	point faultinject.Point
+	armed atomic.Bool
+}
+
+func (a *armOnDrain) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/heartbeat" {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var rep HeartbeatReply
+	if json.Unmarshal(body, &rep) == nil && rep.Status == StatusDrain && a.armed.CompareAndSwap(false, true) {
+		faultinject.Arm(a.point, 1)
+	}
+	return resp, nil
+}
+
+// stallWatch is the workers' HTTP transport of a single-pass job whose head
+// unit PoolStallHead holds back: it adds up the schedules of the completions
+// sent before the first lease of a unit with the nil key — the held head
+// half — comes back. A completion counts from the moment it is sent, so the
+// sum is never short of what the coordinator held when it let the half go.
+type stallWatch struct {
+	mu       sync.Mutex
+	behind   int
+	released bool
+}
+
+func (s *stallWatch) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/complete" {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		var cr CompleteRequest
+		if json.Unmarshal(body, &cr) == nil && cr.Result != nil && cr.Result.PanicMsg == "" {
+			s.mu.Lock()
+			if !s.released {
+				s.behind += cr.Result.Schedules
+			}
+			s.mu.Unlock()
+		}
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/lease" {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var lr LeaseReply
+	if json.Unmarshal(body, &lr) == nil && lr.Status == StatusUnit && lr.Unit != nil && len(lr.Unit.Key) == 0 {
+		s.mu.Lock()
+		s.released = true
+		s.mu.Unlock()
+	}
+	return resp, nil
+}
+
+// atRelease is the schedules completed behind the head half when it was
+// leased; false if it never was.
+func (s *stallWatch) atRelease() (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.behind, s.released
+}
+
+// rawPost is one request that goes around the worker client and its fault
+// points.
+func rawPost(t *testing.T, c *Coordinator, path string, req, reply any) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+c.Addr()+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(reply); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// waitStatus polls the coordinator until ok holds, failing after a while.
+func waitStatus(t *testing.T, c *Coordinator, what string, ok func(StatusReply) bool) StatusReply {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) {
+		var st StatusReply
+		rawPost(t, c, "/v1/status", struct{}{}, &st)
+		if ok(st) {
+			return st
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	t.Fatalf("the coordinator never reported %s", what)
+	return StatusReply{}
+}
+
+// TestDistDonationUnderRPCFaults: a worker that finds nothing to lease
+// while another runs the pass's last unit gets that unit split — the owner
+// parks on its next heartbeat, the coordinator splits the parked engine and
+// queues both halves. The park request is then dropped, its reply dropped,
+// or the request delivered twice; the split must happen exactly once and the
+// job must still equal sequential DFS bit for bit.
+func TestDistDonationUnderRPCFaults(t *testing.T) {
+	const name = "CS.reorder_4_bad"
+	base := explore.RunDFS(baseCfg(t, name, 1<<20))
+	if !base.Complete {
+		t.Fatalf("baseline did not complete")
+	}
+	for _, f := range []struct {
+		name  string
+		point faultinject.Point
+	}{
+		{"drop-request", faultinject.RPCDropRequest},
+		{"drop-reply", faultinject.RPCDropReply},
+		{"duplicate", faultinject.RPCDuplicate},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			jc := testJob(t, name, explore.DFS, 1<<20)
+			jc.LeaseTTL = 60 * time.Millisecond // a heartbeat every 20ms
+			c, err := NewCoordinator(jc)
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			startCoord(t, c)
+			seeded := waitStatus(t, c, "a seeded pass", func(st StatusReply) bool { return st.Phase == "running" })
+
+			rt := &armOnDrain{point: f.point}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			worker := func(i int, cl *Client) {
+				defer wg.Done()
+				errs[i] = RunWorker(WorkerConfig{Addr: "http://" + c.Addr(), Name: fmt.Sprintf("w%d", i), Client: cl})
+			}
+			wg.Add(1)
+			go worker(0, &Client{Base: "http://" + c.Addr(), Backoff: 2 * time.Millisecond, HTTP: &http.Client{Transport: rt}})
+			// Once the one worker runs the last queued unit, ask for a unit.
+			waitStatus(t, c, "the last unit leased", func(st StatusReply) bool {
+				return st.Leases == 1 && st.UnitsDone == st.UnitsTotal-1
+			})
+			var lease LeaseReply
+			rawPost(t, c, "/v1/lease", LeaseRequest{Worker: "idle"}, &lease)
+			if lease.Status != StatusWait {
+				t.Fatalf("the idle lease got %q, want %q", lease.Status, StatusWait)
+			}
+			waitStatus(t, c, "the split", func(st StatusReply) bool { return st.UnitsTotal > seeded.UnitsTotal })
+			wg.Add(1)
+			go worker(1, fastClient(c))
+			wg.Wait()
+			for i, werr := range errs {
+				if werr != nil {
+					t.Errorf("worker %d: %v", i, werr)
+				}
+			}
+			if !rt.armed.Load() || faultinject.Hit(f.point) {
+				t.Fatal("the park never met the fault")
+			}
+			got, err := c.Wait()
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			requireSame(t, f.name, base, got)
+			var st StatusReply
+			rawPost(t, c, "/v1/status", struct{}{}, &st)
+			if st.UnitsTotal <= seeded.UnitsTotal {
+				t.Errorf("UnitsTotal %d, seeded with %d: no split", st.UnitsTotal, seeded.UnitsTotal)
+			}
+		})
+	}
+}
+
+// TestDistDrainAfterPeriodicCheckpoint: a coordinator's scheduler paces
+// periodic checkpoints by the executions its workers report; owners park at
+// their next heartbeat, the file is written, and the units are leased out
+// again. The job is drained after such a write, and the drained file
+// resumes in-process to the sequential result.
+func TestDistDrainAfterPeriodicCheckpoint(t *testing.T) {
+	const name, limit, every = "CS.reorder_4_bad", 1 << 20, 4000
+	base := explore.RunDFS(baseCfg(t, name, limit))
+	ckPath := filepath.Join(t.TempDir(), "job.ckpt")
+	interrupt := make(chan struct{})
+	jc := testJob(t, name, explore.DFS, limit)
+	jc.CheckpointPath, jc.Interrupt, jc.LeaseTTL = ckPath, interrupt, 60*time.Millisecond
+	cfg := jobConfig(jc)
+	cfg.CheckpointEvery = every
+	s, err := explore.NewScheduler(cfg, explore.DFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCoordinator(jc, s)
+	startCoord(t, c)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = RunWorker(WorkerConfig{Addr: "http://" + c.Addr(), Name: fmt.Sprintf("w%d", i), Client: fastClient(c)})
+		}(i)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if ck, err := explore.LoadCheckpoint(ckPath); err == nil && ck.Pool.OwnExecs >= 3*every {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint past the periodic marks")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(interrupt)
+	wg.Wait()
+	for i, werr := range errs {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	r1, err := c.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if r1.Stopped != explore.StopInterrupted {
+		t.Fatalf("the job finished (%v) before the drain", r1.Stopped)
+	}
+	ck, err := explore.LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := baseCfg(t, name, limit)
+		cfg.Workers = workers
+		got, err := explore.Resume(ck, cfg)
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		requireSame(t, fmt.Sprintf("resume workers=%d", workers), base, got)
+	}
+}
+
+// TestOversizedBodyRefused: every /v1/* endpoint refuses a body past
+// maxBodyBytes with 413, and the coordinator goes on serving its job.
+func TestOversizedBodyRefused(t *testing.T) {
+	base := explore.RunDFS(baseCfg(t, "CS.account_bad", distLimit))
+	c, err := NewCoordinator(testJob(t, "CS.account_bad", explore.DFS, distLimit))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	startCoord(t, c)
+	for _, path := range []string{"/v1/job", "/v1/lease", "/v1/heartbeat", "/v1/complete", "/v1/park", "/v1/status"} {
+		// A JSON object left open: all whitespace after the brace, so no
+		// decoder can reject it before the cap does.
+		body := io.MultiReader(strings.NewReader("{"), io.LimitReader(spaces{}, maxBodyBytes))
+		resp, err := http.Post("http://"+c.Addr()+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s answered an oversized body with %d, want 413", path, resp.StatusCode)
+		}
+	}
+	for i, werr := range runWorkers(c, 2) {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	got, err := c.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	requireSame(t, "after oversized bodies", base, got)
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestWorkerRefusesSkewedJob: a worker whose build disagrees with the
+// coordinator about the program or the checkpoint version refuses the job
+// before asking for a single lease.
+func TestWorkerRefusesSkewedJob(t *testing.T) {
+	b := bench.ByName("CS.account_bad")
+	for _, tc := range []struct {
+		name string
+		skew func(*JobSpec)
+		want string
+	}{
+		{"program", func(s *JobSpec) { s.ProgramHash = "0123abcd" }, "program hash mismatch"},
+		{"version", func(s *JobSpec) { s.Version = explore.CheckpointVersion + 1 }, "checkpoint version"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var leases atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/job" {
+					leases.Add(1)
+					http.Error(w, "unexpected", http.StatusTeapot)
+					return
+				}
+				spec := JobSpec{Benchmark: b.Name, Technique: "DFS", Limit: 100,
+					ProgramHash: b.Hash(), Version: explore.CheckpointVersion}
+				tc.skew(&spec)
+				writeJSON(w, spec)
+			}))
+			defer srv.Close()
+			err := RunWorker(WorkerConfig{Addr: srv.URL, Name: "skewed"})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunWorker = %v, want an error about the %s", err, tc.want)
+			}
+			if n := leases.Load(); n != 0 {
+				t.Errorf("the skewed worker made %d requests past /v1/job", n)
+			}
+		})
+	}
 }

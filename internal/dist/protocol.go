@@ -1,35 +1,32 @@
 // Package dist is the fault-tolerant distributed exploration service: a
-// coordinator that shards one exploration job into leased units and
-// workers that execute them with their own Executors, speaking JSON over
-// HTTP on localhost-first listeners. The wire format for search state is
-// the explore package's checkpoint vocabulary (UnitState out,
-// UnitResultState back), so a distributed job checkpoints, resumes and
-// merges with the machinery the in-process drivers already prove correct.
+// coordinator that serves one job's unit scheduler (explore.Scheduler) to
+// worker processes, which run the scheduler's one worker loop
+// (explore.WorkUnits) with their own Executors, speaking JSON over HTTP on
+// localhost-first listeners. Unit frontiers travel as explore's checkpoint
+// types (UnitState out, UnitResultState back), so a distributed job
+// checkpoints, resumes, splits and merges exactly as an in-process one, and
+// is bit-identical to the sequential run for DFS/IPB/IDB — complete, cut by
+// the limit, or drained and resumed — and verdict-identical for DPOR.
 //
 // Robustness is the design center, not speed:
 //
-//   - Every dispatched unit is covered by a lease with a TTL; workers
-//     heartbeat to keep it alive. A dead, hung or partitioned worker's
-//     lease expires and the coordinator re-dispatches the unit's original
-//     frontier — determinism makes the re-run bit-identical to the run
-//     that was lost.
-//   - Completions are idempotent and deduplicated per unit (first wins;
-//     determinism makes any later duplicate identical), so re-dispatch
-//     races cannot corrupt counts. Parks are fenced by lease ID: a stale
-//     park from an expired lease is rejected, never regressing a unit.
-//   - The merge, the unit step and the budget rule are the in-process
-//     pool's (explore.MergeUnitStates, RunUnit, BudgetReached): a
-//     distributed run is bit-identical to the sequential (-workers 1) run
-//     for DFS/IPB/IDB — run to completion, cut by the schedule limit, or
-//     drained and resumed — and verdict-identical for DPOR. Limit is
-//     applied by the merge alone; a pass ends early only once the
-//     completed units ahead of the earliest outstanding one hold it.
-//   - Workers retry transient RPC failures with exponential backoff and
-//     jitter; the coordinator propagates the schedule budget and the
-//     wall-clock deadline to every worker.
-//   - SIGTERM drains gracefully: workers park their in-flight frontiers
-//     and hand them back, and the coordinator writes a resumable job
-//     checkpoint (durable via fsatomic) preserving the exit contract.
+//   - Every dispatched unit is covered by a lease with a TTL that heartbeats
+//     extend. A dead, hung or partitioned worker's lease expires and the
+//     unit's stored frontier is re-dispatched; determinism makes the re-run
+//     identical to the lost one.
+//   - Completions are deduplicated per unit (first wins), parks are fenced by
+//     lease ID, and a split retires its unit, so no late or repeated report
+//     can corrupt counts or regress a unit.
+//   - Park is the only suspension: a heartbeat answered StatusDrain parks
+//     the unit — for a drain, a periodic checkpoint, or a donation to a
+//     worker that found nothing to lease — and the worker asks for a lease
+//     again.
+//   - Workers retry transient RPC failures with backoff and jitter, enforce
+//     the job deadline on their own, and refuse a job whose program hash or
+//     checkpoint version their build does not share. Request bodies are
+//     capped (maxBodyBytes).
+//   - SIGTERM drains gracefully: workers park and hand their frontiers back,
+//     and the coordinator writes a resumable job checkpoint (fsatomic).
 package dist
 
 import "sctbench/internal/explore"
@@ -69,6 +66,13 @@ type JobSpec struct {
 	// DeadlineMillis is the job deadline as Unix milliseconds (0 = none);
 	// workers park past it even if the coordinator is unreachable.
 	DeadlineMillis int64 `json:"deadlineMillis,omitempty"`
+	// ProgramHash is the benchmark program's content hash
+	// (vthread.ProgramHash) and Version the checkpoint format the unit
+	// states travel in (explore.CheckpointVersion). A worker whose build
+	// disagrees on either refuses the job before its first lease: its
+	// units would not be the coordinator's.
+	ProgramHash string `json:"programHash"`
+	Version     int    `json:"version"`
 }
 
 // LeaseRequest asks for a unit to execute.
@@ -124,8 +128,9 @@ type CompleteReply struct {
 	Status string `json:"status"`
 }
 
-// ParkRequest hands an in-flight unit's positioned frontier back (drain,
-// or worker-side interrupt). Parks are fenced by lease: a stale park is
+// ParkRequest hands an in-flight unit's positioned frontier back: the
+// coordinator asked for it (drain, periodic checkpoint, donation) or the
+// worker was interrupted. Parks are fenced by lease: a stale park is
 // rejected so an expired lease can never regress a re-dispatched unit.
 type ParkRequest struct {
 	LeaseID int64              `json:"leaseId"`

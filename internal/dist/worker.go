@@ -30,11 +30,11 @@ type WorkerConfig struct {
 // coordinator recovers by lease expiry.
 var ErrWorkerKilled = errors.New("dist: worker killed (injected)")
 
-// RunWorker connects to a coordinator, executes leased units until the job
-// is done (or draining, or the worker is interrupted), and returns nil on
-// a clean exit. Each unit runs on the worker's own Executor; per-execution
-// polls heartbeat the lease, honor the drain/cancel verdicts, and enforce
-// the job deadline even when the coordinator is unreachable.
+// RunWorker connects to a coordinator and runs the scheduler's one worker
+// loop (explore.WorkUnits) over HTTP until the job is done or draining, or
+// the worker is interrupted; it returns nil on a clean exit. A worker whose
+// build does not have the job's program or checkpoint version refuses the
+// job before its first lease.
 func RunWorker(wc WorkerConfig) error {
 	cl := wc.Client
 	if cl == nil {
@@ -48,125 +48,121 @@ func RunWorker(wc WorkerConfig) error {
 		return fmt.Errorf("worker %s: fetch job: %w", wc.Name, err)
 	}
 	b := bench.ByName(spec.Benchmark)
-	if b == nil {
+	switch {
+	case b == nil:
 		return fmt.Errorf("worker %s: unknown benchmark %q", wc.Name, spec.Benchmark)
+	case spec.Version != explore.CheckpointVersion:
+		return fmt.Errorf("worker %s: the coordinator speaks checkpoint version %d, this worker %d",
+			wc.Name, spec.Version, explore.CheckpointVersion)
+	case spec.ProgramHash != b.Hash():
+		return fmt.Errorf("worker %s: program hash mismatch for %s: coordinator %q, this worker %q (built from another version of the program)",
+			wc.Name, spec.Benchmark, spec.ProgramHash, b.Hash())
 	}
-	cfg := exploreConfig(b, spec.Racy, spec.NoRace, spec.Limit, spec.Seed)
-	var deadline time.Time
+	t := &httpWorker{cl: cl, wc: wc}
 	if spec.DeadlineMillis != 0 {
-		deadline = time.UnixMilli(spec.DeadlineMillis)
+		t.deadline = time.UnixMilli(spec.DeadlineMillis)
 	}
+	err := explore.WorkUnits(exploreConfig(b, spec.Racy, spec.NoRace, spec.Limit, spec.Seed), t)
+	switch {
+	case t.killed:
+		return ErrWorkerKilled
+	case err != nil:
+		return fmt.Errorf("worker %s: %w", wc.Name, err)
+	}
+	return nil
+}
 
-	for {
-		select {
-		case <-wc.Interrupt:
-			return nil
-		default:
-		}
-		var lease LeaseReply
-		if err := cl.call("/v1/lease", LeaseRequest{Worker: wc.Name}, &lease); err != nil {
-			return fmt.Errorf("worker %s: lease: %w", wc.Name, err)
-		}
-		switch lease.Status {
-		case StatusDone, StatusDrain:
-			return nil
-		case StatusWait:
-			wait := time.Duration(lease.RetryMillis) * time.Millisecond
-			if wait <= 0 {
-				wait = 20 * time.Millisecond
-			}
-			select {
-			case <-wc.Interrupt:
-				return nil
-			case <-time.After(wait):
-			}
-			continue
-		case StatusUnit:
-		default:
-			return fmt.Errorf("worker %s: lease: unexpected status %q", wc.Name, lease.Status)
-		}
+// httpWorker is the HTTP transport of the worker loop: the lease, heartbeat,
+// complete and park endpoints of a coordinator.
+type httpWorker struct {
+	cl       *Client
+	wc       WorkerConfig
+	deadline time.Time
+	hb       time.Duration // heartbeat period of the current lease
+	lastHB   time.Time
+	killed   bool
+}
 
-		killed, err := runLease(cl, wc, cfg, &lease, deadline)
-		if killed {
-			return ErrWorkerKilled
-		}
-		if err != nil {
-			return fmt.Errorf("worker %s: %w", wc.Name, err)
-		}
+func (t *httpWorker) interrupted() bool {
+	select {
+	case <-t.wc.Interrupt:
+		return true
+	default:
+		return false
 	}
 }
 
-// runLease executes one leased unit to its outcome: complete, park (which
-// also ends the worker's run — parks only happen on drain, interrupt or
-// deadline), or abandon (lease lost; back to the lease loop). killed
-// reports the injected worker crash.
-func runLease(cl *Client, wc WorkerConfig, cfg explore.Config, lease *LeaseReply, deadline time.Time) (killed bool, err error) {
-	hb := time.Duration(lease.HeartbeatMillis) * time.Millisecond
-	if hb <= 0 {
-		hb = 500 * time.Millisecond
-	}
-	lastHB := time.Now()
-	poll := func() explore.UnitAction {
-		if faultinject.Hit(faultinject.DistWorkerCrash) {
-			// Simulated kill -9: vanish without parking or completing.
-			// The coordinator's lease expiry re-dispatches the unit.
-			killed = true
-			return explore.UnitAbandon
+// Take asks for a lease until one is granted, or the job is done or
+// draining, or the worker is interrupted.
+func (t *httpWorker) Take() (*explore.Lease, error) {
+	for !t.interrupted() {
+		var rep LeaseReply
+		if err := t.cl.call("/v1/lease", LeaseRequest{Worker: t.wc.Name}, &rep); err != nil {
+			return nil, fmt.Errorf("lease: %w", err)
 		}
-		select {
-		case <-wc.Interrupt:
-			return explore.UnitPark
+		switch rep.Status {
+		case StatusUnit:
+			t.hb, t.lastHB = time.Duration(rep.HeartbeatMillis)*time.Millisecond, time.Now()
+			return &explore.Lease{ID: rep.LeaseID, UnitID: rep.UnitID, Unit: rep.Unit, Budget: rep.Budget}, nil
+		case StatusDone, StatusDrain:
+			return nil, nil
+		case StatusWait:
+			select {
+			case <-t.wc.Interrupt:
+			case <-time.After(time.Duration(rep.RetryMillis) * time.Millisecond):
+			}
 		default:
+			return nil, fmt.Errorf("lease: unexpected status %q", rep.Status)
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return explore.UnitPark
-		}
-		if time.Since(lastHB) >= hb {
-			lastHB = time.Now()
-			var rep HeartbeatReply
-			if err := cl.call("/v1/heartbeat", HeartbeatRequest{LeaseID: lease.LeaseID}, &rep); err != nil {
-				// Coordinator unreachable after retries: the lease will
-				// expire anyway; stop wasting work.
-				return explore.UnitAbandon
-			}
-			switch rep.Status {
-			case StatusDrain:
-				return explore.UnitPark
-			case StatusCancel, StatusStale:
-				return explore.UnitAbandon
-			}
-		}
+	}
+	return nil, nil
+}
+
+// Poll runs before every execution: the injected kill -9, the worker's own
+// interrupt and the job deadline (which hold even when the coordinator is
+// unreachable), then — once a heartbeat is due — the coordinator's verdict.
+func (t *httpWorker) Poll(l *explore.Lease) explore.UnitAction {
+	if faultinject.Hit(faultinject.DistWorkerCrash) {
+		// Simulated kill -9: vanish without parking or completing. The
+		// coordinator's lease expiry re-dispatches the unit.
+		t.killed = true
+		return explore.UnitAbandon
+	}
+	if t.interrupted() || (!t.deadline.IsZero() && time.Now().After(t.deadline)) {
+		return explore.UnitPark
+	}
+	if time.Since(t.lastHB) < t.hb {
 		return explore.UnitContinue
 	}
+	t.lastHB = time.Now()
+	var rep HeartbeatReply
+	switch err := t.cl.call("/v1/heartbeat", HeartbeatRequest{LeaseID: l.ID}, &rep); {
+	case err != nil:
+		// Coordinator unreachable after retries: the lease will expire
+		// anyway; stop wasting work.
+		return explore.UnitAbandon
+	case rep.Status == StatusDrain:
+		return explore.UnitPark
+	case rep.Status == StatusCancel || rep.Status == StatusStale:
+		return explore.UnitAbandon
+	}
+	return explore.UnitContinue
+}
 
-	ur, rerr := explore.RunUnit(cfg, lease.Unit, lease.Budget, poll)
-	if killed {
-		return true, nil
-	}
-	if rerr != nil {
-		return false, rerr
-	}
+// Finish hands a finished unit's result or a parked frontier back; an
+// abandoned unit is left to the coordinator (its lease is gone or expires).
+// An undeliverable completion (coordinator crashed) loses no work: a resumed
+// coordinator re-dispatches the unit and determinism reproduces it.
+func (t *httpWorker) Finish(l *explore.Lease, run *explore.UnitRun) error {
 	switch {
-	case ur.Done != nil:
-		var rep CompleteReply
-		req := CompleteRequest{
-			LeaseID: lease.LeaseID, UnitID: lease.UnitID,
-			Result: ur.Done, LimitHit: ur.LimitHit,
-		}
-		if err := cl.call("/v1/complete", req, &rep); err != nil {
-			// Undeliverable completion (coordinator crashed): the work is
-			// not lost — a resumed coordinator re-dispatches the unit and
-			// determinism reproduces it.
-			return false, err
-		}
-	case ur.Parked != nil:
-		var rep ParkReply
-		req := ParkRequest{LeaseID: lease.LeaseID, UnitID: lease.UnitID, Unit: ur.Parked}
-		if err := cl.call("/v1/park", req, &rep); err != nil {
-			return false, err
-		}
+	case t.killed:
+		return ErrWorkerKilled
+	case run.Done != nil:
+		return t.cl.call("/v1/complete", CompleteRequest{
+			LeaseID: l.ID, UnitID: l.UnitID, Result: run.Done, LimitHit: run.LimitHit,
+		}, &CompleteReply{})
+	case run.Parked != nil:
+		return t.cl.call("/v1/park", ParkRequest{LeaseID: l.ID, UnitID: l.UnitID, Unit: run.Parked}, &ParkReply{})
 	}
-	// A parked unit ends the worker's run via the next loop iteration:
-	// the interrupt select or the coordinator's drain reply on lease.
-	return false, nil
+	return nil
 }

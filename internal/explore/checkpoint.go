@@ -8,15 +8,15 @@ package explore
 // has two shapes for a tree search, told apart by what they hold: the
 // sequential driver's one root unit (top-level engine, bound and boundExecs,
 // the pass folded into the partial Result — sequentialCheckpoint) and the
-// pool's or coordinator's unit set (PoolState). A checkpoint is only ever
-// taken when an engine is *positioned to run*: at the top of the unit loop
-// (exploreUnit), after a successful backtrack or on a fresh engine, before
-// the next execution. Restoring such a state and re-entering that loop
+// unit scheduler's unit set (PoolState), whichever transport its workers
+// use. A checkpoint is only ever taken when an engine is *positioned to
+// run*: at the top of the unit loop (exploreUnit), after a successful
+// backtrack or on a fresh engine, before the next execution. Restoring such a state and re-entering that loop
 // therefore continues the exact schedule enumeration, so a killed-and-resumed
 // exploration finishes with bit-identical counts and witnesses to an
-// uninterrupted one — sequential or pool, complete or cut by Limit
+// uninterrupted one — sequential or partitioned, complete or cut by Limit
 // (verdict-identical for parallel DPOR, whose counts already depend on
-// stealing; see parallel.go).
+// splitting; see parallel.go).
 //
 // What is NOT serialized: the DPOR happens-before state (vector clocks,
 // prevOf/spawnOf, per-object access logs) is derived from the stack and
@@ -85,7 +85,7 @@ type Checkpoint struct {
 	// carries; in a pool file it is the pre-merge baseline (PoolState).
 	Result *Result `json:"result"`
 
-	// Engine is the sequential driver's root unit (nil for pool checkpoints
+	// Engine is the sequential driver's root unit (nil for unit-set checkpoints
 	// and for Rand, which has no frontier).
 	Engine *EngineState `json:"engine,omitempty"`
 
@@ -98,7 +98,8 @@ type Checkpoint struct {
 	// NextRun is the first unexplored run index (Rand only).
 	NextRun int `json:"nextRun,omitempty"`
 
-	// Pool is the parked worker-pool state (parallel checkpoints only).
+	// Pool is the unit set of the scheduler's active pass (partitioned
+	// checkpoints only).
 	Pool *PoolState `json:"pool,omitempty"`
 }
 
@@ -214,7 +215,7 @@ type RunStats struct {
 }
 
 // UnitResultState is everything a unit contributes to the canonical merge
-// — in memory while a pool worker or RunUnit fills it, and on the wire and
+// — in memory while a worker loop fills it, and on the wire and
 // on disk as it is.
 type UnitResultState struct {
 	Key       []int `json:"key"`
@@ -288,9 +289,9 @@ func (s StopReason) String() string {
 }
 
 // stopCtl is the shared stop signal of one exploration: polled once before
-// every execution by runSequential, every Rand sweeper and every pool
-// worker. The fast path when nothing is configured and nothing armed is two
-// nil checks and one atomic load.
+// every execution by runSequential and every Rand sweeper, and tripped by
+// the scheduler's Stop. The fast path when nothing is configured and nothing
+// armed is two nil checks and one atomic load.
 type stopCtl struct {
 	interrupt <-chan struct{}
 	deadline  time.Time
@@ -378,12 +379,16 @@ func (w *ckWriter) due(execs int) bool {
 // bytes in the temp file, no rename) and the faultinject.CheckpointDirSync
 // point a death between the rename and the directory sync; both return
 // faultinject.ErrInjected, which callers treat as "the process died here".
+// The faultinject.CheckpointSlow point only makes the write slow.
 func (ck *Checkpoint) Save(path string) error {
 	data, err := json.MarshalIndent(ck, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
 	data = append(data, '\n')
+	if faultinject.Hit(faultinject.CheckpointSlow) {
+		time.Sleep(faultinject.SlowWrite)
+	}
 	if faultinject.Hit(faultinject.CheckpointWrite) {
 		_ = os.WriteFile(path+".tmp", data[:len(data)/2], 0o644)
 		return faultinject.ErrInjected
@@ -686,65 +691,42 @@ func sequentialCheckpoint(cfg Config, r *Result, e PassEnd, eng searcher, res *U
 // checkpoint. Every shape resumes the same way — a baseline Result, the live
 // units of the interrupted pass, and the driver that wrote them: a
 // sequential file is one positioned root unit and resumes on runSequential
-// whatever cfg.Workers says, a pool file resumes on the pool, and a Rand file
-// carries no frontier and resumes at any worker count with identical results.
+// whatever cfg.Workers says, a unit-set file resumes on the scheduler (at
+// least one in-process worker), and a Rand file carries no frontier and
+// resumes at any worker count with identical results.
 //
 // A frontier that does not fit cfg.Program (a hand-edited file, or a program
 // that changed since it was written) makes the engine replay a choice the
 // program does not offer; the substrate reports that as a chooser-misuse
 // panic, and Resume returns it as an error, whichever driver met it.
 func Resume(ck *Checkpoint, cfg Config) (res *Result, err error) {
-	if err := ck.validate(); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	cfg.Limit = ck.Limit
-	cfg.Seed = ck.Seed
-	cfg.MaxBound = ck.MaxBound
-	cfg.MaxExecutions = ck.MaxExecutions
-	cfg = cfg.withDefaults()
-	rr := *ck.Result
-	r := &rr
-	// The carried-over partial result says why the *previous* run stopped;
-	// this run's fate is its own (the drivers set Stopped only when they
-	// stop early, so a natural finish must read completed).
-	r.Stopped = StopCompleted
-	r.CheckpointError = ""
-	tech, ok := ParseTechnique(ck.Technique)
-	if ck.Technique == "sleepset" && ck.Pool == nil { // a sequential-only form of DFS
-		tech, ok = DFS, true
-	}
-	if !ok || tech != r.Technique {
-		return nil, fmt.Errorf("checkpoint: technique %q does not match its result's (%s)", ck.Technique, r.Technique)
-	}
-	if tech == Rand {
-		if ck.NextRun < 0 || ck.NextRun > cfg.Limit {
-			return nil, fmt.Errorf("checkpoint: nextRun %d out of range", ck.NextRun)
-		}
-		return runRand(cfg, r, ck.NextRun), nil
-	}
-
 	misfit := func(panicMsg string) error {
 		if !vthread.IsChooserMisuse(panicMsg) {
 			return nil
 		}
 		return fmt.Errorf("checkpoint: frontier does not fit this program (%s)", panicMsg)
 	}
-	if ps := ck.Pool; ps != nil {
-		units := make([]*unit, len(ps.Units))
-		for i := range ps.Units {
-			us := &ps.Units[i]
-			eng, err := restoreSearcher(cfg, us.Engine)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: unit %d: %w", i, err)
-			}
-			units[i] = &unit{eng: eng, key: us.Key, positioned: us.Positioned, res: us.Partial.clone()}
+	if ck.Pool != nil {
+		cfg.Workers = max(cfg.Workers, 1)
+		s, err := ResumeScheduler(ck, cfg)
+		if err != nil {
+			return nil, err
 		}
-		ps.RebaseWork(r)
-		runPasses(cfg, r, ck.Bound, units, ps)
+		r := s.Run()
 		if err := misfit(r.WorkerPanicMsg); err != nil { // contained: a forfeited unit
 			return nil, err
 		}
 		return r, nil
+	}
+	cfg, tech, r, err := ck.resumeBase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if tech == Rand {
+		if ck.NextRun < 0 || ck.NextRun > cfg.Limit {
+			return nil, fmt.Errorf("checkpoint: nextRun %d out of range", ck.NextRun)
+		}
+		return runRand(cfg, r, ck.NextRun), nil
 	}
 
 	eng, err := restoreSearcher(cfg, ck.Engine)
@@ -783,6 +765,28 @@ func Resume(ck *Checkpoint, cfg Config) (res *Result, err error) {
 		}
 	}()
 	return runSequential(cfg, r, ck.Bound, eng, unit), nil
+}
+
+// resumeBase checks ck and returns what every resumed driver starts from:
+// cfg with the file's search parameters, the technique, and the carried-over
+// result, whose Stopped and CheckpointError said how the *previous* run
+// ended — this run's fate is its own (a driver sets Stopped only when it
+// stops early, so a natural finish must read completed).
+func (ck *Checkpoint) resumeBase(cfg Config) (Config, Technique, *Result, error) {
+	if err := ck.validate(); err != nil {
+		return cfg, 0, nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	cfg.Limit, cfg.Seed, cfg.MaxBound, cfg.MaxExecutions = ck.Limit, ck.Seed, ck.MaxBound, ck.MaxExecutions
+	r := *ck.Result
+	r.Stopped, r.CheckpointError = StopCompleted, ""
+	tech, ok := ParseTechnique(ck.Technique)
+	if ck.Technique == "sleepset" && ck.Pool == nil { // a sequential-only form of DFS
+		tech, ok = DFS, true
+	}
+	if !ok || tech != r.Technique {
+		return cfg, 0, nil, fmt.Errorf("checkpoint: technique %q does not match its result's (%s)", ck.Technique, r.Technique)
+	}
+	return cfg.withDefaults(), tech, &r, nil
 }
 
 // clone copies a unit's tallies so a run can extend them without writing

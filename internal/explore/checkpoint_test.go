@@ -177,6 +177,44 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 			requireSameResult(t, "resume from periodic snapshot", base, res)
 		})
 	}
+	// A parallel sweep checkpoints periodically too: the active bound's
+	// owners park, the file is written, and the units are handed out again.
+	// The run is killed by a crash in its second periodic write, so the
+	// first is what is left to resume.
+	for _, tech := range ckTechniques[1:3] { // IPB, IDB
+		for _, workers := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tech.name, workers), func(t *testing.T) {
+				t.Cleanup(faultinject.Reset)
+				base := tech.run(ckCfg(t, "CS.reorder_4_bad", 300))
+				path := filepath.Join(t.TempDir(), "ck.json")
+				cfg := ckCfg(t, "CS.reorder_4_bad", 300)
+				cfg.Workers = workers
+				cfg.CheckpointPath = path
+				cfg.CheckpointEvery = 5
+				faultinject.Arm(faultinject.CheckpointWrite, 2)
+				if r := tech.run(cfg); r.Stopped != StopInterrupted {
+					t.Fatalf("the run was not killed by its second periodic write: Stopped = %v", r.Stopped)
+				}
+				faultinject.Reset()
+				ck, err := LoadCheckpoint(path)
+				if err != nil {
+					t.Fatalf("no periodic checkpoint left behind: %v", err)
+				}
+				if ck.Pool == nil || ck.Result.Stopped != StopCompleted {
+					t.Fatalf("left behind a file that is not a periodic unit-set snapshot (stopped %v)", ck.Result.Stopped)
+				}
+				for _, w := range []int{1, workers} {
+					cfg := ckCfg(t, "CS.reorder_4_bad", 300)
+					cfg.Workers = w
+					res, err := Resume(ck, cfg)
+					if err != nil {
+						t.Fatalf("Resume: %v", err)
+					}
+					requireSameResult(t, fmt.Sprintf("resume at workers=%d", w), maskWorkMetrics(base), maskWorkMetrics(res))
+				}
+			})
+		}
+	}
 	// Rand paces periodic checkpoints by folded runs at every worker count.
 	t.Run("Rand/workers=4", func(t *testing.T) {
 		base := RunRand(ckCfg(t, "CS.account_bad", limit))
@@ -585,12 +623,10 @@ func TestResumeRejectsMisfitFrontier(t *testing.T) {
 	})
 }
 
-// TestResumeGoldenCheckpoints resumes files this build did not write: the
-// four checkpoints pinned in golden_checkpoint.json are bytes an earlier
-// build's drivers produced, and each must finish as the uninterrupted run of
-// the same configuration does.
-func TestResumeGoldenCheckpoints(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "golden_checkpoint.json"))
+// goldenFiles reads a testdata blob of pinned checkpoint files, by key.
+func goldenFiles(t *testing.T, name string) map[string]json.RawMessage {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,6 +634,37 @@ func TestResumeGoldenCheckpoints(t *testing.T) {
 	if err := json.Unmarshal(blob, &files); err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+// loadGolden writes one pinned file out and loads it as a checkpoint.
+func loadGolden(t *testing.T, raw json.RawMessage) *Checkpoint {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	return ck
+}
+
+// TestResumeGoldenCheckpoints resumes files this build did not write: the
+// four checkpoints pinned in golden_checkpoint.json are bytes an earlier
+// build's drivers produced, and each must finish as the uninterrupted run of
+// the same configuration does. golden_pool_checkpoint.json pins four unit-set
+// files an earlier build's two partitioning schedulers wrote (CS.account_bad,
+// limit 100): the in-process pool drained mid DFS at two workers, the pool
+// interrupted mid IPB sweep with its speculative bound running, and the
+// distributed coordinator drained mid DFS and mid IPB. Each resumes here on
+// the in-process scheduler (internal/dist resumes the same files on a
+// coordinator) and must keep the sequential run's counts, first bug and
+// witness; only the work tallies may differ, as for any partitioned search
+// the limit cuts.
+func TestResumeGoldenCheckpoints(t *testing.T) {
+	files := goldenFiles(t, "golden_checkpoint.json")
 	runs := map[string]func(Config) *Result{
 		"dfs":  RunDFS,
 		"ipb":  func(c Config) *Result { return RunIterative(c, CostPreemptions) },
@@ -609,19 +676,34 @@ func TestResumeGoldenCheckpoints(t *testing.T) {
 	}
 	for key, run := range runs {
 		t.Run(key, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), key+".json")
-			if err := os.WriteFile(path, files[key], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ck, err := LoadCheckpoint(path)
-			if err != nil {
-				t.Fatalf("LoadCheckpoint: %v", err)
-			}
-			res, err := Resume(ck, ckCfg(t, "CS.account_bad", 100))
+			res, err := Resume(loadGolden(t, files[key]), ckCfg(t, "CS.account_bad", 100))
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
 			requireSameResult(t, "resumed pinned checkpoint", run(ckCfg(t, "CS.account_bad", 100)), res)
+		})
+	}
+	pool := goldenFiles(t, "golden_pool_checkpoint.json")
+	if len(pool) != 4 {
+		t.Fatalf("golden_pool_checkpoint.json holds %d checkpoints, want 4", len(pool))
+	}
+	for key, raw := range pool {
+		t.Run(key, func(t *testing.T) {
+			ck := loadGolden(t, raw)
+			if ck.Pool == nil || len(ck.Pool.Units) == 0 {
+				t.Fatalf("%s is not a unit-set file with units to run", key)
+			}
+			run := runs[strings.ToLower(ck.Technique)]
+			want := maskWorkMetrics(run(ckCfg(t, "CS.account_bad", 100)))
+			for _, workers := range []int{1, 2} {
+				cfg := ckCfg(t, "CS.account_bad", 100)
+				cfg.Workers = workers
+				res, err := Resume(loadGolden(t, raw), cfg)
+				if err != nil {
+					t.Fatalf("Resume: %v", err)
+				}
+				requireSameResult(t, fmt.Sprintf("resumed at workers=%d", workers), want, maskWorkMetrics(res))
+			}
 		})
 	}
 }

@@ -659,7 +659,7 @@ func joinVC(dst, src []int32) {
 // in the best case), reaching the same failure verdicts as RunDFS with —
 // typically dramatically — fewer executions, and chooser-aborts the
 // redundant runs it does start. With cfg.Workers > 1 the reduced tree is
-// explored by the work-stealing pool (see parallel.go); parallel counts
+// explored by the unit scheduler (see parallel.go); parallel counts
 // are exact when no work was stolen and may otherwise include duplicated
 // equivalence classes, but the bug verdict is preserved either way.
 func RunDPOR(cfg Config) *Result { return runTree(cfg, DPOR) }

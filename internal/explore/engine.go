@@ -11,11 +11,11 @@
 // canonical merge and one per-pass verdict (exploreUnit, MergeUnitStates,
 // PassMerge.Commit in parallel.go) by whichever driver Config.Workers
 // selects — runSequential on the caller's goroutine, or the work-partitioned
-// worker pool (runPasses) when Workers > 1 — and Rand by the one sweep
+// unit scheduler (scheduler.go) when Workers > 1 — and Rand by the one sweep
 // runRand at any worker count, so a worker count says where a technique
 // runs, never which code runs it. Results are identical either way for
 // DFS/IPB/IDB/Rand, complete or truncated by Limit (DPOR preserves verdicts;
-// its counts are exact unless work was stolen).
+// its counts are exact unless a unit was split).
 package explore
 
 import (
@@ -77,7 +77,7 @@ type engine struct {
 	bound int // ignored when model == CostNone
 
 	// exec runs this engine's executions. It is owned by the driver (one
-	// per sequential run, one per pool worker in the parallel driver) and
+	// per sequential run, one per worker loop of the scheduler) and
 	// assigned before the first runOnce; engines donated between workers
 	// are re-pointed at the stealing worker's executor.
 	exec *vthread.Executor

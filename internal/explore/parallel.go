@@ -1,28 +1,25 @@
 package explore
 
-// Units, the one unit step, and the parallel driver. The schedule space of
+// Units, the one unit step, and the canonical merge. The schedule space of
 // one program is a tree whose nodes are scheduling points and whose edges are
 // CanonicalOrder choices; an engine walks it depth first. Every tree search
 // is a set of prefix-pinned subtrees ("units") driven through one loop
 // (exploreUnit), merged in canonical order (MergeUnitStates) and judged per
-// pass (PassMerge.Commit). Three drivers stand on that: runSequential
+// pass (PassMerge.Commit). Two drivers stand on that: runSequential
 // (techniques.go) explores each pass as its one root unit on the caller's
-// goroutine; RunUnit (dist.go) explores one leased unit for the distributed
-// coordinator; and the pool in this file partitions the tree among its
-// workers, with work-stealing: whenever the pool starves, a running
-// worker donates the untried sibling range of the shallowest open node on
-// its stack as a new unit (the owner works at the tail of its stack, the
-// donation is carved off at the head — the deque discipline of the
-// work-stealing queue benchmarked in examples/wsq). Units are generic over
-// the searcher interface, so the same pool drives the plain DFS/IPB/IDB
-// engine and the DPOR engine (whose donations deep-copy backtrack, done
-// and sleep state; see dporEngine.split).
+// goroutine, and the unit scheduler (scheduler.go) partitions each pass
+// among workers. A unit is split by carving the untried sibling range of the
+// shallowest open node off its engine's stack (the owner works at the tail,
+// the split is carved off at the head — the deque discipline of the
+// work-stealing queue in examples/wsq), for the DFS/IPB/IDB engine and the
+// DPOR engine alike (dporEngine.split deep-copies backtrack, done and sleep
+// state).
 //
 // Determinism. Depth-first search visits terminal schedules in the
 // lexicographic order of their branch keys (sched.CompareBranchKeys), and
 // every DFS/IPB/IDB unit covers a contiguous lexicographic range, so
 // concatenating per-unit results sorted by start key reproduces the
-// sequential visit order exactly — no matter how the work-stealing
+// sequential visit order exactly — no matter how the splitting
 // happened to cut the tree. Schedule totals, per-bound NewSchedules,
 // completeness, the first-bug selection and its witness are therefore
 // bit-identical to Workers: 1 — for a search that completes, one Limit
@@ -31,48 +28,37 @@ package explore
 // a matter of timing, so the budget is never handed out while the search
 // runs: Limit is applied in one place, the canonical merge
 // (MergeUnitStates). A unit stops itself once it alone has counted a whole
-// budget (exploreUnit), and a job stops early only when its finished front
+// budget (exploreUnit), and a pass stops early only when its finished front
 // already holds the budget (BudgetReached). The price is work: a truncated
 // parallel search may perform up to about workers × budget executions the
 // merge cuts away. Every unit tallies its own work, and Executions,
-// TotalSteps and AbortedExecutions are the honest sum (cancelled speculative
-// bounds included) — the only Result fields that depend on timing.
+// TotalSteps and AbortedExecutions are the sum over the units of the passes
+// the search committed (a cancelled speculative bound's work is not in it) —
+// the only Result fields that depend on timing.
 //
 // DPOR is the exception to exactness: its backtrack sets grow from races
 // observed at runtime, so a donated unit and its donor may later discover
 // the same reversal independently and both explore it. Parallel DPOR is
 // sound — every Mazurkiewicz trace the sequential search covers is covered
-// — and bit-identical to Workers: 1 whenever no work was stolen, but under
-// stealing the schedule count may include duplicated equivalence classes.
+// — and bit-identical to Workers: 1 whenever no unit was split, but once
+// one is the schedule count may include duplicated equivalence classes.
 // The bug verdict and completeness are preserved either way, complete or
 // truncated.
-//
-// Iterative bounding (IPB/IDB) additionally overlaps bound sweeps: while
-// bound k drains, a lower-priority job speculatively explores bound k+1 in
-// the same pool. If bound k finds the bug or completes the space, the
-// speculative job is cancelled and its results are discarded; otherwise it
-// is promoted and its partial progress is kept.
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"sctbench/internal/faultinject"
 	"sctbench/internal/sched"
 	"sctbench/internal/vthread"
 )
 
 // searcher is the engine contract of the one unit step (exploreUnit) and so
-// of its three drivers: runSequential, the worker pool and RunUnit. It has
+// of its two drivers: runSequential and the unit scheduler. It has
 // exactly two implementations — engine (DFS/IPB/IDB: cost-bounded
 // backtracking shares only scaffolding with partial-order reduction) and
 // dporEngine (DPOR and, in its sleep-set-only form, sleep-set DFS). A
-// searcher is confined to one goroutine at a time; donation transfers
-// ownership of the returned unit's engine to whichever worker takes it.
+// searcher is confined to one goroutine at a time.
 type searcher interface {
 	// setExec points the engine at the executor of the worker currently
 	// running it; its next execution there shares nothing with the last.
@@ -85,11 +71,10 @@ type searcher interface {
 	// counts (exact-bound for IPB/IDB, non-redundant for the pruning
 	// engines).
 	counts(out *vthread.Outcome) bool
-	// split carves off a donated unit, or returns nil when every node is
-	// closed (always, for a searcher that does not partition). The
-	// donated state must be deep-copied: donor and donee run on
-	// different workers.
-	split() *unit
+	// split carves off a donated subtree, or returns nil when every node
+	// is closed. The donated state must be deep-copied: donor and donee
+	// run on different workers.
+	split() *subtree
 	// wasPruned reports that a bounded search skipped an over-bound
 	// alternative (engine only; decides Complete for IPB/IDB).
 	wasPruned() bool
@@ -129,7 +114,7 @@ func (e *engine) counts(out *vthread.Outcome) bool {
 // every node is closed. The donated unit is created in backtrack-first
 // state so the ordinary backtracking path advances it into (and
 // bound-prunes) its range.
-func (e *engine) split() *unit {
+func (e *engine) split() *subtree {
 	for d := 0; d < len(e.stack); d++ {
 		nd := &e.stack[d]
 		if nd.idx >= nd.hi {
@@ -154,7 +139,7 @@ func (e *engine) split() *unit {
 		ne := newEngine(e.cfg, e.model, e.bound)
 		ne.stack = stack
 		nd.hi = nd.idx // the donor no longer owns the range
-		return &unit{eng: ne, key: key}
+		return &subtree{eng: ne, key: key}
 	}
 	return nil
 }
@@ -179,7 +164,7 @@ func (e *dporEngine) counts(out *vthread.Outcome) bool {
 // donor marks the donated candidates done: the donee will explore them
 // fully, so for the donor's later sleep-set computations they count as
 // explored siblings.
-func (e *dporEngine) split() *unit {
+func (e *dporEngine) split() *subtree {
 	for d := 0; d < len(e.stack); d++ {
 		nd := &e.stack[d]
 		first := e.firstPending(nd)
@@ -234,24 +219,19 @@ func (e *dporEngine) split() *unit {
 			key[i] = e.stack[i].idx
 		}
 		key[d] = first
-		return &unit{eng: ne, key: key}
+		return &subtree{eng: ne, key: key}
 	}
 	return nil
 }
 
-// unit is a prefix-pinned sub-search: an engine whose stack prefix is
-// pinned and whose shallowest open node may be restricted to a sibling
-// range (DFS) or a donated candidate set (DPOR). key is the branch key of
-// the first position the unit covers; positioned units run immediately,
-// donated units backtrack first (the uniform path that also handles
-// bound-pruning of the donated range).
-type unit struct {
-	eng        searcher
-	key        []int
-	positioned bool
-	// res carries a parked unit's partial tallies across a suspension
-	// (checkpoint/resume); nil for units that have never run.
-	res *UnitResultState
+// subtree is what split carves off: an engine whose stack prefix is pinned
+// and whose shallowest open node is restricted to a sibling range (DFS) or a
+// donated candidate set (DPOR), and the branch key of the first position it
+// covers. It is created backtrack-first, the uniform path that also
+// bound-prunes the donated range.
+type subtree struct {
+	eng searcher
+	key []int
 }
 
 // observe folds one execution's statistics in.
@@ -274,8 +254,9 @@ func (s RunStats) foldInto(r *Result) {
 }
 
 // ---------------------------------------------------------------------------
-// The unit step: one loop under three drivers — runSequential (the root unit
-// of each pass, on the caller's goroutine), the pool worker and RunUnit.
+// The unit step: one loop under both drivers — runSequential (the root unit
+// of each pass, on the caller's goroutine) and every worker loop of the
+// scheduler (runLease).
 
 // UnitAction is the verdict of a unit's per-execution poll.
 type UnitAction int
@@ -287,7 +268,7 @@ const (
 	// for its next execution — with its partial tallies, which is exactly
 	// the state checkpoints serialize and a re-dispatch re-enters.
 	UnitPark
-	// UnitAbandon: stop without a verdict — the job was cancelled, the
+	// UnitAbandon: stop without a verdict — the pass was sealed, the
 	// lease is lost or a simulated kill -9 fired.
 	UnitAbandon
 )
@@ -346,10 +327,9 @@ func exploreUnit(eng searcher, positioned bool, res *UnitResultState, d unitDriv
 	return unitFinished
 }
 
-// exploreContained is exploreUnit for the two drivers that promise to
-// survive a panic — the pool and RunUnit. Program, substrate or an injected
-// worker death, it is contained here, once: the unit ends forfeited
-// (res.PanicMsg) and the caller must abandon the executor the engine ran on.
+// exploreContained is exploreUnit for the worker loop, which survives a
+// panic — program, substrate or an injected worker death: the unit ends
+// forfeited (res.PanicMsg), and the caller must abandon the executor.
 func exploreContained(eng searcher, positioned bool, res *UnitResultState, d unitDriver) (end unitEnd) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -470,14 +450,14 @@ func MergeUnitStates(done []*UnitResultState, budget int) PassMerge {
 		}
 		m.Pruned = m.Pruned || u.Pruned
 		m.Branches += u.Branches
-		take := u.Schedules
-		if m.Schedules+take > budget {
-			take = budget - m.Schedules
+		kept := u.Schedules
+		if m.Schedules+kept > budget {
+			kept = budget - m.Schedules
 			m.Truncated = true
 		}
-		m.fold(u.statsAt(take, m.Schedules+take >= budget))
+		m.fold(u.statsAt(kept, m.Schedules+kept >= budget))
 		for _, off := range u.BuggyOffs {
-			if off > take {
+			if off > kept {
 				break
 			}
 			m.Buggy++
@@ -488,22 +468,22 @@ func MergeUnitStates(done []*UnitResultState, budget int) PassMerge {
 				m.Witness = u.Witness
 			}
 		}
-		m.Schedules += take
+		m.Schedules += kept
 	}
 	return m
 }
 
 // statsAt is the unit's run statistics as the merge may report them: all
 // of them, unless the budget cut falls inside (or exactly at the end of)
-// this unit — then only what the executions up to its take-th counted
+// this unit — then only what the executions up to its kept-th counted
 // schedule saw, which is where a sequential search stops.
-func (u *UnitResultState) statsAt(take int, cut bool) RunStats {
+func (u *UnitResultState) statsAt(kept int, cut bool) RunStats {
 	if !cut || len(u.StatMarks) == 0 {
 		return u.RunStats
 	}
 	var s RunStats
 	for _, mark := range u.StatMarks {
-		if mark.Before < take {
+		if mark.Before < kept {
 			s = mark.RunStats
 		}
 	}
@@ -550,8 +530,8 @@ type PassEnd struct {
 }
 
 // Commit folds the merged pass into r and reports whether the search ends
-// with it — the per-pass verdict of every driver, sequential, pool and
-// coordinator: the limits first, then completeness (nothing pruned, nothing
+// with it — the per-pass verdict of both drivers, sequential and
+// scheduler: the limits first, then completeness (nothing pruned, nothing
 // forfeited), then the paper's rule that the bound exposing the bug is the
 // last one enumerated (§5). A pass cut short from outside gets no verdict.
 func (m *PassMerge) Commit(r *Result, e PassEnd) (final bool) {
@@ -578,7 +558,7 @@ func (m *PassMerge) Commit(r *Result, e PassEnd) (final bool) {
 }
 
 // BudgetReached is the early-stop predicate of a pass with a schedule
-// budget, shared by the pool and the distributed coordinator: it reports
+// budget, the scheduler's (on either transport): it reports
 // that the finished units lexicographically before the earliest live unit
 // already hold the whole budget. done are the finished units' results, live
 // the keys of every unit still queued, running, leased or parked.
@@ -605,647 +585,4 @@ func BudgetReached(done []*UnitResultState, live [][]int, budget int) bool {
 		}
 	}
 	return held >= budget
-}
-
-// ---------------------------------------------------------------------------
-// The in-process pool.
-
-// job is one complete pass over the tree (one DFS, or one bound of an
-// iterative search) being explored by the pool.
-type job struct {
-	// All guarded by pool.mu. A unit is in exactly one of queue (donors
-	// append at the tail, thieves take the lexicographic head), running (a
-	// worker is inside it) and parked (a suspension or a stop set it aside,
-	// positioned or not, with whatever it had tallied), or it is finished
-	// and its result is in results.
-	queue   []*unit
-	running []*unit
-	parked  []*unit
-	results []*UnitResultState
-	// held sums the schedules of the finished, unforfeited units: the cheap
-	// gate in front of BudgetReached.
-	held   int
-	closed bool // done has been closed
-
-	// stop cancels the job: running units finish their current execution
-	// only. budgetHit (guarded by pool.mu) and execLimitHit say why.
-	stop         atomic.Bool
-	budgetHit    bool
-	execLimitHit atomic.Bool
-	// budget is the pass's schedule budget, Limit minus what earlier bounds
-	// committed. It is compared against (exploreUnit, BudgetReached), never
-	// spent. A speculative bound runs under the budget known when it was
-	// created and is given the exact one on promotion.
-	budget atomic.Int64
-
-	// own counts this job's executions and is what execLimit — the
-	// MaxExecutions budget left when the job was created, tightened as
-	// earlier bounds commit — guards, so speculative work never burns the
-	// active bound's execution budget.
-	own       atomic.Int64
-	execLimit atomic.Int64
-
-	// ctl is the exploration's shared stop signal; workers poll it before
-	// every execution and suspend the job when it trips. suspend asks
-	// running units to park instead of continuing.
-	ctl     *stopCtl
-	suspend atomic.Bool
-
-	done chan struct{}
-}
-
-// pool runs worker goroutines over an ordered list of jobs; workers always
-// prefer the earliest job with queued work, so a speculative bound only
-// consumes cycles the active bound cannot use. All jobs of a pool explore
-// under one Config.
-type pool struct {
-	cfg    Config
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   []*job
-	idle   int
-	closed bool
-	wg     sync.WaitGroup
-}
-
-func newPool(cfg Config) *pool {
-	p := &pool{cfg: cfg}
-	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < max(cfg.Workers, 1); i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
-}
-
-// addJob registers a pass: fresh (units is the whole-tree root), or carried
-// over from a suspension with its parked units, finished results and
-// execution count. A resume checkpoint may carry only completed units — the
-// stop landed right after the last unit finished — or a front that already
-// fills the budget; either way the job is born drained and its done channel
-// closes here.
-func (p *pool) addJob(ctl *stopCtl, budget int, execLimit int64,
-	units []*unit, results []*UnitResultState, own int64) *job {
-	j := &job{ctl: ctl, queue: units, results: results, done: make(chan struct{})}
-	j.budget.Store(int64(budget))
-	j.execLimit.Store(execLimit)
-	j.own.Store(own)
-	for _, res := range results {
-		if res.PanicMsg == "" {
-			j.held += res.Schedules
-		}
-	}
-	p.mu.Lock()
-	p.jobs = append(p.jobs, j)
-	p.checkBudgetLocked(j)
-	p.settleLocked(j)
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	return j
-}
-
-// removeJob drops a finished job from the scan list.
-func (p *pool) removeJob(j *job) {
-	p.mu.Lock()
-	p.jobs = slices.DeleteFunc(p.jobs, func(x *job) bool { return x == j })
-	p.mu.Unlock()
-}
-
-// settleLocked closes a job's done channel once no unit is queued or
-// running.
-func (p *pool) settleLocked(j *job) {
-	if len(j.queue)+len(j.running) == 0 && !j.closed {
-		j.closed = true
-		close(j.done)
-	}
-}
-
-// stopJob cancels a job: queued units are set aside unrun, running units
-// observe j.stop and finish their current execution only.
-func (p *pool) stopJob(j *job) {
-	p.mu.Lock()
-	p.stopJobLocked(j)
-	p.mu.Unlock()
-}
-
-func (p *pool) stopJobLocked(j *job) {
-	j.stop.Store(true)
-	j.parked = append(j.parked, j.queue...)
-	j.queue = nil
-	p.settleLocked(j)
-}
-
-// checkBudgetLocked stops a job whose finished front already holds its
-// budget (see BudgetReached). It runs when a unit finishes — the only event
-// that can make the predicate true: a donation adds a live unit behind its
-// live donor — and when a promotion tightens the budget.
-func (p *pool) checkBudgetLocked(j *job) {
-	budget := int(j.budget.Load())
-	if j.held < budget || j.stop.Load() {
-		return
-	}
-	var live [][]int
-	for _, us := range [][]*unit{j.queue, j.running, j.parked} {
-		for _, u := range us {
-			live = append(live, u.key)
-		}
-	}
-	if BudgetReached(j.results, live, budget) {
-		j.budgetHit = true
-		p.stopJobLocked(j)
-	}
-}
-
-// promote gives a speculative job that became the active one its exact
-// budgets: it ran under those known at its creation, before the bound just
-// committed had counted its schedules and spent consumed executions. Either
-// may already be used up — a small bound can finish speculatively before it
-// is promoted, and then no later execution would notice.
-func (p *pool) promote(j *job, budget int, consumed int64) {
-	p.mu.Lock()
-	j.budget.Store(int64(budget))
-	if j.own.Load() >= j.execLimit.Add(-consumed) {
-		j.execLimitHit.Store(true)
-		p.stopJobLocked(j)
-	}
-	p.checkBudgetLocked(j)
-	p.mu.Unlock()
-}
-
-// close stops every job and joins the workers.
-func (p *pool) close() {
-	p.mu.Lock()
-	p.closed = true
-	for _, j := range p.jobs {
-		p.stopJobLocked(j)
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// worker owns one reusable Executor for its whole lifetime: every unit it
-// picks up (whatever the job or bound) runs its executions on it, so
-// thread goroutines and buffers are recycled across units, not just
-// within one.
-func (p *pool) worker() {
-	defer p.wg.Done()
-	var ex *vthread.Executor
-	defer func() {
-		if ex != nil {
-			ex.Close()
-		}
-	}()
-	for {
-		j, u := p.take()
-		if u == nil {
-			return
-		}
-		if ex == nil {
-			ex = newExecutor(p.cfg)
-		}
-		u.eng.setExec(ex)
-		if p.runUnit(j, u) == unitPanicked {
-			// The unit panicked mid-execution: the executor may hold a
-			// wedged run (on the reference engine, parked goroutines), so
-			// abandon it and build a fresh one for the next unit. The flat
-			// engine leaks nothing; the reference engine leaks that run's
-			// parked goroutines, which is the price of surviving.
-			ex = nil
-		}
-	}
-}
-
-// take steals the lexicographically smallest queued unit of the earliest
-// job with work, or blocks. Lex-priority stealing keeps the workers
-// clustered on the earliest open regions of the tree, so the frontier
-// advances in approximately the sequential visit order — which is what
-// lets a budgeted pass fill its front (BudgetReached) soon after a
-// sequential search would have stopped, instead of scattering executions
-// across distant subtrees the merge will cut away.
-func (p *pool) take() (*job, *unit) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed {
-			return nil, nil
-		}
-		for _, j := range p.jobs {
-			if len(j.queue) > 0 {
-				best := 0
-				for i := 1; i < len(j.queue); i++ {
-					if sched.CompareBranchKeys(j.queue[i].key, j.queue[best].key) < 0 {
-						best = i
-					}
-				}
-				u := j.queue[best]
-				j.queue = append(j.queue[:best], j.queue[best+1:]...)
-				j.running = append(j.running, u)
-				return j, u
-			}
-		}
-		p.idle++
-		p.cond.Wait()
-		p.idle--
-	}
-}
-
-// leaveUnit takes a unit a worker is done with off the running list: parked
-// (a suspension — the unit is positioned and resumable — or a stop, where
-// only its tallies still matter) or finished, its result joining the merge.
-func (p *pool) leaveUnit(j *job, u *unit, end unitEnd) {
-	p.mu.Lock()
-	j.running = slices.DeleteFunc(j.running, func(x *unit) bool { return x == u })
-	switch end {
-	case unitParked, unitAbandoned:
-		j.parked = append(j.parked, u)
-	default:
-		j.results = append(j.results, u.res)
-		if end != unitPanicked {
-			j.held += u.res.Schedules
-			p.checkBudgetLocked(j)
-		}
-	}
-	p.settleLocked(j)
-	p.mu.Unlock()
-}
-
-// enqueue adds a donated unit to a job's queue, unless the job was
-// cancelled in the meantime: the donor already gave the range up, so the
-// unit would have to be explored — by nobody. That is fine: what a stopped
-// job has not enumerated lies behind its budget cut, or the job's results
-// are discarded altogether.
-func (p *pool) enqueue(j *job, u *unit) {
-	p.mu.Lock()
-	if j.stop.Load() || p.closed {
-		p.mu.Unlock()
-		return
-	}
-	j.queue = append(j.queue, u)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-// maybeDonate splits the engine's shallowest open sibling range into a new
-// unit when the pool is starving and the job's queue is empty.
-func (p *pool) maybeDonate(j *job, eng searcher) {
-	p.mu.Lock()
-	starving := p.idle > 0 && len(j.queue) == 0 && !j.stop.Load() &&
-		!j.suspend.Load() && !p.closed
-	p.mu.Unlock()
-	if !starving {
-		return
-	}
-	if u := eng.split(); u != nil {
-		p.enqueue(j, u)
-	}
-}
-
-// stallHead is the faultinject.PoolStallHead site: the worker inside the
-// job's lexicographically first unit donates what it can and then waits
-// until the units behind it have finished a whole budget's worth of
-// schedules (or nothing else is left to run) — the interleaving in which a
-// pass that handed its budget to whoever counted first would keep the wrong
-// schedules.
-func (p *pool) stallHead(j *job, eng searcher) {
-	if u := eng.split(); u != nil {
-		p.enqueue(j, u)
-	}
-	for {
-		p.mu.Lock()
-		release := j.held >= int(j.budget.Load()) || len(j.queue)+len(j.running) <= 1 ||
-			j.stop.Load() || p.closed
-		p.mu.Unlock()
-		if release {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// runUnit drives one unit through exploreContained — to exhaustion, the
-// budget, a suspension or a cancellation, donating work along the way — and
-// files it under the job. unitPanicked tells the worker to abandon its executor.
-func (p *pool) runUnit(j *job, u *unit) unitEnd {
-	if u.res == nil {
-		u.res = &UnitResultState{Key: u.key}
-	}
-	end := exploreContained(u.eng, u.positioned, u.res, unitDriver{
-		poll: func() UnitAction {
-			if j.stop.Load() {
-				return UnitAbandon
-			}
-			if _, stop := j.ctl.poll(); stop {
-				p.suspendJob(j)
-			}
-			if j.suspend.Load() {
-				return UnitPark
-			}
-			if faultinject.Hit(faultinject.PoolUnitPanic) {
-				panic("faultinject: worker death mid-unit")
-			}
-			if len(u.key) == 0 && faultinject.Hit(faultinject.PoolStallHead) {
-				p.stallHead(j, u.eng)
-			}
-			return UnitContinue
-		},
-		budget: func() int { return int(j.budget.Load()) },
-		executed: func(eng searcher) bool {
-			// Post-execution check with >=, as in runSequential: the execution
-			// that exhausts the guard still runs (and counts).
-			if j.own.Add(1) >= j.execLimit.Load() {
-				j.execLimitHit.Store(true)
-				p.stopJob(j)
-				return false
-			}
-			p.maybeDonate(j, eng)
-			return true
-		},
-	})
-	u.positioned = end == unitParked
-	p.leaveUnit(j, u, end)
-	return end
-}
-
-// suspendJob asks a running job to park: queued units are set aside
-// immediately, running units park at their next per-execution check.
-// Idempotent, and a no-op on a stopped job (a cancelled job's state is
-// discarded, not checkpointed).
-func (p *pool) suspendJob(j *job) {
-	p.mu.Lock()
-	if !j.stop.Load() && !j.suspend.Load() {
-		j.suspend.Store(true)
-		j.parked = append(j.parked, j.queue...)
-		j.queue = nil
-		p.settleLocked(j)
-	}
-	p.mu.Unlock()
-}
-
-// collectJob gathers a drained job: its parked units, its finished results,
-// and why it was cut short from outside — StopCompleted when it was not, or
-// when its own budgets stopped it first (its finished front fills the
-// schedule budget, or the execution guard tripped): its merge is then
-// final, whatever else asked it to stop. Safe only after j.done has closed
-// (no worker owns any of the units then).
-func (p *pool) collectJob(j *job) (parked []*unit, results []*UnitResultState, cut StopReason) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if reason, stopped := j.ctl.reason(); stopped && !j.budgetHit && !j.execLimitHit.Load() {
-		cut = reason
-	}
-	return j.parked, j.results, cut
-}
-
-// withParkedPartials appends the partial tallies of parked units to a
-// drained job's finished results: counted schedules and performed work
-// must never be dropped, whether the merge is for a checkpointed partial
-// result or for a job its budget stopped.
-func withParkedPartials(results []*UnitResultState, parked []*unit) []*UnitResultState {
-	results = slices.Clone(results)
-	for _, u := range parked {
-		if u.res != nil {
-			results = append(results, u.res)
-		}
-	}
-	return results
-}
-
-// cancelJob stops a job whose results are not wanted (a speculative bound
-// the search never reached), waits for its workers to let go, and folds the
-// work it did into r: Executions stays the honest total.
-func cancelJob(p *pool, j *job, r *Result) {
-	p.stopJob(j)
-	<-j.done
-	p.removeJob(j)
-	parked, results, _ := p.collectJob(j)
-	m := MergeUnitStates(withParkedPartials(results, parked), 0)
-	r.Executions += m.Executions
-	r.TotalSteps += m.Steps
-	r.AbortedExecutions += m.Aborted
-}
-
-// unitToState serializes a live unit.
-func unitToState(u *unit) UnitState {
-	return UnitState{
-		Key:        slices.Clone(u.key),
-		Positioned: u.positioned,
-		Engine:     u.eng.snapshot(),
-		Partial:    u.res,
-	}
-}
-
-// poolCheckpoint serializes a drained job: its parked units (each a
-// positioned engine plus partial tallies) and its finished unit results,
-// on top of the cross-pass totals.
-func poolCheckpoint(cfg Config, r *Result, j *job, parked []*unit, results []*UnitResultState,
-	bound, counted int, committedExecs int64) *Checkpoint {
-	units := make([]UnitState, len(parked))
-	for i, u := range parked {
-		units[i] = unitToState(u)
-	}
-	done := make([]UnitResultState, len(results))
-	for i, ur := range results {
-		done[i] = *ur
-	}
-	ck := NewPassCheckpoint(cfg, r, bound, counted, committedExecs, units, done)
-	// Equal to the per-unit sum already there unless the job was itself
-	// resumed from a file whose units carried no work tallies.
-	ck.Pool.OwnExecs = j.own.Load()
-	return ck
-}
-
-// NewPassCheckpoint assembles the resumable checkpoint of one suspended
-// pass, for the pool and the distributed coordinator alike. cfg carries the
-// search parameters (defaults applied) and Meta. r must be the *pre-merge*
-// cross-pass result — the units' contributions are folded in on resume, so
-// folding them here too would double-count — and its work tallies are the
-// baseline the units' own add to; counted and committedExecs are the
-// schedules and executions committed by earlier bounds.
-func NewPassCheckpoint(cfg Config, r *Result, bound, counted int, committedExecs int64,
-	units []UnitState, done []UnitResultState) *Checkpoint {
-	ps := &PoolState{Counted: counted, CommittedExecs: committedExecs, Units: units, Done: done}
-	pass, schedules := ps.unitWork()
-	ps.BudgetLeft = max(0, int64(cfg.Limit-counted-schedules))
-	ps.ExecLimitLeft = int64(cfg.MaxExecutions) - committedExecs
-	ps.OwnExecs = int64(pass.Executions)
-	ps.Execs = int64(r.Executions + pass.Executions)
-	ps.Steps = r.TotalSteps + pass.Steps
-	ps.Aborts = int64(r.AbortedExecutions + pass.Aborted)
-	ck := newCheckpoint(cfg, r.Technique.String(), r)
-	ck.Bound = bound
-	ck.Pool = ps
-	return ck
-}
-
-// unitWork sums the work tallies and counted schedules of the pass's units,
-// parked and done.
-func (ps *PoolState) unitWork() (work PassMerge, schedules int) {
-	add := func(u *UnitResultState) {
-		work.Executions += u.Executions
-		work.Steps += u.Steps
-		work.Aborted += u.Aborted
-		schedules += u.Schedules
-	}
-	for i := range ps.Done {
-		add(&ps.Done[i])
-	}
-	for i := range ps.Units {
-		if p := ps.Units[i].Partial; p != nil {
-			add(p)
-		}
-	}
-	return work, schedules
-}
-
-// RebaseWork sets r's work tallies to the baseline a resumed pass builds
-// on, so that baseline plus the merged per-unit tallies reproduces the
-// exploration's totals no matter who wrote the checkpoint: units that carry
-// their own tallies are subtracted here and added back by the merge; units
-// from a build whose pool counted work on shared counters carry none, and
-// the whole counter value lands in the baseline.
-func (ps *PoolState) RebaseWork(r *Result) {
-	pass, _ := ps.unitWork()
-	r.Executions = int(ps.Execs) - pass.Executions
-	r.TotalSteps = ps.Steps - pass.Steps
-	r.AbortedExecutions = int(ps.Aborts) - pass.Aborted
-}
-
-// doneResults lists the finished unit results a resumed job starts with.
-func (ps *PoolState) doneResults() []*UnitResultState {
-	results := make([]*UnitResultState, len(ps.Done))
-	for i := range ps.Done {
-		results[i] = &ps.Done[i]
-	}
-	return results
-}
-
-// runPasses is the one parallel driver of the tree techniques: each pass —
-// the DFS or DPOR tree (see the package comment for DPOR's exactness
-// caveat), or one bound of an IPB/IDB sweep — is one job, explored to
-// completion, the limit, or interruption; a sweep runs the next bound
-// speculatively behind the active one. units and ps resume the pass at
-// startBound from a pool checkpoint (units are ps.Units brought back to
-// life, r carries the work baseline — PoolState.RebaseWork): its parked
-// units and finished results are reseeded exactly, while a speculative
-// bound (whose progress a checkpoint discards — its results would have been
-// recomputed anyway) restarts from scratch. A fresh search passes no units
-// and an empty ps.
-func runPasses(cfg Config, r *Result, startBound int, units []*unit, ps *PoolState) *Result {
-	tech := r.Technique
-	sweep := tech == IPB || tech == IDB
-	maxBound := startBound
-	if sweep {
-		maxBound = cfg.MaxBound
-	}
-	p := newPool(cfg)
-	defer p.close()
-	ctl := newStopCtl(cfg)
-	ckw := newCkWriter(cfg)
-
-	committedExecs := ps.CommittedExecs // executions of committed bounds, speculation excluded
-	counted := ps.Counted               // schedules of committed bounds
-	newJob := func(bound int, units []*unit, results []*UnitResultState, own int64) *job {
-		if len(units)+len(results) == 0 {
-			root, _ := newSearcher(cfg, tech, bound) // tech is partitionable: the callers checked
-			units = []*unit{{eng: root, positioned: true}}
-		}
-		execLimit := int64(math.MaxInt64) // single passes have no execution guard
-		if sweep {
-			execLimit = int64(cfg.MaxExecutions) - committedExecs
-		}
-		return p.addJob(ctl, cfg.Limit-counted, execLimit, units, results, own)
-	}
-	// A pass suspended before it was seeded (a coordinator drained between
-	// bounds, or before sharding) has neither units nor results: like a
-	// fresh one, it starts from its root.
-	active := newJob(startBound, units, ps.doneResults(), ps.OwnExecs)
-	var spec *job
-	if startBound < maxBound {
-		spec = newJob(startBound+1, nil, nil, 0)
-	}
-	for bound := startBound; ; bound++ {
-		if sweep {
-			<-active.done
-		} else {
-			active = p.waitTree(cfg, r, active, ckw)
-		}
-		p.removeJob(active)
-		parked, results, reason := p.collectJob(active)
-		if reason != StopCompleted && spec != nil {
-			cancelJob(p, spec, r) // before the checkpoint: its work is part of the totals
-			spec = nil
-		}
-		if reason != StopCompleted && !ctl.crashed.Load() {
-			writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, active, parked, results, bound, counted, committedExecs))
-		}
-		m := MergeUnitStates(withParkedPartials(results, parked), cfg.Limit-counted)
-		final := m.Commit(r, PassEnd{Iterative: sweep, Bound: bound, MaxBound: maxBound,
-			Counted: counted, Limit: cfg.Limit, GuardHit: active.execLimitHit.Load(), Stopped: reason})
-		counted += m.Schedules
-		if final {
-			break
-		}
-		ownExecs := active.own.Load()
-		committedExecs += ownExecs
-		active, spec = spec, nil
-		p.promote(active, cfg.Limit-counted, ownExecs)
-		if bound+1 < maxBound {
-			spec = newJob(bound+2, nil, nil, 0)
-		}
-	}
-	if spec != nil {
-		cancelJob(p, spec, r)
-	}
-	return r
-}
-
-// waitTree waits for a single-pass job to drain, taking periodic
-// stop-the-world checkpoints when configured. Reseeding replaces the job
-// object, so the job that finally drained is returned.
-func (p *pool) waitTree(cfg Config, r *Result, j *job, ckw *ckWriter) *job {
-	if ckw == nil {
-		<-j.done
-		return j
-	}
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-j.done:
-			return j
-		case <-tick.C:
-			if _, stopped := j.ctl.reason(); stopped || !ckw.due(int(j.own.Load())) {
-				continue
-			}
-			nj, ok := p.periodicTreeCheckpoint(cfg, r, j)
-			j = nj
-			if !ok {
-				<-j.done
-				return j
-			}
-			ckw.last = int(j.own.Load())
-		}
-	}
-}
-
-// periodicTreeCheckpoint stop-the-world checkpoints a running job:
-// suspend, wait for every unit to park, serialize, then reseed an
-// identical job with the very same parked units (in-process — no
-// serialization round trip). ok=false when the job finished or stopped
-// instead of parking, or a simulated mid-write crash ended the run; the
-// drained job is then left as it is for the final merge.
-func (p *pool) periodicTreeCheckpoint(cfg Config, r *Result, j *job) (*job, bool) {
-	p.suspendJob(j)
-	<-j.done
-	parked, results, _ := p.collectJob(j)
-	if _, trip := j.ctl.reason(); j.stop.Load() || trip || len(parked) == 0 {
-		return j, false
-	}
-	if writeCheckpoint(cfg, r, poolCheckpoint(cfg, r, j, parked, results, 0, 0, 0)) {
-		j.ctl.crash()
-		return j, false
-	}
-	p.removeJob(j)
-	return p.addJob(j.ctl, int(j.budget.Load()), j.execLimit.Load(), parked, results, j.own.Load()), true
 }

@@ -94,17 +94,17 @@ type Config struct {
 	Debug vthread.Debug
 	// Workers is the number of worker goroutines exploring the schedule
 	// space (0 or 1 = sequential: the search runs on the caller's goroutine,
-	// through the same unit step, merge and verdict the pool runs).
-	// DFS/IPB/IDB/DPOR partition the search tree into prefix-pinned subtrees
-	// with work-stealing, and IPB/IDB overlap bound k+1 speculatively behind
-	// bound k; Rand shards its independent runs. Every Result field but the
-	// work tallies (Executions, TotalSteps, AbortedExecutions) is identical
-	// to the sequential search's — whether the search completes, Limit
-	// truncates it, or it is killed and resumed — because Limit is applied
-	// only by the canonical merge; a truncated parallel search pays for that
-	// with up to about Workers × Limit extra executions, which those tallies
-	// report. DPOR alone is verdict-level.
-	// See internal/explore/parallel.go for the contract.
+	// through the same unit step, merge and verdict the scheduler runs).
+	// DFS/IPB/IDB/DPOR partition the search tree into prefix-pinned subtrees,
+	// split further whenever a worker runs out of work, and IPB/IDB overlap
+	// bound k+1 speculatively behind bound k; Rand shards its independent
+	// runs. Every Result field but the work tallies (Executions, TotalSteps,
+	// AbortedExecutions) is identical to the sequential search's — whether
+	// the search completes, Limit truncates it, or it is killed and resumed
+	// — because Limit is applied only by the canonical merge; a truncated
+	// parallel search pays for that with up to about Workers × Limit extra
+	// executions, which those tallies report. DPOR alone is verdict-level.
+	// See internal/explore/parallel.go and scheduler.go for the contract.
 	Workers int
 	// Deadline, when nonzero, stops the search at that wall-clock time
 	// with Stopped = StopDeadline (and a checkpoint, when configured).
@@ -118,11 +118,10 @@ type Config struct {
 	// temp file + rename). See Resume.
 	CheckpointPath string
 	// CheckpointEvery additionally writes a checkpoint every N executions
-	// (0 = only at interruption/deadline). Paced by: every sequential tree
-	// search, the pool's single-pass trees (DFS, DPOR: a stop-the-world
-	// snapshot), and Rand at any worker count (N folded runs). A parallel
-	// IPB/IDB sweep does not write periodic checkpoints — a known limit; it
-	// still checkpoints when interrupted.
+	// (0 = only at interruption/deadline), for every technique at every
+	// worker count: the sequential driver between two executions, the unit
+	// scheduler once the active pass's owners have parked, and Rand every N
+	// folded runs.
 	CheckpointEvery int
 	// Meta is CLI context carried verbatim into checkpoint files.
 	Meta CheckpointMeta
@@ -228,9 +227,9 @@ type Result struct {
 	// Config.CheckpointPath set — is accompanied by a checkpoint Resume
 	// can continue from.
 	Stopped StopReason
-	// WorkerPanics counts parallel-pool workers that panicked mid-unit
+	// WorkerPanics counts partitioned units whose worker panicked mid-unit
 	// (outside the substrate's own containment); each such unit's counts
-	// are forfeited, the pool drains the rest, and Complete is withheld.
+	// are forfeited, the other units run on, and Complete is withheld.
 	// WorkerPanicMsg is the first such panic's message.
 	WorkerPanics   int
 	WorkerPanicMsg string
@@ -278,19 +277,20 @@ func runTree(cfg Config, tech Technique) *Result {
 	cfg = cfg.withDefaults()
 	r := &Result{Technique: tech}
 	if cfg.Workers > 1 {
-		return runPasses(cfg, r, 0, nil, &PoolState{})
+		s, _ := NewScheduler(cfg, tech) // never Rand: the callers name the technique
+		return s.Run()
 	}
-	root, _ := newSearcher(cfg, tech, 0) // never Rand: the callers name the technique
+	root, _ := newSearcher(cfg, tech, 0)
 	return runSequential(cfg, r, 0, root, nil)
 }
 
 // runSequential is the tree techniques' driver on the caller's goroutine:
-// what Workers <= 1 selects, where runPasses puts a pool and internal/dist a
-// coordinator. A pass — the DFS, sleep-set or DPOR tree, or one bound of an
+// what Workers <= 1 selects, where Workers > 1 and internal/dist put the unit
+// scheduler. A pass — the DFS, sleep-set or DPOR tree, or one bound of an
 // IPB/IDB sweep — is one positioned root unit, explored by exploreUnit,
 // merged by MergeUnitStates and judged by PassMerge.Commit, so limit
 // accounting, first-bug capture, the statistics fold and the per-pass verdict
-// are the very code the other two drivers run; what is this driver's own is
+// are the very code the scheduler runs; what is this driver's own is
 // only when it stops (the stop control), when it checkpoints (CheckpointEvery
 // pacing, and the version-1 sequential file: sequentialCheckpoint) and the
 // sweep's MaxExecutions guard. eng and res are the root unit of the pass at
@@ -299,7 +299,7 @@ func runTree(cfg Config, tech Technique) *Result {
 //
 // A panic out of an execution (chooser or engine misuse, which the substrate
 // rethrows to its caller by contract; checkCost's invariants) is not
-// contained here as the pool contains it: it reaches the caller with its
+// contained here as a worker loop contains it: it reaches the caller with its
 // value. The executor is then left unclosed — it may hold the wedged run,
 // and Close would wait for it.
 func runSequential(cfg Config, r *Result, bound int, eng searcher, res *UnitResultState) *Result {
@@ -366,7 +366,7 @@ func runSequential(cfg Config, r *Result, bound int, eng searcher, res *UnitResu
 // Matching the paper's methodology, the search does not stop at the first
 // bug: it continues to the limit (or exhaustion) so the fraction of buggy
 // schedules can be reported. With cfg.Workers > 1 the tree is explored by
-// a work-stealing worker pool with identical resulting counts.
+// the unit scheduler's workers with identical resulting counts.
 func RunDFS(cfg Config) *Result { return runTree(cfg, DFS) }
 
 // RunIterative performs iterative schedule bounding (IPB for

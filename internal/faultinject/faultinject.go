@@ -2,7 +2,7 @@
 // robustness tests of the exploration stack. A point is armed with a
 // countdown; the n-th Hit call on that point fires exactly once, letting a
 // test kill a search at execution N, corrupt a checkpoint write mid-file,
-// or panic a pool worker between steal and merge — and then prove that
+// or panic a worker between taking a unit and reporting it — and then prove that
 // resume reproduces the uninterrupted run.
 //
 // The package is a process-global registry, so tests that arm points must
@@ -15,6 +15,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Point identifies one crash site compiled into the exploration stack.
@@ -28,8 +29,8 @@ const (
 	// dying mid-write: a truncated temp file is left behind and the real
 	// checkpoint is never replaced.
 	CheckpointWrite
-	// PoolUnitPanic fires inside the parallel pool's runUnit, panicking the
-	// worker between stealing a unit and merging its result.
+	// PoolUnitPanic fires in an in-process worker's per-execution poll,
+	// panicking the worker between taking a unit and reporting it.
 	PoolUnitPanic
 	// CheckpointDirSync fires inside fsatomic.WriteFile between the rename
 	// and the parent-directory fsync, simulating a power loss in the window
@@ -58,18 +59,24 @@ const (
 	// simulating the coordinator dying mid-merge; a resumed coordinator
 	// must reconstruct the job from its last checkpoint.
 	DistCoordCrash
-	// PoolStallHead fires in the parallel pool's per-execution poll of a
-	// job's lexicographically first unit: that worker donates what it can
-	// and then stands still until the units behind it have finished a whole
-	// schedule budget between them — pinning the interleaving in which a
-	// budget handed to whoever counts first keeps the wrong schedules.
+	// PoolStallHead fires when the unit scheduler hands out a pass's
+	// lexicographically first unit, on either transport: the unit is split
+	// and its head half held back until the units behind it have finished a
+	// whole schedule budget between them — pinning the interleaving in which
+	// a budget handed to whoever counts first keeps the wrong schedules.
 	PoolStallHead
 	// CorpusWrite fires in the schedule corpus's entry save, before any
 	// byte reaches the filesystem: the process dies with the update lost
 	// and the previous on-disk entry must remain byte-identical.
 	CorpusWrite
+	// CheckpointSlow fires inside Checkpoint.Save before any byte is
+	// written, simulating a slow disk: the write takes SlowWrite longer.
+	CheckpointSlow
 	numPoints
 )
+
+// SlowWrite is how much longer a write CheckpointSlow hits takes.
+const SlowWrite = time.Second
 
 // ErrInjected is the sentinel returned by code paths that simulate a crash
 // (rather than panic): callers treat it as "the process died here".

@@ -14,7 +14,7 @@ package sched
 //
 // The parallel exploration driver (internal/explore) relies on this: it
 // partitions the tree into prefix-pinned units in whatever order the
-// work-stealing happens to produce, then merges per-unit results sorted by
+// splitting happens to produce, then merges per-unit results sorted by
 // CompareBranchKeys to recover results identical to a sequential search.
 
 // CompareBranchKeys orders two branch keys lexicographically, returning

@@ -183,7 +183,7 @@ const (
 	// DFS over typically far fewer executions, with redundant runs cut
 	// short by chooser-initiated abort. Parallel (Config.Workers > 1)
 	// DPOR preserves verdicts and completeness; its schedule counts are
-	// exact unless work-stealing duplicated an equivalence class.
+	// exact unless splitting a unit duplicated an equivalence class.
 	DPOR = explore.DPOR
 )
 
@@ -233,7 +233,7 @@ func Resume(ck *Checkpoint, cfg Config) (*Result, error) {
 // counts). It is the main entry point of the library.
 //
 // Set Config.Workers > 1 to explore in parallel: DFS/IPB/IDB partition the
-// search tree across a work-stealing worker pool (and IPB/IDB additionally
+// search tree among the unit scheduler's workers (and IPB/IDB additionally
 // overlap bound k+1 speculatively behind bound k), while Rand shards its
 // independent runs. For Rand and DFS/IPB/IDB every Result field but the
 // work tallies (Executions, TotalSteps, AbortedExecutions) is identical to
