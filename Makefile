@@ -13,21 +13,25 @@ build:
 # benchmark/ is its own module, which the root ./... does not reach; its
 # build is what proves the exported surface it drives still compiles. The
 # last step repeats the tests that pin the partitioned drivers' contract
-# under a truncating limit, across kill-and-resume and under donation: it is
-# a statement about every interleaving, so run them enough times to meet a
-# few.
+# under a truncating limit, across kill-and-resume and under donation, the
+# failure-retention oracles (an Executor's failure record is rewritten by its
+# next failing run) and the buggy-run merge property: they are statements
+# about every interleaving, so run them enough times to meet a few.
 test:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -count=1 ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic|TestDistDrainResume|TestDistDonation|TestDistDrainAfterPeriodic' ./internal/explore/ ./internal/dist/
+	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic|TestDistDrainResume|TestDistDonation|TestDistDrainAfterPeriodic|Retention|TestMergeRunsMatchOffsets' ./internal/explore/ ./internal/dist/
 
 # The decoders that cross a trust boundary, fuzzed for ten seconds each:
-# checkpoint files, and the coordinator's request bodies.
+# checkpoint files, the coordinator's request bodies, witness files and
+# corpus entries.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/explore/
 	$(GO) test -run xxx -fuzz '^FuzzCoordinatorBodies$$' -fuzztime 10s ./internal/dist/
+	$(GO) test -run xxx -fuzz '^FuzzDecodeWitness$$' -fuzztime 10s ./internal/sched/
+	$(GO) test -run xxx -fuzz '^FuzzCorpusEntry$$' -fuzztime 10s ./internal/corpus/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 3x .

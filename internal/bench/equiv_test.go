@@ -45,14 +45,13 @@ func runLogged(b *Benchmark, program vthread.Runnable, seed uint64, noFlat bool)
 	return &cp, log.String(), e.StepStats()
 }
 
+// sameFailure compares two failures as their keepers would see them:
+// formatted (Clone), message included.
 func sameFailure(a, b *vthread.Failure) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
-	if a == nil {
-		return true
-	}
-	return a.Kind == b.Kind && a.Thread == b.Thread && a.Message == b.Message
+	return a == nil || *a.Clone() == *b.Clone()
 }
 
 func diffOutcome(t *testing.T, tag string, flat, ref *vthread.Outcome, flatLog, refLog string) {

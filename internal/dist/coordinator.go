@@ -77,10 +77,13 @@ var ErrCoordinatorCrashed = errors.New("dist: coordinator crashed (injected)")
 // forfeited at merge time (surfacing as Result.WorkerPanics).
 const maxUnitRetries = 2
 
-// maxBodyBytes caps every /v1/* request body. The largest legitimate body
-// is a completion whose unit counted every buggy schedule of a big search
-// (about a megabyte of offsets at 200,000 of them); a body past the cap is
-// refused with 413 before it is decoded.
+// maxBodyBytes caps every /v1/* request body; a body past the cap is refused
+// with 413 before it is decoded. A completion carries its unit's buggy
+// schedules as runs of consecutive offsets (explore.UnitResultState), a few
+// bytes a run, so its size follows the runs, the statistics marks and the
+// witness, not how many schedules were buggy: even a unit whose every other
+// schedule failed — one run of about a dozen bytes each, the worst case —
+// stays under the cap for more than two million schedules.
 const maxBodyBytes = 16 << 20
 
 // leaseRec is one outstanding lease.
@@ -384,6 +387,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if req.Result == nil {
 			return errors.New("complete without result")
 		}
+		if err := req.Result.CheckBuggyRuns(); err != nil {
+			return err
+		}
 		var holder int // the unit, when this lease holds it
 		if l, ok := c.leases[req.LeaseID]; ok && l.unitID == req.UnitID {
 			holder = c.dropLeaseLocked(req.LeaseID)
@@ -415,6 +421,9 @@ func (c *Coordinator) handlePark(w http.ResponseWriter, r *http.Request) {
 	serve(c, w, r, func(req *ParkRequest) any {
 		if req.Unit == nil {
 			return errors.New("park without unit")
+		}
+		if err := req.Unit.Partial.CheckBuggyRuns(); err != nil {
+			return err
 		}
 		// Parks are fenced: only the lease holding the unit may replace its
 		// stored frontier. A stale park (expired lease, re-dispatch already

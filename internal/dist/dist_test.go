@@ -27,6 +27,7 @@ import (
 	"sctbench/internal/bench"
 	"sctbench/internal/explore"
 	"sctbench/internal/faultinject"
+	"sctbench/internal/vthread"
 )
 
 const distLimit = 20000
@@ -1162,5 +1163,50 @@ func TestWorkerRefusesSkewedJob(t *testing.T) {
 				t.Errorf("the skewed worker made %d requests past /v1/job", n)
 			}
 		})
+	}
+}
+
+// TestDistFailureRetention is the wire half of explore's
+// TestFailureRetention: a worker's Executor rewrites its failure record at
+// every failing run, so the failure a completion carries must be the one its
+// unit kept (Clone) when it found its first bug. CS.circular_buffer_bad's
+// buggy schedules fail with different messages; the coordinator's result must
+// report exactly the failure its witness replays to on the reference engine.
+func TestDistFailureRetention(t *testing.T) {
+	const name = "CS.circular_buffer_bad"
+	b := bench.ByName(name)
+	msgs := map[string]bool{}
+	ex := vthread.NewExecutor(vthread.Options{BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps})
+	for seed := uint64(0); seed < 300; seed++ {
+		if out := ex.RunWith(vthread.NewRandom(seed), nil, b.New()); out.Buggy() {
+			msgs[out.Failure.Clone().Message] = true
+		}
+	}
+	ex.Close()
+	if len(msgs) < 2 {
+		t.Fatalf("premise broken: buggy runs of %s fail with %d distinct messages", name, len(msgs))
+	}
+
+	c, err := NewCoordinator(testJob(t, name, explore.DFS, distLimit))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	startCoord(t, c)
+	for i, werr := range runWorkers(c, 2) {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	got, err := c.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got.BuggySchedules < 2 || got.Failure == nil {
+		t.Fatalf("%d buggy schedules, failure %v: the test needs later failing runs", got.BuggySchedules, got.Failure)
+	}
+	rep := vthread.NewReplay(got.Witness)
+	out := vthread.NewWorld(vthread.Options{Chooser: rep, BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps}).Run(b.New())
+	if rep.Failed() || out.Failure == nil || *out.Failure != *got.Failure {
+		t.Fatalf("coordinator kept %q, its witness replays to %v (diverged %v)", got.Failure, out.Failure, rep.Failed())
 	}
 }

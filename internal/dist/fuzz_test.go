@@ -22,7 +22,7 @@ func FuzzCoordinatorBodies(f *testing.F) {
 	seeds := []any{
 		LeaseRequest{Worker: "w"},
 		HeartbeatRequest{LeaseID: 1},
-		CompleteRequest{LeaseID: 1, UnitID: 1, Result: &explore.UnitResultState{Schedules: 3, BuggyOffs: []int{2}}},
+		CompleteRequest{LeaseID: 1, UnitID: 1, Result: &explore.UnitResultState{Schedules: 3, BuggyRuns: [][2]int{{2, 1}}}},
 		ParkRequest{LeaseID: 1, UnitID: 1, Unit: &explore.UnitState{Key: []int{0, 1}, Engine: &explore.EngineState{Kind: "bounded"}}},
 	}
 	for i, s := range seeds {

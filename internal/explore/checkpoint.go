@@ -45,9 +45,11 @@ import (
 	"sctbench/internal/vthread"
 )
 
-// CheckpointVersion is the checkpoint file format version; Load rejects
-// files written by a different version with a clear error.
-const CheckpointVersion = 1
+// CheckpointVersion is the checkpoint file format version. LoadCheckpoint
+// also reads version 1, whose unit results listed every buggy schedule's
+// offset (buggyOffs) where version 2 stores runs of them (buggyRuns), and
+// rejects any other version with a clear error.
+const CheckpointVersion = 2
 
 // CheckpointMeta is CLI-facing context carried verbatim into checkpoint
 // files, so a resuming process can rebuild the same program environment
@@ -220,9 +222,11 @@ type RunStats struct {
 type UnitResultState struct {
 	Key       []int `json:"key"`
 	Schedules int   `json:"schedules"` // terminal schedules counted by this unit
-	// BuggyOffs are the 1-based offsets (within this unit) of its buggy
-	// schedules; Failure and Witness describe the first.
-	BuggyOffs []int            `json:"buggyOffs,omitempty"`
+	// BuggyRuns are the unit's buggy schedules as runs of consecutive
+	// 1-based offsets within the unit, [first, length], ascending and
+	// disjoint: a unit's size grows with its runs, not with its buggy
+	// schedules. Failure and Witness describe the first.
+	BuggyRuns [][2]int         `json:"buggyRuns,omitempty"`
 	Failure   *vthread.Failure `json:"failure,omitempty"`
 	Witness   sched.Schedule   `json:"witness,omitempty"`
 	Pruned    bool             `json:"pruned,omitempty"`
@@ -413,15 +417,67 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, ck); err != nil {
 		return nil, fmt.Errorf("checkpoint %s: corrupt or truncated: %v", path, err)
 	}
+	if ck.Version == 1 {
+		if err := ck.upgradeV1(data); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: corrupt or truncated: %v", path, err)
+		}
+	}
 	if err := ck.validate(); err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return ck, nil
 }
 
+// v1Offsets is what a version-1 file says that version 2 does not read: the
+// buggy offsets of every unit result.
+type v1Offsets struct {
+	Pool *struct {
+		Units []struct {
+			Partial *struct {
+				BuggyOffs []int `json:"buggyOffs"`
+			} `json:"partial"`
+		} `json:"units"`
+		Done []struct {
+			BuggyOffs []int `json:"buggyOffs"`
+		} `json:"done"`
+	} `json:"pool"`
+}
+
+// upgradeV1 makes ck, decoded from the version-1 file data, a version-2
+// checkpoint: every unit result's buggy offsets become runs. Offsets out of
+// order make runs out of order, which validate rejects.
+func (ck *Checkpoint) upgradeV1(data []byte) error {
+	var v1 v1Offsets
+	if err := json.Unmarshal(data, &v1); err != nil {
+		return err
+	}
+	ck.Version = CheckpointVersion
+	if v1.Pool == nil || ck.Pool == nil {
+		return nil
+	}
+	toRuns := func(u *UnitResultState, offs []int) {
+		for _, off := range offs {
+			u.addBuggy(off)
+		}
+	}
+	// Both decodings read the same bytes, so the lists line up; the guards
+	// are for inputs that would make them not.
+	for i, d := range v1.Pool.Done {
+		if i < len(ck.Pool.Done) {
+			toRuns(&ck.Pool.Done[i], d.BuggyOffs)
+		}
+	}
+	for i, u := range v1.Pool.Units {
+		if u.Partial != nil && i < len(ck.Pool.Units) && ck.Pool.Units[i].Partial != nil {
+			toRuns(ck.Pool.Units[i].Partial, u.Partial.BuggyOffs)
+		}
+	}
+	return nil
+}
+
 func (ck *Checkpoint) validate() error {
 	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("format version %d, this build reads version %d",
+		return fmt.Errorf("format version %d, this build reads versions 1 and %d",
 			ck.Version, CheckpointVersion)
 	}
 	switch ck.Technique {
@@ -434,6 +490,37 @@ func (ck *Checkpoint) validate() error {
 	}
 	if ck.Limit <= 0 {
 		return fmt.Errorf("non-positive limit %d", ck.Limit)
+	}
+	if ps := ck.Pool; ps != nil {
+		for i := range ps.Done {
+			if err := ps.Done[i].CheckBuggyRuns(); err != nil {
+				return fmt.Errorf("done unit %d: %w", i, err)
+			}
+		}
+		for i, us := range ps.Units {
+			if err := us.Partial.CheckBuggyRuns(); err != nil {
+				return fmt.Errorf("unit %d: %w", i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckBuggyRuns reports buggy runs that are empty, overlapping, out of
+// order or past the unit's schedules (nil is a unit that has run nothing).
+func (u *UnitResultState) CheckBuggyRuns() error {
+	if u == nil {
+		return nil
+	}
+	if u.Schedules < 0 {
+		return fmt.Errorf("%d schedules", u.Schedules)
+	}
+	next := 1 // the first offset the next run may start at
+	for _, run := range u.BuggyRuns {
+		if run[0] < next || run[1] < 1 || run[1] > u.Schedules-run[0]+1 {
+			return fmt.Errorf("buggy run %v overlaps, is out of order or runs past %d schedules", run, u.Schedules)
+		}
+		next = run[0] + run[1]
 	}
 	return nil
 }
@@ -662,7 +749,7 @@ func restoreDPOR(cfg Config, st *EngineState) (*dporEngine, error) {
 // Resume.
 
 // sequentialCheckpoint snapshots runSequential between two executions of a
-// pass's root unit, in the sequential shape version 1 has always had: one
+// pass's root unit, in the sequential shape every version has had: one
 // engine frontier next to a partial Result with the pass folded in. It folds
 // the unit into a copy of the committed r the way a pass stopped from outside
 // is folded (Commit: the tallies, no verdict) and leaves the two counters the
@@ -797,7 +884,7 @@ func (u *UnitResultState) clone() *UnitResultState {
 		return nil
 	}
 	cp := *u
-	cp.BuggyOffs = slices.Clone(u.BuggyOffs)
+	cp.BuggyRuns = slices.Clone(u.BuggyRuns)
 	cp.StatMarks = slices.Clone(u.StatMarks)
 	return &cp
 }

@@ -549,8 +549,8 @@ func TestLoadCheckpointErrors(t *testing.T) {
 // TestResumeRejectsOldSleepSetCheckpoint: sleep-set DFS now runs on the
 // DPOR walker, so a "sleepset" checkpoint carries that walker's node codec
 // (done and backtrack sets per node). A file written by a build that still
-// had a dedicated sleep-set engine carries neither; it loads (the envelope
-// is version 1 either way) but must be refused at Resume as an inconsistent
+// had a dedicated sleep-set engine carries neither; it loads (a version-1
+// envelope still does) but must be refused at Resume as an inconsistent
 // frontier — never resumed as if every backtrack set were empty.
 func TestResumeRejectsOldSleepSetCheckpoint(t *testing.T) {
 	ck, err := LoadCheckpoint(filepath.Join("testdata", "sleepset_checkpoint_ssengine.json"))
@@ -805,5 +805,109 @@ func TestWorkerPanicPoolSurvives(t *testing.T) {
 	// was donated to other units before the death, which is timing-dependent.
 	if r.Schedules > base.Schedules {
 		t.Fatalf("Schedules = %d after worker panic, sequential explored %d", r.Schedules, base.Schedules)
+	}
+}
+
+// TestCheckpointV1RoundTrip: a version-1 file still loads. Its unit results
+// list one buggy offset per schedule (buggyOffs); loaded, they are runs of
+// the same schedules, saved they are a version-2 file with no offsets left,
+// and reloaded that file holds the same counts. The sequential files of
+// golden_checkpoint.json, turned back into the version-1 bytes an earlier
+// build wrote, resume as their version-2 form does.
+func TestCheckpointV1RoundTrip(t *testing.T) {
+	offsets := func(raw json.RawMessage) (n int) {
+		var v1 struct {
+			Pool struct {
+				Units []struct {
+					Partial *struct{ BuggyOffs []int } `json:"partial"`
+				} `json:"units"`
+				Done []struct{ BuggyOffs []int } `json:"done"`
+			} `json:"pool"`
+		}
+		if err := json.Unmarshal(raw, &v1); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range v1.Pool.Units {
+			if u.Partial != nil {
+				n += len(u.Partial.BuggyOffs)
+			}
+		}
+		for _, d := range v1.Pool.Done {
+			n += len(d.BuggyOffs)
+		}
+		return n
+	}
+	results := func(ck *Checkpoint) (us []*UnitResultState) {
+		for i := range ck.Pool.Units {
+			if p := ck.Pool.Units[i].Partial; p != nil {
+				us = append(us, p)
+			}
+		}
+		for i := range ck.Pool.Done {
+			us = append(us, &ck.Pool.Done[i])
+		}
+		return us
+	}
+	total := 0
+	for key, raw := range goldenFiles(t, "golden_pool_checkpoint.json") {
+		v1 := loadGolden(t, raw)
+		path := filepath.Join(t.TempDir(), "v2.json")
+		if err := v1.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(saved, []byte("buggyOffs")) || !bytes.Contains(saved, []byte(`"version": 2`)) {
+			t.Errorf("%s: saved file is not a version-2 file of runs", key)
+		}
+		v2 := loadGolden(t, saved)
+		a, b := results(v1), results(v2)
+		want := offsets(raw)
+		got := 0
+		for i := range a {
+			for _, run := range a[i].BuggyRuns {
+				got += run[1]
+			}
+			if !reflect.DeepEqual(a[i], b[i]) {
+				t.Errorf("%s: unit %d reloads as %+v, was %+v", key, i, b[i], a[i])
+			}
+		}
+		if got != want {
+			t.Errorf("%s: %d buggy schedules in runs, the version-1 file lists %d", key, got, want)
+		}
+		total += want
+	}
+	if total == 0 {
+		t.Fatal("no pinned unit result lists a buggy offset: the round trip converted nothing")
+	}
+
+	for key, raw := range goldenFiles(t, "golden_checkpoint.json") {
+		old := bytes.Replace(raw, []byte(`"version": 2`), []byte(`"version": 1`), 1)
+		a, err := Resume(loadGolden(t, old), ckCfg(t, "CS.account_bad", 100))
+		if err != nil {
+			t.Fatalf("%s: Resume(version 1): %v", key, err)
+		}
+		b, err := Resume(loadGolden(t, raw), ckCfg(t, "CS.account_bad", 100))
+		if err != nil {
+			t.Fatalf("%s: Resume(version 2): %v", key, err)
+		}
+		requireSameResult(t, key+" resumed from version 1", b, a)
+	}
+}
+
+// TestCheckpointBadRunsRejected: buggy runs that overlap, are out of order or
+// run past their unit's schedules make a version-2 file fail to load, on a
+// done unit and on a parked unit's partial tallies alike.
+func TestCheckpointBadRunsRejected(t *testing.T) {
+	for key, raw := range goldenFiles(t, "bad_runs_checkpoint.json") {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "buggy run") {
+			t.Errorf("%s: LoadCheckpoint error %v, want a buggy-run error", key, err)
+		}
 	}
 }

@@ -192,7 +192,7 @@ func replayFirst(t Technique, techName string, cfg Config, cold func(Config) *Re
 // earlyBug is the result of a replay-first phase whose n-th execution, out,
 // reproduced a bug: the search itself never runs.
 func earlyBug(t Technique, out *vthread.Outcome, n int) *Result {
-	r := &Result{Technique: t, BugFound: true, Failure: out.Failure, Witness: out.Trace.Clone(),
+	r := &Result{Technique: t, BugFound: true, Failure: out.Failure.Clone(), Witness: out.Trace.Clone(),
 		Schedules: n, SchedulesToFirstBug: n, BuggySchedules: 1, TotalSteps: int64(len(out.Trace))}
 	var s RunStats
 	s.observe(out)

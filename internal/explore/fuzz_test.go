@@ -13,9 +13,13 @@ import (
 // whatever loads, on a small program under a capped budget: every input must
 // end in an error or a result — never a panic, a hang or an unbounded
 // allocation. The corpus is seeded with every pinned checkpoint file, both
-// shapes. Run it with `go test -run xxx -fuzz FuzzLoadCheckpoint`.
+// shapes and both versions — the version-1 unit-set files also as the
+// version-2 files this build writes of them — and with the version-2 files
+// whose buggy runs must be rejected. Run it with
+// `go test -run xxx -fuzz FuzzLoadCheckpoint`.
 func FuzzLoadCheckpoint(f *testing.F) {
-	for _, name := range []string{"golden_checkpoint.json", "golden_pool_checkpoint.json"} {
+	dir := f.TempDir()
+	for _, name := range []string{"golden_checkpoint.json", "golden_pool_checkpoint.json", "bad_runs_checkpoint.json"} {
 		blob, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -26,10 +30,20 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		for _, raw := range files {
 			f.Add([]byte(raw))
+			path := filepath.Join(dir, "v1.json")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				f.Fatal(err)
+			}
+			if ck, err := LoadCheckpoint(path); err == nil && ck.Pool != nil {
+				v2, err := json.Marshal(ck)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(v2)
+			}
 		}
 	}
 	b := bench.ByName("CS.account_bad")
-	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(dir, "ck.json")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -11,6 +11,8 @@ package explore
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,17 +20,17 @@ import (
 )
 
 // TestMergeUnitsForfeited pins the forfeiture contract: a panicked unit's
-// schedule counts, bug offsets and witness are dropped, its run statistics
+// schedule counts, buggy runs and witness are dropped, its run statistics
 // and work tallies still fold in, and the panic surfaces as WorkerPanics.
 func TestMergeUnitsForfeited(t *testing.T) {
 	units := []*UnitResultState{
 		// Arrives out of canonical order: key [2] sorts after [1 0].
-		{Key: []int{2}, Schedules: 4, BuggyOffs: []int{2},
+		{Key: []int{2}, Schedules: 4, BuggyRuns: [][2]int{{2, 1}},
 			Failure:    &vthread.Failure{Kind: vthread.FailAssert, Message: "late"},
 			Executions: 4},
 		// Forfeited: panicked mid-unit with 3 schedules and a "bug" that
 		// must NOT be reported.
-		{Key: []int{1, 0}, Schedules: 3, BuggyOffs: []int{1},
+		{Key: []int{1, 0}, Schedules: 3, BuggyRuns: [][2]int{{1, 1}},
 			Failure:  &vthread.Failure{Kind: vthread.FailAssert, Message: "forfeited"},
 			PanicMsg: "worker died", Executions: 5, Steps: 50, Aborted: 1,
 			RunStats: RunStats{MaxEnabled: 7, SchedPts: 9, Threads: 5}},
@@ -70,7 +72,7 @@ func TestMergeUnitsForfeitedBudget(t *testing.T) {
 	units := []*UnitResultState{
 		{Key: nil, Schedules: 3},
 		{Key: []int{1}, Schedules: 5, PanicMsg: "gone"},
-		{Key: []int{2}, Schedules: 4, BuggyOffs: []int{4}},
+		{Key: []int{2}, Schedules: 4, BuggyRuns: [][2]int{{4, 1}}},
 	}
 	m := MergeUnitStates(units, 5)
 	if m.Schedules != 5 || !m.Truncated {
@@ -92,7 +94,7 @@ func TestMergeUnitsForfeitedBudget(t *testing.T) {
 func TestMergeUnitsPastTheCut(t *testing.T) {
 	units := []*UnitResultState{
 		{Key: nil, Schedules: 5, Executions: 5, RunStats: RunStats{MaxEnabled: 2, SchedPts: 3, Threads: 3}},
-		{Key: []int{1}, Schedules: 4, BuggyOffs: []int{1}, Pruned: true, Executions: 6,
+		{Key: []int{1}, Schedules: 4, BuggyRuns: [][2]int{{1, 1}}, Pruned: true, Executions: 6,
 			RunStats: RunStats{MaxEnabled: 9, SchedPts: 9, Threads: 9}},
 	}
 	m := MergeUnitStates(units, 5)
@@ -347,5 +349,104 @@ func TestResumeAllUnitsDone(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("Resume hung on an all-done checkpoint")
+	}
+}
+
+// TestMergeRunsMatchOffsets is the property test of the run-length form:
+// random buggy-offset sets, split into random units (some forfeited), kept as
+// runs by addBuggy exactly as the unit step keeps them, must merge — at every
+// budget cut — to what a plain walk over the offsets gives: the schedules
+// kept, how many of them are buggy, the first buggy one and whether the cut
+// truncated. BudgetReached, asked with a random set of units still live, must
+// agree with the same walk.
+func TestMergeRunsMatchOffsets(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for iter := 0; iter < 2000; iter++ {
+		// The pass's schedules in canonical order: buggy or not.
+		total := rng.IntN(40)
+		density := rng.Float64()
+		buggy := make([]bool, total)
+		for i := range buggy {
+			buggy[i] = rng.Float64() < density
+		}
+		// Cut them into units with ascending keys; a forfeited unit's
+		// schedules are not the pass's, so the reference skips them.
+		type part struct {
+			u         *UnitResultState
+			forfeited bool
+			live      bool
+		}
+		var parts []part
+		var flat []bool // the unforfeited schedules, the reference's view
+		for start, k := 0, 0; start < total || k == 0; k++ {
+			n := min(total-start, rng.IntN(8))
+			u := &UnitResultState{Key: []int{k}, Schedules: n}
+			for off := 1; off <= n; off++ {
+				if buggy[start+off-1] {
+					u.addBuggy(off)
+				}
+			}
+			if err := u.CheckBuggyRuns(); err != nil {
+				t.Fatalf("iteration %d: addBuggy made bad runs %v: %v", iter, u.BuggyRuns, err)
+			}
+			for i := 1; i < len(u.BuggyRuns); i++ {
+				if prev := u.BuggyRuns[i-1]; prev[0]+prev[1] == u.BuggyRuns[i][0] {
+					t.Fatalf("iteration %d: runs %v are not maximal", iter, u.BuggyRuns)
+				}
+			}
+			p := part{u: u, forfeited: rng.IntN(8) == 0, live: rng.IntN(4) == 0}
+			if p.forfeited {
+				u.PanicMsg = "gone"
+			} else {
+				flat = append(flat, buggy[start:start+n]...)
+			}
+			parts = append(parts, p)
+			start += n
+		}
+		shuffled := make([]*UnitResultState, len(parts))
+		for i, j := range rng.Perm(len(parts)) {
+			shuffled[i] = parts[j].u
+		}
+
+		for budget := 1; budget <= len(flat)+2; budget++ {
+			kept := min(budget, len(flat))
+			wantBuggy, wantFirst := 0, 0
+			for i, b := range flat[:kept] {
+				if b {
+					wantBuggy++
+					if wantFirst == 0 {
+						wantFirst = i + 1
+					}
+				}
+			}
+			m := MergeUnitStates(shuffled, budget)
+			if m.Schedules != kept || m.Buggy != wantBuggy || m.FirstBugOffset != wantFirst ||
+				m.BugFound != (wantFirst > 0) || m.Truncated != (len(flat) > budget) {
+				t.Fatalf("iteration %d, budget %d: merge kept %d (%d buggy, first %d, truncated %v), "+
+					"the offsets say %d (%d buggy, first %d, truncated %v)", iter, budget,
+					m.Schedules, m.Buggy, m.FirstBugOffset, m.Truncated,
+					kept, wantBuggy, wantFirst, len(flat) > budget)
+			}
+
+			var done []*UnitResultState
+			var live [][]int
+			held := 0 // the unforfeited schedules before the first live unit
+			front := true
+			for _, p := range parts {
+				if p.live {
+					live = append(live, p.u.Key)
+					front = false
+					continue
+				}
+				done = append(done, p.u)
+				if front && !p.forfeited {
+					held += p.u.Schedules
+				}
+			}
+			slices.Reverse(done)
+			if got := BudgetReached(done, live, budget); got != (held >= budget) {
+				t.Fatalf("iteration %d, budget %d: BudgetReached = %v, the front holds %d", iter, budget, got, held)
+			}
+		}
 	}
 }

@@ -359,13 +359,23 @@ func runUnitOnce(eng searcher, res *UnitResultState) bool {
 	}
 	res.Schedules++
 	if out.Buggy() {
-		res.BuggyOffs = append(res.BuggyOffs, res.Schedules)
+		res.addBuggy(res.Schedules)
 		if res.Failure == nil {
-			res.Failure = out.Failure
+			res.Failure = out.Failure.Clone()
 			res.Witness = out.Trace.Clone()
 		}
 	}
 	return true
+}
+
+// addBuggy records that the unit's off-th counted schedule is buggy: it
+// extends the last run when off follows it, and starts a run otherwise.
+func (u *UnitResultState) addBuggy(off int) {
+	if n := len(u.BuggyRuns); n > 0 && u.BuggyRuns[n-1][0]+u.BuggyRuns[n-1][1] == off {
+		u.BuggyRuns[n-1][1]++
+		return
+	}
+	u.BuggyRuns = append(u.BuggyRuns, [2]int{off, 1})
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +418,7 @@ type PassMerge struct {
 // Forfeited units — a worker panicked mid-unit, or (in the distributed
 // driver) a lease was abandoned and the unit's stale result discarded —
 // keep the merge honest rather than optimistic:
-//   - the unit's schedule counts, bug offsets and witness are dropped, so
+//   - the unit's schedule counts, buggy runs and witness are dropped, so
 //     a half-explored range can never masquerade as an enumerated one;
 //   - its run statistics (max enabled threads, scheduling points, thread
 //     count) and work tallies still fold in — they describe executions
@@ -456,14 +466,15 @@ func MergeUnitStates(done []*UnitResultState, budget int) PassMerge {
 			m.Truncated = true
 		}
 		m.fold(u.statsAt(kept, m.Schedules+kept >= budget))
-		for _, off := range u.BuggyOffs {
-			if off > kept {
+		for _, run := range u.BuggyRuns {
+			n := min(run[1], kept-run[0]+1) // the run's schedules inside the cut
+			if n <= 0 {
 				break
 			}
-			m.Buggy++
+			m.Buggy += n
 			if !m.BugFound {
 				m.BugFound = true
-				m.FirstBugOffset = m.Schedules + off
+				m.FirstBugOffset = m.Schedules + run[0]
 				m.Failure = u.Failure
 				m.Witness = u.Witness
 			}

@@ -67,14 +67,14 @@ func sameOutcome(a, b *vthread.Outcome) bool {
 		(a.Failure == nil) != (b.Failure == nil) {
 		return false
 	}
-	return a.Failure == nil || *a.Failure == *b.Failure
+	return a.Failure == nil || *a.Failure.Clone() == *b.Failure.Clone()
 }
 
 // describeOutcome renders it, for the report of a difference.
 func describeOutcome(o *vthread.Outcome) string {
 	f := "clean"
 	if o.Failure != nil {
-		f = fmt.Sprintf("%v/T%d/%s", o.Failure.Kind, o.Failure.Thread, o.Failure.Message)
+		f = fmt.Sprintf("%v/T%d/%s", o.Failure.Kind, o.Failure.Thread, o.Failure.Clone().Message)
 	}
 	return fmt.Sprintf("trace %v pc %d dc %d sched %d sel %d timer %d maxen %d threads %d limit %v aborted %v failure %s",
 		o.Trace, o.PC, o.DC, o.SchedPoints, o.SelectPoints, o.TimerPoints, o.MaxEnabled, o.Threads,

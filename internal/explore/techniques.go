@@ -292,7 +292,7 @@ func runTree(cfg Config, tech Technique) *Result {
 // accounting, first-bug capture, the statistics fold and the per-pass verdict
 // are the very code the scheduler runs; what is this driver's own is
 // only when it stops (the stop control), when it checkpoints (CheckpointEvery
-// pacing, and the version-1 sequential file: sequentialCheckpoint) and the
+// pacing, and the sequential file: sequentialCheckpoint) and the
 // sweep's MaxExecutions guard. eng and res are the root unit of the pass at
 // bound — fresh (res nil), or as Resume restored it, res holding what the
 // pass had tallied — and r what earlier passes committed.
@@ -355,7 +355,7 @@ func runSequential(cfg Config, r *Result, bound int, eng searcher, res *UnitResu
 		end.Counted += m.Schedules
 		end.Bound++
 		eng, _ = newSearcher(cfg, r.Technique, end.Bound) // a sweep: always partitionable
-		*res = UnitResultState{BuggyOffs: res.BuggyOffs[:0], StatMarks: res.StatMarks[:0]}
+		*res = UnitResultState{BuggyRuns: res.BuggyRuns[:0], StatMarks: res.StatMarks[:0]}
 	}
 	ex.Close()
 	captureFrontier(cfg, r, eng)
@@ -461,7 +461,7 @@ func runRand(cfg Config, r *Result, start int) *Result {
 			rc.observe(out)
 			mu.Lock()
 			if rc.buggy && !r.BugFound {
-				rc.failure, rc.witness = out.Failure, out.Trace.Clone()
+				rc.failure, rc.witness = out.Failure.Clone(), out.Trace.Clone()
 			}
 			if i != watermark {
 				if pending == nil {

@@ -205,7 +205,7 @@ func Run(cfg Config) *Result {
 		res.Schedules++
 		if out.Buggy() && !res.BugFound {
 			res.BugFound = true
-			res.Failure = out.Failure
+			res.Failure = out.Failure.Clone()
 			res.Witness = out.Trace.Clone()
 			res.SchedulesToFirstBug = res.Schedules
 		}

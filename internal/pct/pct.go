@@ -96,8 +96,9 @@ func (c *Chooser) bestEnabled(enabled []sched.ThreadID) sched.ThreadID {
 type Result struct {
 	// BugFound reports whether any run exposed a bug.
 	BugFound bool
-	// Failure is the first failure observed.
+	// Failure is the first failure observed, and Witness its schedule.
 	Failure *vthread.Failure
+	Witness sched.Schedule
 	// RunsToFirstBug is the 1-based index of the first failing run.
 	RunsToFirstBug int
 	// Runs is the number of executions performed.
@@ -144,7 +145,7 @@ func Run(cfg Config) *Result {
 			res.BuggyRuns++
 			if !res.BugFound {
 				res.BugFound = true
-				res.Failure = out.Failure
+				res.Failure, res.Witness = out.Failure.Clone(), out.Trace.Clone()
 				res.RunsToFirstBug = res.Runs
 			}
 		}

@@ -113,7 +113,7 @@ func Minimize(newProgram func() vthread.Runnable, witness sched.Schedule, opts O
 	res.Schedule = base.Trace.Clone()
 	res.PC, res.DC = base.PC, base.DC
 	res.OriginalPC = base.PC
-	res.Failure = base.Failure
+	res.Failure = base.Failure.Clone()
 
 	if base.SelectPoints > 0 {
 		// The witness interleaves select case-decision entries with thread
@@ -150,7 +150,7 @@ func Minimize(newProgram func() vthread.Runnable, witness sched.Schedule, opts O
 				}
 				res.Schedule = out.Trace.Clone()
 				res.PC, res.DC = out.PC, out.DC
-				res.Failure = out.Failure
+				res.Failure = out.Failure.Clone()
 				improved = true
 				break
 			}

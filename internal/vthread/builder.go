@@ -232,27 +232,27 @@ func nameArg(x any) func(*Thread) string {
 	panic("vthread: name operand is not a string or func(*Thread) string")
 }
 
-func anyArg(x any) func(*Thread) any {
+func msgArgOf(x any) msgArg {
 	switch v := x.(type) {
 	case Reg:
-		return func(t *Thread) any { return t.fi.locals[v] }
+		return msgArg{num: func(t *Thread) int { return t.fi.locals[v] }}
 	case CellH:
-		return func(t *Thread) any { return t.fi.env.cells[v] }
+		return msgArg{num: func(t *Thread) int { return t.fi.env.cells[v] }}
 	case func(*Thread) int:
-		return func(t *Thread) any { return v(t) }
+		return msgArg{num: v}
 	case func(*Thread) any:
-		return v
+		return msgArg{val: v}
 	}
-	return func(*Thread) any { return x }
+	return msgArg{val: func(*Thread) any { return x }}
 }
 
-func anyArgs(xs []any) []func(*Thread) any {
+func msgArgs(xs []any) []msgArg {
 	if len(xs) == 0 {
 		return nil
 	}
-	out := make([]func(*Thread) any, len(xs))
+	out := make([]msgArg, len(xs))
 	for i, x := range xs {
-		out[i] = anyArg(x)
+		out[i] = msgArgOf(x)
 	}
 	return out
 }
@@ -407,20 +407,20 @@ func (c *Code) checkJump(what string) {
 // when cond is false. Message args may be literals, Reg, CellH or
 // func(*Thread) any/int, evaluated (purely) at failure time.
 func (c *Code) Assert(cond any, format string, args ...any) {
-	c.emit(instr{op: iAssert, cond: condArg(cond), str: format, args: anyArgs(args)})
+	c.emit(instr{op: iAssert, cond: condArg(cond), str: format, args: msgArgs(args)})
 }
 
 // FailIf emits a guarded Thread.Fail: when cond holds, the execution fails
 // with the formatted message.
 func (c *Code) FailIf(cond any, format string, args ...any) {
 	c.If(cond, func() {
-		c.emit(instr{op: iFail, str: format, args: anyArgs(args)})
+		c.emit(instr{op: iFail, str: format, args: msgArgs(args)})
 	})
 }
 
 // Fail emits an unconditional Thread.Fail.
 func (c *Code) Fail(format string, args ...any) {
-	c.emit(instr{op: iFail, str: format, args: anyArgs(args)})
+	c.emit(instr{op: iFail, str: format, args: msgArgs(args)})
 }
 
 // ----- shared-memory instructions -----

@@ -231,7 +231,8 @@ package vthread
 // recovered at all. A child's invisible prefix, run inside its spawner's
 // step, has its own recover (runFlatPrefix), so the spawner carries on as
 // on the reference engine. A failed compiled assertion does not unwind:
-// interp.failMsg records the Failure, retires the thread and advance
+// interp.failMsg records the failure (unformatted, in the World's failure
+// record: see Failure), retires the thread and advance
 // returns; flatAdvance gives the retired thread no exit release edge, as
 // the unwinding failNow gives none. Only the blocking bridge (runBlocking)
 // still unwinds a failed assertion, because there a goroutine must give the

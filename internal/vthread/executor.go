@@ -31,14 +31,17 @@ import "sync"
 // # Aliasing contract
 //
 // Run, RunWith and RunFrom return a pointer to an Outcome that the next run
-// overwrites, and Outcome.Trace aliases the Executor's internal schedule
-// buffer, which the next run rewrites in place. Both are valid only until
-// the next run (or Close), and the trace must not be written to: a continued
-// run keeps the prefix it shares with the previous one where it is. A caller
-// that retains the trace must copy it (sched.Schedule.Clone); a caller that
-// retains other Outcome fields must copy them out before the next run.
-// Outcome.Failure is exempt: failures are freshly allocated per run and
-// never recycled.
+// overwrites, Outcome.Trace aliases the Executor's internal schedule buffer,
+// which the next run rewrites in place, and Outcome.Failure may be the
+// World's own failure record, which the next failing run rewrites (a failed
+// compiled assertion or a deadlock is recorded there unformatted, so that a
+// buggy execution costs what a clean one does). All three are valid only
+// until the next run (or Close), and the trace must not be written to: a
+// continued run keeps the prefix it shares with the previous one where it
+// is. A caller that retains the trace must copy it (sched.Schedule.Clone),
+// one that retains the failure must copy it (Failure.Clone, which also
+// formats its Message), and one that retains other Outcome fields must copy
+// them out before the next run.
 //
 // # Confinement
 //

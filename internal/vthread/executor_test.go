@@ -57,12 +57,13 @@ func outcomesEqual(a, b *Outcome) bool {
 }
 
 // failuresEqual compares failures including the message, which
-// outcomesEqual (kind-only) does not.
+// outcomesEqual (kind-only) does not, formatted as a keeper sees them
+// (Clone): an Executor's raw record has an empty Message.
 func failuresEqual(a, b *Failure) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
-	return a == nil || (a.Kind == b.Kind && a.Thread == b.Thread && a.Message == b.Message)
+	return a == nil || *a.Clone() == *b.Clone()
 }
 
 // TestExecutorMatchesWorldAcrossReuse pins the core Executor contract: a
@@ -121,6 +122,73 @@ func TestExecutorTraceAliasingRegression(t *testing.T) {
 	// The hazard is real: the retained alias was rewritten in place.
 	if retained.Equal(wantRR.Trace) {
 		t.Error("retained (un-cloned) trace still matches run 1: buffer was not recycled, aliasing contract is stale")
+	}
+}
+
+// TestExecutorFailureAliasingRegression extends the aliasing contract to
+// Outcome.Failure: a failed compiled assertion and a deadlock are recorded,
+// unformatted, in the World's own failure record, which the next failing run
+// rewrites, so a caller that keeps the failure must Clone it — and the clone
+// is exactly the failure a fresh World reports for the same schedule.
+func TestExecutorFailureAliasingRegression(t *testing.T) {
+	// Two workers add 300 and 700 to v by a separate load and store; main
+	// asserts v == 0, printing v, which depends on the updates lost.
+	p := NewBuilder()
+	v := p.Var("v", 0)
+	wk := p.Body(1, 0)
+	x, d := wk.Load(v), wk.Arg(0)
+	wk.Store(v, func(t *Thread) int { return t.Reg(x) + t.Reg(d) })
+	mn := p.Main()
+	a, b := mn.Spawn(wk, 300), mn.Spawn(wk, 700)
+	mn.Join(a)
+	mn.Join(b)
+	got := mn.Load(v)
+	mn.Assert(func(t *Thread) bool { return t.Reg(got) == 0 }, "v=%d, want 0", got)
+	prog := p.Build()
+
+	// Two seeds whose runs fail differently, and a deadlock.
+	want := func(seed uint64) *Failure { return NewWorld(Options{Chooser: NewRandom(seed)}).Run(prog).Failure }
+	first, second := uint64(0), uint64(1)
+	for ; second < 100 && *want(second) == *want(first); second++ {
+	}
+	wantA, wantB := want(first), want(second)
+	wantDL := NewWorld(Options{Chooser: RoundRobin()}).Run(deadlockProgram).Failure
+	if *wantA == *wantB || wantDL == nil {
+		t.Fatalf("test premise broken: failures %v, %v and %v", wantA, wantB, wantDL)
+	}
+
+	ex := NewExecutor(Options{})
+	defer ex.Close()
+	raw := ex.RunWith(NewRandom(first), nil, prog).Failure
+	if raw.Message != "" {
+		t.Errorf("a failed compiled assertion was formatted during the run: %q", raw.Message)
+	}
+	if raw.Error() != wantA.Error() {
+		t.Errorf("raw record reads %q, want %q", raw.Error(), wantA.Error())
+	}
+	kept := raw.Clone()
+	if *kept != *wantA {
+		t.Errorf("clone %+v, want %+v", kept, wantA)
+	}
+
+	out := ex.RunWith(NewRandom(second), nil, prog)
+	if out.Failure != raw {
+		t.Error("Executor is documented to reuse its failure record; pointers differ")
+	}
+	if *out.Failure.Clone() != *wantB {
+		t.Errorf("second run's failure %v, want %v", out.Failure, wantB)
+	}
+	if *kept != *wantA {
+		t.Errorf("kept clone corrupted by reuse: %v, want %v", kept, wantA)
+	}
+	// The hazard is real: the retained record now says the second run's.
+	if raw.Error() == wantA.Error() {
+		t.Error("retained (un-cloned) failure still reads run 1: the record was not reused, the aliasing contract is stale")
+	}
+
+	// A deadlock, on the reference engine, goes into the same record.
+	if f := ex.RunWith(RoundRobin(), nil, deadlockProgram).Failure; *f.Clone() != *wantDL || *kept != *wantA {
+		t.Errorf("deadlock run: failure %v (want %v), kept clone %v", f, wantDL, kept)
 	}
 }
 

@@ -237,17 +237,13 @@ func (p *progHasher) instr(t *Thread, in *instr) {
 	p.probeStr(t, in.name)
 	p.num(len(in.args))
 	for _, a := range in.args {
-		if a == nil {
-			p.byte(0)
-			continue
-		}
 		s, ok := func() (s string, ok bool) {
 			defer func() {
 				if recover() != nil {
 					ok = false
 				}
 			}()
-			return fmt.Sprintf("%v", a(t)), true
+			return fmt.Sprintf("%v", a.eval(t).value()), true
 		}()
 		if ok {
 			p.byte(1)
@@ -341,7 +337,7 @@ func (p *progHasher) outcome(out *Outcome) {
 	if out.Failure != nil {
 		p.num(int(out.Failure.Kind))
 		p.num(int(out.Failure.Thread))
-		p.str(out.Failure.Message)
+		p.str(out.Failure.text())
 	} else {
 		p.num(-1)
 	}

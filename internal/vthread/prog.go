@@ -1,7 +1,5 @@
 package vthread
 
-import "fmt"
-
 // Compiled programs: the instruction-form representation the goroutine-free
 // flat engine executes (see flat.go). A Program is a closure tree the
 // substrate can only run by giving every virtual thread a real goroutine to
@@ -377,7 +375,7 @@ type instr struct {
 	ch         func(*Thread) *Chan
 	name       func(*Thread) string
 	str        string
-	args       []func(*Thread) any
+	args       []msgArg
 	blk, blk2  *block
 	cases      []cCase
 	specs      []spawnSpec
@@ -793,28 +791,48 @@ func (fi *interp) advance(t *Thread) bool {
 	}
 }
 
+// msgArg is one argument operand of an assertion message: an int operand
+// (register, cell, int function), read without boxing, or any other value.
+type msgArg struct {
+	num func(*Thread) int
+	val func(*Thread) any
+}
+
+func (a msgArg) eval(t *Thread) failArg {
+	if a.num != nil {
+		return failArg{n: a.num(t), isNum: true}
+	}
+	return failArg{v: a.val(t)}
+}
+
 // failMsg records an assertion/checker failure of a compiled body,
-// mirroring Thread.Assert/Fail (message args evaluate at failure time over
-// registers and cells — pure reads, like the argument expressions of a
-// closure's Assert call). On the flat engine it retires the thread and
-// returns, for advance to return false: nothing above it needs unwinding, and
-// flatAdvance gives the retired thread no exit edge. On the blocking bridge
-// it unwinds through failNow, as Thread.Assert does.
+// mirroring Thread.Assert/Fail: the message args evaluate at failure time
+// over registers and cells — pure reads, like the argument expressions of a
+// closure's Assert call — into the World's failure record, and formatting is
+// left to whoever keeps the failure (Failure.Clone). The values are recorded
+// before the failure is, so an operand that panics is contained as that
+// panic, as on the reference engine. On the flat engine failMsg retires the
+// thread and returns, for advance to return false: nothing above it needs
+// unwinding, and flatAdvance gives the retired thread no exit edge. On the
+// blocking bridge it unwinds, as Thread.Assert does.
 func (fi *interp) failMsg(t *Thread, kind FailureKind, in *instr) {
 	if t.killed {
 		panic(killSignal{})
 	}
-	vals := make([]any, len(in.args))
-	for i, af := range in.args {
-		vals[i] = af(t)
+	if w := t.w; w.failure == nil {
+		r := &w.rec
+		r.args = r.args[:0]
+		for _, a := range in.args {
+			r.args = append(r.args, a.eval(t))
+		}
+		r.format = in.str
+		w.record(kind, t.id)
 	}
-	f := &Failure{Kind: kind, Thread: t.id, Message: fmt.Sprintf(in.str, vals...)}
 	if t.flat {
-		t.w.fail(f)
 		t.state = stateExited
 		return
 	}
-	t.failNow(f)
+	t.unwindFailed()
 }
 
 // timerOf resolves the vtimer behind a Timer or Ticker object register.

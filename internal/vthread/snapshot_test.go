@@ -79,7 +79,7 @@ func (k *walker) backtrack() int {
 func describe(o *Outcome) string {
 	f := "clean"
 	if o.Failure != nil {
-		f = fmt.Sprintf("%v/T%d/%s", o.Failure.Kind, o.Failure.Thread, o.Failure.Message)
+		f = fmt.Sprintf("%v/T%d/%s", o.Failure.Kind, o.Failure.Thread, o.Failure.Clone().Message)
 	}
 	return fmt.Sprintf("trace %v pc %d dc %d sched %d sel %d timer %d maxen %d threads %d limit %v aborted %v failure %s",
 		o.Trace, o.PC, o.DC, o.SchedPoints, o.SelectPoints, o.TimerPoints, o.MaxEnabled, o.Threads,

@@ -284,6 +284,11 @@ func (t *Thread) awaitGrant() {
 // to the exec goroutine directly.
 func (t *Thread) failNow(f *Failure) {
 	t.w.fail(f)
+	t.unwindFailed()
+}
+
+// unwindFailed is failNow once the failure is recorded.
+func (t *Thread) unwindFailed() {
 	t.state = stateExited
 	if t.flat {
 		// No goroutine, no baton: unwind the interpreter call stack; the

@@ -357,6 +357,9 @@ type World struct {
 	// the clock pseudo-thread (see timer.go).
 	clk clock
 
+	// failure is the execution's first failure: nil, &own for the World's
+	// own record (a failed compiled assertion, a deadlock; see failRecord),
+	// or a failure some other path allocated.
 	failure      *Failure
 	stepLimitHit bool
 	aborted      bool
@@ -417,6 +420,11 @@ type World struct {
 	keys  []string
 
 	running bool
+
+	// own and rec are the World's failure record (failure.go), kept off the
+	// fields a step touches.
+	own Failure
+	rec failRecord
 }
 
 // NewWorld creates a single-use execution context with the given options.
@@ -467,8 +475,9 @@ func (w *World) reset() {
 // or the step limit, and returns the outcome. Run must be called exactly once
 // per World. It returns only after every virtual thread's body has finished
 // (exited or unwound), so nothing touches the program's state afterwards.
-// The returned Outcome and its Trace are owned by the caller: a single-use
-// World never writes to them again. A single-use World always runs the
+// The returned Outcome, its Trace and its Failure (formatted here) are owned
+// by the caller: a single-use World never writes to them again. A single-use
+// World always runs the
 // blocking reference engine: a *CompiledProgram is bridged via AsProgram
 // (trace-identical to its flat execution under an Executor).
 func (w *World) Run(program Runnable) *Outcome {
@@ -481,6 +490,7 @@ func (w *World) Run(program Runnable) *Outcome {
 
 	out := &Outcome{}
 	w.fillOutcome(out)
+	out.Failure = out.Failure.Clone()
 	return out
 }
 
@@ -891,27 +901,22 @@ func (w *World) setEnabled(t *Thread, on bool) (stale bool) {
 // named in the deadlock message, because "blocked on a stopped ticker" and
 // "blocked forever" deserve different diagnoses even though both are
 // deadlocks (a *fireable* timer would have kept the clock enabled and the
-// execution running).
+// execution running). Both go into the World's failure record, formatted
+// only when someone asks (Failure.Clone, Error).
 func (w *World) finishIdle() {
-	var blocked []ThreadID
+	if w.failure != nil {
+		return
+	}
+	r := &w.rec
+	r.blocked = r.blocked[:0]
 	for _, t := range w.threads {
-		if t.isClock {
-			continue
-		}
-		if t.state != stateExited {
-			blocked = append(blocked, t.id)
+		if !t.isClock && t.state != stateExited {
+			r.blocked = append(r.blocked, t.id)
 		}
 	}
-	if len(blocked) > 0 && w.failure == nil {
-		msg := fmt.Sprintf("deadlock: threads %v blocked with no enabled thread", blocked)
-		if n := w.clk.armedCount(); n > 0 {
-			msg += fmt.Sprintf(" (%d armed timer(s) can no longer fire)", n)
-		}
-		w.failure = &Failure{
-			Kind:    FailDeadlock,
-			Thread:  blocked[0],
-			Message: msg,
-		}
+	if len(r.blocked) > 0 {
+		r.armed = w.clk.armedCount()
+		w.record(FailDeadlock, r.blocked[0])
 	}
 }
 

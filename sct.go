@@ -137,9 +137,11 @@ type (
 	// sequence of executions allocation-free in the substrate. Every
 	// exploration driver in this library runs on Executors internally;
 	// expose it for custom search loops that call Run/RunWith millions of
-	// times. The returned Outcome and its Trace are valid only until the
-	// next run — clone what you retain — and an Executor is confined to
-	// one goroutine (one Executor per worker). Close it when done.
+	// times. The returned Outcome, its Trace and its Failure are valid
+	// only until the next run — Clone what you retain (Failure.Clone also
+	// formats the message, which the run itself leaves to whoever keeps
+	// it) — and an Executor is confined to one goroutine (one Executor per
+	// worker). Close it when done.
 	Executor = vthread.Executor
 )
 
