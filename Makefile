@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test fuzz bench bench-check loc lint study clean
+.PHONY: all build test repeat fuzz bench bench-check loc lint study clean
 
 all: build
 
@@ -12,16 +12,21 @@ build:
 # -count=1: a cached "ok" once hid a package that failed four runs in five.
 # benchmark/ is its own module, which the root ./... does not reach; its
 # build is what proves the exported surface it drives still compiles. The
-# last step repeats the tests that pin the partitioned drivers' contract
-# under a truncating limit, across kill-and-resume and under donation, the
-# failure-retention oracles (an Executor's failure record is rewritten by its
-# next failing run) and the buggy-run merge property: they are statements
-# about every interleaving, so run them enough times to meet a few.
+# last step is `make repeat`.
 test:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -count=1 ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) --no-print-directory repeat
+
+# The tests that pin the partitioned drivers' contract under a truncating
+# limit, across kill-and-resume and under donation, the failure-retention
+# oracles (an Executor's failure record is rewritten by its next failing run)
+# and the buggy-run merge property, twenty times over: they are statements
+# about every interleaving, so run them enough times to meet a few. CI runs
+# this target too, so the pattern lives only here.
+repeat:
 	$(GO) test -count=20 -run 'TestKillAndResume|Truncat|TestPeriodic|TestDistDrainResume|TestDistDonation|TestDistDrainAfterPeriodic|Retention|TestMergeRunsMatchOffsets' ./internal/explore/ ./internal/dist/
 
 # The decoders that cross a trust boundary, fuzzed for ten seconds each:

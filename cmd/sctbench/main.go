@@ -9,7 +9,7 @@
 //
 //	sctbench [-limit 10000] [-seed 1] [-bench regex] [-maple] [-dpor]
 //	         [-table1] [-fig3csv path] [-fig4csv path] [-par N] [-workers N]
-//	         [-engine auto|ref] [-checkpoint path] [-resume] [-max-wall 10m]
+//	         [-checkpoint path] [-resume] [-max-wall 10m]
 //	         [-cpuprofile path] [-memprofile path] [-v]
 //
 // A study cut short by SIGINT/SIGTERM or -max-wall keeps every cleanly
@@ -39,7 +39,6 @@ import (
 	"sctbench/internal/explore"
 	"sctbench/internal/report"
 	"sctbench/internal/study"
-	"sctbench/internal/vthread"
 )
 
 // The exit-status contract, by its local names.
@@ -71,10 +70,6 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 	par := fs.Int("par", 0, "parallel benchmark evaluations (0 = GOMAXPROCS)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"schedule-exploration workers per technique run (1 = sequential)")
-	engine := fs.String("engine", "auto",
-		"execution engine: auto (compiled benchmarks on the flat single-goroutine "+
-			"engine, closure benchmarks on the goroutine engine) or ref (force "+
-			"everything onto the goroutine reference engine)")
 	corpusDir := fs.String("corpus", "",
 		"schedule corpus directory (created if missing): explorations replay stored "+
 			"witnesses before searching and write every fresh witness back")
@@ -97,16 +92,6 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 
 	if msg := study.Sanity(); msg != "" {
 		fmt.Fprintln(stderr, "registry error:", msg)
-		return exitError
-	}
-
-	var debug vthread.Debug
-	switch *engine {
-	case "auto":
-	case "ref":
-		debug.NoFlatEngine = true
-	default:
-		fmt.Fprintln(stderr, "bad -engine (want auto or ref):", *engine)
 		return exitError
 	}
 
@@ -186,7 +171,6 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 			withDPOR:  *withDPOR,
 			maxWall:   *maxWall,
 			verbose:   *verbose,
-			debug:     debug,
 			store:     store,
 			interrupt: interrupt,
 		}, stdout, stderr)
@@ -198,7 +182,6 @@ func run(args []string, interrupt <-chan struct{}, stdout, stderr io.Writer) int
 		WithMaple:      *withMaple,
 		Parallelism:    *par,
 		Workers:        *workers,
-		Debug:          debug,
 		Interrupt:      interrupt,
 		CheckpointPath: *ckPath,
 		Corpus:         store,

@@ -32,38 +32,12 @@ func TestExitCodes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "["},              // bad regexp
 		{"-bench", "no.such.match$"}, // empty selection
-		{"-engine", "warp"},          // bad engine
 		{"-no-such-flag"},            // bad flag
 		{"-resume"},                  // -resume without -checkpoint
 	} {
 		if code, _, _ := runCLI(t, args...); code != exitError {
 			t.Errorf("%v exited %d, want %d", args, code, exitError)
 		}
-	}
-}
-
-// TestEngineRefMatchesAuto drives the engine switch end to end (sctbench →
-// study → explore → vthread): the same study on the flat engine and on the
-// goroutine reference engine must exit alike and write the same CSV.
-func TestEngineRefMatchesAuto(t *testing.T) {
-	dir := t.TempDir()
-	runStudy := func(engine string) (int, []byte) {
-		csv := filepath.Join(dir, engine+".csv")
-		code, _, errOut := runCLI(t, "-bench", "CS.account_bad$|goidiom.pipeline_bad$",
-			"-limit", "100", "-par", "1", "-workers", "1", "-engine", engine, "-table3csv", csv)
-		data, err := os.ReadFile(csv)
-		if err != nil {
-			t.Fatalf("-engine %s (exit %d): %v\n%s", engine, code, err, errOut)
-		}
-		return code, data
-	}
-	autoCode, autoCSV := runStudy("auto")
-	refCode, refCSV := runStudy("ref")
-	if autoCode != exitBug || refCode != autoCode {
-		t.Errorf("exit status auto=%d ref=%d, want both %d", autoCode, refCode, exitBug)
-	}
-	if !bytes.Equal(autoCSV, refCSV) {
-		t.Errorf("-engine ref CSV diverged from -engine auto:\n ref:\n%s\nauto:\n%s", refCSV, autoCSV)
 	}
 }
 

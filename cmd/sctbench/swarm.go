@@ -18,7 +18,6 @@ import (
 	"sctbench/internal/explore"
 	"sctbench/internal/report"
 	"sctbench/internal/study"
-	"sctbench/internal/vthread"
 )
 
 // swarmOptions carries the parsed flag state into runSwarm.
@@ -30,7 +29,6 @@ type swarmOptions struct {
 	withDPOR      bool
 	maxWall       time.Duration
 	verbose       bool
-	debug         vthread.Debug
 	store         *corpus.Store
 	interrupt     <-chan struct{}
 }
@@ -77,7 +75,6 @@ func runSwarm(benches []*bench.Benchmark, opt swarmOptions, stdout, stderr io.Wr
 		Limit:       opt.limit,
 		Parallelism: opt.par,
 		Workers:     opt.workers,
-		Debug:       opt.debug,
 		Interrupt:   opt.interrupt,
 		Corpus:      opt.store,
 	}

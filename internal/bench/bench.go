@@ -48,10 +48,14 @@ type Benchmark struct {
 	// driver's workers. Compiled-form benchmarks run on the flat engine;
 	// closure-form ones run on the goroutine reference engine.
 	New func() vthread.Runnable
-	// Ref, when non-nil, builds the original closure-form twin of New's
+	// Ref, when non-nil, builds a hand-written closure-form twin of New's
 	// compiled program. It exists purely as the equivalence oracle: the
 	// registry test executes both under identical choosers and requires
-	// bit-identical outcomes, failures and event streams.
+	// bit-identical outcomes, failures and event streams. One twin is kept
+	// per suite (a family sharing one parameterised twin keeps it on every
+	// member), chosen so that together with the generated-program tests
+	// they use every instruction any registry program uses; vthread_test's
+	// TestRegistryOpcodesCovered guards that.
 	Ref func() vthread.Program
 
 	hashOnce sync.Once
@@ -105,29 +109,4 @@ func ByName(name string) *Benchmark {
 		}
 	}
 	return nil
-}
-
-// ByID returns the benchmark with the given Table 3 id, or nil.
-func ByID(id int) *Benchmark {
-	for _, b := range registry {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
-}
-
-// Suites returns the distinct suite names in first-appearance (Table 1)
-// order.
-func Suites() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, b := range All() {
-		if !seen[b.Suite] {
-			seen[b.Suite] = true
-			out = append(out, b.Suite)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

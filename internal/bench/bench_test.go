@@ -76,14 +76,15 @@ func TestLookups(t *testing.T) {
 	if ByName("no.such.benchmark") != nil {
 		t.Error("ByName returned a ghost")
 	}
-	if b := ByID(35); b == nil || b.Name != "chess.WSQ" {
-		t.Errorf("ByID(35) = %v, want chess.WSQ", b)
+	if b := All()[35]; b.Name != "chess.WSQ" || ByName(b.Name) != b {
+		t.Errorf("All()[35] = %v, want chess.WSQ, found by its name", b)
 	}
-	if ByID(99) != nil {
-		t.Error("ByID(99) returned a ghost")
+	suites := make(map[string]bool)
+	for _, b := range All() {
+		suites[b.Suite] = true
 	}
-	if len(Suites()) != 10 {
-		t.Errorf("Suites() = %v, want 10 entries (8 SCTBench + GoIdiom + GoTime)", Suites())
+	if len(suites) != 10 {
+		t.Errorf("suites %v, want 10 (8 SCTBench + GoIdiom + GoTime)", suites)
 	}
 	if ByName("goidiom.cancel_bad") == nil {
 		t.Error("ByName failed for a GoIdiom benchmark")
@@ -277,7 +278,7 @@ func TestBenchmarksHaveRaces(t *testing.T) {
 }
 
 func TestBenchmarkString(t *testing.T) {
-	b := ByID(0)
+	b := All()[0]
 	if !strings.Contains(b.String(), "CB.aget-bug2") {
 		t.Errorf("String() = %q", b.String())
 	}

@@ -8,11 +8,12 @@ package bench
 // skeleton and the bug's bound characteristics from Table 3.
 //
 // Every benchmark is registered in compiled (builder-DSL) form so it runs
-// on the flat single-goroutine engine; the original closure form is kept
-// as the Ref twin, and the registry equivalence test holds the two
-// bit-identical. Translations follow the Go evaluation order exactly:
-// expression operands (including assertion message arguments) that touch
-// shared state become explicit Loads at the point Go would evaluate them.
+// on the flat single-goroutine engine. The programs were translated from
+// closure originals following the Go evaluation order exactly: expression
+// operands (including assertion message arguments) that touch shared state
+// became explicit Loads at the point Go would evaluate them, so an
+// assertion whose message prints a variable loads it twice. CS.account_bad
+// keeps its closure original as the suite's Ref twin (see Benchmark.Ref).
 
 import "sctbench/internal/vthread"
 
@@ -37,7 +38,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "arithmetic progression with a planted off-by-one property: violated on every schedule",
 		New:     func() vthread.Runnable { return compiledArithmetic() },
-		Ref:     refArithmetic,
 	})
 
 	register(&Benchmark{
@@ -45,7 +45,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "driver used after a concurrent stop request tears it down (check-then-act race)",
 		New:     func() vthread.Runnable { return compiledBluetooth() },
-		Ref:     refBluetooth,
 	})
 
 	register(&Benchmark{
@@ -53,7 +52,6 @@ func init() {
 		BugKind: vthread.FailDeadlock,
 		Desc:    "AB/BA lock-order inversion between two of four workers",
 		New:     func() vthread.Runnable { return compiledCarter() },
-		Ref:     refCarter,
 	})
 
 	register(&Benchmark{
@@ -61,7 +59,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "producer/consumer over a ring buffer with an unsynchronised element count",
 		New:     func() vthread.Runnable { return compiledCircular() },
-		Ref:     refCircular,
 	})
 
 	register(&Benchmark{
@@ -69,7 +66,6 @@ func init() {
 		BugKind: vthread.FailDeadlock,
 		Desc:    "textbook AB/BA deadlock between two workers",
 		New:     func() vthread.Runnable { return compiledDeadlock01() },
-		Ref:     refDeadlock01,
 	})
 
 	for n := 2; n <= 7; n++ {
@@ -81,7 +77,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "file-system flush: 27 workers claim slots in a 26-entry table (manual OOB assertion, §4.2)",
 		New:     func() vthread.Runnable { return compiledFsbench() },
-		Ref:     refFsbench,
 	})
 
 	register(&Benchmark{
@@ -89,7 +84,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "three workers race to set a value; the checked outcome holds only for some orders",
 		New:     func() vthread.Runnable { return compiledLazy01() },
-		Ref:     refLazy01,
 	})
 
 	register(&Benchmark{
@@ -97,7 +91,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "two-phase handshake with a planted always-false postcondition",
 		New:     func() vthread.Runnable { return compiledPhase01() },
-		Ref:     refPhase01,
 	})
 
 	register(&Benchmark{
@@ -105,7 +98,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "SPSC queue with a racy size field: a mid-enqueue dequeue loses an element",
 		New:     func() vthread.Runnable { return compiledQueue() },
-		Ref:     refQueue,
 	})
 
 	registerReorder(19, "CS.reorder_10_bad", 8)  // 11 threads
@@ -119,7 +111,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "two pushers on a stack with a racy top-of-stack index lose an element",
 		New:     func() vthread.Runnable { return compiledStack() },
-		Ref:     refStack,
 	})
 
 	register(&Benchmark{
@@ -127,7 +118,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "semaphore handshake with a planted always-false postcondition",
 		New:     func() vthread.Runnable { return compiledSync01() },
-		Ref:     refSync01,
 	})
 
 	register(&Benchmark{
@@ -135,7 +125,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "condvar handshake with a planted always-false postcondition",
 		New:     func() vthread.Runnable { return compiledSync02() },
-		Ref:     refSync02,
 	})
 
 	register(&Benchmark{
@@ -143,7 +132,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "four stations pass a token without synchronisation; only creation order survives",
 		New:     func() vthread.Runnable { return compiledTokenRing() },
-		Ref:     refTokenRing,
 	})
 
 	registerTwostage(28, "CS.twostage_100_bad", 50) // 101 threads
@@ -190,6 +178,7 @@ func compiledAccount() *vthread.CompiledProgram {
 	dep.Unlock(m)
 	wd := p.Body(0, 0)
 	wd.Lock(m)
+	// Bug: no funds check (see refAccount).
 	wd.AddVar(balance, -50)
 	wd.Unlock(m)
 	au := p.Body(0, 0)
@@ -201,28 +190,6 @@ func compiledAccount() *vthread.CompiledProgram {
 	hs := []vthread.OReg{mn.Spawn(dep), mn.Spawn(wd), mn.Spawn(au)}
 	joinRegs(mn, hs)
 	return p.Build()
-}
-
-func refArithmetic() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		m := t0.NewMutex("sum")
-		sum := t0.NewVar("sum", 0)
-		adder := func(lo, hi int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				for i := lo; i <= hi; i++ {
-					m.Lock(tw)
-					sum.Add(tw, i)
-					m.Unlock(tw)
-				}
-			}
-		}
-		ts := []*vthread.Thread{t0.Spawn(adder(1, 5)), t0.Spawn(adder(6, 10))}
-		joinAll(t0, ts)
-		got := sum.Load(t0)
-		// The ESBMC "_bad" property: deliberately wrong expected
-		// value, so the assertion fails regardless of schedule.
-		t0.Assert(got == 56, "progression sum=%d, claimed 56", got)
-	}
 }
 
 func compiledArithmetic() *vthread.CompiledProgram {
@@ -244,35 +211,23 @@ func compiledArithmetic() *vthread.CompiledProgram {
 	hs := []vthread.OReg{mn.Spawn(a1), mn.Spawn(a2)}
 	joinRegs(mn, hs)
 	got := mn.Load(sum)
+	// The ESBMC "_bad" property: deliberately wrong expected value, so the
+	// assertion fails regardless of schedule.
 	mn.Assert(eq(got, 56), "progression sum=%d, claimed 56", got)
 	return p.Build()
-}
-
-func refBluetooth() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		stopped := t0.NewVar("stopped", 0)
-		driverUp := t0.NewVar("driverUp", 1)
-		// The stopper mirrors the original's IoDecrement path.
-		t0.Spawn(func(tw *vthread.Thread) {
-			stopped.Store(tw, 1)
-			driverUp.Store(tw, 0)
-		})
-		// Main is the dispatch routine: checks the stop flag, then
-		// uses the driver. One preemption between check and use
-		// lets the stopper tear the driver down in between.
-		if stopped.Load(t0) == 0 {
-			t0.Assert(driverUp.Load(t0) == 1, "dispatch on stopped driver")
-		}
-	}
 }
 
 func compiledBluetooth() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	stopped := p.Var("stopped", 0)
 	driverUp := p.Var("driverUp", 1)
+	// The stopper mirrors the original's IoDecrement path.
 	st := p.Body(0, 0)
 	st.Store(stopped, 1)
 	st.Store(driverUp, 0)
+	// Main is the dispatch routine: checks the stop flag, then uses the
+	// driver. One preemption between check and use lets the stopper tear
+	// the driver down in between.
 	mn := p.Main()
 	mn.Spawn(st)
 	s := mn.Load(stopped)
@@ -281,38 +236,6 @@ func compiledBluetooth() *vthread.CompiledProgram {
 		mn.Assert(eq(d, 1), "dispatch on stopped driver")
 	})
 	return p.Build()
-}
-
-func refCarter() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		a := t0.NewMutex("A")
-		b := t0.NewMutex("B")
-		work := t0.NewVar("work", 0)
-		lockAB := func(tw *vthread.Thread) {
-			a.Lock(tw)
-			b.Lock(tw)
-			work.Add(tw, 1)
-			b.Unlock(tw)
-			a.Unlock(tw)
-		}
-		lockBA := func(tw *vthread.Thread) {
-			b.Lock(tw)
-			a.Lock(tw)
-			work.Add(tw, 1)
-			a.Unlock(tw)
-			b.Unlock(tw)
-		}
-		helper := func(tw *vthread.Thread) {
-			a.Lock(tw)
-			work.Add(tw, 1)
-			a.Unlock(tw)
-		}
-		ts := []*vthread.Thread{
-			t0.Spawn(lockAB), t0.Spawn(lockBA),
-			t0.Spawn(helper), t0.Spawn(helper),
-		}
-		joinAll(t0, ts)
-	}
 }
 
 func compiledCarter() *vthread.CompiledProgram {
@@ -342,40 +265,14 @@ func compiledCarter() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refCircular() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		buf := t0.NewArray("ring", 4)
-		count := t0.NewVar("count", 0) // racy: updated by both sides
-		producer := func(tw *vthread.Thread) {
-			for i := 0; i < 2; i++ {
-				buf.Set(tw, i, 100+i)
-				count.Add(tw, 1) // load+store: splittable
-			}
-		}
-		consumer := func(tw *vthread.Thread) {
-			for i := 0; i < 2; i++ {
-				if count.Load(tw) > i {
-					v := buf.Get(tw, i)
-					tw.Assert(v == 100+i, "ring[%d]=%d, want %d", i, v, 100+i)
-				}
-				count.Add(tw, -1)
-			}
-		}
-		ts := []*vthread.Thread{t0.Spawn(producer), t0.Spawn(consumer)}
-		joinAll(t0, ts)
-		c := count.Load(t0)
-		t0.Assert(c == 0, "count=%d after balanced produce/consume", c)
-	}
-}
-
 func compiledCircular() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	buf := p.Array("ring", 4)
-	count := p.Var("count", 0)
+	count := p.Var("count", 0) // racy: updated by both sides
 	prod := p.Body(0, 0)
 	for i := 0; i < 2; i++ {
 		prod.SetAt(buf, i, 100+i)
-		prod.AddVar(count, 1)
+		prod.AddVar(count, 1) // load+store: splittable
 	}
 	cons := p.Body(0, 0)
 	for i := 0; i < 2; i++ {
@@ -393,31 +290,6 @@ func compiledCircular() *vthread.CompiledProgram {
 	c := mn.Load(count)
 	mn.Assert(eq(c, 0), "count=%d after balanced produce/consume", c)
 	return p.Build()
-}
-
-func refDeadlock01() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		a := t0.NewMutex("A")
-		b := t0.NewMutex("B")
-		x := t0.NewVar("x", 0)
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) {
-				a.Lock(tw)
-				x.Add(tw, 1)
-				b.Lock(tw)
-				b.Unlock(tw)
-				a.Unlock(tw)
-			}),
-			t0.Spawn(func(tw *vthread.Thread) {
-				b.Lock(tw)
-				x.Add(tw, 1)
-				a.Lock(tw)
-				a.Unlock(tw)
-				b.Unlock(tw)
-			}),
-		}
-		joinAll(t0, ts)
-	}
 }
 
 func compiledDeadlock01() *vthread.CompiledProgram {
@@ -443,30 +315,6 @@ func compiledDeadlock01() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refFsbench() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		const workers = 27
-		const slots = workers - 1
-		m := t0.NewMutex("alloc")
-		next := t0.NewVar("next", 0)
-		table := t0.NewArray("table", slots)
-		ts := make([]*vthread.Thread, workers)
-		for i := 0; i < workers; i++ {
-			ts[i] = t0.Spawn(func(tw *vthread.Thread) {
-				m.Lock(tw)
-				slot := next.Load(tw)
-				next.Store(tw, slot+1)
-				m.Unlock(tw)
-				// The paper added this assertion by hand: the
-				// original overflow corrupts memory silently.
-				tw.Assert(slot < slots, "slot %d overflows %d-entry table", slot, slots)
-				table.Set(tw, slot, 1)
-			})
-		}
-		joinAll(t0, ts)
-	}
-}
-
 func compiledFsbench() *vthread.CompiledProgram {
 	const workers = 27
 	const slots = workers - 1
@@ -479,6 +327,8 @@ func compiledFsbench() *vthread.CompiledProgram {
 	slot := wk.Load(next)
 	wk.Store(next, plus(slot, 1))
 	wk.Unlock(m)
+	// The paper added this assertion by hand: the original overflow
+	// corrupts memory silently.
 	wk.Assert(lt(slot, slots), "slot %d overflows %d-entry table", slot, slots)
 	wk.SetAt(table, slot, 1)
 	mn := p.Main()
@@ -488,26 +338,6 @@ func compiledFsbench() *vthread.CompiledProgram {
 	}
 	joinRegs(mn, hs)
 	return p.Build()
-}
-
-func refLazy01() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		m := t0.NewMutex("m")
-		data := t0.NewVar("data", 0)
-		setter := func(v int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				m.Lock(tw)
-				data.Store(tw, v)
-				m.Unlock(tw)
-			}
-		}
-		ts := []*vthread.Thread{t0.Spawn(setter(1)), t0.Spawn(setter(2)), t0.Spawn(setter(3))}
-		joinAll(t0, ts)
-		d := data.Load(t0)
-		// Round-robin finishes with the third setter last, so the
-		// "impossible" value is exactly the one RR produces.
-		t0.Assert(d != 3, "data=%d: last writer was the third setter", d)
-	}
 }
 
 func compiledLazy01() *vthread.CompiledProgram {
@@ -522,30 +352,10 @@ func compiledLazy01() *vthread.CompiledProgram {
 	hs := []vthread.OReg{mn.Spawn(setter, 1), mn.Spawn(setter, 2), mn.Spawn(setter, 3)}
 	joinRegs(mn, hs)
 	d := mn.Load(data)
+	// Round-robin finishes with the third setter last, so the "impossible"
+	// value is exactly the one RR produces.
 	mn.Assert(ne(d, 3), "data=%d: last writer was the third setter", d)
 	return p.Build()
-}
-
-func refPhase01() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		s := t0.NewSem("phase", 0)
-		a := t0.NewVar("a", 0)
-		b := t0.NewVar("b", 0)
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) {
-				a.Store(tw, 1)
-				s.V(tw)
-			}),
-			t0.Spawn(func(tw *vthread.Thread) {
-				s.P(tw)
-				b.Store(tw, a.Load(tw)+1)
-			}),
-		}
-		joinAll(t0, ts)
-		// Planted violation: claims the phases overlap, but the
-		// semaphore orders them on every schedule.
-		t0.Assert(a.Load(t0)+b.Load(t0) == 4, "a+b=%d, claimed 4", a.Load(t0)+b.Load(t0))
-	}
 }
 
 func compiledPhase01() *vthread.CompiledProgram {
@@ -563,8 +373,9 @@ func compiledPhase01() *vthread.CompiledProgram {
 	mn := p.Main()
 	hs := []vthread.OReg{mn.Spawn(t1), mn.Spawn(t2)}
 	joinRegs(mn, hs)
-	// Go evaluates the condition's two loads, then the message
-	// argument's two loads: a, b, a, b.
+	// Planted violation: claims the phases overlap, but the semaphore
+	// orders them on every schedule. Go evaluates the condition's two
+	// loads, then the message argument's two loads: a, b, a, b.
 	a1 := mn.Load(a)
 	b1 := mn.Load(b)
 	a2 := mn.Load(a)
@@ -574,49 +385,14 @@ func compiledPhase01() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refQueue() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		items := t0.NewArray("items", 8)
-		size := t0.NewVar("size", 0) // racy
-		enq := func(tw *vthread.Thread, v int) {
-			n := size.Load(tw)
-			// Bug: the size is published before the element is
-			// written, so a concurrent dequeue in between reads an
-			// uninitialised cell.
-			size.Store(tw, n+1)
-			items.Set(tw, n, v)
-		}
-		deq := func(tw *vthread.Thread) int {
-			n := size.Load(tw)
-			if n == 0 {
-				return -1
-			}
-			v := items.Get(tw, n-1)
-			size.Store(tw, n-1)
-			return v
-		}
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) {
-				enq(tw, 10)
-				enq(tw, 20)
-			}),
-			t0.Spawn(func(tw *vthread.Thread) {
-				v := deq(tw)
-				tw.Assert(v == -1 || v == 10 || v == 20, "dequeued garbage %d", v)
-			}),
-		}
-		joinAll(t0, ts)
-		n := size.Load(t0)
-		t0.Assert(n == 1 || n == 2, "size=%d after 2 enq / 1 deq", n)
-	}
-}
-
 func compiledQueue() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	items := p.Array("items", 8)
-	size := p.Var("size", 0)
+	size := p.Var("size", 0) // racy
 	enq := p.Body(0, 0)
 	for _, v := range []int{10, 20} {
+		// Bug: the size is published before the element is written, so a
+		// concurrent dequeue in between reads an uninitialised cell.
 		n := enq.Load(size)
 		enq.Store(size, plus(n, 1))
 		enq.SetAt(items, n, v)
@@ -642,29 +418,10 @@ func compiledQueue() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refStack() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		cells := t0.NewArray("cells", 8)
-		top := t0.NewVar("top", 0) // racy
-		push := func(tw *vthread.Thread, v int) {
-			n := top.Load(tw)
-			cells.Set(tw, n, v)
-			top.Store(tw, n+1)
-		}
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) { push(tw, 1); push(tw, 2) }),
-			t0.Spawn(func(tw *vthread.Thread) { push(tw, 3) }),
-		}
-		joinAll(t0, ts)
-		n := top.Load(t0)
-		t0.Assert(n == 3, "lost push: top=%d, want 3", n)
-	}
-}
-
 func compiledStack() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	cells := p.Array("cells", 8)
-	top := p.Var("top", 0)
+	top := p.Var("top", 0) // racy
 	push := func(c *vthread.Code, v int) {
 		n := c.Load(top)
 		c.SetAt(cells, n, v)
@@ -681,25 +438,6 @@ func compiledStack() *vthread.CompiledProgram {
 	n := mn.Load(top)
 	mn.Assert(eq(n, 3), "lost push: top=%d, want 3", n)
 	return p.Build()
-}
-
-func refSync01() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		s := t0.NewSem("sync", 0)
-		v := t0.NewVar("v", 0)
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) {
-				v.Store(tw, 1)
-				s.V(tw)
-			}),
-			t0.Spawn(func(tw *vthread.Thread) {
-				s.P(tw)
-				v.Add(tw, 1)
-			}),
-		}
-		joinAll(t0, ts)
-		t0.Assert(v.Load(t0) == 3, "v=%d, claimed 3", v.Load(t0))
-	}
 }
 
 func compiledSync01() *vthread.CompiledProgram {
@@ -719,34 +457,6 @@ func compiledSync01() *vthread.CompiledProgram {
 	c2 := mn.Load(v)
 	mn.Assert(eq(c1, 3), "v=%d, claimed 3", c2)
 	return p.Build()
-}
-
-func refSync02() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		m := t0.NewMutex("m")
-		c := t0.NewCond("c")
-		ready := t0.NewVar("ready", 0)
-		v := t0.NewVar("v", 0)
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) {
-				m.Lock(tw)
-				v.Store(tw, 10)
-				ready.Store(tw, 1)
-				c.Signal(tw)
-				m.Unlock(tw)
-			}),
-			t0.Spawn(func(tw *vthread.Thread) {
-				m.Lock(tw)
-				for ready.Load(tw) == 0 {
-					c.Wait(tw, m)
-				}
-				v.Add(tw, 5)
-				m.Unlock(tw)
-			}),
-		}
-		joinAll(t0, ts)
-		t0.Assert(v.Load(t0) == 16, "v=%d, claimed 16", v.Load(t0))
-	}
 }
 
 func compiledSync02() *vthread.CompiledProgram {
@@ -780,30 +490,9 @@ func compiledSync02() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refTokenRing() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		token := t0.NewVar("token", 0) // racy
-		station := func(id int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				got := token.Load(tw)
-				token.Store(tw, got+id)
-			}
-		}
-		ts := []*vthread.Thread{
-			t0.Spawn(station(1)), t0.Spawn(station(2)),
-			t0.Spawn(station(3)), t0.Spawn(station(4)),
-		}
-		joinAll(t0, ts)
-		got := token.Load(t0)
-		// Correct only when every station sees its predecessor's
-		// value: any reordering or overlap loses increments.
-		t0.Assert(got == 10, "token=%d, want 10", got)
-	}
-}
-
 func compiledTokenRing() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
-	token := p.Var("token", 0)
+	token := p.Var("token", 0) // racy
 	st := p.Body(1, 0)
 	got := st.Load(token)
 	st.Store(token, addr(got, st.Arg(0)))
@@ -811,6 +500,8 @@ func compiledTokenRing() *vthread.CompiledProgram {
 	hs := []vthread.OReg{mn.Spawn(st, 1), mn.Spawn(st, 2), mn.Spawn(st, 3), mn.Spawn(st, 4)}
 	joinRegs(mn, hs)
 	g := mn.Load(token)
+	// Correct only when every station sees its predecessor's value: any
+	// reordering or overlap loses increments.
 	mn.Assert(eq(g, 10), "token=%d, want 10", g)
 	return p.Build()
 }
@@ -826,35 +517,7 @@ func registerDinPhil(id, n int) {
 		BugKind: vthread.FailAssert,
 		Desc:    "dining philosophers: planted 'not all finish' property plus a real deadlock",
 		New:     func() vthread.Runnable { return compiledDinPhil(n) },
-		Ref:     func() vthread.Program { return refDinPhil(n) },
 	})
-}
-
-func refDinPhil(n int) vthread.Program {
-	return func(t0 *vthread.Thread) {
-		forks := make([]*vthread.Mutex, n)
-		for i := range forks {
-			forks[i] = t0.NewMutex("fork" + itoa(i))
-		}
-		eaten := t0.NewVar("eaten", 0)
-		phil := func(i int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				left, right := forks[i], forks[(i+1)%n]
-				left.Lock(tw)
-				right.Lock(tw)
-				eaten.Add(tw, 1)
-				right.Unlock(tw)
-				left.Unlock(tw)
-			}
-		}
-		ts := make([]*vthread.Thread, n)
-		for i := 0; i < n; i++ {
-			ts[i] = t0.Spawn(phil(i))
-		}
-		joinAll(t0, ts)
-		got := eaten.Load(t0)
-		t0.Assert(got != n, "all %d philosophers ate (the _sat property claims this is impossible)", got)
-	}
 }
 
 func compiledDinPhil(n int) *vthread.CompiledProgram {
@@ -892,29 +555,7 @@ func registerReorder(id int, name string, extra int) {
 		BugKind: vthread.FailAssert,
 		Desc:    "reorder adversary: checker must run between one writer's two stores",
 		New:     func() vthread.Runnable { return compiledReorder(extra) },
-		Ref:     func() vthread.Program { return refReorder(extra) },
 	})
-}
-
-func refReorder(extra int) vthread.Program {
-	return func(t0 *vthread.Thread) {
-		x := t0.NewVar("x", 0)
-		y := t0.NewVar("y", 0)
-		writer := func(tw *vthread.Thread) {
-			x.Store(tw, 1)
-			y.Store(tw, 1)
-		}
-		ts := make([]*vthread.Thread, 0, extra+2)
-		for i := 0; i < extra+1; i++ {
-			ts = append(ts, t0.Spawn(writer))
-		}
-		ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-			xv := x.Load(tw)
-			yv := y.Load(tw)
-			tw.Assert(xv == yv, "x=%d y=%d", xv, yv)
-		}))
-		joinAll(t0, ts)
-	}
 }
 
 func compiledReorder(extra int) *vthread.CompiledProgram {
@@ -948,48 +589,7 @@ func registerTwostage(id int, name string, pairs int) {
 		BugKind: vthread.FailAssert,
 		Desc:    "two-stage pipeline: flag set before data is complete",
 		New:     func() vthread.Runnable { return compiledTwostage(pairs) },
-		Ref:     func() vthread.Program { return refTwostage(pairs) },
 	})
-}
-
-func refTwostage(pairs int) vthread.Program {
-	return func(t0 *vthread.Thread) {
-		mData := t0.NewMutex("data")
-		mFlag := t0.NewMutex("flag")
-		data := t0.NewVar("data", 0)
-		flag := t0.NewVar("flag", 0)
-		writer := func(tw *vthread.Thread) {
-			mData.Lock(tw)
-			data.Store(tw, 42)
-			mData.Unlock(tw)
-			// Bug: the flag is set under a different lock, so a
-			// reader can observe flag==1 with stale data… but only
-			// in the window *between* these two sections.
-			mFlag.Lock(tw)
-			flag.Store(tw, 1)
-			mFlag.Unlock(tw)
-		}
-		reader := func(tw *vthread.Thread) {
-			mFlag.Lock(tw)
-			f := flag.Load(tw)
-			mFlag.Unlock(tw)
-			if f == 0 {
-				return
-			}
-			mData.Lock(tw)
-			d := data.Load(tw)
-			mData.Unlock(tw)
-			tw.Assert(d == 42, "flag set but data=%d", d)
-		}
-		ts := make([]*vthread.Thread, 0, 2*pairs)
-		for i := 0; i < pairs; i++ {
-			ts = append(ts, t0.Spawn(writerVariant(i, writer, data, flag, mData, mFlag)))
-		}
-		for i := 0; i < pairs; i++ {
-			ts = append(ts, t0.Spawn(reader))
-		}
-		joinAll(t0, ts)
-	}
 }
 
 func compiledTwostage(pairs int) *vthread.CompiledProgram {
@@ -1006,7 +606,14 @@ func compiledTwostage(pairs int) *vthread.CompiledProgram {
 	wr.Lock(mFlag)
 	wr.Store(flag, 1)
 	wr.Unlock(mFlag)
-	// The variant (writer 0): flag first — the planted inversion.
+	// The variant (writer 0) plants the actual bug: it sets the flag under a
+	// different lock *before* the data, so a reader can observe flag==1 with
+	// stale data in the window between its two sections. With one pair
+	// (twostage_bad) a single preemption exposes it; with 50 pairs
+	// (twostage_100_bad) the buggy window is buried under 100 threads of
+	// schedule noise and nothing finds it within the limit — matching the
+	// paper, where the large-thread-count variants' bugs were found by no
+	// technique.
 	inv := p.Body(0, 0)
 	inv.Lock(mFlag)
 	inv.Store(flag, 1)
@@ -1040,27 +647,6 @@ func compiledTwostage(pairs int) *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// writerVariant plants the actual bug in exactly one writer: it sets the
-// flag *before* the data (the inverted two-stage update). With one pair
-// (twostage_bad) a single preemption exposes it; with 50 pairs
-// (twostage_100_bad) the buggy window is buried under 100 threads of
-// schedule noise and nothing finds it within the limit — matching the
-// paper, where the large-thread-count variants' bugs were found by no
-// technique.
-func writerVariant(i int, normal vthread.Program, data, flag *vthread.IntVar, mData, mFlag *vthread.Mutex) vthread.Program {
-	if i != 0 {
-		return normal
-	}
-	return func(tw *vthread.Thread) {
-		mFlag.Lock(tw)
-		flag.Store(tw, 1)
-		mFlag.Unlock(tw)
-		mData.Lock(tw)
-		data.Store(tw, 42)
-		mData.Unlock(tw)
-	}
-}
-
 // registerWronglock builds CS.wronglock{_3,}_bad: a writer updates shared
 // state under lock A in two steps; readers take lock B (the wrong lock!)
 // and assert they never observe the intermediate state. No non-preemptive
@@ -1073,43 +659,18 @@ func registerWronglock(id int, name string, readers int) {
 		BugKind: vthread.FailAssert,
 		Desc:    "readers guard with the wrong lock and can observe a half-done update",
 		New:     func() vthread.Runnable { return compiledWronglock(readers) },
-		Ref:     func() vthread.Program { return refWronglock(readers) },
 	})
-}
-
-func refWronglock(readers int) vthread.Program {
-	return func(t0 *vthread.Thread) {
-		right := t0.NewMutex("right")
-		wrong := t0.NewMutex("wrong")
-		v := t0.NewVar("v", 0) // racy: reader lock does not order it
-		ts := make([]*vthread.Thread, 0, readers+1)
-		ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-			right.Lock(tw)
-			v.Store(tw, 1) // intermediate
-			v.Store(tw, 2) // final
-			right.Unlock(tw)
-		}))
-		for i := 0; i < readers; i++ {
-			ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-				wrong.Lock(tw)
-				got := v.Load(tw)
-				wrong.Unlock(tw)
-				tw.Assert(got != 1, "observed half-done update")
-			}))
-		}
-		joinAll(t0, ts)
-	}
 }
 
 func compiledWronglock(readers int) *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	right := p.Mutex("right")
 	wrong := p.Mutex("wrong")
-	v := p.Var("v", 0)
+	v := p.Var("v", 0) // racy: the readers' lock does not order it
 	wr := p.Body(0, 0)
 	wr.Lock(right)
-	wr.Store(v, 1)
-	wr.Store(v, 2)
+	wr.Store(v, 1) // intermediate
+	wr.Store(v, 2) // final
 	wr.Unlock(right)
 	rd := p.Body(0, 0)
 	rd.Lock(wrong)

@@ -1,19 +1,22 @@
 package bench
 
-// Registry-level equivalence suite: every benchmark that migrated to the
-// compiled form carries its original closure program in the Ref field, and
-// this test is the reason why. For each such pair it executes New() on the
-// flat single-goroutine engine and Ref() on the goroutine reference engine
-// under identical choosers — deterministic round-robin plus a spread of
-// random seeds — and requires the two executions to be indistinguishable:
-// same trace, same outcome counters, same failure (or clean exit), and the
-// same event stream key by key. This is the op-for-op translation contract
-// of internal/vthread's doc.go enforced over the whole registry, so a
-// compiled benchmark that drifts from its closure twin by even one visible
-// operation fails here before it can skew any Table 3 number.
+// Registry-level equivalence suite. Every compiled benchmark runs on the
+// flat single-goroutine engine (New()) and on the goroutine reference
+// engine under identical choosers — deterministic round-robin plus a spread
+// of random seeds — and the two executions must be indistinguishable: same
+// trace, same outcome counters, same failure (or clean exit), and the same
+// event stream key by key. On the reference engine runs the benchmark's
+// hand-written closure twin (Ref) where one is kept, and otherwise the
+// compiled program's blocking bridge (vthread.AsProgram). A twin checks the
+// op-for-op translation contract of internal/vthread's doc.go: the flat
+// interpreter against code written without it. The bridge shares the
+// interpreter, so it checks the engines' scheduling and event plumbing only;
+// vthread_test's TestRegistryOpcodesCovered holds the kept twins, with the
+// generated-program tests, to every instruction the registry uses.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sctbench/internal/vthread"
@@ -29,14 +32,24 @@ func chooserFor(seed uint64) vthread.Chooser {
 	return vthread.NewRandom(seed)
 }
 
+// keptTwins names the benchmarks that carry a Ref twin: one per suite, and
+// every member of a family that shares one parameterised twin.
+var keptTwins = []string{
+	"CB.pbzip2-0.9.4", "CS.account_bad",
+	"chess.IWSQ", "chess.IWSQWS", "chess.SWSQ", "chess.WSQ",
+	"goidiom.pipeline_bad", "goidiom.workerpool_bad",
+	"gotime.timer_stop_race_bad", "inspect.qsort_mt", "parsec.streamcluster",
+	"radbench.bug4", "radbench.bug6",
+	"splash2.barnes", "splash2.fft", "splash2.lu",
+}
+
 // runLogged executes program once on a fresh Executor and returns the
 // outcome (trace cloned out of the recycled buffer) and the event log.
-func runLogged(b *Benchmark, program vthread.Runnable, seed uint64, noFlat bool) (*vthread.Outcome, string, vthread.StepStats) {
+func runLogged(b *Benchmark, program vthread.Runnable, seed uint64) (*vthread.Outcome, string, vthread.StepStats) {
 	log := vthread.NewTraceLogger()
 	e := vthread.NewExecutor(vthread.Options{
 		MaxSteps:    b.MaxSteps,
 		BoundsCheck: b.BoundsCheck,
-		Debug:       vthread.Debug{NoFlatEngine: noFlat},
 	})
 	defer e.Close()
 	out := e.RunWith(chooserFor(seed), log, program)
@@ -74,42 +87,50 @@ func diffOutcome(t *testing.T, tag string, flat, ref *vthread.Outcome, flatLog, 
 }
 
 // TestCompiledMatchesReference is the pairwise oracle: flat-engine New()
-// versus goroutine-engine Ref() under every chooser in the spread.
+// versus, on the goroutine engine, Ref() where a twin is kept and the
+// AsProgram bridge otherwise, under every chooser in the spread.
 func TestCompiledMatchesReference(t *testing.T) {
-	paired := 0
+	var twins []string
 	for _, b := range All() {
-		if b.Ref == nil {
+		if b.Ref != nil {
+			twins = append(twins, b.Name)
+		}
+		if _, compiled := b.New().(*vthread.CompiledProgram); !compiled {
+			// misc.safestack is the one deliberate closure-only entry: the
+			// live exerciser of the goroutine reference engine.
+			if b.Name != "misc.safestack" || b.Ref != nil {
+				t.Errorf("%s: New() is not a *CompiledProgram", b.Name)
+			}
 			continue
 		}
-		paired++
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			if _, compiled := b.New().(*vthread.CompiledProgram); !compiled {
-				t.Fatalf("%s declares a Ref twin but New() is not a *CompiledProgram", b.Name)
+			ref := func() vthread.Runnable { return vthread.AsProgram(b.New()) }
+			if b.Ref != nil {
+				ref = func() vthread.Runnable { return b.Ref() }
 			}
 			for _, seed := range equivSeeds {
-				flat, flatLog, fstats := runLogged(b, b.New(), seed, false)
-				ref, refLog, _ := runLogged(b, vthread.Runnable(b.Ref()), seed, false)
-				if fstats.FlatSteps == 0 {
-					t.Fatalf("seed %d: compiled program took no flat steps — flat engine not engaged", seed)
+				flat, flatLog, fstats := runLogged(b, b.New(), seed)
+				want, refLog, rstats := runLogged(b, ref(), seed)
+				if fstats.FlatSteps == 0 || rstats.FlatSteps != 0 {
+					t.Fatalf("seed %d: flat steps %d (compiled), %d (reference); want some, none",
+						seed, fstats.FlatSteps, rstats.FlatSteps)
 				}
-				diffOutcome(t, tagFor(seed), flat, ref, flatLog, refLog)
+				diffOutcome(t, tagFor(seed), flat, want, flatLog, refLog)
 			}
 		})
 	}
-	// misc.safestack is the one deliberate closure-only entry left: the
-	// live exerciser of the goroutine reference engine and the automatic
-	// fallback path. Everything else must be paired.
-	if want := len(All()) - 1; paired != want {
-		t.Fatalf("%d benchmarks carry a Ref twin, want %d (all but the closure-form misc.safestack)", paired, want)
+	slices.Sort(twins)
+	if !slices.Equal(twins, keptTwins) {
+		t.Fatalf("benchmarks carrying a Ref twin: %v, want %v", twins, keptTwins)
 	}
 }
 
-// TestCompiledBridgeMatchesFlat runs the same compiled program with and
-// without Debug.NoFlatEngine: the blocking bridge onto the goroutine
-// engine must reproduce the flat engine's execution exactly. Exercised on
-// a representative slice (one per suite) to keep the run short — the
-// per-instruction semantics it checks do not vary per benchmark.
+// TestCompiledBridgeMatchesFlat runs the same compiled program on the flat
+// engine and through its AsProgram bridge on the goroutine engine: the
+// bridge must reproduce the flat engine's execution exactly. Exercised on a
+// representative slice (one per suite), beside the twins the previous test
+// compares the same programs with.
 func TestCompiledBridgeMatchesFlat(t *testing.T) {
 	names := []string{
 		"CS.twostage_bad", "chess.WSQ", "parsec.streamcluster",
@@ -118,15 +139,15 @@ func TestCompiledBridgeMatchesFlat(t *testing.T) {
 	}
 	for _, name := range names {
 		b := ByName(name)
-		if b == nil || b.Ref == nil {
-			t.Fatalf("%s: not in registry or not migrated", name)
+		if b == nil {
+			t.Fatalf("%s: not in registry", name)
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range equivSeeds[:4] {
-				flat, flatLog, _ := runLogged(b, b.New(), seed, false)
-				bridged, bridgedLog, bstats := runLogged(b, b.New(), seed, true)
-				if bstats.FlatSteps != 0 || bstats.FlatFallbacks == 0 {
-					t.Fatalf("seed %d: NoFlatEngine run still used the flat engine (stats %+v)", seed, bstats)
+				flat, flatLog, _ := runLogged(b, b.New(), seed)
+				bridged, bridgedLog, bstats := runLogged(b, vthread.AsProgram(b.New()), seed)
+				if bstats.FlatSteps != 0 {
+					t.Fatalf("seed %d: the bridged run used the flat engine (stats %+v)", seed, bstats)
 				}
 				diffOutcome(t, tagFor(seed), flat, bridged, flatLog, bridgedLog)
 			}
@@ -135,16 +156,13 @@ func TestCompiledBridgeMatchesFlat(t *testing.T) {
 }
 
 // TestCompiledReplayRoundTrip: a witness trace recorded on the flat engine
-// replays on the reference engine against the closure twin, and vice
-// versa. This is what makes engine choice invisible to Replay users.
+// replays on the reference engine against the closure twin, for every kept
+// twin. This is what makes engine choice invisible to Replay users.
 func TestCompiledReplayRoundTrip(t *testing.T) {
-	for _, name := range []string{"CS.reorder_4_bad", "goidiom.pipeline_bad", "radbench.bug2"} {
+	for _, name := range keptTwins {
 		b := ByName(name)
-		if b == nil || b.Ref == nil {
-			t.Fatalf("%s: not in registry or not migrated", name)
-		}
 		t.Run(name, func(t *testing.T) {
-			flat, _, _ := runLogged(b, b.New(), 7, false)
+			flat, _, _ := runLogged(b, b.New(), 7)
 			rep := vthread.NewReplay(flat.Trace)
 			out := vthread.NewWorld(vthread.Options{
 				Chooser: rep, MaxSteps: b.MaxSteps, BoundsCheck: b.BoundsCheck,

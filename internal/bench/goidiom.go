@@ -19,6 +19,8 @@ package bench
 // value can be executed concurrently by the parallel exploration workers.
 // Plain Go locals shared between closures (pipeline_bad's `total`,
 // select_starve_bad's `processed`) compile to invisible Cells.
+// workerpool_bad and pipeline_bad keep their closure originals as Ref twins
+// (see Benchmark.Ref).
 
 import "sctbench/internal/vthread"
 
@@ -44,7 +46,6 @@ func init() {
 		BugKind: vthread.FailDeadlock,
 		Desc:    "cancellation via closed channel: worker honours the done case while the producer still blocks on a send",
 		New:     func() vthread.Runnable { return compiledCancel() },
-		Ref:     refCancel,
 	})
 
 	register(&Benchmark{
@@ -52,7 +53,6 @@ func init() {
 		BugKind: vthread.FailCrash,
 		Desc:    "double Done: two cleanup paths race on an ownership flag and both decrement the WaitGroup",
 		New:     func() vthread.Runnable { return compiledWgdone() },
-		Ref:     refWgdone,
 	})
 
 	register(&Benchmark{
@@ -60,7 +60,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "select starvation: the quit case can win over pending requests, which then go unprocessed",
 		New:     func() vthread.Runnable { return compiledSelectStarve() },
-		Ref:     refSelectStarve,
 	})
 
 	register(&Benchmark{
@@ -68,7 +67,6 @@ func init() {
 		BugKind: vthread.FailDeadlock,
 		Desc:    "Once reentrancy: a racy readiness flag lets the init body re-enter its own Once (Go: self-deadlock)",
 		New:     func() vthread.Runnable { return compiledOnceReenter() },
-		Ref:     refOnceReenter,
 	})
 }
 
@@ -110,6 +108,8 @@ func compiledWorkerpool() *vthread.CompiledProgram {
 	wk.While(true, func() {
 		v, ok := wk.Recv(jobs)
 		wk.If(eq(ok, 0), func() { wk.Break() })
+		// Bug: the aggregate is a plain read-modify-write; two workers
+		// interleaving here lose an update.
 		wk.AddVar(sum, v)
 	})
 	wk.WGDone(wg)
@@ -177,7 +177,10 @@ func compiledPipeline() *vthread.CompiledProgram {
 	prod.Send(out, prod.Arg(0))
 	prod.Send(out, plus(prod.Arg(0), 1))
 	prod.WGDone(wg)
-	prod.WGWait(wg)
+	prod.WGWait(wg) // both producers drain past here together
+	// Bug: "whoever gets here first closes" is a check-then-act on a plain
+	// flag; two producers interleaving between the load and the store both
+	// close the merged channel (Go: panic).
 	c := prod.Load(closed)
 	prod.If(eq(c, 0), func() {
 		prod.Store(closed, 1)
@@ -200,46 +203,20 @@ func compiledPipeline() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refCancel() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		work := t0.NewChan("work", 1)
-		done := t0.NewChan("done", 1)
-		producer := t0.Spawn(func(tw *vthread.Thread) {
-			// The second send blocks until the worker drains the
-			// first; if the worker obeys the cancellation first,
-			// nobody ever will (Go's classic leaked-producer bug,
-			// here surfacing as a modelled deadlock).
-			work.Send(tw, 1)
-			work.Send(tw, 2)
-		})
-		worker := t0.Spawn(func(tw *vthread.Thread) {
-			for {
-				idx, _, _ := tw.Select([]vthread.SelectCase{
-					vthread.RecvCase(work),
-					vthread.RecvCase(done),
-				}, false)
-				if idx == 1 {
-					return // cancelled
-				}
-			}
-		})
-		done.Close(t0)
-		t0.Join(producer)
-		t0.Join(worker)
-	}
-}
-
 func compiledCancel() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	work := p.Chan("work", 1)
 	done := p.Chan("done", 1)
+	// The producer's second send blocks until the worker drains the first;
+	// if the worker obeys the cancellation first, nobody ever will (Go's
+	// classic leaked-producer bug, here surfacing as a modelled deadlock).
 	prod := p.Body(0, 0)
 	prod.Send(work, 1)
 	prod.Send(work, 2)
 	wk := p.Body(0, 0)
 	wk.While(true, func() {
 		idx, _, _ := wk.Select([]vthread.SCase{vthread.RecvC(work), vthread.RecvC(done)}, false)
-		wk.If(eq(idx, 1), func() { wk.Return() })
+		wk.If(eq(idx, 1), func() { wk.Return() }) // cancelled
 	})
 	mn := p.Main()
 	hp := mn.Spawn(prod)
@@ -250,30 +227,13 @@ func compiledCancel() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refWgdone() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		wg := t0.NewWaitGroup("wg")
-		owner := t0.NewVar("owner", 0)
-		wg.Add(t0, 1)
-		cleanup := func(tw *vthread.Thread) {
-			// Bug: "whoever sees the flag unset owns the final
-			// Done" is a check-then-act; both cleanups interleaving
-			// here drive the counter negative (Go: panic).
-			if owner.Load(tw) == 0 {
-				owner.Store(tw, 1)
-				wg.Done(tw)
-			}
-		}
-		t0.Spawn(cleanup)
-		t0.Spawn(cleanup)
-		wg.Wait(t0)
-	}
-}
-
 func compiledWgdone() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	wg := p.WaitGroup("wg")
 	owner := p.Var("owner", 0)
+	// Bug: "whoever sees the flag unset owns the final Done" is a
+	// check-then-act; both cleanups interleaving here drive the counter
+	// negative (Go: panic).
 	cl := p.Body(0, 0)
 	c := cl.Load(owner)
 	cl.If(eq(c, 0), func() {
@@ -288,35 +248,6 @@ func compiledWgdone() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refSelectStarve() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		reqs := t0.NewChan("reqs", 3)
-		quit := t0.NewChan("quit", 1)
-		processed := 0
-		server := t0.Spawn(func(tw *vthread.Thread) {
-			for {
-				idx, _, _ := tw.Select([]vthread.SelectCase{
-					vthread.RecvCase(reqs),
-					vthread.RecvCase(quit),
-				}, false)
-				if idx == 1 {
-					return // bug: quits even with requests pending
-				}
-				processed++
-			}
-		})
-		client := t0.Spawn(func(tw *vthread.Thread) {
-			for i := 0; i < 3; i++ {
-				reqs.Send(tw, i) // buffered: never blocks
-			}
-			quit.Send(tw, 0)
-		})
-		t0.Join(client)
-		t0.Join(server)
-		t0.Assert(processed == 3, "server quit with %d of 3 requests processed", processed)
-	}
-}
-
 func compiledSelectStarve() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	reqs := p.Chan("reqs", 3)
@@ -325,12 +256,12 @@ func compiledSelectStarve() *vthread.CompiledProgram {
 	srv := p.Body(0, 0)
 	srv.While(true, func() {
 		idx, _, _ := srv.Select([]vthread.SCase{vthread.RecvC(reqs), vthread.RecvC(quit)}, false)
-		srv.If(eq(idx, 1), func() { srv.Return() })
+		srv.If(eq(idx, 1), func() { srv.Return() }) // bug: quits even with requests pending
 		srv.SetCell(processed, func(t *vthread.Thread) int { return t.Cell(processed) + 1 })
 	})
 	cli := p.Body(0, 0)
 	for i := 0; i < 3; i++ {
-		cli.Send(reqs, i)
+		cli.Send(reqs, i) // buffered: never blocks
 	}
 	cli.Send(quit, 0)
 	mn := p.Main()
@@ -343,29 +274,6 @@ func compiledSelectStarve() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refOnceReenter() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		once := t0.NewOnce("init")
-		ready := t0.NewVar("ready", 0)
-		fallback := func(tw *vthread.Thread) {}
-		setter := t0.Spawn(func(tw *vthread.Thread) {
-			ready.Store(tw, 1)
-		})
-		initer := t0.Spawn(func(tw *vthread.Thread) {
-			once.Do(tw, func(ti *vthread.Thread) {
-				// Bug: when the setter has not run yet, the init
-				// body takes the fallback path — which re-enters
-				// the same Once. Go's sync.Once self-deadlocks.
-				if ready.Load(ti) == 0 {
-					once.Do(ti, fallback)
-				}
-			})
-		})
-		t0.Join(setter)
-		t0.Join(initer)
-	}
-}
-
 func compiledOnceReenter() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	once := p.Once("init")
@@ -374,6 +282,9 @@ func compiledOnceReenter() *vthread.CompiledProgram {
 	set.Store(ready, 1)
 	ini := p.Body(0, 0)
 	ini.OnceDo(once, func() {
+		// Bug: when the setter has not run yet, the init body takes the
+		// fallback path — which re-enters the same Once. Go's sync.Once
+		// self-deadlocks.
 		r := ini.Load(ready)
 		ini.If(eq(r, 0), func() {
 			ini.OnceDo(once, func() {})

@@ -16,7 +16,8 @@ package bench
 // value can be executed concurrently by the parallel exploration workers.
 // Thread counts include the clock pseudo-thread, which occupies a ThreadID
 // like any other. Timers, tickers and contexts created by main and used by
-// a child compile to object arguments passed at Spawn.
+// a child compile to object arguments passed at Spawn. timer_stop_race_bad
+// keeps its closure original as the family's Ref twin (see Benchmark.Ref).
 
 import "sctbench/internal/vthread"
 
@@ -26,7 +27,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "select on result vs time.After: the timeout step can win over a worker that was about to deliver",
 		New:     func() vthread.Runnable { return compiledTimeoutVsResult() },
-		Ref:     refTimeoutVsResult,
 	})
 
 	register(&Benchmark{
@@ -34,7 +34,6 @@ func init() {
 		BugKind: vthread.FailDeadlock,
 		Desc:    "ticker consumer checks a stop flag then receives: Stop between check and receive leaves it blocked forever",
 		New:     func() vthread.Runnable { return compiledTickerLeak() },
-		Ref:     refTickerLeak,
 	})
 
 	register(&Benchmark{
@@ -42,7 +41,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "child context's generous deadline is cut short by an inherited parent deadline the caller forgot about",
 		New:     func() vthread.Runnable { return compiledDeadlineInherits() },
-		Ref:     refDeadlineInherits,
 	})
 
 	register(&Benchmark{
@@ -50,7 +48,6 @@ func init() {
 		BugKind: vthread.FailCrash,
 		Desc:    "cancellation cleanup and normal completion race a closed-flag check on the results channel: double close",
 		New:     func() vthread.Runnable { return compiledCancelAfterClose() },
-		Ref:     refCancelAfterClose,
 	})
 
 	register(&Benchmark{
@@ -66,40 +63,22 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "non-blocking Done check then publish: the context can be cancelled in the window, publishing a dead result",
 		New:     func() vthread.Runnable { return compiledCtxCancelRace() },
-		Ref:     refCtxCancelRace,
 	})
-}
-
-func refTimeoutVsResult() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		res := t0.NewChan("res", 1)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			tw.Yield() // the work
-			res.Send(tw, 42)
-		})
-		// Bug: the timeout path treats "clock fired first" as "the
-		// worker failed", but the clock step is just another
-		// schedulable step — it can fire before a perfectly healthy
-		// worker delivers.
-		idx, v, _ := t0.Select([]vthread.SelectCase{
-			vthread.RecvCase(res),
-			vthread.RecvCase(t0.After("timeout", 2)),
-		}, false)
-		t0.Join(w)
-		t0.Assert(idx == 0 && v == 42, "timed out with the result in flight")
-	}
 }
 
 func compiledTimeoutVsResult() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	res := p.Chan("res", 1)
 	wk := p.Body(0, 0)
-	wk.Yield()
+	wk.Yield() // the work
 	wk.Send(res, 42)
 	mn := p.Main()
 	w := mn.Spawn(wk)
-	// Go evaluates the case list before Select: the After registers
-	// first, then the select runs over both channels.
+	// Bug: the timeout path treats "clock fired first" as "the worker
+	// failed", but the clock step is just another schedulable step — it can
+	// fire before a perfectly healthy worker delivers. Go evaluates the case
+	// list before Select: the After registers first, then the select runs
+	// over both channels.
 	after := mn.After("timeout", 2)
 	idx, v, _ := mn.Select([]vthread.SCase{vthread.RecvC(res), vthread.RecvC(after)}, false)
 	mn.Join(w)
@@ -108,29 +87,13 @@ func compiledTimeoutVsResult() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refTickerLeak() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		tk := t0.NewTicker("tick", 2)
-		stop := t0.NewVar("stop", 0)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			// Bug: check-then-act on the stop flag. Between the load
-			// and the receive the owner can set the flag and Stop the
-			// ticker — a receive on a stopped ticker blocks forever.
-			for i := 0; i < 2 && stop.Load(tw) == 0; i++ {
-				tk.C().Recv(tw)
-			}
-		})
-		t0.Yield() // the owner's other work
-		stop.Store(t0, 1)
-		tk.Stop(t0)
-		t0.Join(w)
-	}
-}
-
 func compiledTickerLeak() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	stop := p.Var("stop", 0)
 	wk := p.Body(0, 1) // object arg 0: the ticker
+	// Bug: check-then-act on the stop flag. Between the load and the
+	// receive the owner can set the flag and Stop the ticker — a receive on
+	// a stopped ticker blocks forever.
 	// for i := 0; i < 2 && stop.Load() == 0; i++ — the short-circuit
 	// condition loads the flag only once i < 2 has passed.
 	i := wk.Let(0)
@@ -143,32 +106,11 @@ func compiledTickerLeak() *vthread.CompiledProgram {
 	mn := p.Main()
 	tk := mn.NewTicker("tick", 2)
 	w := mn.Spawn(wk, tk)
-	mn.Yield()
+	mn.Yield() // the owner's other work
 	mn.Store(stop, 1)
 	mn.TickerStop(tk)
 	mn.Join(w)
 	return p.Build()
-}
-
-func refDeadlineInherits() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		parent := t0.WithTimeout("parent", nil, 5)
-		// Bug: the child's own 100-tick budget looks ample for a
-		// 10-tick job, but deadlines inherit: the parent's 5-tick
-		// deadline cancels the whole subtree first.
-		child := t0.WithTimeout("child", parent, 100)
-		res := t0.NewChan("res", 1)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			tw.Sleep("work", 10)
-			res.TrySend(tw, 1)
-		})
-		idx, _, _ := t0.Select([]vthread.SelectCase{
-			vthread.RecvCase(res),
-			vthread.RecvCase(child.Done()),
-		}, false)
-		t0.Join(w)
-		t0.Assert(idx == 0, "gave up at now=%d: %s", t0.Now(), child.Err())
-	}
 }
 
 func compiledDeadlineInherits() *vthread.CompiledProgram {
@@ -179,6 +121,9 @@ func compiledDeadlineInherits() *vthread.CompiledProgram {
 	wk.TrySend(res, 1)
 	mn := p.Main()
 	parent := mn.WithTimeout("parent", vthread.NoCtx, 5)
+	// Bug: the child's own 100-tick budget looks ample for a 10-tick job,
+	// but deadlines inherit: the parent's 5-tick deadline cancels the whole
+	// subtree first.
 	child := mn.WithTimeout("child", parent, 100)
 	w := mn.Spawn(wk)
 	idx, _, _ := mn.Select([]vthread.SCase{vthread.RecvC(res), vthread.RecvC(child)}, false)
@@ -189,43 +134,21 @@ func compiledDeadlineInherits() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refCancelAfterClose() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		ctx := t0.WithCancel("req", nil)
-		out := t0.NewChan("out", 2)
-		closed := t0.NewVar("closed", 0)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			out.Send(tw, 1)
-			// Normal completion closes the channel, then publishes
-			// the fact on a plain flag.
-			out.Close(tw)
-			closed.Store(tw, 1)
-		})
-		canceller := t0.Spawn(func(tw *vthread.Thread) {
-			ctx.Done().Recv(tw)
-			// Bug: "close unless already closed" is a check-then-act
-			// on the flag; the worker can close between the load and
-			// the Close (Go: panic on double close).
-			if closed.Load(tw) == 0 {
-				out.Close(tw)
-			}
-		})
-		ctx.Cancel(t0)
-		t0.Join(w)
-		t0.Join(canceller)
-	}
-}
-
 func compiledCancelAfterClose() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	out := p.Chan("out", 2)
 	closed := p.Var("closed", 0)
+	// Normal completion closes the channel, then publishes the fact on a
+	// plain flag.
 	wk := p.Body(0, 0)
 	wk.Send(out, 1)
 	wk.CloseChan(out)
 	wk.Store(closed, 1)
 	can := p.Body(0, 1) // object arg 0: the context
 	can.Recv(can.OArg(0))
+	// Bug: "close unless already closed" is a check-then-act on the flag;
+	// the worker can close between the load and the Close (Go: panic on
+	// double close).
 	c := can.Load(closed)
 	can.If(eq(c, 0), func() {
 		can.CloseChan(out)
@@ -278,33 +201,13 @@ func compiledTimerStopRace() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refCtxCancelRace() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		ctx := t0.WithCancel("req", nil)
-		published := t0.NewVar("published", 0)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			// Bug: the default-case Done probe and the publish are
-			// two separate steps; cancellation can land in between,
-			// so the cancelled request still gets a result.
-			idx, _, _ := tw.Select([]vthread.SelectCase{
-				vthread.RecvCase(ctx.Done()),
-			}, true)
-			if idx == vthread.DefaultCase {
-				published.Store(tw, 1)
-			}
-		})
-		ctx.Cancel(t0)
-		seen := published.Load(t0)
-		t0.Join(w)
-		t0.Assert(published.Load(t0) == seen,
-			"result published after the request was cancelled")
-	}
-}
-
 func compiledCtxCancelRace() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	published := p.Var("published", 0)
 	wk := p.Body(0, 1) // object arg 0: the context
+	// Bug: the default-case Done probe and the publish are two separate
+	// steps; cancellation can land in between, so the cancelled request
+	// still gets a result.
 	idx, _, _ := wk.Select([]vthread.SCase{vthread.RecvC(wk.OArg(0))}, true)
 	wk.If(eq(idx, vthread.DefaultCase), func() {
 		wk.Store(published, 1)

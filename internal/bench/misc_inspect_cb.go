@@ -11,10 +11,11 @@ package bench
 // technique within the limit, exactly as in Table 3.
 //
 // All entries but misc.safestack are registered in compiled (builder-DSL)
-// form with their closure originals as Ref twins, like the rest of the
-// registry. misc.safestack deliberately stays closure-form: it is the one
-// live exerciser of the goroutine reference engine left in the registry,
-// keeping the automatic closure-program fallback path honest.
+// form, like the rest of the registry; CB.pbzip2-0.9.4 and inspect.qsort_mt
+// keep their closure originals as Ref twins (see Benchmark.Ref).
+// misc.safestack deliberately stays closure-form: it is the one live
+// exerciser of the goroutine reference engine left in the registry, keeping
+// the closure-program path honest.
 
 import "sctbench/internal/vthread"
 
@@ -24,7 +25,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "download resume: interrupt handler saves progress while workers still update it",
 		New:     func() vthread.Runnable { return compiledAgetBug2() },
-		Ref:     refAgetBug2,
 	})
 
 	register(&Benchmark{
@@ -40,7 +40,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "StringBuffer.append: length checked, then the source is erased, then copied",
 		New:     func() vthread.Runnable { return compiledStringbuffer() },
-		Ref:     refStringbuffer,
 	})
 
 	register(&Benchmark{
@@ -56,7 +55,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "ctrace debugging library: unlocked trace-list insert drops an entry",
 		New:     func() vthread.Runnable { return compiledCtraceTest() },
-		Ref:     refCtraceTest,
 	})
 
 	register(&Benchmark{
@@ -67,54 +65,29 @@ func init() {
 	})
 }
 
-func refAgetBug2() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		bwritten := t0.NewVar("bwritten", 0) // racy progress counter
-		saved := t0.NewVar("saved", -1)
-		// Two downloader threads append chunks and bump the shared
-		// progress counter without synchronisation.
-		worker := func(chunks int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				for i := 0; i < chunks; i++ {
-					bwritten.Add(tw, 10) // load+store: the racy update
-				}
-			}
-		}
-		ts := []*vthread.Thread{
-			t0.Spawn(worker(2)),
-			t0.Spawn(worker(2)),
-			// The signal handler (modelled as an async thread, as
-			// the paper did): snapshots progress for the resume
-			// file.
-			t0.Spawn(func(tw *vthread.Thread) {
-				saved.Store(tw, bwritten.Load(tw))
-			}),
-		}
-		joinAll(t0, ts)
-		// Output check (§4.2): the resume record must equal a
-		// consistent prefix: a torn counter update makes it
-		// impossible to resume. Lost updates leave bwritten short.
-		total := bwritten.Load(t0)
-		t0.Assert(total == 40, "lost progress update: bwritten=%d, want 40", total)
-	}
-}
-
 func compiledAgetBug2() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
-	bwritten := p.Var("bwritten", 0)
+	bwritten := p.Var("bwritten", 0) // racy progress counter
 	saved := p.Var("saved", -1)
+	// Two downloader threads append chunks and bump the shared progress
+	// counter without synchronisation.
 	worker := func() *vthread.Code {
 		c := p.Body(0, 0)
-		loopN(c, 2, func() { c.AddVar(bwritten, 10) })
+		loopN(c, 2, func() { c.AddVar(bwritten, 10) }) // load+store: the racy update
 		return c
 	}
 	w1, w2 := worker(), worker()
+	// The signal handler (modelled as an async thread, as the paper did):
+	// snapshots progress for the resume file.
 	sig := p.Body(0, 0)
 	snap := sig.Load(bwritten)
 	sig.Store(saved, snap)
 	mn := p.Main()
 	hs := []vthread.OReg{mn.Spawn(w1), mn.Spawn(w2), mn.Spawn(sig)}
 	joinRegs(mn, hs)
+	// Output check (§4.2): the resume record must equal a consistent
+	// prefix: a torn counter update makes it impossible to resume. Lost
+	// updates leave bwritten short.
 	total := mn.Load(bwritten)
 	mn.Assert(eq(total, 40), "lost progress update: bwritten=%d, want 40", total)
 	return p.Build()
@@ -180,39 +153,17 @@ func compiledPbzip2() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refStringbuffer() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		// sb2 is the source buffer; its length is racy between the
-		// appender's check and its copy (the JDK 1.4 bug).
-		len2 := t0.NewVar("len2", 4)
-		data2 := t0.NewArray("data2", 4)
-		t0.Spawn(func(tw *vthread.Thread) {
-			// erase(): truncate the source.
-			len2.Store(tw, 0)
-		})
-		// append(sb2): check-then-act over the source length.
-		n := len2.Load(t0)
-		copied := 0
-		for i := 0; i < n; i++ {
-			cur := len2.Load(t0)
-			if i < cur || cur == 4 {
-				_ = data2.Get(t0, i)
-				copied++
-			}
-		}
-		t0.Assert(copied == 0 || copied == n,
-			"torn append: copied %d of %d characters", copied, n)
-	}
-}
-
 func compiledStringbuffer() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
+	// sb2 is the source buffer; its length is racy between the appender's
+	// check and its copy (the JDK 1.4 bug).
 	len2 := p.Var("len2", 4)
 	data2 := p.Array("data2", 4)
 	er := p.Body(0, 0)
-	er.Store(len2, 0)
+	er.Store(len2, 0) // erase(): truncate the source
 	mn := p.Main()
 	mn.Spawn(er)
+	// append(sb2): check-then-act over the source length.
 	n := mn.Load(len2)
 	copied := mn.Let(0)
 	i := mn.Let(0)
@@ -319,28 +270,9 @@ func compiledQsortMt() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refCtraceTest() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		count := t0.NewVar("count", 0) // racy list length
-		entries := t0.NewArray("entries", 8)
-		trace := func(tw *vthread.Thread, ev int) {
-			n := count.Load(tw)
-			entries.Set(tw, n, ev)
-			count.Store(tw, n+1)
-		}
-		ts := []*vthread.Thread{
-			t0.Spawn(func(tw *vthread.Thread) { trace(tw, 1); trace(tw, 2) }),
-			t0.Spawn(func(tw *vthread.Thread) { trace(tw, 3) }),
-		}
-		joinAll(t0, ts)
-		n := count.Load(t0)
-		t0.Assert(n == 3, "trace list dropped entries: %d of 3", n)
-	}
-}
-
 func compiledCtraceTest() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
-	count := p.Var("count", 0)
+	count := p.Var("count", 0) // racy list length
 	entries := p.Array("entries", 8)
 	emitTrace := func(c *vthread.Code, ev int) {
 		n := c.Load(count)

@@ -7,11 +7,12 @@ package bench
 // suite's bug — a macro set that omits "wait for threads to terminate", so
 // the master can read results before the workers finish writing them.
 //
-// Registered in compiled form (New, flat engine) with the closure original
-// as the Ref equivalence twin. Long noise loops (radbench churn, the
-// streamcluster pre-barrier phases) compile to register-counted While
-// loops rather than unrolled sequences — visible-op-identical, far fewer
-// instructions.
+// Registered in compiled form (New, flat engine). parsec.streamcluster,
+// radbench.bug4, radbench.bug6 and the SPLASH-2 family keep their closure
+// originals as Ref twins (see Benchmark.Ref). Long noise loops (radbench
+// churn, the streamcluster pre-barrier phases) compile to register-counted
+// While loops rather than unrolled sequences — visible-op-identical, far
+// fewer instructions.
 
 import "sctbench/internal/vthread"
 
@@ -21,7 +22,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "pipeline: a stage thread must stay unscheduled while all others drain the queue",
 		New:     func() vthread.Runnable { return compiledFerret() },
-		Ref:     ferret,
 	})
 	register(&Benchmark{
 		ID: 40, Name: "parsec.streamcluster", Suite: "PARSEC", Threads: 5,
@@ -35,14 +35,12 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "three-worker variant: incorrect output when a straggler's contribution is dropped",
 		New:     func() vthread.Runnable { return compiledStreamcluster2() },
-		Ref:     streamcluster2,
 	})
 	register(&Benchmark{
 		ID: 42, Name: "parsec.streamcluster3", Suite: "PARSEC", Threads: 5,
 		BugKind: vthread.FailAssert,
 		Desc:    "out-of-bounds access when the master leaves the barrier after a worker (manual assertion, §4.2)",
 		New:     func() vthread.Runnable { return compiledStreamcluster3() },
-		Ref:     streamcluster3,
 	})
 
 	registerSplash(49, "splash2.barnes", 60)
@@ -54,21 +52,18 @@ func init() {
 		BugKind: vthread.FailCrash,
 		Desc:    "SpiderMonkey: hash table destroyed while another thread still dereferences it",
 		New:     func() vthread.Runnable { return compiledRadbench1() },
-		Ref:     radbench1,
 	})
 	register(&Benchmark{
 		ID: 44, Name: "radbench.bug2", Suite: "RADBench", Threads: 2,
 		BugKind: vthread.FailAssert,
 		Desc:    "two threads, three ordering constraints: needs exactly three preemptions = three delays",
 		New:     func() vthread.Runnable { return compiledRadbench2() },
-		Ref:     radbench2,
 	})
 	register(&Benchmark{
 		ID: 45, Name: "radbench.bug3", Suite: "RADBench", Threads: 3,
 		BugKind: vthread.FailDeadlock,
 		Desc:    "NSPR: notify on the wrong monitor deadlocks the round-robin schedule itself",
 		New:     func() vthread.Runnable { return compiledRadbench3() },
-		Ref:     radbench3,
 	})
 	register(&Benchmark{
 		ID: 46, Name: "radbench.bug4", Suite: "RADBench", Threads: 3,
@@ -82,7 +77,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "idiom bug: remote dependency flip buried under six threads of noise",
 		New:     func() vthread.Runnable { return compiledRadbench5() },
-		Ref:     radbench5,
 	})
 	register(&Benchmark{
 		ID: 48, Name: "radbench.bug6", Suite: "RADBench", Threads: 3,
@@ -93,7 +87,7 @@ func init() {
 	})
 }
 
-// ferret models the PARSEC content-similarity pipeline: a load stage
+// compiledFerret models the PARSEC content-similarity pipeline: a load stage
 // (spawned first) enqueues the work item; nine downstream stage threads
 // process queue traffic and shut the pipeline down when the last of them
 // finishes, checking that the load stage produced anything at all. The
@@ -105,41 +99,6 @@ func init() {
 // misses the bug — the Table 3 signature of this benchmark. Preemption
 // bounding drowns at bound zero: ten threads' exit orderings alone exceed
 // the schedule limit.
-func ferret() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		const consumers = 9
-		m := t0.NewMutex("pipe")
-		queued := t0.NewVar("queued", 0)
-		processed := t0.NewVar("processed", 0)
-		noise := t0.NewVar("noise", 0)
-		ts := make([]*vthread.Thread, 0, consumers+1)
-		// The load stage: its entire contribution is its first operation.
-		ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-			m.Lock(tw)
-			queued.Add(tw, 1)
-			m.Unlock(tw)
-		}))
-		for i := 0; i < consumers; i++ {
-			ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-				for round := 0; round < 6; round++ {
-					m.Lock(tw)
-					noise.Add(tw, 1)
-					m.Unlock(tw)
-				}
-				m.Lock(tw)
-				p := processed.Add(tw, 1)
-				if p == consumers {
-					// Shutdown: the pipeline must have seen the work item.
-					tw.Assert(queued.Load(tw) > 0,
-						"pipeline shut down before the load stage ran")
-				}
-				m.Unlock(tw)
-			}))
-		}
-		joinAll(t0, ts)
-	}
-}
-
 func compiledFerret() *vthread.CompiledProgram {
 	const consumers = 9
 	p := vthread.NewBuilder()
@@ -147,6 +106,7 @@ func compiledFerret() *vthread.CompiledProgram {
 	queued := p.Var("queued", 0)
 	processed := p.Var("processed", 0)
 	noise := p.Var("noise", 0)
+	// The load stage: its entire contribution is its first operation.
 	load := p.Body(0, 0)
 	load.Lock(m)
 	load.AddVar(queued, 1)
@@ -160,6 +120,7 @@ func compiledFerret() *vthread.CompiledProgram {
 	cons.Lock(m)
 	pr := cons.AddVar(processed, 1)
 	cons.If(eq(pr, consumers), func() {
+		// Shutdown: the pipeline must have seen the work item.
 		q := cons.Load(queued)
 		cons.Assert(gt(q, 0), "pipeline shut down before the load stage ran")
 	})
@@ -241,42 +202,22 @@ func compiledStreamcluster1() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// streamcluster2: the three-versions variant with the paper's added output
+// compiledStreamcluster2: the three-versions variant with the paper's added output
 // check. Six workers accumulate the clustering cost with a racy
 // read-modify-write in the first phase only; a torn update (one
 // preemption/delay inside someone's Add) loses a contribution and the
 // final cost check fails. The second phase is pure barrier noise: its 5!
 // wake orders push the zero-preemption space past the limit for IPB and
 // give DFS a bug-free deep tail.
-func streamcluster2() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		const workers = 6
-		b := t0.NewBarrier("phase", workers)
-		cost := t0.NewVar("cost", 0)
-		ts := make([]*vthread.Thread, workers)
-		for i := 0; i < workers; i++ {
-			ts[i] = t0.Spawn(func(tw *vthread.Thread) {
-				cost.Add(tw, 10) // racy accumulate (phase 0)
-				b.Arrive(tw)
-				b.Arrive(tw) // phase 1: noise
-			})
-		}
-		joinAll(t0, ts)
-		got := cost.Load(t0)
-		// Output check added by the paper (§4.2).
-		t0.Assert(got == workers*10, "incorrect output: cost=%d, want %d", got, workers*10)
-	}
-}
-
 func compiledStreamcluster2() *vthread.CompiledProgram {
 	const workers = 6
 	p := vthread.NewBuilder()
 	b := p.Barrier("phase", workers)
 	cost := p.Var("cost", 0)
 	wk := p.Body(0, 0)
-	wk.AddVar(cost, 10)
+	wk.AddVar(cost, 10) // racy accumulate (phase 0)
 	wk.Arrive(b)
-	wk.Arrive(b)
+	wk.Arrive(b) // phase 1: noise
 	mn := p.Main()
 	hs := make([]vthread.OReg, 0, workers)
 	for i := 0; i < workers; i++ {
@@ -284,11 +225,12 @@ func compiledStreamcluster2() *vthread.CompiledProgram {
 	}
 	joinRegs(mn, hs)
 	got := mn.Load(cost)
+	// Output check added by the paper (§4.2).
 	mn.Assert(eq(got, workers*10), "incorrect output: cost=%d, want %d", got, workers*10)
 	return p.Build()
 }
 
-// streamcluster3: the previously unknown out-of-bounds access found by the
+// compiledStreamcluster3: the previously unknown out-of-bounds access found by the
 // paper's OOB detector, and its IPB-beats-IDB outlier. The master (created
 // first) and the checker both arrive at the resize barrier early and
 // block; two noise workers arrive after long computations, the last one
@@ -301,42 +243,6 @@ func compiledStreamcluster2() *vthread.CompiledProgram {
 // schedules, while delay bounding must enumerate ~the whole bound-one
 // space. The paper's Figure 4 calls this benchmark out as the worst case
 // for IDB.
-func streamcluster3() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		const workers = 4
-		b := t0.NewBarrier("resize", workers)
-		size := t0.NewVar("size", 2)
-		table := t0.NewArray("table", 8)
-		traffic := t0.NewVar("traffic", 0)
-		ts := make([]*vthread.Thread, workers)
-		for i := 0; i < workers; i++ {
-			i := i
-			ts[i] = t0.Spawn(func(tw *vthread.Thread) {
-				switch i {
-				case 0: // master
-					b.Arrive(tw)
-					size.Store(tw, 4)
-					table.Set(tw, 3, 1)
-				case 1: // checker: indexes the resized extent
-					b.Arrive(tw)
-					n := size.Load(tw)
-					// Manual assertion standing in for the OOB detector
-					// (§4.2): indexing element 3 is valid only after the
-					// master's resize.
-					tw.Assert(n >= 4, "index 3 out of bounds: table extent still %d", n)
-					_ = table.Get(tw, 3)
-				default: // noise arrivers with long pre-barrier phases
-					for r := 0; r < 300; r++ {
-						traffic.Add(tw, 1)
-					}
-					b.Arrive(tw)
-				}
-			})
-		}
-		joinAll(t0, ts)
-	}
-}
-
 func compiledStreamcluster3() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	b := p.Barrier("resize", 4)
@@ -350,6 +256,8 @@ func compiledStreamcluster3() *vthread.CompiledProgram {
 	ck := p.Body(0, 0)
 	ck.Arrive(b)
 	n := ck.Load(size)
+	// Manual assertion standing in for the OOB detector (§4.2): indexing
+	// element 3 is valid only after the master's resize.
 	ck.Assert(ge(n, 4), "index 3 out of bounds: table extent still %d", n)
 	ck.Get(table, 3)
 	nz := p.Body(0, 0)
@@ -361,7 +269,7 @@ func compiledStreamcluster3() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// radbench1: SpiderMonkey's JSRuntime hash-table teardown race. The user
+// compiledRadbench1: SpiderMonkey's JSRuntime hash-table teardown race. The user
 // thread locks the runtime early in its life; the destroyer tears the
 // runtime down at the END of a long shutdown path; four traffic threads
 // generate thousands of scheduling points. The crash (locking a destroyed
@@ -373,38 +281,6 @@ func compiledStreamcluster3() *vthread.CompiledProgram {
 // random scheduling would have to starve the user's first step across the
 // destroyer's entire shutdown path. This is the paper's "the large number
 // of scheduling points pushes the bug out of reach" benchmark.
-func radbench1() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		rt := t0.NewMutex("runtime")
-		traffic := t0.NewVar("traffic", 0)
-		churn := func(n int) func(tw *vthread.Thread) {
-			return func(tw *vthread.Thread) {
-				for r := 0; r < n; r++ {
-					traffic.Add(tw, 1)
-				}
-			}
-		}
-		ts := make([]*vthread.Thread, 0, 5)
-		// The destroyer: a long shutdown path, then the teardown.
-		ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-			churn(1000)(tw)
-			rt.Destroy(tw)
-		}))
-		for i := 0; i < 4; i++ {
-			ts = append(ts, t0.Spawn(func(tw *vthread.Thread) { churn(1000)(tw) }))
-		}
-		// Main is the runtime user. Its lock is its first operation after
-		// the spawns, and main remains enabled throughout them, so under
-		// any zero-preemption schedule the lock precedes the teardown; the
-		// crash needs main's first step delayed past the destroyer's whole
-		// shutdown path.
-		rt.Lock(t0)
-		rt.Unlock(t0)
-		churn(1000)(t0)
-		joinAll(t0, ts)
-	}
-}
-
 func compiledRadbench1() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	rt := p.Mutex("runtime")
@@ -412,6 +288,7 @@ func compiledRadbench1() *vthread.CompiledProgram {
 	churn := func(c *vthread.Code, n int) {
 		loopN(c, n, func() { c.AddVar(traffic, 1) })
 	}
+	// The destroyer: a long shutdown path, then the teardown.
 	des := p.Body(0, 0)
 	churn(des, 1000)
 	des.DestroyMutex(rt)
@@ -423,6 +300,11 @@ func compiledRadbench1() *vthread.CompiledProgram {
 	for i := 0; i < 4; i++ {
 		hs = append(hs, mn.Spawn(noise))
 	}
+	// Main is the runtime user. Its lock is its first operation after the
+	// spawns, and main remains enabled throughout them, so under any
+	// zero-preemption schedule the lock precedes the teardown; the crash
+	// needs main's first step delayed past the destroyer's whole shutdown
+	// path.
 	mn.Lock(rt)
 	mn.Unlock(rt)
 	churn(mn, 1000)
@@ -430,7 +312,7 @@ func compiledRadbench1() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// radbench2: the two-thread SpiderMonkey bug that needs three preemptions
+// compiledRadbench2: the two-thread SpiderMonkey bug that needs three preemptions
 // — three separate ordering constraints between the same two threads:
 // the watcher must observe the armed flag before main disarms it, main
 // must then disarm-and-publish, and the watcher must observe the
@@ -439,37 +321,6 @@ func compiledRadbench1() *vthread.CompiledProgram {
 // schedules (§6 of the paper notes exactly this). Noise operations pad
 // each segment so the bound-3 space is thousands of schedules and
 // unbounded DFS drowns in the 2^points interleavings.
-func radbench2() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		armed := t0.NewVar("armed", 0)
-		temp := t0.NewVar("temp", 0)
-		published := t0.NewVar("published", 0)
-		pad := t0.NewVar("pad", 0)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			sawArmed := armed.Load(tw) // constraint 1: inside the armed window
-			for r := 0; r < 4; r++ {
-				pad.Add(tw, 1)
-			}
-			sawTemp := temp.Load(tw)     // constraint 2: inside the temp window
-			sawPub := published.Load(tw) // constraint 3: after the publication
-			tw.Assert(!(sawArmed == 1 && sawTemp == 1 && sawPub == 1),
-				"watcher observed armed, temp and published states out of order")
-		})
-		armed.Store(t0, 1) // open window 1
-		for r := 0; r < 5; r++ {
-			pad.Add(t0, 1)
-		}
-		armed.Store(t0, 0)     // close window 1
-		temp.Store(t0, 1)      // open window 2
-		published.Store(t0, 1) // window 3 opens inside window 2…
-		temp.Store(t0, 0)      // …which closes immediately after
-		for r := 0; r < 5; r++ {
-			pad.Add(t0, 1)
-		}
-		t0.Join(w)
-	}
-}
-
 func compiledRadbench2() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	armed := p.Var("armed", 0)
@@ -477,59 +328,29 @@ func compiledRadbench2() *vthread.CompiledProgram {
 	published := p.Var("published", 0)
 	pad := p.Var("pad", 0)
 	wt := p.Body(0, 0)
-	sawArmed := wt.Load(armed)
+	sawArmed := wt.Load(armed) // constraint 1: inside the armed window
 	loopN(wt, 4, func() { wt.AddVar(pad, 1) })
-	sawTemp := wt.Load(temp)
-	sawPub := wt.Load(published)
+	sawTemp := wt.Load(temp)     // constraint 2: inside the temp window
+	sawPub := wt.Load(published) // constraint 3: after the publication
 	wt.Assert(func(t *vthread.Thread) bool {
 		return !(t.Reg(sawArmed) == 1 && t.Reg(sawTemp) == 1 && t.Reg(sawPub) == 1)
 	}, "watcher observed armed, temp and published states out of order")
 	mn := p.Main()
 	w := mn.Spawn(wt)
-	mn.Store(armed, 1)
+	mn.Store(armed, 1) // open window 1
 	loopN(mn, 5, func() { mn.AddVar(pad, 1) })
-	mn.Store(armed, 0)
-	mn.Store(temp, 1)
-	mn.Store(published, 1)
-	mn.Store(temp, 0)
+	mn.Store(armed, 0)     // close window 1
+	mn.Store(temp, 1)      // open window 2
+	mn.Store(published, 1) // window 3 opens inside window 2…
+	mn.Store(temp, 0)      // …which closes immediately after
 	loopN(mn, 5, func() { mn.AddVar(pad, 1) })
 	mn.Join(w)
 	return p.Build()
 }
 
-// radbench3: NSPR monitor misuse — a notification is consumed before the
+// compiledRadbench3: NSPR monitor misuse — a notification is consumed before the
 // peer waits and the reply notification is missing entirely, so the
 // round-robin schedule (and nearly every other) deadlocks immediately.
-func radbench3() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		m := t0.NewMutex("mon")
-		cv := t0.NewCond("mon.cv")
-		stage := t0.NewVar("stage", 0)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			m.Lock(tw)
-			cv.Signal(tw) // lost or stolen: nobody waits yet
-			stage.Store(tw, 1)
-			for stage.Load(tw) != 2 {
-				cv.Wait(tw, m)
-			}
-			m.Unlock(tw)
-		})
-		helper := t0.Spawn(func(tw *vthread.Thread) {
-			m.Lock(tw)
-			m.Unlock(tw)
-		})
-		m.Lock(t0)
-		for stage.Load(t0) != 1 {
-			cv.Wait(t0, m)
-		}
-		stage.Store(t0, 2)
-		// Missing cv.Signal(t0) — the second lost notification.
-		m.Unlock(t0)
-		t0.Join(w)
-		t0.Join(helper)
-	}
-}
-
 func compiledRadbench3() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	m := p.Mutex("mon")
@@ -537,7 +358,7 @@ func compiledRadbench3() *vthread.CompiledProgram {
 	stage := p.Var("stage", 0)
 	w := p.Body(0, 0)
 	w.Lock(m)
-	w.Signal(cv)
+	w.Signal(cv) // lost or stolen: nobody waits yet
 	w.Store(stage, 1)
 	s := w.Load(stage)
 	w.While(ne(s, 2), func() {
@@ -560,6 +381,7 @@ func compiledRadbench3() *vthread.CompiledProgram {
 		mn.Set(s0, l)
 	})
 	mn.Store(stage, 2)
+	// Missing Signal(cv) — the second lost notification.
 	mn.Unlock(m)
 	mn.Join(hw)
 	mn.Join(hh)
@@ -657,7 +479,7 @@ func compiledRadbench4() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// radbench5: the MapleAlg-only bug. The draft-state reader (created
+// compiledRadbench5: the MapleAlg-only bug. The draft-state reader (created
 // early) performs its racy check as its very first operation; the writer
 // publishes at the end of a long path, behind four noise threads. Exactly
 // the same buried-shallow-window structure as radbench1 — systematic
@@ -667,37 +489,6 @@ func compiledRadbench4() *vthread.CompiledProgram {
 // so idiom-driven active testing (the Maple algorithm) profiles the
 // consume-before-publish order, flips it, holds the reader back, and
 // exposes the bug in a handful of runs.
-func radbench5() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		published := t0.NewVar("published", 0)
-		noise := t0.NewVar("noise5", 0)
-		churn := func(n int) func(tw *vthread.Thread) {
-			return func(tw *vthread.Thread) {
-				for r := 0; r < n; r++ {
-					noise.Add(tw, 1)
-				}
-			}
-		}
-		ts := make([]*vthread.Thread, 0, 6)
-		// Writer: publishes at the end of a long path.
-		ts = append(ts, t0.Spawn(func(tw *vthread.Thread) {
-			churn(1000)(tw)
-			published.Store(tw, 1)
-		}))
-		for i := 0; i < 5; i++ {
-			ts = append(ts, t0.Spawn(func(tw *vthread.Thread) { churn(1000)(tw) }))
-		}
-		// Main consumes the draft state right after the spawns; its load
-		// must be dragged past the writer's entire path for the bug to
-		// fire, which only the idiom-driven active scheduler does reliably.
-		if published.Load(t0) == 1 {
-			t0.Fail("consumed draft state after publication")
-		}
-		churn(1000)(t0)
-		joinAll(t0, ts)
-	}
-}
-
 func compiledRadbench5() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	published := p.Var("published", 0)
@@ -705,6 +496,7 @@ func compiledRadbench5() *vthread.CompiledProgram {
 	churn := func(c *vthread.Code, n int) {
 		loopN(c, n, func() { c.AddVar(noise, 1) })
 	}
+	// Writer: publishes at the end of a long path.
 	wr := p.Body(0, 0)
 	churn(wr, 1000)
 	wr.Store(published, 1)
@@ -716,6 +508,9 @@ func compiledRadbench5() *vthread.CompiledProgram {
 	for i := 0; i < 5; i++ {
 		hs = append(hs, mn.Spawn(nz))
 	}
+	// Main consumes the draft state right after the spawns; its load must
+	// be dragged past the writer's entire path for the bug to fire, which
+	// only the idiom-driven active scheduler does reliably.
 	pub := mn.Load(published)
 	mn.FailIf(eq(pub, 1), "consumed draft state after publication")
 	churn(mn, 1000)

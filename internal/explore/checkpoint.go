@@ -773,7 +773,7 @@ func sequentialCheckpoint(cfg Config, r *Result, e PassEnd, eng searcher, res *U
 // Resume reconstructs an interrupted exploration from a checkpoint and
 // runs it onward — to completion, the limit, or the next interruption.
 // cfg supplies the program and environment (Program, Visible, BoundsCheck,
-// MaxSteps, Debug, Workers) plus fresh stop/checkpoint controls; the search
+// MaxSteps, Workers) plus fresh stop/checkpoint controls; the search
 // parameters (Limit, Seed, MaxBound, MaxExecutions) come from the
 // checkpoint. Every shape resumes the same way — a baseline Result, the live
 // units of the interrupted pass, and the driver that wrote them: a

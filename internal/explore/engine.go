@@ -118,7 +118,6 @@ func newExecutor(cfg Config) *vthread.Executor {
 		Visible:     cfg.Visible,
 		MaxSteps:    cfg.MaxSteps,
 		BoundsCheck: cfg.BoundsCheck,
-		Debug:       cfg.Debug,
 	})
 }
 

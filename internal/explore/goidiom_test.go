@@ -77,30 +77,40 @@ func goidiomConfigs(t *testing.T) map[string]*bench.Benchmark {
 	return out
 }
 
-// assertEngineEquivalence: on each of the (compiled) benchmarks, DFS,
-// sleep-set DFS and DPOR find the registered bug and produce bit-identical
-// counts, steps, witnesses and verdicts on the flat engine and on the
-// reference engine (Debug.NoFlatEngine).
+// assertEngineEquivalence: on each of the (compiled) benchmarks, every
+// technique — DFS, sleep-set DFS, DPOR, IPB, IDB and Rand — finds the
+// registered bug and produces bit-identical counts, steps, witnesses and
+// verdicts on the flat engine and on the reference engine (the program's
+// AsProgram bridge). Rand, which spends its whole budget, runs at a smaller
+// limit.
 func assertEngineEquivalence(t *testing.T, benches map[string]*bench.Benchmark) {
-	runs := map[string]func(Config) *Result{
-		"DFS":      RunDFS,
-		"sleepset": RunSleepSetDFS,
-		"DPOR":     RunDPOR,
+	iterative := func(model CostModel) func(Config) *Result {
+		return func(cfg Config) *Result { return RunIterative(cfg, model) }
+	}
+	runs := map[string]struct {
+		run   func(Config) *Result
+		limit int
+	}{
+		"DFS":      {RunDFS, 20000},
+		"sleepset": {RunSleepSetDFS, 20000},
+		"DPOR":     {RunDPOR, 20000},
+		"IPB":      {iterative(CostPreemptions), 20000},
+		"IDB":      {iterative(CostDelays), 20000},
+		"Rand":     {RunRand, 1000},
 	}
 	for name, b := range benches {
-		for tech, run := range runs {
+		for tech, r := range runs {
 			t.Run(fmt.Sprintf("%s/%s", tech, name), func(t *testing.T) {
-				cfg := Config{Program: b.New(), BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps, Limit: 20000}
-				flat := run(cfg)
+				cfg := Config{Program: b.New(), BoundsCheck: b.BoundsCheck, MaxSteps: b.MaxSteps, Limit: r.limit, Seed: 1}
+				flat := r.run(cfg)
 				if !flat.BugFound {
 					t.Fatalf("%s did not find the %s bug", tech, name)
 				}
 				if flat.Failure.Kind != b.BugKind {
 					t.Fatalf("%s found a %v bug, registry says %v", tech, flat.Failure.Kind, b.BugKind)
 				}
-				cfg.Program = b.New()
-				cfg.Debug = vthread.Debug{NoFlatEngine: true}
-				assertCountsEqual(t, fmt.Sprintf("%s/%s/ref", tech, name), flat, run(cfg))
+				cfg.Program = vthread.AsProgram(b.New())
+				assertCountsEqual(t, fmt.Sprintf("%s/%s/ref", tech, name), flat, r.run(cfg))
 			})
 		}
 	}
@@ -110,6 +120,14 @@ func assertEngineEquivalence(t *testing.T, benches map[string]*bench.Benchmark) 
 // on both engines (see assertEngineEquivalence).
 func TestGoIdiomFastPathEquivalence(t *testing.T) {
 	assertEngineEquivalence(t, goidiomConfigs(t))
+}
+
+// TestStudyProgramsEngineEquivalence: a CS program explores identically on
+// both engines under every technique of the study. With the GoIdiom family's
+// goidiom.pipeline_bad it is the pair a whole study once compared on both
+// engines.
+func TestStudyProgramsEngineEquivalence(t *testing.T) {
+	assertEngineEquivalence(t, map[string]*bench.Benchmark{"CS.account_bad": bench.ByName("CS.account_bad")})
 }
 
 // TestGoIdiomPruningConsistency: the pruning engines reach the DFS verdict

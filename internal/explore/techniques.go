@@ -87,11 +87,6 @@ type Config struct {
 	// higher bounds (0 means DefaultMaxExecutions). Purely a guard rail;
 	// the study's benchmarks stay far below it.
 	MaxExecutions int
-	// Debug forwards the engine switch to every executor this exploration
-	// creates (vthread.Options.Debug). The zero value is correct for every
-	// production use; the flat-vs-reference equivalence tests set
-	// NoFlatEngine to prove results are bit-identical on either engine.
-	Debug vthread.Debug
 	// Workers is the number of worker goroutines exploring the schedule
 	// space (0 or 1 = sequential: the search runs on the caller's goroutine,
 	// through the same unit step, merge and verdict the scheduler runs).

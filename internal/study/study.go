@@ -18,7 +18,6 @@ import (
 	"sctbench/internal/explore"
 	"sctbench/internal/mapleidiom"
 	"sctbench/internal/race"
-	"sctbench/internal/vthread"
 )
 
 // Config parameterises a study run.
@@ -50,11 +49,6 @@ type Config struct {
 	Workers int
 	// Progress, when non-nil, receives one line per completed phase.
 	Progress func(format string, args ...any)
-	// Debug forwards the engine switch to every exploration this study
-	// creates. The zero value is the production configuration: compiled
-	// benchmarks on the flat engine; set NoFlatEngine to force the
-	// goroutine reference engine for an A/B run.
-	Debug vthread.Debug
 	// Interrupt, when non-nil, truncates the study when it is closed: rows
 	// not yet started are skipped, rows in flight finish dirty and are
 	// discarded (see RunStudy).
@@ -198,7 +192,6 @@ func RunBenchmark(b *bench.Benchmark, cfg Config) *Row {
 			Limit:       cfg.Limit,
 			Seed:        seedFor(cfg.Seed, b.ID, 2+uint64(tech)),
 			Workers:     cfg.Workers,
-			Debug:       cfg.Debug,
 			Interrupt:   cfg.Interrupt,
 			Deadline:    cfg.Deadline,
 			Corpus:      cfg.Corpus,

@@ -32,7 +32,6 @@ import (
 	"sctbench/internal/corpus"
 	"sctbench/internal/explore"
 	"sctbench/internal/race"
-	"sctbench/internal/vthread"
 )
 
 // SwarmConfig parameterises a swarm sweep.
@@ -59,8 +58,6 @@ type SwarmConfig struct {
 	Parallelism int
 	// Workers is the per-exploration worker count (explore.Config.Workers).
 	Workers int
-	// Debug forwards the engine switch to every cell.
-	Debug vthread.Debug
 	// Interrupt and Deadline truncate the sweep: benchmarks not yet
 	// started are skipped (their cells carry a nil Result), benchmarks in
 	// flight finish their current cell dirty and skip the rest.
@@ -220,7 +217,6 @@ func runSwarmBench(b *bench.Benchmark, cfg SwarmConfig) []*SwarmCell {
 					Seed:        seedFor(seed, b.ID, 2+uint64(tech)),
 					MaxBound:    bound,
 					Workers:     cfg.Workers,
-					Debug:       cfg.Debug,
 					Interrupt:   cfg.Interrupt,
 					Deadline:    cfg.Deadline,
 					Corpus:      cfg.Corpus,

@@ -238,14 +238,15 @@ package vthread
 // still unwinds a failed assertion, because there a goroutine must give the
 // baton back.
 //
-// Engine selection is by representation, at the Executor: RunWith runs a
-// closure Program on the reference engine and a *CompiledProgram on the
-// flat engine, unless Debug.NoFlatEngine bridges it back onto the
-// reference engine via AsProgram (StepStats counts FlatSteps and
-// FlatFallbacks; a single-use World always takes the bridge). See
-// prog.go for the registration/perform protocol and the op-for-op
-// translation contract that equivalence rests on, and
-// internal/bench/equiv_test.go for the registry-wide enforcement.
+// Engine selection is by representation, at the Executor, and nothing else
+// selects it: RunWith runs a closure Program on the reference engine and a
+// *CompiledProgram on the flat engine (StepStats counts FlatSteps). To run a
+// compiled program on the reference engine, pass AsProgram(cp), the blocking
+// bridge; a single-use World always takes it. See prog.go for the
+// registration/perform protocol and the op-for-op translation contract that
+// equivalence rests on, internal/bench/equiv_test.go for the registry-wide
+// enforcement, and vthread_test's opcode coverage guard for what keeps the
+// closure twins there sufficient.
 //
 // # Continuing from a saved prefix (Executor.RunFrom)
 //
@@ -267,12 +268,12 @@ package vthread
 // saved. The cache is only ever a cache: the Outcome (full-length Trace, every
 // counter) and StepStats.FlatSteps are those of a run from the initial state;
 // StepStats.RunsResumed, StepsSkipped and Snapshots say what it did instead.
-// Closure Programs, Debug.NoFlatEngine runs and programs that create objects
-// at run time (selects, timers, tickers, contexts, dynamic mutexes) are never
-// saved: for them RunFrom is RunWith. What RunFrom asks of a program is what
-// prog.go asks already: operand closures are pure functions of registers,
-// cells and object registers, because a continued run does not evaluate the
-// prefix's operands again.
+// Closure Programs (AsProgram bridges included) and programs that create
+// objects at run time (selects, timers, tickers, contexts, dynamic mutexes)
+// are never saved: for them RunFrom is RunWith. What RunFrom asks of a
+// program is what prog.go asks already: operand closures are pure functions
+// of registers, cells and object registers, because a continued run does not
+// evaluate the prefix's operands again.
 //
 // # Determinism contract
 //

@@ -71,6 +71,18 @@ func branchChooser(branch []int) Chooser {
 	})
 }
 
+// Engines runs a program on both engines: as given (the flat engine, for a
+// compiled program) and through its AsProgram bridge (the reference engine).
+// A closure program runs on the reference engine both times. Exported to the
+// external test package's registry sweeps.
+var Engines = []struct {
+	Name string
+	Of   func(Runnable) Runnable
+}{
+	{"as given", func(p Runnable) Runnable { return p }},
+	{"reference", func(p Runnable) Runnable { return AsProgram(p) }},
+}
+
 // OracleChoosers are the three schedules each program of a sweep runs
 // under: round-robin, seeded random, and a replayed DFS prefix that takes
 // the second canonical choice at every third point.
@@ -92,13 +104,13 @@ func OracleChoosers() map[string]func() Chooser {
 // timers, tickers, context cancellation, Once, WaitGroup, semaphores — so the
 // clock pseudo-thread and mid-run spawns are covered, on both engines.
 func TestEnabledOracleGeneratedShapes(t *testing.T) {
-	for _, dbg := range []Debug{{}, {NoFlatEngine: true}} {
+	for _, engine := range Engines {
 		for name, mk := range OracleChoosers() {
-			ex := NewExecutor(Options{MaxSteps: 2000, Debug: dbg})
-			InstallEnabledOracle(ex, func(msg string) { t.Errorf("%s %+v: %s", name, dbg, msg) })
+			ex := NewExecutor(Options{MaxSteps: 2000})
+			InstallEnabledOracle(ex, func(msg string) { t.Errorf("%s %s: %s", name, engine.Name, msg) })
 			points := 0
 			for shape := uint32(0); shape < 400 && !t.Failed(); shape++ {
-				out := ex.RunWith(mk(), nil, genCompiled(shape*2654435761))
+				out := ex.RunWith(mk(), nil, engine.Of(genCompiled(shape*2654435761)))
 				points += len(out.Trace)
 			}
 			ex.Close()
@@ -163,16 +175,16 @@ func oracleReuseB() *CompiledProgram {
 // previous run would show as a thread listed that is not enabled, or the
 // other way round.
 func TestEnabledOracleExecutorReuse(t *testing.T) {
-	for _, dbg := range []Debug{{}, {NoFlatEngine: true}} {
-		ex := NewExecutor(Options{MaxSteps: 2000, Debug: dbg})
-		InstallEnabledOracle(ex, func(msg string) { t.Errorf("%+v: %s", dbg, msg) })
+	for _, engine := range Engines {
+		ex := NewExecutor(Options{MaxSteps: 2000})
+		InstallEnabledOracle(ex, func(msg string) { t.Errorf("%s: %s", engine.Name, msg) })
 		for round := 0; round < 6; round++ {
 			for name, mk := range OracleChoosers() {
 				for i, prog := range []*CompiledProgram{oracleReuseA(), oracleReuseB()} {
-					out := ex.RunWith(mk(), nil, prog)
+					out := ex.RunWith(mk(), nil, engine.Of(prog))
 					if out.Failure != nil || out.StepLimitHit {
-						t.Fatalf("%+v round %d %s program %d: failure %v, step limit %v",
-							dbg, round, name, i, out.Failure, out.StepLimitHit)
+						t.Fatalf("%s round %d %s program %d: failure %v, step limit %v",
+							engine.Name, round, name, i, out.Failure, out.StepLimitHit)
 					}
 				}
 			}

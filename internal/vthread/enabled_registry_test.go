@@ -18,21 +18,22 @@ func TestEnabledOracleRegistry(t *testing.T) {
 		if b.MaxSteps != 0 {
 			maxSteps = min(maxSteps, b.MaxSteps)
 		}
-		for _, dbg := range []vthread.Debug{{}, {NoFlatEngine: true}} {
-			ex := vthread.NewExecutor(vthread.Options{MaxSteps: maxSteps, BoundsCheck: b.BoundsCheck, Debug: dbg})
+		for _, engine := range vthread.Engines {
+			prog := engine.Of(b.New())
+			ex := vthread.NewExecutor(vthread.Options{MaxSteps: maxSteps, BoundsCheck: b.BoundsCheck})
 			reports := 0
 			vthread.InstallEnabledOracle(ex, func(msg string) {
 				if reports++; reports <= 3 {
-					t.Errorf("%s %+v: %s", b.Name, dbg, msg)
+					t.Errorf("%s %s: %s", b.Name, engine.Name, msg)
 				}
 			})
 			points := 0
 			for _, mk := range vthread.OracleChoosers() {
-				points += len(ex.RunWith(mk(), nil, b.New()).Trace)
+				points += len(ex.RunWith(mk(), nil, prog).Trace)
 			}
 			ex.Close()
 			if points == 0 {
-				t.Errorf("%s %+v: no scheduling point was checked", b.Name, dbg)
+				t.Errorf("%s %s: no scheduling point was checked", b.Name, engine.Name)
 			}
 		}
 	}
@@ -49,20 +50,21 @@ func TestPositionOracleRegistry(t *testing.T) {
 		if b.MaxSteps != 0 {
 			maxSteps = min(maxSteps, b.MaxSteps)
 		}
-		for _, dbg := range []vthread.Debug{{}, {NoFlatEngine: true}} {
-			ex := vthread.NewExecutor(vthread.Options{MaxSteps: maxSteps, BoundsCheck: b.BoundsCheck, Debug: dbg})
+		for _, engine := range vthread.Engines {
+			prog := engine.Of(b.New())
+			ex := vthread.NewExecutor(vthread.Options{MaxSteps: maxSteps, BoundsCheck: b.BoundsCheck})
 			reports := 0
 			checked := vthread.InstallPositionOracle(ex, func(msg string) {
 				if reports++; reports <= 3 {
-					t.Errorf("%s %+v: %s", b.Name, dbg, msg)
+					t.Errorf("%s %s: %s", b.Name, engine.Name, msg)
 				}
 			})
 			for _, mk := range vthread.OracleChoosers() {
-				ex.RunWith(mk(), nil, b.New())
+				ex.RunWith(mk(), nil, prog)
 			}
 			ex.Close()
 			if checked() == 0 {
-				t.Errorf("%s %+v: no thread-choice point was checked", b.Name, dbg)
+				t.Errorf("%s %s: no thread-choice point was checked", b.Name, engine.Name)
 			}
 		}
 	}

@@ -95,11 +95,11 @@ func (e *Executor) Run(program Runnable) *Outcome {
 // as configured. See the type comment for the aliasing contract on the
 // result.
 //
-// Engine selection: a closure Program runs on the reference (goroutine)
-// engine; a *CompiledProgram runs on the flat single-goroutine engine —
-// unless Debug.NoFlatEngine forces it through the blocking bridge onto the
-// reference engine (counted in StepStats.FlatFallbacks). Either way the
-// execution is bit-identical: same trace, Outcome, Failure and events.
+// Engine selection is by the program's type alone: a closure Program runs on
+// the reference (goroutine) engine, a *CompiledProgram on the flat
+// single-goroutine engine. AsProgram(cp) runs a compiled program on the
+// reference engine through the blocking bridge; the execution is
+// bit-identical either way: same trace, Outcome, Failure and events.
 func (e *Executor) RunWith(chooser Chooser, sink EventSink, program Runnable) *Outcome {
 	e.cache.drop()
 	return e.run(chooser, sink, program, nil)
@@ -116,12 +116,12 @@ func (e *Executor) RunWith(chooser Chooser, sink EventSink, program Runnable) *O
 // the prefix (see snapshot.go). States are saved during RunFrom runs only,
 // are trusted only for the same chooser (compared as an interface value, so
 // choosers passing shared > 0 must be of a comparable type) and program, and
-// are discarded by any other run on the Executor. Closure Programs, programs
-// that create objects at run time and Debug.NoFlatEngine runs are never
+// are discarded by any other run on the Executor. Closure Programs (AsProgram
+// bridges included) and programs that create objects at run time are never
 // saved: for them RunFrom is RunWith.
 func (e *Executor) RunFrom(chooser Chooser, program Runnable, shared int) *Outcome {
 	cp, _ := program.(*CompiledProgram)
-	if cp == nil || cp.dynamic || e.w.opts.Debug.NoFlatEngine {
+	if cp == nil || cp.dynamic {
 		return e.RunWith(chooser, nil, program)
 	}
 	c := &e.cache
@@ -187,12 +187,7 @@ func (e *Executor) run(chooser Chooser, sink EventSink, program Runnable, from *
 	case Program:
 		e.w.exec(p)
 	case *CompiledProgram:
-		if e.w.opts.Debug.NoFlatEngine {
-			e.w.stats.FlatFallbacks++
-			e.w.exec(p.asProgram())
-		} else {
-			e.w.execFlat(p, from)
-		}
+		e.w.execFlat(p, from)
 	default:
 		panic("vthread: Executor run on unknown Runnable implementation")
 	}

@@ -14,7 +14,7 @@ import "fmt"
 // clock firing, accounting, abort and deadlock detection — so a flat run
 // produces the bit-identical trace, Outcome, Failure and event stream as a
 // reference run of the same program under the same Chooser, which is what
-// Debug.NoFlatEngine lets the equivalence tests check.
+// the equivalence tests check by running a program and its AsProgram bridge.
 //
 // Threads register operations by having interp.advance fill req, published
 // as Thread.pending; a grant is one turn of stepFlat's loop, which performs

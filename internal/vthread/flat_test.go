@@ -134,11 +134,11 @@ func genCompiled(shape uint32) *CompiledProgram {
 // runPair executes the closure reference and the Runnable under test with
 // per-run TraceLoggers and identical choosers, returning both outcomes and
 // both event streams.
-func runPair(t *testing.T, ref Program, got Runnable, mk func() Chooser, d Debug) (wo, go_ *Outcome, wev, gev string) {
+func runPair(t *testing.T, ref Program, got Runnable, mk func() Chooser) (wo, go_ *Outcome, wev, gev string) {
 	t.Helper()
-	exRef := NewExecutor(Options{Debug: d})
+	exRef := NewExecutor(Options{})
 	defer exRef.Close()
-	exGot := NewExecutor(Options{Debug: d})
+	exGot := NewExecutor(Options{})
 	defer exGot.Close()
 	lw, lg := NewTraceLogger(), NewTraceLogger()
 	wo = exRef.RunWith(mk(), lw, ref)
@@ -166,7 +166,7 @@ func TestFlatMatchesReferenceSmoke(t *testing.T) {
 			choosers = append(choosers, func() Chooser { return NewRandom(seed) })
 		}
 		for ci, mk := range choosers {
-			want, got, wev, gev := runPair(t, tc.ref, tc.cp, mk, Debug{})
+			want, got, wev, gev := runPair(t, tc.ref, tc.cp, mk)
 			if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) {
 				t.Fatalf("%s chooser %d: flat outcome diverged\n got %+v\nwant %+v", tc.name, ci, got, want)
 			}
@@ -182,19 +182,19 @@ func TestFlatMatchesReferenceSmoke(t *testing.T) {
 // with defaults, Once, WaitGroups, timers, tickers and context deadlines,
 // a compiled run (flat engine) and the closure original (goroutine engine)
 // are bit-identical — outcome, failure and event stream — and so is the
-// compiled program forced through the blocking bridge (NoFlatEngine).
+// compiled program run through the blocking bridge (AsProgram).
 func TestFlatMatchesReferenceOnGenerated(t *testing.T) {
 	f := func(shape uint32, seed uint64) bool {
 		ref := genProgram(shape)
 		cp := genCompiled(shape)
 		mk := func() Chooser { return NewRandom(seed) }
-		want, got, wev, gev := runPair(t, ref, cp, mk, Debug{})
+		want, got, wev, gev := runPair(t, ref, cp, mk)
 		if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) || wev != gev {
 			t.Logf("shape=%d seed=%d: flat diverged\n got %+v ev:\n%s\nwant %+v ev:\n%s",
 				shape, seed, got, gev, want, wev)
 			return false
 		}
-		want, got, wev, gev = runPair(t, ref, cp, mk, Debug{NoFlatEngine: true})
+		want, got, wev, gev = runPair(t, ref, AsProgram(cp), mk)
 		if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) || wev != gev {
 			t.Logf("shape=%d seed=%d: blocking bridge diverged\n got %+v\nwant %+v", shape, seed, got, want)
 			return false
@@ -207,22 +207,22 @@ func TestFlatMatchesReferenceOnGenerated(t *testing.T) {
 }
 
 // TestFlatMatchesReferenceAcrossDebugCombos runs the compiled generated
-// programs under both values of the engine switch: on the flat engine and
-// bridged onto the reference engine (NoFlatEngine) they must stay
-// bit-identical to the closure original on a single-use World.
+// programs on both engines of an Executor: on the flat engine and bridged
+// onto the reference engine (AsProgram) they must stay bit-identical to the
+// closure original on a single-use World.
 func TestFlatMatchesReferenceAcrossDebugCombos(t *testing.T) {
 	f := func(shape uint32, seed uint64) bool {
 		ref := genProgram(shape)
 		cp := genCompiled(shape)
 		mk := func() Chooser { return NewRandom(seed) }
 		want := NewWorld(Options{Chooser: mk()}).Run(ref)
-		for _, d := range []Debug{{}, {NoFlatEngine: true}} {
-			ex := NewExecutor(Options{Debug: d})
-			got := ex.RunWith(mk(), nil, cp)
+		for _, engine := range Engines {
+			ex := NewExecutor(Options{})
+			got := ex.RunWith(mk(), nil, engine.Of(cp))
 			ok := outcomesEqual(want, got) && failuresEqual(want.Failure, got.Failure)
 			if !ok {
-				t.Logf("shape=%d seed=%d debug=%+v: diverged\n got %+v\nwant %+v",
-					shape, seed, d, got, want)
+				t.Logf("shape=%d seed=%d %s: diverged\n got %+v\nwant %+v",
+					shape, seed, engine.Name, got, want)
 			}
 			ex.Close()
 			if !ok {
@@ -246,33 +246,26 @@ func TestFlatMatchesReferenceAcrossDebugCombos(t *testing.T) {
 	}
 }
 
-// TestFlatCountersFire pins that the StepStats counters are live: flat
-// dispatches count FlatSteps, and NoFlatEngine routes through the bridge,
-// counting FlatFallbacks and no flat steps.
+// TestFlatCountersFire pins that the engine is chosen by the program's type:
+// flat dispatches count FlatSteps, and a closure program — the compiled
+// program's AsProgram bridge included — leaves the counter alone.
 func TestFlatCountersFire(t *testing.T) {
 	cp := compiledExecutorTwin()
 
 	ex := NewExecutor(Options{Chooser: RoundRobin()})
+	defer ex.Close()
 	ex.Run(cp)
-	if st := ex.StepStats(); st.FlatSteps == 0 || st.FlatFallbacks != 0 {
-		t.Fatalf("flat run: FlatSteps=%d FlatFallbacks=%d, want steps>0 fallbacks=0", st.FlatSteps, st.FlatFallbacks)
+	if st := ex.StepStats(); st.FlatSteps == 0 {
+		t.Fatal("flat run: FlatSteps=0, want steps > 0")
 	}
-	// A closure program on the same Executor leaves the counter alone.
-	before := ex.StepStats().FlatSteps
-	ex.Run(executorTestProgram)
-	if st := ex.StepStats(); st.FlatSteps != before {
-		t.Fatalf("closure run advanced FlatSteps: %d -> %d", before, st.FlatSteps)
-	}
-	ex.Close()
-
-	exRef := NewExecutor(Options{Chooser: RoundRobin(), Debug: Debug{NoFlatEngine: true}})
-	defer exRef.Close()
-	out := exRef.Run(cp)
-	if out.Failure != nil {
-		t.Fatalf("bridged run failed: %v", out.Failure)
-	}
-	if st := exRef.StepStats(); st.FlatFallbacks != 1 || st.FlatSteps != 0 {
-		t.Fatalf("bridged run: FlatSteps=%d FlatFallbacks=%d, want 0 and 1", st.FlatSteps, st.FlatFallbacks)
+	for _, prog := range []Program{executorTestProgram, AsProgram(cp)} {
+		before := ex.StepStats().FlatSteps
+		if out := ex.Run(prog); out.Failure != nil {
+			t.Fatalf("closure run failed: %v", out.Failure)
+		}
+		if st := ex.StepStats(); st.FlatSteps != before {
+			t.Fatalf("closure run advanced FlatSteps: %d -> %d", before, st.FlatSteps)
+		}
 	}
 }
 

@@ -89,18 +89,18 @@ func TestPanicContainedReferenceEngine(t *testing.T) {
 }
 
 // TestPanicContainedFlatEngine: same contract for a compiled-instruction
-// operand on the flat engine, plus the bridge path (NoFlatEngine) that
-// runs the compiled program on the goroutine reference engine.
+// operand on the flat engine, plus the bridge path (AsProgram) that runs the
+// compiled program on the goroutine reference engine.
 func TestPanicContainedFlatEngine(t *testing.T) {
-	for _, dbg := range []Debug{{}, {NoFlatEngine: true}} {
-		ex := NewExecutor(Options{Chooser: RoundRobin(), Debug: dbg})
+	for _, engine := range Engines {
+		ex := NewExecutor(Options{Chooser: RoundRobin()})
 		for round := 0; round < 3; round++ {
-			out := ex.Run(compiledPanicProgram())
+			out := ex.Run(engine.Of(compiledPanicProgram()))
 			checkPanicOutcome(t, out, "operand exploded")
-			clean := ex.Run(compiledCleanProgram())
+			clean := ex.Run(engine.Of(compiledCleanProgram()))
 			if clean.Failure != nil {
-				t.Fatalf("debug %+v round %d: clean run after contained panic failed: %v",
-					dbg, round, clean.Failure)
+				t.Fatalf("%s round %d: clean run after contained panic failed: %v",
+					engine.Name, round, clean.Failure)
 			}
 		}
 		ex.Close()
@@ -122,9 +122,9 @@ func TestPanicWitnessReplays(t *testing.T) {
 		t.Fatalf("replay diverged: %v vs %v", rep.Trace, witness)
 	}
 
-	exRef := NewExecutor(Options{Debug: Debug{NoFlatEngine: true}})
+	exRef := NewExecutor(Options{})
 	defer exRef.Close()
-	ref := exRef.RunWith(NewReplay(witness), nil, compiledPanicProgram())
+	ref := exRef.RunWith(NewReplay(witness), nil, AsProgram(compiledPanicProgram()))
 	checkPanicOutcome(t, ref, "operand exploded")
 	if !ref.Trace.Equal(witness) {
 		t.Fatalf("reference replay diverged: %v vs %v", ref.Trace, witness)

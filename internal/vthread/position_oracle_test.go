@@ -38,18 +38,18 @@ func InstallPositionOracle(e *Executor, report func(string)) (checked func() int
 // TestPositionOracleGeneratedShapes sweeps the genCompiled shapes — selects,
 // timers, tickers, context cancellation, mid-run spawns, the clock
 // pseudo-thread joining and leaving the set — under the three oracle
-// choosers, on both engines.
+// choosers, on both engines (each shape and its AsProgram bridge).
 func TestPositionOracleGeneratedShapes(t *testing.T) {
-	for _, dbg := range []Debug{{}, {NoFlatEngine: true}} {
+	for _, engine := range Engines {
 		for name, mk := range OracleChoosers() {
-			ex := NewExecutor(Options{MaxSteps: 2000, Debug: dbg})
-			checked := InstallPositionOracle(ex, func(msg string) { t.Errorf("%s %+v: %s", name, dbg, msg) })
+			ex := NewExecutor(Options{MaxSteps: 2000})
+			checked := InstallPositionOracle(ex, func(msg string) { t.Errorf("%s %s: %s", name, engine.Name, msg) })
 			for shape := uint32(0); shape < 400 && !t.Failed(); shape++ {
-				ex.RunWith(mk(), nil, genCompiled(shape*2654435761))
+				ex.RunWith(mk(), nil, engine.Of(genCompiled(shape*2654435761)))
 			}
 			ex.Close()
 			if checked() == 0 {
-				t.Fatalf("%s %+v: no thread-choice point was checked", name, dbg)
+				t.Fatalf("%s %s: no thread-choice point was checked", name, engine.Name)
 			}
 		}
 	}
@@ -238,7 +238,7 @@ func TestFailedAssertionFlatMatchesReference(t *testing.T) {
 		failed := 0
 		for ci, ch := range choosers {
 			cp := mk()
-			want, got, wev, gev := runPair(t, AsProgram(cp), cp, ch, Debug{})
+			want, got, wev, gev := runPair(t, AsProgram(cp), cp, ch)
 			if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) {
 				t.Fatalf("%s, chooser %d: flat %s\nreference %s", name, ci, describe(got), describe(want))
 			}

@@ -235,21 +235,6 @@ type Options struct {
 	// dropped, modelling the paper's observation that such bugs "do not
 	// always cause a crash" and are missed without additional checking.
 	BoundsCheck bool
-	// Debug is the engine switch. The zero value is correct for every
-	// production use; equivalence tests and sctbench's -engine ref set
-	// NoFlatEngine to run compiled programs on the reference engine.
-	Debug Debug
-}
-
-// Debug is the substrate's engine switch. It changes only how steps are
-// dispatched, never which thread runs one: a run with the switch set
-// produces the identical trace, Outcome and Failure as a run without,
-// which is what the flat-vs-reference equivalence tests assert.
-type Debug struct {
-	// NoFlatEngine disables the goroutine-free flat engine for
-	// CompiledPrograms: the program runs through the blocking bridge on the
-	// reference engine instead (counted in StepStats.FlatFallbacks).
-	NoFlatEngine bool
 }
 
 // StepStats counts which engine ran, cumulative over the life of a World
@@ -259,9 +244,6 @@ type StepStats struct {
 	// operation performed as a direct function call into the thread's
 	// interpreter.
 	FlatSteps int64
-	// FlatFallbacks counts runs of a CompiledProgram that were routed to
-	// the reference engine instead of the flat engine (Debug.NoFlatEngine).
-	FlatFallbacks int64
 	// RunsResumed counts Executor.RunFrom runs that continued from a saved
 	// prefix state instead of the initial state, and StepsSkipped the steps
 	// those runs did not execute (each still counted in FlatSteps, as in the

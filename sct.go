@@ -221,8 +221,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // Resume continues a checkpointed exploration. cfg supplies the program
-// and environment (Program, Visible, BoundsCheck, MaxSteps, Debug,
-// Workers) plus fresh stop/checkpoint controls; the search parameters
+// and environment (Program, Visible, BoundsCheck, MaxSteps, Workers) plus
+// fresh stop/checkpoint controls; the search parameters
 // (Limit, Seed, MaxBound, MaxExecutions) come from the checkpoint. A run
 // that was interrupted, checkpointed and resumed finishes with exactly
 // the result — counts, bounds, witness — of an uninterrupted run.
