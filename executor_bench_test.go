@@ -21,7 +21,8 @@ import (
 // a reused Executor on a CS-suite program under the deterministic
 // scheduler: the pure substrate overhead of one execution, allocations
 // included. The Executor rows split by engine — "ref" runs the closure
-// twin on the goroutine reference engine (the pre-flat history row),
+// twin on the goroutine reference engine (the pre-flat history row;
+// CS.account_bad keeps the registry's one Ref twin for it),
 // "flat" runs the compiled form on the single-goroutine flat engine — so
 // one run carries the before/after of the engine swap. "flat-assert" is an
 // execution that ends in a failed assertion, the fate of most executions of a

@@ -49,13 +49,14 @@ type Benchmark struct {
 	// closure-form ones run on the goroutine reference engine.
 	New func() vthread.Runnable
 	// Ref, when non-nil, builds a hand-written closure-form twin of New's
-	// compiled program. It exists purely as the equivalence oracle: the
-	// registry test executes both under identical choosers and requires
-	// bit-identical outcomes, failures and event streams. One twin is kept
-	// per suite (a family sharing one parameterised twin keeps it on every
-	// member), chosen so that together with the generated-program tests
-	// they use every instruction any registry program uses; vthread_test's
-	// TestRegistryOpcodesCovered guards that.
+	// compiled program; the registry test executes both under identical
+	// choosers and requires bit-identical outcomes, failures and event
+	// streams. Only CS.account_bad carries one: it is the goroutine-engine
+	// sample of the executor benchmarks and of the ledger's
+	// vthread.step_ns.ref probe. Instruction semantics need no per-program
+	// twin: the generated closure/compiled pair of internal/vthread's tests
+	// uses every instruction any registry program uses, which vthread_test's
+	// TestRegistryOpcodesCovered guards.
 	Ref func() vthread.Program
 
 	hashOnce sync.Once

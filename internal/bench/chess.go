@@ -23,73 +23,14 @@ package bench
 // and IPB misses the bugs that IDB still finds — the Table 3 signature of
 // chess.IWSQ/IWSQWS/SWSQ versus chess.WSQ.
 //
-// Registered in compiled form (New, flat engine) with the closure original
-// as the Ref equivalence twin.
+// Registered in compiled form (New, flat engine): the deque's push, take
+// and steal are inlined as instruction sequences with registers standing
+// in for Go locals. head/tail are SC atomics (always visible); the item
+// buffer is a shared array.
 
 import "sctbench/internal/vthread"
 
-// wsq is the work-stealing deque under test (closure form). head/tail are
-// SC atomics (always visible); the item buffer is a shared array.
-type wsq struct {
-	head, tail *vthread.Atomic
-	items      *vthread.Array
-}
-
-func newWSQ(t *vthread.Thread, capacity int) *wsq {
-	return &wsq{
-		head:  t.NewAtomic("wsq.head", 0),
-		tail:  t.NewAtomic("wsq.tail", 0),
-		items: t.NewArray("wsq.items", capacity),
-	}
-}
-
-// push appends at the tail (owner only).
-func (q *wsq) push(t *vthread.Thread, v int) {
-	tl := q.tail.Load(t)
-	q.items.Set(t, tl, v)
-	q.tail.Store(t, tl+1)
-}
-
-// take removes from the tail (owner only). Planted bug: the head is read
-// first, so the fast path's "no conflict possible" conclusion can rest on
-// a stale value while a thief advances the head underneath it.
-func (q *wsq) take(t *vthread.Thread) (int, bool) {
-	hd := q.head.Load(t) // BUG: stale by the time it is trusted below
-	tl := q.tail.Load(t) - 1
-	if tl < hd {
-		return 0, false // empty
-	}
-	q.tail.Store(t, tl)
-	v := q.items.Get(t, tl)
-	if tl > hd {
-		return v, true // fast path: trusts the stale head
-	}
-	// Last element: arbitrate with thieves through the head.
-	ok := q.head.CAS(t, hd, hd+1)
-	q.tail.Store(t, hd+1)
-	if !ok {
-		return 0, false
-	}
-	return v, true
-}
-
-// steal removes from the head (thief). Planted bug: check-then-act instead
-// of compare-and-swap — the verify and the store are separate operations.
-func (q *wsq) steal(t *vthread.Thread) (int, bool) {
-	hd := q.head.Load(t)
-	tl := q.tail.Load(t)
-	if hd >= tl {
-		return 0, false
-	}
-	v := q.items.Get(t, hd)
-	if q.head.Load(t) != hd { // BUG: not atomic with the store below
-		return 0, false
-	}
-	q.head.Store(t, hd+1)
-	return v, true
-}
-
-// wsqProgram runs an owner (push n, then drain n takes, then a tail of
+// compiledWSQ runs an owner (push n, then drain n takes, then a tail of
 // bookkeeping traffic) and a thief (sts steal attempts) over the deque and
 // checks exactly-once delivery.
 //
@@ -105,67 +46,6 @@ func (q *wsq) steal(t *vthread.Thread) (int, bool) {
 // iterative delay bounding still finds it — the Table 3 signature of
 // chess.IWSQ/IWSQWS/SWSQ. The owner's tail traffic keeps depth-first
 // search busy among harmless deep reorderings.
-func wsqProgram(n, sts, pingPong, tail int) vthread.Program {
-	return func(t0 *vthread.Thread) {
-		q := newWSQ(t0, n+1)
-		seen := t0.NewArray("seen", n)
-		bookkeeping := t0.NewVar("bookkeeping", 0)
-		record := func(tw *vthread.Thread, v int) {
-			c := seen.Get(tw, v)
-			tw.Assert(c == 0, "item %d obtained twice", v)
-			seen.Set(tw, v, c+1)
-		}
-		var gates []*vthread.Thread
-		if pingPong > 0 {
-			a := t0.NewSem("gate.a", 0)
-			b := t0.NewSem("gate.b", 0)
-			gates = append(gates,
-				t0.Spawn(func(tw *vthread.Thread) {
-					for i := 0; i < pingPong; i++ {
-						a.P(tw)
-						b.V(tw)
-					}
-				}),
-				t0.Spawn(func(tw *vthread.Thread) {
-					for i := 0; i < pingPong; i++ {
-						a.V(tw)
-						b.P(tw)
-					}
-				}),
-			)
-		}
-		owner := t0.Spawn(func(tw *vthread.Thread) {
-			for i := 0; i < n; i++ {
-				q.push(tw, i)
-			}
-			for i := 0; i < n; i++ {
-				if v, ok := q.take(tw); ok {
-					record(tw, v)
-				}
-			}
-			for i := 0; i < tail; i++ {
-				bookkeeping.Add(tw, 1)
-			}
-		})
-		thief := t0.Spawn(func(tw *vthread.Thread) {
-			for s := 0; s < sts; s++ {
-				if v, ok := q.steal(tw); ok {
-					record(tw, v)
-				}
-			}
-		})
-		t0.Join(owner)
-		t0.Join(thief)
-		for _, g := range gates {
-			t0.Join(g)
-		}
-	}
-}
-
-// compiledWSQ is wsqProgram translated op-for-op to the builder DSL: the
-// deque methods are inlined as instruction sequences with registers
-// standing in for the Go locals, preserving every visible operation and
-// its order.
 func compiledWSQ(n, sts, pingPong, tail int) *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	head := p.Atomic("wsq.head", 0)
@@ -189,8 +69,11 @@ func compiledWSQ(n, sts, pingPong, tail int) *vthread.CompiledProgram {
 		owner.StoreA(tailA, plus(tl, 1))
 	}
 	for i := 0; i < n; i++ {
-		// v, ok := take(); if ok { record(v) }
-		hd := owner.LoadA(head)
+		// v, ok := take(); if ok { record(v) }. Planted bug: the head is
+		// read first, so the fast path's "no conflict possible" conclusion
+		// can rest on a stale value while a thief advances the head
+		// underneath it.
+		hd := owner.LoadA(head) // BUG: stale by the time it is trusted below
 		tl0 := owner.LoadA(tailA)
 		tl := owner.Let(plus(tl0, -1))
 		v := owner.Let(0)
@@ -199,9 +82,11 @@ func compiledWSQ(n, sts, pingPong, tail int) *vthread.CompiledProgram {
 			owner.StoreA(tailA, tl)
 			g := owner.Get(items, tl)
 			owner.IfElse(gtr(tl, hd), func() {
+				// Fast path: trusts the stale head.
 				owner.Set(v, g)
 				owner.Set(ok, 1)
 			}, func() {
+				// Last element: arbitrate with thieves through the head.
 				cas := owner.CAS(head, hd, plus(hd, 1))
 				owner.StoreA(tailA, plus(hd, 1))
 				owner.If(ne(cas, 0), func() {
@@ -216,13 +101,15 @@ func compiledWSQ(n, sts, pingPong, tail int) *vthread.CompiledProgram {
 
 	thief := p.Body(0, 0)
 	for s := 0; s < sts; s++ {
-		// v, ok := steal(); if ok { record(v) }
+		// v, ok := steal(); if ok { record(v) }. Planted bug:
+		// check-then-act instead of compare-and-swap — the verify and the
+		// store are separate operations.
 		hd := thief.LoadA(head)
 		tl := thief.LoadA(tailA)
 		thief.If(ltr(hd, tl), func() {
 			g := thief.Get(items, hd)
 			h2 := thief.LoadA(head)
-			thief.If(eqr(h2, hd), func() {
+			thief.If(eqr(h2, hd), func() { // BUG: not atomic with the store below
 				thief.StoreA(head, plus(hd, 1))
 				record(thief, g)
 			})
@@ -260,27 +147,23 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "work-stealing queue amid gate traffic: zero-preemption branching buries IPB",
 		New:     func() vthread.Runnable { return compiledWSQ(6, 3, 20, 8) },
-		Ref:     func() vthread.Program { return wsqProgram(6, 3, 20, 8) },
 	})
 	register(&Benchmark{
 		ID: 33, Name: "chess.IWSQWS", Suite: "CHESS", Threads: 5,
 		BugKind: vthread.FailAssert,
 		Desc:    "work-stealing queue with steal-half traffic: more items, same buried race",
 		New:     func() vthread.Runnable { return compiledWSQ(8, 4, 24, 8) },
-		Ref:     func() vthread.Program { return wsqProgram(8, 4, 24, 8) },
 	})
 	register(&Benchmark{
 		ID: 34, Name: "chess.SWSQ", Suite: "CHESS", Threads: 5,
 		BugKind: vthread.FailAssert,
 		Desc:    "synchronized work-stealing queue stress: longest gated run of the race",
 		New:     func() vthread.Runnable { return compiledWSQ(10, 5, 28, 8) },
-		Ref:     func() vthread.Program { return wsqProgram(10, 5, 28, 8) },
 	})
 	register(&Benchmark{
 		ID: 35, Name: "chess.WSQ", Suite: "CHESS", Threads: 3,
 		BugKind: vthread.FailAssert,
 		Desc:    "the classic WorkStealQueue owner/thief race",
 		New:     func() vthread.Runnable { return compiledWSQ(3, 2, 0, 0) },
-		Ref:     func() vthread.Program { return wsqProgram(3, 2, 0, 0) },
 	})
 }

@@ -1,11 +1,10 @@
 package bench
 
 // Builder-DSL helpers shared by the compiled suite files. Every compiled
-// benchmark is an op-for-op translation of a closure program (the Ref twin
-// where one is kept), so these helpers wrap only invisible constructs: counted
-// loops whose counter lives in a register, handle joins, and the
-// condition/operand closures Go's comparison and arithmetic expressions
-// compile to.
+// benchmark is an op-for-op translation of a closure program, so these
+// helpers wrap only invisible constructs: counted loops whose counter lives
+// in a register, handle joins, and the condition/operand closures Go's
+// comparison and arithmetic expressions compile to.
 
 import "sctbench/internal/vthread"
 

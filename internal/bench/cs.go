@@ -13,7 +13,8 @@ package bench
 // operands (including assertion message arguments) that touch shared state
 // became explicit Loads at the point Go would evaluate them, so an
 // assertion whose message prints a variable loads it twice. CS.account_bad
-// keeps its closure original as the suite's Ref twin (see Benchmark.Ref).
+// keeps its closure original (refAccount) as the registry's one Ref twin
+// (see Benchmark.Ref).
 
 import "sctbench/internal/vthread"
 

@@ -5,14 +5,14 @@ package bench
 // engine under identical choosers — deterministic round-robin plus a spread
 // of random seeds — and the two executions must be indistinguishable: same
 // trace, same outcome counters, same failure (or clean exit), and the same
-// event stream key by key. On the reference engine runs the benchmark's
-// hand-written closure twin (Ref) where one is kept, and otherwise the
-// compiled program's blocking bridge (vthread.AsProgram). A twin checks the
-// op-for-op translation contract of internal/vthread's doc.go: the flat
-// interpreter against code written without it. The bridge shares the
-// interpreter, so it checks the engines' scheduling and event plumbing only;
-// vthread_test's TestRegistryOpcodesCovered holds the kept twins, with the
-// generated-program tests, to every instruction the registry uses.
+// event stream key by key. On the reference engine runs the compiled
+// program's blocking bridge (vthread.AsProgram), or CS.account_bad's
+// hand-written closure twin (Ref). The bridge shares the flat interpreter,
+// so it checks the engines' scheduling and event plumbing only; the
+// instructions themselves are checked against hand-written closure code by
+// internal/vthread's generated-program tests, and vthread_test's
+// TestRegistryOpcodesCovered holds those to every instruction the registry
+// uses.
 
 import (
 	"fmt"
@@ -32,16 +32,9 @@ func chooserFor(seed uint64) vthread.Chooser {
 	return vthread.NewRandom(seed)
 }
 
-// keptTwins names the benchmarks that carry a Ref twin: one per suite, and
-// every member of a family that shares one parameterised twin.
-var keptTwins = []string{
-	"CB.pbzip2-0.9.4", "CS.account_bad",
-	"chess.IWSQ", "chess.IWSQWS", "chess.SWSQ", "chess.WSQ",
-	"goidiom.pipeline_bad", "goidiom.workerpool_bad",
-	"gotime.timer_stop_race_bad", "inspect.qsort_mt", "parsec.streamcluster",
-	"radbench.bug4", "radbench.bug6",
-	"splash2.barnes", "splash2.fft", "splash2.lu",
-}
+// keptTwins names the benchmarks that carry a Ref twin: the goroutine-engine
+// sample the executor benchmarks and the ledger's probes read.
+var keptTwins = []string{"CS.account_bad"}
 
 // runLogged executes program once on a fresh Executor and returns the
 // outcome (trace cloned out of the recycled buffer) and the event log.
@@ -128,9 +121,9 @@ func TestCompiledMatchesReference(t *testing.T) {
 
 // TestCompiledBridgeMatchesFlat runs the same compiled program on the flat
 // engine and through its AsProgram bridge on the goroutine engine: the
-// bridge must reproduce the flat engine's execution exactly. Exercised on a
-// representative slice (one per suite), beside the twins the previous test
-// compares the same programs with.
+// bridge must reproduce the flat engine's execution exactly. A quick check
+// on a representative slice (one per suite); the previous test makes the
+// same comparison for every program without a twin.
 func TestCompiledBridgeMatchesFlat(t *testing.T) {
 	names := []string{
 		"CS.twostage_bad", "chess.WSQ", "parsec.streamcluster",
@@ -156,17 +149,21 @@ func TestCompiledBridgeMatchesFlat(t *testing.T) {
 }
 
 // TestCompiledReplayRoundTrip: a witness trace recorded on the flat engine
-// replays on the reference engine against the closure twin, for every kept
-// twin. This is what makes engine choice invisible to Replay users.
+// replays on the reference engine — against the closure twin where one is
+// kept, through the blocking bridge otherwise — for every registry program.
+// This is what makes engine choice invisible to Replay users.
 func TestCompiledReplayRoundTrip(t *testing.T) {
-	for _, name := range keptTwins {
-		b := ByName(name)
-		t.Run(name, func(t *testing.T) {
+	for _, b := range All() {
+		t.Run(b.Name, func(t *testing.T) {
+			ref := vthread.AsProgram(b.New())
+			if b.Ref != nil {
+				ref = b.Ref()
+			}
 			flat, _, _ := runLogged(b, b.New(), 7)
 			rep := vthread.NewReplay(flat.Trace)
 			out := vthread.NewWorld(vthread.Options{
 				Chooser: rep, MaxSteps: b.MaxSteps, BoundsCheck: b.BoundsCheck,
-			}).Run(b.Ref())
+			}).Run(ref)
 			if rep.Failed() {
 				t.Fatalf("flat witness diverged on the reference engine at step %d", rep.FailStep())
 			}

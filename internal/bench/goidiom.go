@@ -19,8 +19,6 @@ package bench
 // value can be executed concurrently by the parallel exploration workers.
 // Plain Go locals shared between closures (pipeline_bad's `total`,
 // select_starve_bad's `processed`) compile to invisible Cells.
-// workerpool_bad and pipeline_bad keep their closure originals as Ref twins
-// (see Benchmark.Ref).
 
 import "sctbench/internal/vthread"
 
@@ -30,7 +28,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "worker pool over a jobs channel: unsynchronised result aggregation loses an update",
 		New:     func() vthread.Runnable { return compiledWorkerpool() },
-		Ref:     refWorkerpool,
 	})
 
 	register(&Benchmark{
@@ -38,7 +35,6 @@ func init() {
 		BugKind: vthread.FailCrash,
 		Desc:    "fan-in pipeline: racy last-producer-closes flag double-closes the merged channel",
 		New:     func() vthread.Runnable { return compiledPipeline() },
-		Ref:     refPipeline,
 	})
 
 	register(&Benchmark{
@@ -70,35 +66,6 @@ func init() {
 	})
 }
 
-func refWorkerpool() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		jobs := t0.NewChan("jobs", 3)
-		sum := t0.NewVar("sum", 0)
-		wg := t0.NewWaitGroup("wg")
-		wg.Add(t0, 2)
-		worker := func(tw *vthread.Thread) {
-			for {
-				v, ok := jobs.Recv(tw)
-				if !ok {
-					break
-				}
-				// Bug: the aggregate is a plain read-modify-write;
-				// two workers interleaving here lose an update.
-				sum.Add(tw, v)
-			}
-			wg.Done(tw)
-		}
-		t0.Spawn(worker)
-		t0.Spawn(worker)
-		for i := 1; i <= 3; i++ {
-			jobs.Send(t0, i)
-		}
-		jobs.Close(t0)
-		wg.Wait(t0)
-		t0.Assert(sum.Load(t0) == 6, "worker pool lost an update: sum=%d", sum.Load(t0))
-	}
-}
-
 func compiledWorkerpool() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	jobs := p.Chan("jobs", 3)
@@ -126,45 +93,6 @@ func compiledWorkerpool() *vthread.CompiledProgram {
 	c2 := mn.Load(sum)
 	mn.Assert(eq(c1, 6), "worker pool lost an update: sum=%d", c2)
 	return p.Build()
-}
-
-func refPipeline() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		out := t0.NewChan("out", 4)
-		wg := t0.NewWaitGroup("producers")
-		closed := t0.NewVar("closed", 0)
-		wg.Add(t0, 2)
-		producer := func(base int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				out.Send(tw, base)
-				out.Send(tw, base+1)
-				wg.Done(tw)
-				wg.Wait(tw) // both producers drain past here together
-				// Bug: "whoever gets here first closes" is a
-				// check-then-act on a plain flag; two producers
-				// interleaving between the load and the store both
-				// close the merged channel (Go: panic).
-				if closed.Load(tw) == 0 {
-					closed.Store(tw, 1)
-					out.Close(tw)
-				}
-			}
-		}
-		t0.Spawn(producer(10))
-		t0.Spawn(producer(20))
-		total := 0
-		consumer := t0.Spawn(func(tw *vthread.Thread) {
-			for {
-				v, ok := out.Recv(tw)
-				if !ok {
-					return
-				}
-				total += v
-			}
-		})
-		t0.Join(consumer)
-		t0.Assert(total == 62, "pipeline dropped values: total=%d", total)
-	}
 }
 
 func compiledPipeline() *vthread.CompiledProgram {

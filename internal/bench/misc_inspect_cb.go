@@ -11,11 +11,9 @@ package bench
 // technique within the limit, exactly as in Table 3.
 //
 // All entries but misc.safestack are registered in compiled (builder-DSL)
-// form, like the rest of the registry; CB.pbzip2-0.9.4 and inspect.qsort_mt
-// keep their closure originals as Ref twins (see Benchmark.Ref).
-// misc.safestack deliberately stays closure-form: it is the one live
-// exerciser of the goroutine reference engine left in the registry, keeping
-// the closure-program path honest.
+// form, like the rest of the registry. misc.safestack deliberately stays
+// closure-form: it is the one live exerciser of the goroutine reference
+// engine left in the registry, keeping the closure-program path honest.
 
 import "sctbench/internal/vthread"
 
@@ -32,7 +30,6 @@ func init() {
 		BugKind: vthread.FailCrash,
 		Desc:    "main frees the work-queue mutex while a consumer can still lock it",
 		New:     func() vthread.Runnable { return compiledPbzip2() },
-		Ref:     refPbzip2,
 	})
 
 	register(&Benchmark{
@@ -47,7 +44,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "multithreaded quicksort: worker-done flag set before the final swap lands",
 		New:     func() vthread.Runnable { return compiledQsortMt() },
-		Ref:     refQsortMt,
 	})
 
 	register(&Benchmark{
@@ -93,35 +89,6 @@ func compiledAgetBug2() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refPbzip2() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		qm := t0.NewMutex("queue")
-		items := t0.NewSem("items", 0)
-		fifo := t0.NewVar("fifo", 0)
-		consumer := func(tw *vthread.Thread) {
-			items.P(tw)
-			qm.Lock(tw) // crashes if the teardown already destroyed it
-			fifo.Add(tw, -1)
-			qm.Unlock(tw)
-		}
-		c1 := t0.Spawn(consumer)
-		c2 := t0.Spawn(consumer)
-		qm.Lock(t0)
-		fifo.Store(t0, 2)
-		qm.Unlock(t0)
-		items.V(t0)
-		items.V(t0)
-		// Bug (pbzip2 0.9.4): the queue is torn down without
-		// waiting for the consumers to drain it.
-		third := t0.Spawn(func(tw *vthread.Thread) {
-			qm.Destroy(tw)
-		})
-		t0.Join(c1)
-		t0.Join(c2)
-		t0.Join(third)
-	}
-}
-
 func compiledPbzip2() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	qm := p.Mutex("queue")
@@ -130,7 +97,7 @@ func compiledPbzip2() *vthread.CompiledProgram {
 	consumer := func() *vthread.Code {
 		c := p.Body(0, 0)
 		c.P(items)
-		c.Lock(qm)
+		c.Lock(qm) // crashes if the teardown already destroyed it
 		c.AddVar(fifo, -1)
 		c.Unlock(qm)
 		return c
@@ -146,6 +113,8 @@ func compiledPbzip2() *vthread.CompiledProgram {
 	mn.Unlock(qm)
 	mn.V(items)
 	mn.V(items)
+	// Bug (pbzip2 0.9.4): the queue is torn down without waiting for the
+	// consumers to drain it.
 	h3 := mn.Spawn(third)
 	mn.Join(h1)
 	mn.Join(h2)
@@ -185,53 +154,6 @@ func compiledStringbuffer() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-func refQsortMt() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		arr := t0.NewArray("arr", 4)
-		done := t0.NewSem("done", 0)
-		cmps := t0.NewVar("comparisons", 0)
-		// Pre-fill unsorted with distinct values so a half-applied
-		// swap ([3,1] → [1,1]) is distinguishable from a sorted
-		// half.
-		for i, v := range []int{3, 1, 2, 0} {
-			arr.Set(t0, i, v)
-		}
-		sortHalf := func(lo int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				// Tiny bubble over two elements.
-				a := arr.Get(tw, lo)
-				b := arr.Get(tw, lo+1)
-				if a > b {
-					arr.Set(tw, lo, b)
-					// Bug: completion signalled before the second
-					// store of the swap lands.
-					done.V(tw)
-					arr.Set(tw, lo+1, a)
-				} else {
-					done.V(tw)
-				}
-				// Comparison-count bookkeeping after the sort: deep,
-				// harmless interleavings that keep depth-first
-				// search away from the shallow buggy window.
-				for i := 0; i < 8; i++ {
-					cmps.Add(tw, 1)
-				}
-			}
-		}
-		w1 := t0.Spawn(sortHalf(0))
-		w2 := t0.Spawn(sortHalf(2))
-		// Main merges as soon as both halves signal completion —
-		// which can be before the last swap store.
-		done.P(t0)
-		done.P(t0)
-		a0, a1 := arr.Get(t0, 0), arr.Get(t0, 1)
-		a2, a3 := arr.Get(t0, 2), arr.Get(t0, 3)
-		t0.Assert(a0 < a1 && a2 < a3, "half not sorted: [%d %d %d %d]", a0, a1, a2, a3)
-		t0.Join(w1)
-		t0.Join(w2)
-	}
-}
-
 func compiledQsortMt() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	arr := p.Array("arr", 4)
@@ -241,20 +163,30 @@ func compiledQsortMt() *vthread.CompiledProgram {
 	lo := sh.Arg(0)
 	a := sh.Get(arr, lo)
 	b := sh.Get(arr, plus(lo, 1))
+	// Tiny bubble over two elements.
 	sh.IfElse(gtr(a, b), func() {
 		sh.SetAt(arr, lo, b)
+		// Bug: completion signalled before the second store of the swap
+		// lands.
 		sh.V(done)
 		sh.SetAt(arr, plus(lo, 1), a)
 	}, func() {
 		sh.V(done)
 	})
+	// Comparison-count bookkeeping after the sort: deep, harmless
+	// interleavings that keep depth-first search away from the shallow
+	// buggy window.
 	loopN(sh, 8, func() { sh.AddVar(cmps, 1) })
 	mn := p.Main()
+	// Pre-fill unsorted with distinct values so a half-applied swap
+	// ([3,1] → [1,1]) is distinguishable from a sorted half.
 	for i, v := range []int{3, 1, 2, 0} {
 		mn.SetAt(arr, i, v)
 	}
 	w1 := mn.Spawn(sh, 0)
 	w2 := mn.Spawn(sh, 2)
+	// Main merges as soon as both halves signal completion — which can be
+	// before the last swap store.
 	mn.P(done)
 	mn.P(done)
 	a0 := mn.Get(arr, 0)

@@ -7,12 +7,10 @@ package bench
 // suite's bug — a macro set that omits "wait for threads to terminate", so
 // the master can read results before the workers finish writing them.
 //
-// Registered in compiled form (New, flat engine). parsec.streamcluster,
-// radbench.bug4, radbench.bug6 and the SPLASH-2 family keep their closure
-// originals as Ref twins (see Benchmark.Ref). Long noise loops (radbench
-// churn, the streamcluster pre-barrier phases) compile to register-counted
-// While loops rather than unrolled sequences — visible-op-identical, far
-// fewer instructions.
+// Registered in compiled form (New, flat engine). Long noise loops
+// (radbench churn, the streamcluster pre-barrier phases) compile to
+// register-counted While loops rather than unrolled sequences —
+// visible-op-identical, far fewer instructions.
 
 import "sctbench/internal/vthread"
 
@@ -28,7 +26,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "barrier phase: worker reads the median before the master finishes writing it",
 		New:     func() vthread.Runnable { return compiledStreamcluster1() },
-		Ref:     streamcluster1,
 	})
 	register(&Benchmark{
 		ID: 41, Name: "parsec.streamcluster2", Suite: "PARSEC", Threads: 7,
@@ -70,7 +67,6 @@ func init() {
 		BugKind: vthread.FailCrash,
 		Desc:    "lazily initialised lock: double initialisation leads to unlocking an unheld mutex",
 		New:     func() vthread.Runnable { return compiledRadbench4() },
-		Ref:     radbench4,
 	})
 	register(&Benchmark{
 		ID: 47, Name: "radbench.bug5", Suite: "RADBench", Threads: 7,
@@ -83,7 +79,6 @@ func init() {
 		BugKind: vthread.FailAssert,
 		Desc:    "condvar wakeup consumes a state change another waiter needed",
 		New:     func() vthread.Runnable { return compiledRadbench6() },
-		Ref:     radbench6,
 	})
 }
 
@@ -135,42 +130,16 @@ func compiledFerret() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// streamcluster1: four workers iterate six barrier-separated phases; the
-// master is the last-created worker, so under round-robin it is the last
-// arriver, passes straight through the barrier and writes the phase median
-// before any waiter wakes. The actual PARSEC bug is the missing second
-// barrier after the write: waking a waiter before the master's store (one
-// preemption = one delay, since the master is still enabled) yields a
-// stale read. Only the first phase checks the median, so the deep phases
-// are pure schedule noise: their 3! wake orders per phase give a
-// zero-preemption space of ~6^6 that buries preemption bounding, and a
-// deep tail that keeps depth-first search away from the shallow bug.
-func streamcluster1() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		const workers = 4
-		const phases = 6
-		b := t0.NewBarrier("phase", workers)
-		median := t0.NewVar("median", -1)
-		ts := make([]*vthread.Thread, workers)
-		for i := 0; i < workers; i++ {
-			i := i
-			ts[i] = t0.Spawn(func(tw *vthread.Thread) {
-				for phase := 0; phase < phases; phase++ {
-					b.Arrive(tw)
-					if i == workers-1 {
-						median.Store(tw, phase) // the master's post-barrier write
-					} else if phase == 0 {
-						got := median.Load(tw)
-						tw.Assert(got == 0, "read stale median %d before the master wrote it", got)
-					}
-					// Missing barrier here in the original.
-				}
-			})
-		}
-		joinAll(t0, ts)
-	}
-}
-
+// compiledStreamcluster1: four workers iterate six barrier-separated
+// phases; the master is the last-created worker, so under round-robin it
+// is the last arriver, passes straight through the barrier and writes the
+// phase median before any waiter wakes. The actual PARSEC bug is the
+// missing second barrier after the write: waking a waiter before the
+// master's store (one preemption = one delay, since the master is still
+// enabled) yields a stale read. Only the first phase checks the median, so
+// the deep phases are pure schedule noise: their 3! wake orders per phase
+// give a zero-preemption space of ~6^6 that buries preemption bounding,
+// and a deep tail that keeps depth-first search away from the shallow bug.
 func compiledStreamcluster1() *vthread.CompiledProgram {
 	const workers = 4
 	const phases = 6
@@ -190,7 +159,8 @@ func compiledStreamcluster1() *vthread.CompiledProgram {
 	ms := p.Body(0, 0)
 	for phase := 0; phase < phases; phase++ {
 		ms.Arrive(b)
-		ms.Store(median, phase)
+		ms.Store(median, phase) // the master's post-barrier write
+		// Missing barrier here in the original.
 	}
 	mn := p.Main()
 	hs := make([]vthread.OReg, 0, workers)
@@ -388,7 +358,7 @@ func compiledRadbench3() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// radbench4: NSPR's lazily initialised lock. Both threads run the
+// compiledRadbench4: NSPR's lazily initialised lock. Both threads run the
 // "if (!initialised) { create lock; initialised = 1 }" pattern and then
 // lock through the global handle, unlocking through a *fresh* read of the
 // handle, as the original code does. A double initialisation replaces the
@@ -400,49 +370,6 @@ func compiledRadbench3() *vthread.CompiledProgram {
 // schedule limit: iterative delay bounding exhausts its budget at bound 2
 // while random scheduling stumbles into the window — the paper's
 // Rand-only benchmark.
-func radbench4() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		inited := t0.NewVar("inited", 0)
-		handle := vthread.NewRef[*vthread.Mutex](t0, "handle", nil)
-		noise := t0.NewVar("noise4", 0)
-		use := func(me, prefix int) vthread.Program {
-			return func(tw *vthread.Thread) {
-				for r := 0; r < prefix; r++ {
-					noise.Add(tw, 1)
-				}
-				if inited.Load(tw) == 0 {
-					for r := 0; r < 3; r++ {
-						noise.Add(tw, 1) // allocation work inside the window
-					}
-					handle.Store(tw, tw.NewMutex("lazy"+itoa(me)))
-					inited.Store(tw, 1)
-				}
-				m := handle.Load(tw)
-				m.Lock(tw)
-				for r := 0; r < 4; r++ {
-					noise.Add(tw, 1) // critical section
-				}
-				m2 := handle.Load(tw) // the original unlocks via the global
-				m2.Unlock(tw)         // crash if the handle moved underneath
-			}
-		}
-		// The second user's long prefix makes a double initialisation rare
-		// under random scheduling (the first user normally finishes its
-		// init long before the second's check) while keeping it reachable
-		// with two early delays.
-		w1 := t0.Spawn(use(1, 2))
-		w2 := t0.Spawn(use(2, 12))
-		w3 := t0.Spawn(func(tw *vthread.Thread) {
-			for r := 0; r < 200; r++ {
-				noise.Add(tw, 1)
-			}
-		})
-		t0.Join(w1)
-		t0.Join(w2)
-		t0.Join(w3)
-	}
-}
-
 func compiledRadbench4() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	inited := p.Var("inited", 0)
@@ -453,6 +380,7 @@ func compiledRadbench4() *vthread.CompiledProgram {
 		loopN(c, prefix, func() { c.AddVar(noise, 1) })
 		i := c.Load(inited)
 		c.If(eq(i, 0), func() {
+			// Allocation work inside the window.
 			loopN(c, 3, func() { c.AddVar(noise, 1) })
 			o := c.NewMutex("lazy" + itoa(me))
 			c.RefStore(handle, o)
@@ -460,11 +388,17 @@ func compiledRadbench4() *vthread.CompiledProgram {
 		})
 		m := c.RefLoad(handle)
 		c.Lock(m)
-		loopN(c, 4, func() { c.AddVar(noise, 1) })
+		loopN(c, 4, func() { c.AddVar(noise, 1) }) // critical section
+		// The original unlocks via the global: a crash if the handle moved
+		// underneath.
 		m2 := c.RefLoad(handle)
 		c.Unlock(m2)
 		return c
 	}
+	// The second user's long prefix makes a double initialisation rare
+	// under random scheduling (the first user normally finishes its init
+	// long before the second's check) while keeping it reachable with two
+	// early delays.
 	u1 := use(1, 2)
 	u2 := use(2, 12)
 	nz := p.Body(0, 0)
@@ -518,65 +452,9 @@ func compiledRadbench5() *vthread.CompiledProgram {
 	return p.Build()
 }
 
-// radbench6: a condvar wakeup consumes a state change that a second
+// compiledRadbench6: a condvar wakeup consumes a state change that a second
 // waiter needed — one delay moves the signal between the two waiters'
 // checks.
-func radbench6() vthread.Program {
-	return func(t0 *vthread.Thread) {
-		m := t0.NewMutex("m")
-		cv := t0.NewCond("cv")
-		avail := t0.NewVar("avail", 0)
-		shutdown := t0.NewVar("shutdown", 0)
-		pad := t0.NewVar("pad6", 0)
-		waiter := t0.Spawn(func(tw *vthread.Thread) {
-			m.Lock(tw)
-			if avail.Load(tw) == 0 && shutdown.Load(tw) == 0 {
-				cv.Wait(tw, m)
-			}
-			// Bug: "if" instead of "while" — a barger who consumed the
-			// state between the signal and this wakeup leaves nothing.
-			got := avail.Load(tw)
-			tw.Assert(got > 0, "woke with nothing available")
-			avail.Store(tw, got-1)
-			m.Unlock(tw)
-		})
-		barger := t0.Spawn(func(tw *vthread.Thread) {
-			m.Lock(tw)
-			if avail.Load(tw) > 0 { // barging path: consumes without waiting
-				avail.Add(tw, -1)
-			}
-			m.Unlock(tw)
-			for r := 0; r < 10; r++ {
-				pad.Add(tw, 1)
-			}
-		})
-		m.Lock(t0)
-		avail.Store(t0, 1)
-		cv.Signal(t0)
-		m.Unlock(t0)
-		m.Lock(t0)
-		if avail.Load(t0) == 0 { // producer tops up if the first was taken
-			avail.Store(t0, 1)
-			cv.Signal(t0)
-		}
-		m.Unlock(t0)
-		for r := 0; r < 10; r++ {
-			pad.Add(t0, 1)
-		}
-		// Shutdown protocol: after the barger is done, raise the shutdown
-		// flag and broadcast, so a lost-signal schedule manifests as the
-		// "woke with nothing available" assertion rather than a hang —
-		// mirroring the original test harness, which timed out and flagged
-		// the condition.
-		t0.Join(barger)
-		m.Lock(t0)
-		shutdown.Store(t0, 1)
-		cv.Broadcast(t0)
-		m.Unlock(t0)
-		t0.Join(waiter)
-	}
-}
-
 func compiledRadbench6() *vthread.CompiledProgram {
 	p := vthread.NewBuilder()
 	m := p.Mutex("m")
@@ -595,6 +473,8 @@ func compiledRadbench6() *vthread.CompiledProgram {
 			wt.Wait(cv, m)
 		})
 	})
+	// Bug: "if" instead of "while" — a barger who consumed the state
+	// between the signal and this wakeup leaves nothing.
 	got := wt.Load(avail)
 	wt.Assert(gt(got, 0), "woke with nothing available")
 	wt.Store(avail, plus(got, -1))
@@ -602,7 +482,7 @@ func compiledRadbench6() *vthread.CompiledProgram {
 	bg := p.Body(0, 0)
 	bg.Lock(m)
 	ba := bg.Load(avail)
-	bg.If(gt(ba, 0), func() {
+	bg.If(gt(ba, 0), func() { // barging path: consumes without waiting
 		bg.AddVar(avail, -1)
 	})
 	bg.Unlock(m)
@@ -616,12 +496,16 @@ func compiledRadbench6() *vthread.CompiledProgram {
 	mn.Unlock(m)
 	mn.Lock(m)
 	pa := mn.Load(avail)
-	mn.If(eq(pa, 0), func() {
+	mn.If(eq(pa, 0), func() { // producer tops up if the first was taken
 		mn.Store(avail, 1)
 		mn.Signal(cv)
 	})
 	mn.Unlock(m)
 	loopN(mn, 10, func() { mn.AddVar(pad, 1) })
+	// Shutdown protocol: after the barger is done, raise the shutdown flag
+	// and broadcast, so a lost-signal schedule manifests as the "woke with
+	// nothing available" assertion rather than a hang — mirroring the
+	// original test harness, which timed out and flagged the condition.
 	mn.Join(hb)
 	mn.Lock(m)
 	mn.Store(shutdown, 1)
@@ -644,30 +528,7 @@ func registerSplash(id int, name string, steps int) {
 		BugKind: vthread.FailAssert,
 		Desc:    "missing WAIT_FOR_END macro: master checks results before the worker's last store",
 		New:     func() vthread.Runnable { return compiledSplash(steps) },
-		Ref:     func() vthread.Program { return refSplash(steps) },
 	})
-}
-
-func refSplash(steps int) vthread.Program {
-	return func(t0 *vthread.Thread) {
-		work := t0.NewVar("work", 0)
-		doneFlag := t0.NewVar("done", 0)
-		started := t0.NewSem("started", 0)
-		w := t0.Spawn(func(tw *vthread.Thread) {
-			for i := 0; i < steps; i++ {
-				work.Add(tw, 1)
-			}
-			started.V(tw)
-			// The worker's very last store: everything before it is
-			// ordered by the semaphore, this one is not.
-			doneFlag.Store(tw, 1)
-		})
-		started.P(t0)
-		// Missing WAIT_FOR_END: the master should Join(w) here.
-		d := doneFlag.Load(t0)
-		t0.Assert(d == 1, "master proceeded before worker termination (done=%d)", d)
-		t0.Join(w)
-	}
 }
 
 func compiledSplash(steps int) *vthread.CompiledProgram {
@@ -678,10 +539,13 @@ func compiledSplash(steps int) *vthread.CompiledProgram {
 	wk := p.Body(0, 0)
 	loopN(wk, steps, func() { wk.AddVar(work, 1) })
 	wk.V(started)
+	// The worker's very last store: everything before it is ordered by the
+	// semaphore, this one is not.
 	wk.Store(doneFlag, 1)
 	mn := p.Main()
 	w := mn.Spawn(wk)
 	mn.P(started)
+	// Missing WAIT_FOR_END: the master should Join(w) here.
 	d := mn.Load(doneFlag)
 	mn.Assert(eq(d, 1), "master proceeded before worker termination (done=%d)", d)
 	mn.Join(w)

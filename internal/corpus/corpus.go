@@ -304,33 +304,6 @@ func (s *Store) AddPrefixes(hash, benchName string, prefixes []sched.Schedule) e
 	return s.saveLocked(e)
 }
 
-// Merge unions every entry of other into s, persisting each changed entry.
-// Used by swarm cells writing into a shared corpus and by operators
-// combining corpora from different machines.
-func (s *Store) Merge(other *Store) error {
-	other.mu.Lock()
-	foreign := make([]Entry, 0, len(other.entries))
-	for _, e := range other.entries {
-		foreign = append(foreign, e.clone())
-	}
-	other.mu.Unlock()
-	sort.Slice(foreign, func(i, j int) bool { return foreign[i].Hash < foreign[j].Hash })
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range foreign {
-		fe := &foreign[i]
-		e := s.entryLocked(fe.Hash, fe.Benchmark)
-		e.Witnesses = append(e.Witnesses, fe.Witnesses...)
-		e.Prefixes = append(e.Prefixes, fe.Prefixes...)
-		e.canonicalise()
-		if err := s.saveLocked(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // GC deletes every entry whose hash the keep set does not contain and
 // returns how many were removed. The caller supplies the live hash set —
 // typically the current registry's — so entries orphaned by semantic

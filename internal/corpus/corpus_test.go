@@ -84,39 +84,6 @@ func TestPutDropsEmptyEntry(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AddWitness(h1, "CS.demo", w(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddWitness(h1, "CS.demo", w(0, 1)); err != nil { // shared
-		t.Fatal(err)
-	}
-	if err := b.AddWitness(h1, "CS.demo", w(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddWitness(h2, "CS.other", w(0, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 2 {
-		t.Fatalf("merged store has %d entries, want 2", a.Len())
-	}
-	e, _ := a.Get(h1)
-	if len(e.Witnesses) != 2 {
-		t.Fatalf("merged entry has %d witnesses, want 2 (shared one deduped)", len(e.Witnesses))
-	}
-}
-
 func TestGC(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -174,12 +174,6 @@ type SleepEntry struct {
 // partial per-unit tallies), every finished unit's result, and the
 // cross-pass totals a resume continues from.
 type PoolState struct {
-	// BudgetLeft and ExecLimitLeft are written for older builds only: a
-	// resume derives the pass budget from Limit - Counted and the execution
-	// guard from MaxExecutions - CommittedExecs, so the two writers cannot
-	// disagree about what "left" means.
-	BudgetLeft    int64 `json:"budgetLeft"`
-	ExecLimitLeft int64 `json:"execLimitLeft"`
 	// OwnExecs is the executions this pass has performed so far.
 	OwnExecs int64 `json:"ownExecs,omitempty"`
 	// Execs, Steps and Aborts are the whole exploration's work so far:

@@ -759,9 +759,7 @@ func (s *Scheduler) WriteCheckpoint() {
 	}
 	// The baseline is the pre-merge result: the units' tallies are folded in
 	// on resume (rebaseWork), so folding them here too would count them twice.
-	work, schedules := ps.unitWork()
-	ps.BudgetLeft = max(0, int64(s.cfg.Limit-s.counted-schedules))
-	ps.ExecLimitLeft = int64(s.cfg.MaxExecutions) - s.committedExecs
+	work := ps.unitWork()
 	ps.Execs = int64(s.r.Executions + work.Executions)
 	ps.Steps = s.r.TotalSteps + work.Steps
 	ps.Aborts = int64(s.r.AbortedExecutions + work.Aborted)
@@ -779,14 +777,12 @@ func (s *Scheduler) WriteCheckpoint() {
 	}
 }
 
-// unitWork sums the work tallies and counted schedules of the pass's units,
-// parked and done.
-func (ps *PoolState) unitWork() (work PassMerge, schedules int) {
+// unitWork sums the work tallies of the pass's units, parked and done.
+func (ps *PoolState) unitWork() (work PassMerge) {
 	add := func(u *UnitResultState) {
 		work.Executions += u.Executions
 		work.Steps += u.Steps
 		work.Aborted += u.Aborted
-		schedules += u.Schedules
 	}
 	for i := range ps.Done {
 		add(&ps.Done[i])
@@ -796,7 +792,7 @@ func (ps *PoolState) unitWork() (work PassMerge, schedules int) {
 			add(us.Partial)
 		}
 	}
-	return work, schedules
+	return work
 }
 
 // rebaseWork sets r's work tallies to the baseline a resumed pass builds on,
@@ -806,7 +802,7 @@ func (ps *PoolState) unitWork() (work PassMerge, schedules int) {
 // build that counted work on shared counters carry none, and the whole
 // counter value lands in the baseline.
 func (ps *PoolState) rebaseWork(r *Result) {
-	pass, _ := ps.unitWork()
+	pass := ps.unitWork()
 	r.Executions = int(ps.Execs) - pass.Executions
 	r.TotalSteps = ps.Steps - pass.Steps
 	r.AbortedExecutions = int(ps.Aborts) - pass.Aborted

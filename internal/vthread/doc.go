@@ -245,8 +245,8 @@ package vthread
 // bridge; a single-use World always takes it. See prog.go for the
 // registration/perform protocol and the op-for-op translation contract that
 // equivalence rests on, internal/bench/equiv_test.go for the registry-wide
-// enforcement, and vthread_test's opcode coverage guard for what keeps the
-// closure twins there sufficient.
+// enforcement, and vthread_test's opcode coverage guard for what keeps this
+// package's generated closure/compiled test pair sufficient.
 //
 // # Continuing from a saved prefix (Executor.RunFrom)
 //

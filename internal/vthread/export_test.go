@@ -35,13 +35,13 @@ func Opcodes(cp *CompiledProgram) map[Opcode]bool {
 	return out
 }
 
-// GeneratedOpcodes is Opcodes over the genCompiled shapes 0..n-1: the
-// instruction kinds the generated-program equivalence tests compare with
-// hand-written closure code (genProgram).
-func GeneratedOpcodes(n int) map[Opcode]bool {
+// GeneratedOpcodes is Opcodes over the fixed generated shapes: the
+// instruction kinds TestFlatMatchesReferenceOnGenerated compares with
+// hand-written closure code (genProgram) in every run.
+func GeneratedOpcodes() map[Opcode]bool {
 	out := make(map[Opcode]bool)
-	for shape := 0; shape < n; shape++ {
-		for op := range Opcodes(genCompiled(uint32(shape))) {
+	for shape := uint32(0); shape < generatedShapes; shape++ {
+		for op := range Opcodes(genCompiled(shape)) {
 			out[op] = true
 		}
 	}

@@ -52,8 +52,8 @@ func compiledDeadlockTwin() *CompiledProgram {
 // run of the same shape must be bit-identical under any chooser.
 func genCompiled(shape uint32) *CompiledProgram {
 	p := NewBuilder()
-	nWorkers := int(shape%3) + 1
-	ops := int((shape/4)%5) + 1
+	nWorkers, arms := genPlan(shape)
+	acksWanted := genAcks(nWorkers, arms)
 	m := p.Mutex("m")
 	v := p.Var("v", 0)
 	s := p.Sem("s", 1)
@@ -61,13 +61,24 @@ func genCompiled(shape uint32) *CompiledProgram {
 	b := p.Chan("b", 2)
 	g := p.WaitGroup("g")
 	once := p.Once("o")
+	at := p.Atomic("at", 0)
+	arr := p.Array("arr", 4)
+	cell := p.Cell(0)
+	cv := p.Cond("cv")
+	ack := p.Cond("ack")
+	flag := p.Var("flag", 0)
+	acks := p.Var("acks", 0)
+	bar := p.Barrier("bar", nWorkers)
+	c := p.Chan("c", 1)
+	closeOnce := p.Once("oc")
+	ref := p.Ref("r")
 
 	// All workers run the same seed-derived mix, so one body serves them
 	// all (runtime-varying names evaluate t.ID() per thread).
 	wk := p.Body(0, 0)
-	mix := shape
-	for o := 0; o < ops; o++ {
-		switch op := o; mix % 8 {
+	ret := wk.Let(0)
+	for op, arm := range arms {
+		switch arm {
 		case 0:
 			wk.Lock(m)
 			wk.AddVar(v, 1)
@@ -88,6 +99,7 @@ func genCompiled(shape uint32) *CompiledProgram {
 			})
 		case 5:
 			wk.Yield()
+			wk.Set(ret, op%2)
 		case 6:
 			wk.Sleep(func(t *Thread) string {
 				return fmt.Sprintf("nap/%d/%d", t.ID(), op)
@@ -97,7 +109,7 @@ func genCompiled(shape uint32) *CompiledProgram {
 			}, 2)
 			wk.Recv(tk)
 			wk.TickerStop(tk)
-		default:
+		case 7:
 			par := wk.WithCancel(func(t *Thread) string {
 				return fmt.Sprintf("cp/%d/%d", t.ID(), op)
 			}, NoCtx)
@@ -111,10 +123,78 @@ func genCompiled(shape uint32) *CompiledProgram {
 			wk.If(ok, func() {
 				wk.Fail("ctx done channel delivered a value")
 			})
+		case 8:
+			x := wk.LoadA(at)
+			swapped := wk.CAS(at, x, func(t *Thread) int { return t.Reg(x) + 1 })
+			wk.If(swapped, func() {
+				wk.StoreA(at, func(t *Thread) int { return t.Reg(x) + 2 })
+			})
+			y := wk.LoadA(at)
+			wk.If(func(t *Thread) bool { return t.Reg(y)%2 == 0 }, func() { wk.Yield() })
+		case 9:
+			k := op%3 + 1
+			n := wk.Let(0)
+			slot := func(t *Thread) int { return t.Reg(n) - 1 }
+			wk.While(func(t *Thread) bool { return t.Reg(n) < 4 }, func() {
+				wk.Set(n, func(t *Thread) int { return t.Reg(n) + 1 })
+				wk.If(func(t *Thread) bool { return t.Reg(n) > k }, func() { wk.Break() })
+				x := wk.Get(arr, slot)
+				wk.If(func(t *Thread) bool { return t.Reg(x)%2 == 1 }, func() { wk.Yield() })
+				wk.SetAt(arr, slot, func(t *Thread) int { return t.Reg(x) + 1 })
+			})
+			wk.SetCell(cell, func(t *Thread) int { return t.Cell(cell) + t.Reg(n) })
+			wk.If(func(t *Thread) bool { return t.Cell(cell)%2 == 0 }, func() { wk.Yield() })
+			wk.Assert(func(t *Thread) bool { return t.Reg(n) == k+1 }, "loop left at %d, want %d", n, k+1)
+		case genCondArm:
+			wk.Lock(m)
+			f := wk.Load(flag)
+			wk.While(func(t *Thread) bool { return t.Reg(f) == 0 }, func() {
+				wk.Wait(cv, m)
+				wk.Set(f, wk.Load(flag))
+			})
+			wk.AddVar(acks, 1)
+			wk.Signal(ack)
+			wk.Unlock(m)
+		case 11:
+			wk.Arrive(bar)
+		case 12:
+			wk.OnceDo(closeOnce, func() { wk.CloseChan(c) })
+			_, ok := wk.Recv(c)
+			wk.If(ok, func() {
+				wk.Fail("closed channel delivered a value")
+			})
+		case 13:
+			tm := wk.After(func(t *Thread) string {
+				return fmt.Sprintf("sel/%d/%d", t.ID(), op)
+			}, int64(op%2)+1)
+			idx, _, _ := wk.Select([]SCase{RecvC(a), RecvC(tm)}, false)
+			wk.If(func(t *Thread) bool { return t.Reg(idx) == 0 }, func() { wk.Yield() })
+		case 14:
+			tm := wk.NewTimer(func(t *Thread) string {
+				return fmt.Sprintf("tm/%d/%d", t.ID(), op)
+			}, int64(op%2))
+			armed := wk.TimerStop(tm)
+			wk.If(func(t *Thread) bool { return t.Reg(armed) == 0 }, func() { wk.Recv(tm) })
+		default:
+			dm := wk.NewMutex(func(t *Thread) string {
+				return fmt.Sprintf("dm/%d/%d", t.ID(), op)
+			})
+			wk.Lock(dm)
+			wk.Unlock(dm)
+			if op%2 == 0 {
+				wk.DestroyMutex(dm)
+			} else {
+				wk.RefStore(ref, dm)
+				r := wk.RefLoad(ref)
+				wk.Lock(r)
+				wk.AddVar(v, 1)
+				wk.Unlock(r)
+			}
 		}
-		mix /= 8
 	}
 	wk.WGDone(g)
+	wk.If(ret, func() { wk.Return() })
+	wk.Yield()
 
 	mn := p.Main()
 	mn.WGAdd(g, nWorkers)
@@ -123,6 +203,17 @@ func genCompiled(shape uint32) *CompiledProgram {
 	hs := make([]OReg, 0, nWorkers)
 	for i := 0; i < nWorkers; i++ {
 		hs = append(hs, mn.Spawn(wk))
+	}
+	if acksWanted > 0 {
+		mn.Lock(m)
+		mn.Store(flag, 1)
+		mn.Broadcast(cv)
+		n := mn.Load(acks)
+		mn.While(func(t *Thread) bool { return t.Reg(n) < acksWanted }, func() {
+			mn.Wait(ack, m)
+			mn.Set(n, mn.Load(acks))
+		})
+		mn.Unlock(m)
 	}
 	mn.WGWait(g)
 	for _, h := range hs {
@@ -177,33 +268,64 @@ func TestFlatMatchesReferenceSmoke(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesReferenceOnGenerated is the fuzzed equivalence property:
-// for seed-derived programs covering locks, semaphores, channels, selects
-// with defaults, Once, WaitGroups, timers, tickers and context deadlines,
-// a compiled run (flat engine) and the closure original (goroutine engine)
-// are bit-identical — outcome, failure and event stream — and so is the
-// compiled program run through the blocking bridge (AsProgram).
+// generatedShapes is the fixed shape sweep: across shapes
+// 0..generatedShapes-1 every arm of the op switch runs first under each
+// worker count, and second after most other arms.
+// TestFlatMatchesReferenceOnGenerated compares each of them, and
+// TestRegistryOpcodesCovered counts what they use as covered.
+const generatedShapes = genArms * genArms
+
+// generatedSeeds are the random-chooser seeds the fixed sweep runs each
+// shape under.
+var generatedSeeds = []uint64{1, 2}
+
+// TestFlatMatchesReferenceOnGenerated is the equivalence property over the
+// generated pair: for every shape of the fixed sweep under generatedSeeds,
+// and for random shapes and seeds, a compiled run (flat engine) and the
+// closure original (goroutine engine) are bit-identical — outcome, failure
+// and event stream — and so is the compiled program run through the
+// blocking bridge (AsProgram), and the trace the flat engine recorded
+// replays on the closure original to the same trace and failure.
 func TestFlatMatchesReferenceOnGenerated(t *testing.T) {
-	f := func(shape uint32, seed uint64) bool {
-		ref := genProgram(shape)
-		cp := genCompiled(shape)
-		mk := func() Chooser { return NewRandom(seed) }
-		want, got, wev, gev := runPair(t, ref, cp, mk)
-		if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) || wev != gev {
-			t.Logf("shape=%d seed=%d: flat diverged\n got %+v ev:\n%s\nwant %+v ev:\n%s",
-				shape, seed, got, gev, want, wev)
-			return false
+	for shape := uint32(0); shape < generatedShapes; shape++ {
+		for _, seed := range generatedSeeds {
+			if !generatedMatches(t, shape, seed) {
+				t.Fatalf("shape=%d seed=%d: see log", shape, seed)
+			}
 		}
-		want, got, wev, gev = runPair(t, ref, AsProgram(cp), mk)
-		if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) || wev != gev {
-			t.Logf("shape=%d seed=%d: blocking bridge diverged\n got %+v\nwant %+v", shape, seed, got, want)
-			return false
-		}
-		return true
 	}
+	f := func(shape uint32, seed uint64) bool { return generatedMatches(t, shape, seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// generatedMatches runs one shape of the generated pair under one random
+// seed on the three paths TestFlatMatchesReferenceOnGenerated compares,
+// logging the first divergence.
+func generatedMatches(t *testing.T, shape uint32, seed uint64) bool {
+	ref := genProgram(shape)
+	cp := genCompiled(shape)
+	mk := func() Chooser { return NewRandom(seed) }
+	want, got, wev, gev := runPair(t, ref, cp, mk)
+	if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) || wev != gev {
+		t.Logf("shape=%d seed=%d: flat diverged\n got %+v ev:\n%s\nwant %+v ev:\n%s",
+			shape, seed, got, gev, want, wev)
+		return false
+	}
+	rep := NewReplay(got.Trace.Clone())
+	out := NewWorld(Options{Chooser: rep}).Run(ref)
+	if rep.Failed() || !out.Trace.Equal(got.Trace) || !failuresEqual(out.Failure, got.Failure) {
+		t.Logf("shape=%d seed=%d: flat witness did not replay on the closure original (diverged=%v)\nflat %v %v\nref  %v %v",
+			shape, seed, rep.Failed(), got.Trace, got.Failure, out.Trace, out.Failure)
+		return false
+	}
+	want, got, wev, gev = runPair(t, ref, AsProgram(cp), mk)
+	if !outcomesEqual(want, got) || !failuresEqual(want.Failure, got.Failure) || wev != gev {
+		t.Logf("shape=%d seed=%d: blocking bridge diverged\n got %+v\nwant %+v", shape, seed, got, want)
+		return false
+	}
+	return true
 }
 
 // TestFlatMatchesReferenceAcrossDebugCombos runs the compiled generated

@@ -7,23 +7,15 @@ import (
 	"sctbench/internal/vthread"
 )
 
-// TestRegistryOpcodesCovered is what lets the registry keep only a few
+// TestRegistryOpcodesCovered is what lets the registry carry no per-program
 // closure twins. Every instruction kind any registry program uses must be
-// used by a kept twin's compiled program, which internal/bench's
-// TestCompiledMatchesReference runs against the hand-written closure, or by
-// a genCompiled shape, which TestFlatMatchesReferenceOnGenerated runs
-// against genProgram. The AsProgram bridge shares the flat interpreter, so
-// it cannot stand in for either: it would agree with a wrong instruction.
+// used by a shape of the fixed generated sweep, which
+// TestFlatMatchesReferenceOnGenerated compares, in every run, with the
+// hand-written closure original (genProgram). The AsProgram bridge shares
+// the flat interpreter, so it cannot stand in for that comparison: it would
+// agree with a wrong instruction.
 func TestRegistryOpcodesCovered(t *testing.T) {
-	// 256 shapes take every arm of genCompiled's op switch many times over.
-	covered := vthread.GeneratedOpcodes(256)
-	for _, b := range bench.All() {
-		if b.Ref != nil {
-			for op := range vthread.Opcodes(b.New().(*vthread.CompiledProgram)) {
-				covered[op] = true
-			}
-		}
-	}
+	covered := vthread.GeneratedOpcodes()
 	uncovered := make(map[vthread.Opcode][]string)
 	for _, b := range bench.All() {
 		cp, ok := b.New().(*vthread.CompiledProgram)
@@ -37,6 +29,6 @@ func TestRegistryOpcodesCovered(t *testing.T) {
 		}
 	}
 	for op, names := range uncovered {
-		t.Errorf("%v is used by %v, but by no kept Ref twin and no generated shape", op, names)
+		t.Errorf("%v is used by %v, but by no generated shape", op, names)
 	}
 }

@@ -8,16 +8,66 @@ import (
 	"sctbench/internal/sched"
 )
 
+// genArms is the number of arms of the generated programs' op switch.
+const genArms = 16
+
+// genPlan is a shape seed's program plan, shared by genProgram and
+// genCompiled: the worker count and the op mix every worker runs, one arm
+// per op read off the seed's base-genArms digits.
+func genPlan(shape uint32) (nWorkers int, arms []int) {
+	nWorkers = int(shape%3) + 1
+	ops := int((shape/4)%5) + 1
+	mix := shape
+	for o := 0; o < ops; o++ {
+		arms = append(arms, int(mix%genArms))
+		mix /= genArms
+	}
+	return nWorkers, arms
+}
+
+// genCondArm is the arm whose waiters main releases and then waits for.
+const genCondArm = 10
+
+// genAcks is how many condvar acknowledgements main waits for: one per
+// worker per genCondArm op.
+func genAcks(nWorkers int, arms []int) int {
+	n := 0
+	for _, a := range arms {
+		if a == genCondArm {
+			n += nWorkers
+		}
+	}
+	return n
+}
+
 // genProgram builds a deterministic small concurrent program from a shape
-// seed: a few workers doing a seed-derived mix of locked and unlocked
-// counter traffic, semaphore hand-offs, yields, virtual-time sleeps,
-// ticker receives and context-deadline waits. It is bug-free and
-// deadlock-free by construction (every timer wait is on a fireable timer),
-// so any reported failure is a substrate defect.
+// seed: a few workers running the same seed-derived mix of locked and
+// unlocked counter traffic, semaphore hand-offs, yields, virtual-time
+// sleeps and timers, ticker receives, context-deadline waits, selects with
+// and without a default, Once bodies, atomics, array traffic in a loop left
+// by a break, a shared invisible cell, condition variables, a barrier, a
+// channel close, and a dynamic mutex that is either destroyed or published
+// through a reference. The arms from 8 on feed every value they read into
+// a branch, a loop trip count or an assertion, so an instruction that
+// computes a wrong value changes the trace.
+//
+// It is bug-free and deadlock-free by construction, so any reported
+// failure is a substrate defect:
+//   - every timer wait is on a fireable timer, and a stopped timer is
+//     drained only when Stop reports that it already fired;
+//   - the select without a default has a timer case;
+//   - condvar waiters loop on a flag that main sets, under the mutex,
+//     before its WaitGroup wait, and then broadcasts; main then waits the
+//     same way for every waiter's signalled acknowledgement;
+//   - the barrier has one party per worker, and every worker runs the
+//     same mix;
+//   - the channel close runs inside a Once, on a channel no one sends on;
+//   - a mutex published through the reference is never destroyed;
+//   - a worker returns early only after its WaitGroup Done.
 func genProgram(shape uint32) Program {
+	nWorkers, arms := genPlan(shape)
+	acksWanted := genAcks(nWorkers, arms)
 	return func(t0 *Thread) {
-		nWorkers := int(shape%3) + 1
-		ops := int((shape/4)%5) + 1
 		m := t0.NewMutex("m")
 		v := t0.NewVar("v", 0)
 		s := t0.NewSem("s", 1)
@@ -29,15 +79,26 @@ func genProgram(shape uint32) Program {
 		b := t0.NewChan("b", 2)
 		g := t0.NewWaitGroup("g")
 		once := t0.NewOnce("o")
+		at := t0.NewAtomic("at", 0)
+		arr := t0.NewArray("arr", 4)
+		cell := 0
+		cv := t0.NewCond("cv")
+		ack := t0.NewCond("ack")
+		flag := t0.NewVar("flag", 0)
+		acks := t0.NewVar("acks", 0)
+		bar := t0.NewBarrier("bar", nWorkers)
+		c := t0.NewChan("c", 1)
+		closeOnce := t0.NewOnce("oc")
+		ref := NewRef[*Mutex](t0, "r", nil)
 		g.Add(t0, nWorkers)
 		a.Send(t0, 1)
 		b.Send(t0, 2)
 		ts := make([]*Thread, 0, nWorkers)
 		for i := 0; i < nWorkers; i++ {
 			ts = append(ts, t0.Spawn(func(tw *Thread) {
-				mix := shape
-				for o := 0; o < ops; o++ {
-					switch mix % 8 {
+				ret := false
+				for o, arm := range arms {
+					switch arm {
 					case 0:
 						m.Lock(tw)
 						v.Add(tw, 1)
@@ -61,6 +122,7 @@ func genProgram(shape uint32) Program {
 						}
 					case 5:
 						tw.Yield()
+						ret = o%2 == 1
 					case 6:
 						// Virtual time: a sleep, then a ticker received once and
 						// stopped. Both waits are on fireable timers, so neither
@@ -69,7 +131,7 @@ func genProgram(shape uint32) Program {
 						tk := tw.NewTicker(fmt.Sprintf("tick/%d/%d", tw.ID(), o), 2)
 						tk.C().Recv(tw)
 						tk.Stop(tw)
-					default:
+					case 7:
 						// Context deadlines: a child context under a cancellable
 						// parent, waited on until the deadline fires (or, on odd
 						// ops, cancelled by hand first).
@@ -81,11 +143,95 @@ func genProgram(shape uint32) Program {
 						if _, ok := c.Done().Recv(tw); ok {
 							tw.Fail("ctx done channel delivered a value")
 						}
+					case 8:
+						// Atomics: the CAS succeeds unless another worker moved
+						// the value since the load, and the last load tells the
+						// store's parity from the CAS's.
+						x := at.Load(tw)
+						if at.CAS(tw, x, x+1) {
+							at.Store(tw, x+2)
+						}
+						if at.Load(tw)%2 == 0 {
+							tw.Yield()
+						}
+					case 9:
+						// A loop left by a break, bumping array slots; the trip
+						// count feeds the shared cell and an assertion.
+						k := o%3 + 1
+						n := 0
+						for n < 4 {
+							n++
+							if n > k {
+								break
+							}
+							x := arr.Get(tw, n-1)
+							if x%2 == 1 {
+								tw.Yield()
+							}
+							arr.Set(tw, n-1, x+1)
+						}
+						cell += n
+						if cell%2 == 0 {
+							tw.Yield()
+						}
+						tw.Assert(n == k+1, "loop left at %d, want %d", n, k+1)
+					case genCondArm:
+						m.Lock(tw)
+						for flag.Load(tw) == 0 {
+							cv.Wait(tw, m)
+						}
+						acks.Add(tw, 1)
+						ack.Signal(tw)
+						m.Unlock(tw)
+					case 11:
+						bar.Arrive(tw)
+					case 12:
+						closeOnce.Do(tw, func(ti *Thread) { c.Close(ti) })
+						if _, ok := c.Recv(tw); ok {
+							tw.Fail("closed channel delivered a value")
+						}
+					case 13:
+						// No default: the select blocks until a's buffer or the
+						// clock delivers.
+						tm := tw.After(fmt.Sprintf("sel/%d/%d", tw.ID(), o), int64(o%2)+1)
+						if idx, _, _ := tw.Select([]SelectCase{RecvCase(a), RecvCase(tm)}, false); idx == 0 {
+							tw.Yield()
+						}
+					case 14:
+						tm := tw.NewTimer(fmt.Sprintf("tm/%d/%d", tw.ID(), o), int64(o%2))
+						if !tm.Stop(tw) {
+							tm.C().Recv(tw) // it fired: drain the buffered tick
+						}
+					default:
+						dm := tw.NewMutex(fmt.Sprintf("dm/%d/%d", tw.ID(), o))
+						dm.Lock(tw)
+						dm.Unlock(tw)
+						if o%2 == 0 {
+							dm.Destroy(tw)
+						} else {
+							ref.Store(tw, dm)
+							r := ref.Load(tw)
+							r.Lock(tw)
+							v.Add(tw, 1)
+							r.Unlock(tw)
+						}
 					}
-					mix /= 8
 				}
 				g.Done(tw)
+				if ret {
+					return
+				}
+				tw.Yield()
 			}))
+		}
+		if acksWanted > 0 {
+			m.Lock(t0)
+			flag.Store(t0, 1)
+			cv.Broadcast(t0)
+			for acks.Load(t0) < acksWanted {
+				ack.Wait(t0, m)
+			}
+			m.Unlock(t0)
 		}
 		g.Wait(t0)
 		for _, c := range ts {
