@@ -19,6 +19,9 @@ var exploreReductionPrograms = []string{
 	"CS.account_bad",
 	"CS.lazy01_bad",
 	"CS.arithmetic_prog_bad",
+	// Five threads: enough enabled threads a node for the walker's per-node
+	// cost to show (DFS needs 1,399 schedules to the bug, the POR walkers 7).
+	"CS.wronglock_3_bad",
 }
 
 // BenchmarkExploreReduction runs one complete exploration per iteration
@@ -42,6 +45,7 @@ func BenchmarkExploreReduction(b *testing.B) {
 		}
 		for _, tech := range techniques {
 			b.Run(name+"/"+tech.name, func(b *testing.B) {
+				b.ReportAllocs()
 				prog := bm.New()
 				var execs, scheds, aborted int
 				var steps int64

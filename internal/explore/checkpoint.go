@@ -570,7 +570,7 @@ func mapSlice[T, U any](xs []T, f func(T) U) []U {
 func threadToInt(t sched.ThreadID) int { return int(t) }
 func intToThread(x int) sched.ThreadID { return sched.ThreadID(x) }
 
-func pendingToState(p vthread.PendingInfo) PendingState {
+func pendingToState(p *vthread.PendingInfo) PendingState {
 	ps := PendingState{
 		IsAccess: p.IsAccess, Key: p.Key, IsWrite: p.IsWrite,
 		ReadOnly: p.ReadOnly, Opaque: p.Opaque,
@@ -591,24 +591,25 @@ func stateToPending(ps PendingState) vthread.PendingInfo {
 	}
 }
 
-func sleepToEntries(m map[sched.ThreadID]vthread.PendingInfo) []SleepEntry {
-	if len(m) == 0 {
+func sleepToEntries(sleep []dporSleeper) []SleepEntry {
+	if len(sleep) == 0 {
 		return nil
 	}
-	es := make([]SleepEntry, 0, len(m))
-	for t, info := range m {
-		es = append(es, SleepEntry{Thread: int(t), Info: pendingToState(info)})
+	es := make([]SleepEntry, len(sleep))
+	for i, s := range sleep {
+		es[i] = SleepEntry{Thread: int(s.t), Info: pendingToState(s.info)}
 	}
 	sort.Slice(es, func(a, b int) bool { return es[a].Thread < es[b].Thread })
 	return es
 }
 
-func sleepFromEntries(es []SleepEntry) map[sched.ThreadID]vthread.PendingInfo {
-	m := make(map[sched.ThreadID]vthread.PendingInfo, len(es))
-	for _, e := range es {
-		m[sched.ThreadID(e.Thread)] = stateToPending(e.Info)
+// flagsToBools lists, per choice, whether the flag bit is set.
+func flagsToBools(flags []uint8, bit uint8) []bool {
+	bs := make([]bool, len(flags))
+	for k, f := range flags {
+		bs[k] = f&bit != 0
 	}
-	return m
+	return bs
 }
 
 // restoreSearcher rebuilds a searcher from its serialized frontier,
@@ -697,8 +698,8 @@ func (e *dporEngine) snapshot() *EngineState {
 			Order:     mapSlice(nd.order, threadToInt),
 			Infos:     mapSlice(nd.infos, pendingToState),
 			Idx:       nd.idx,
-			Done:      append([]bool(nil), nd.done...),
-			Backtrack: append([]bool(nil), nd.backtrack...),
+			Done:      flagsToBools(nd.flags, dporDone),
+			Backtrack: flagsToBools(nd.flags, dporBacktrack),
 			Sleep:     sleepToEntries(nd.sleep),
 			NThreads:  nd.nthreads,
 			SelOf:     int(nd.selOf),
@@ -707,6 +708,10 @@ func (e *dporEngine) snapshot() *EngineState {
 	return st
 }
 
+// restoreDPOR rebuilds the walker from its frontier. Sleep entries and the
+// choices of a thread node are thread ids the engine indexes by, so they
+// must lie in [0, NThreads), and sleep entries must be strictly ascending
+// (a duplicate would be two footprints for one sleeping thread).
 func restoreDPOR(cfg Config, st *EngineState) (*dporEngine, error) {
 	e := newDPOREngine(cfg)
 	e.sleepOnly = st.Kind == "sleepset"
@@ -725,16 +730,52 @@ func restoreDPOR(cfg Config, st *EngineState) (*dporEngine, error) {
 			ns.Idx < 0 || ns.Idx >= len(ns.Order) {
 			return nil, fmt.Errorf("inconsistent frontier node %d", i)
 		}
-		e.stack[i] = dporNode{
-			order:     mapSlice(ns.Order, intToThread),
-			infos:     mapSlice(ns.Infos, stateToPending),
-			idx:       ns.Idx,
-			done:      append([]bool(nil), ns.Done...),
-			backtrack: append([]bool(nil), ns.Backtrack...),
-			sleep:     sleepFromEntries(ns.Sleep),
-			nthreads:  ns.NThreads,
-			selOf:     sched.ThreadID(ns.SelOf),
+		if ns.NThreads < 1 {
+			return nil, fmt.Errorf("frontier node %d: thread count %d", i, ns.NThreads)
 		}
+		isCase := sched.ThreadID(ns.SelOf) != vthread.NoThread
+		for _, t := range ns.Order {
+			if !isCase && (t < 0 || t >= ns.NThreads) {
+				return nil, fmt.Errorf("frontier node %d: thread %d outside [0, %d)", i, t, ns.NThreads)
+			}
+		}
+		for k, s := range ns.Sleep {
+			if s.Thread < 0 || s.Thread >= ns.NThreads {
+				return nil, fmt.Errorf("frontier node %d: sleeping thread %d outside [0, %d)", i, s.Thread, ns.NThreads)
+			}
+			if k > 0 && s.Thread <= ns.Sleep[k-1].Thread {
+				return nil, fmt.Errorf("frontier node %d: sleep entries not strictly ascending", i)
+			}
+		}
+		nd := dporNode{
+			order:    mapSlice(ns.Order, intToThread),
+			infos:    make([]*vthread.PendingInfo, len(ns.Order)),
+			own:      make([]vthread.PendingInfo, len(ns.Order)+len(ns.Sleep)),
+			flags:    make([]uint8, len(ns.Order)),
+			sleep:    make([]dporSleeper, len(ns.Sleep)),
+			idx:      ns.Idx,
+			nthreads: ns.NThreads,
+			selOf:    sched.ThreadID(ns.SelOf),
+		}
+		for k := range ns.Order {
+			nd.own[k] = stateToPending(ns.Infos[k])
+			nd.infos[k] = &nd.own[k]
+			if ns.Done[k] {
+				nd.flags[k] |= dporDone
+			}
+			if ns.Backtrack[k] {
+				nd.flags[k] |= dporBacktrack
+			}
+			if !isCase && slices.ContainsFunc(ns.Sleep, func(s SleepEntry) bool { return s.Thread == ns.Order[k] }) {
+				nd.flags[k] |= dporAsleep
+			}
+		}
+		for k, s := range ns.Sleep {
+			info := &nd.own[len(ns.Order)+k]
+			*info = stateToPending(s.Info)
+			nd.sleep[k] = dporSleeper{sched.ThreadID(s.Thread), info}
+		}
+		e.stack[i] = nd
 	}
 	return e, nil
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -621,6 +622,47 @@ func TestResumeRejectsMisfitFrontier(t *testing.T) {
 			t.Fatalf("Resume(misfit pool frontier) = %v, %v; want a does-not-fit error", res, err)
 		}
 	})
+}
+
+// badWalkerFrontiers derives from a sequential POR-walker checkpoint one
+// file per way a node can break the trust boundary restoreDPOR keeps: sleep
+// entries naming a thread twice or out of order, a sleeping thread outside
+// [0, NThreads), and a thread count below one. The edits go to the deepest
+// node.
+func badWalkerFrontiers(ck *Checkpoint) map[string]*Checkpoint {
+	edit := func(f func(ns *NodeState)) *Checkpoint {
+		c, eng := *ck, *ck.Engine
+		eng.Nodes = slices.Clone(eng.Nodes)
+		f(&eng.Nodes[len(eng.Nodes)-1])
+		c.Engine = &eng
+		return &c
+	}
+	entry := func(t int) SleepEntry {
+		return SleepEntry{Thread: t, Info: PendingState{Objects: []string{"mutex/account"}}}
+	}
+	return map[string]*Checkpoint{
+		"sleep-duplicate":  edit(func(ns *NodeState) { ns.Sleep = []SleepEntry{entry(1), entry(1)} }),
+		"sleep-descending": edit(func(ns *NodeState) { ns.Sleep = []SleepEntry{entry(2), entry(1)} }),
+		"sleep-past-count": edit(func(ns *NodeState) { ns.Sleep = []SleepEntry{entry(ns.NThreads)} }),
+		"sleep-negative":   edit(func(ns *NodeState) { ns.Sleep = []SleepEntry{entry(-1)} }),
+		"no-threads":       edit(func(ns *NodeState) { ns.NThreads = 0 }),
+	}
+}
+
+// TestResumeRejectsBadWalkerFrontier: the walker indexes by the thread ids a
+// file names, so a sleep set that is not strictly ascending or names a
+// thread outside the node's count, and a count below one, are errors from
+// Resume — never a panic, never a silently collapsed entry.
+func TestResumeRejectsBadWalkerFrontier(t *testing.T) {
+	base := loadGolden(t, goldenFiles(t, "golden_checkpoint.json")["dpor"])
+	for name, ck := range badWalkerFrontiers(base) {
+		t.Run(name, func(t *testing.T) {
+			res, err := Resume(ck, ckCfg(t, "CS.account_bad", 100))
+			if err == nil || !strings.Contains(err.Error(), "frontier node") || res != nil {
+				t.Fatalf("Resume = %v, %v; want a frontier-node error", res, err)
+			}
+		})
+	}
 }
 
 // goldenFiles reads a testdata blob of pinned checkpoint files, by key.

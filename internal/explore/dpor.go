@@ -37,44 +37,78 @@ package explore
 // added (dporEngine.hbValid). One analysis therefore costs O(new steps x
 // accesses to the same objects), not O(depth^2).
 //
-// The engine reuses the free-list discipline of engine: node buffers
-// (order, infos, done/backtrack flags, sleep maps) are recycled, and the
-// happens-before state grows with the structures it shadows — clock rows,
-// step records and access logs with the stack's high-water mark, the
-// interning table with the program's object count — so the
+// A fresh node pays for what the last step changed (DESIGN.md §3). Its
+// footprints are references: between two scheduling points only the thread
+// that stepped and the threads it created change their pending operation,
+// so every other thread's footprint is the one its parent already holds,
+// and only the changed threads, the volatile kinds vthread names
+// (Context.PendingStable) and every case of a case-decision node are
+// queried through Context.PendingOf. The sleep set is a slice of (thread,
+// footprint reference) pairs, its members marked in the node's per-choice
+// flags, so membership, child filtering and retirement hash nothing. A
+// retired node's buffers stay in its stack slot for the next node at that
+// depth, and the happens-before state grows with the structures it shadows
+// — clock rows, step records and access logs with the stack's high-water
+// mark, the interning table with the program's object count — so the
 // replay-and-extend hot path allocates only while one of those grows.
 
 import (
+	"slices"
+
 	"sctbench/internal/sched"
 	"sctbench/internal/vthread"
 )
 
-// dporNode is one scheduling point on the DPOR stack. order/infos list the
-// enabled threads (canonical order) and their pending-operation
-// footprints; idx is the choice the current execution takes; done marks
-// choices whose subtrees are fully explored (or, in the parallel driver,
-// owned by another unit that will fully explore them); backtrack marks the
-// choices this node must explore; sleep is the inherited sleep set.
+// dporNode is one scheduling point on the DPOR stack. order lists the
+// enabled threads (canonical order) and infos their pending-operation
+// footprints; idx is the choice the current execution takes; flags holds,
+// per choice, the dporDone, dporBacktrack and dporAsleep bits; sleep is the
+// inherited sleep set.
+//
+// Footprints are held by reference. One queried at this node lives in own;
+// one carried from an ancestor stays in that ancestor's own, which outlives
+// every node referring to it: a slot's own is overwritten only by the next
+// node at the same depth. A split donee's copies refer into the donor's
+// own, which the donor therefore leaves to the collector (lent) instead of
+// reusing.
 type dporNode struct {
-	order     []sched.ThreadID
-	infos     []vthread.PendingInfo
-	idx       int
-	done      []bool
-	backtrack []bool
-	sleep     map[sched.ThreadID]vthread.PendingInfo
+	order []sched.ThreadID
+	infos []*vthread.PendingInfo
+	own   []vthread.PendingInfo
+	flags []uint8
+	sleep []dporSleeper
+	idx   int
 	// nthreads is the thread count at this scheduling point; a thread id
 	// in [nthreads(i), nthreads(i+1)) was created by step i, which is how
 	// the race analysis recovers spawn happens-before edges.
 	nthreads int
 	// selOf marks a case-decision node: the thread whose Select this node
 	// picks a case for, or NoThread for an ordinary thread-choice node. At
-	// a case node order holds ready *case indices*, so the sleep map —
-	// keyed by thread ids — must never be consulted with (or extended by)
-	// order entries, and every case is explored unconditionally: case
+	// a case node order holds ready *case indices*, so the sleep set —
+	// thread ids — must never be matched against (or extended by) order
+	// entries, and every case is explored unconditionally: case
 	// alternatives are distinct program behaviours of the selecting thread,
 	// never Mazurkiewicz-equivalent, so no commutation argument can prune
 	// them.
 	selOf sched.ThreadID
+	lent  bool
+}
+
+// Per-choice flags of a dporNode. dporDone: the choice's subtree is fully
+// explored (or, in the parallel driver, owned by another unit that will
+// fully explore it). dporBacktrack: the node must explore the choice.
+// dporAsleep: the choice's thread is in the node's sleep set (thread nodes
+// only).
+const (
+	dporDone uint8 = 1 << iota
+	dporBacktrack
+	dporAsleep
+)
+
+// dporSleeper is one sleep-set member: a thread and its footprint.
+type dporSleeper struct {
+	t    sched.ThreadID
+	info *vthread.PendingInfo
 }
 
 // dporAccess is one entry of an object's access log: a step that touched
@@ -123,11 +157,8 @@ type dporEngine struct {
 	pruned     int
 	maxThreads int
 
-	// Free lists recycling retired nodes' buffers, as in engine.
-	freeOrders [][]sched.ThreadID
-	freeInfos  [][]vthread.PendingInfo
-	freeFlags  [][]bool
-	freeSleeps []map[sched.ThreadID]vthread.PendingInfo
+	// mark is push's working index over thread ids, all zero between calls.
+	mark []int32
 
 	// Happens-before state of the race analysis, valid for the stack prefix
 	// [0, hbValid). Invariant: steps below hbValid are the same nodes taking
@@ -175,25 +206,6 @@ func newSleepSetEngine(cfg Config) *dporEngine {
 	return e
 }
 
-// popOrderInfos pops recycled order/infos buffers from the free lists and
-// fills them with the canonical choice order and the per-choice pending
-// footprints for ctx — the scaffold of every fresh node.
-func (e *dporEngine) popOrderInfos(ctx vthread.Context) ([]sched.ThreadID, []vthread.PendingInfo) {
-	var order []sched.ThreadID
-	if n := len(e.freeOrders); n > 0 {
-		order, e.freeOrders = e.freeOrders[n-1], e.freeOrders[:n-1]
-	}
-	order = sched.AppendCanonicalOrder(order, ctx.Enabled, ctx.Last, ctx.NumThreads)
-	var infos []vthread.PendingInfo
-	if n := len(e.freeInfos); n > 0 {
-		infos, e.freeInfos = e.freeInfos[n-1], e.freeInfos[:n-1]
-	}
-	for _, t := range order {
-		infos = append(infos, ctx.PendingOf(t))
-	}
-	return order, infos
-}
-
 // Choose implements vthread.Chooser: replay the stack prefix, extend the
 // deepest branch with the first non-sleeping thread, or abort when sleep
 // sets prove the whole subtree redundant.
@@ -202,96 +214,192 @@ func (e *dporEngine) Choose(ctx vthread.Context) sched.ThreadID {
 		nd := &e.stack[ctx.Step]
 		return nd.order[nd.idx]
 	}
-	if idx := e.push(ctx); idx >= 0 {
+	if idx := e.push(&ctx); idx >= 0 {
 		return e.stack[len(e.stack)-1].order[idx]
 	}
 	return ctx.Enabled[0] // ignored by the abort contract
 }
 
-// push appends the fresh node for ctx and returns the index of the choice
-// taken (the first non-sleeping thread), or -1 after aborting a run whose
-// enabled threads are all asleep: the subtree is Mazurkiewicz-equivalent
-// to explored schedules, so the run is cut short instead of executing its
-// tail, and the node is never pushed.
+// dporPushCheck is the carried-footprint oracle hook of the package's tests,
+// nil otherwise: called with every fresh node push builds, in the slot past
+// the top of the stack, before it is pushed — or not (aborted; its infos
+// are then empty).
+var dporPushCheck func(e *dporEngine, ctx vthread.Context, nd *dporNode, aborted bool)
+
+// push builds the fresh node for ctx in the stack slot past the top and
+// returns the index of the choice taken (the first non-sleeping thread), or
+// -1 after aborting a run whose enabled threads are all asleep: the subtree
+// is Mazurkiewicz-equivalent to explored schedules, so the run is cut short
+// instead of executing its tail, and the node is never pushed (nor its
+// footprints read).
 //
 // At a case-decision point every ready case goes straight into the
 // backtrack set — case choices are never redundant — and the sleep
-// machinery is bypassed entirely: the inherited sleep set (thread-keyed) is
-// carried through for the node's children but never consulted against the
+// machinery is bypassed entirely: the inherited sleep set (thread ids) is
+// carried through for the node's children but never matched against the
 // case indices in order. The node's thread count is the enclosing thread
 // node's (ctx.NumThreads is the select's case count there), which keeps
 // the spawn-watermark arithmetic of the race analysis exact.
-func (e *dporEngine) push(ctx vthread.Context) int {
+func (e *dporEngine) push(ctx *vthread.Context) int {
+	n := len(e.stack)
+	e.stack = slices.Grow(e.stack, 1)
+	nd := &e.stack[:n+1][n]
+	var parent *dporNode
+	if n > 0 {
+		parent = &e.stack[n-1]
+	}
 	isCase := ctx.SelectOf != vthread.NoThread
-	order, infos := e.popOrderInfos(ctx)
-	sleep := e.getSleep()
-	nthreads := ctx.NumThreads
-	if n := len(e.stack); n > 0 {
-		dporChildSleep(&e.stack[n-1], sleep)
+	nd.order = sched.AppendCanonicalOrder(nd.order[:0], ctx.Enabled, ctx.Last, ctx.NumThreads)
+	nd.infos = nd.infos[:0]
+	nd.flags = append(nd.flags[:0], make([]uint8, len(nd.order))...)
+	nd.sleep = nd.sleep[:0]
+	nd.nthreads, nd.selOf = ctx.NumThreads, ctx.SelectOf
+	if parent != nil {
+		nd.sleep = dporChildSleep(parent, nd.sleep)
 		if isCase {
-			nthreads = e.stack[n-1].nthreads
+			nd.nthreads = parent.nthreads
 		}
+	}
+	if len(e.mark) < ctx.NumThreads {
+		e.mark = make([]int32, ctx.NumThreads)
 	}
 	idx := 0
-	if !isCase {
-		e.maxThreads = max(e.maxThreads, nthreads)
-		for idx < len(order) {
-			if _, asleep := sleep[order[idx]]; !asleep {
-				break
-			}
-			idx++
+	if isCase {
+		for k := range nd.flags {
+			nd.flags[k] = dporBacktrack
 		}
-		if idx == len(order) {
+	} else {
+		e.maxThreads = max(e.maxThreads, nd.nthreads)
+		idx = e.markAsleep(nd)
+		if idx == len(nd.order) {
 			ctx.Abort()
-			e.pruned += len(order)
-			e.freeOrders = append(e.freeOrders, order[:0])
-			e.freeInfos = append(e.freeInfos, infos[:0])
-			e.putSleep(sleep)
+			e.pruned += len(nd.order)
+			if dporPushCheck != nil {
+				dporPushCheck(e, *ctx, nd, true)
+			}
 			return -1
 		}
+		if e.sleepOnly { // sleep-set DFS: every choice, up front
+			for k := range nd.flags {
+				nd.flags[k] |= dporBacktrack
+			}
+		}
 	}
-	done := e.getFlags(len(order))
-	backtrack := e.getFlags(len(order))
-	for k := range backtrack {
-		backtrack[k] = isCase || e.sleepOnly // sleep-set DFS: every choice, up front
+	nd.flags[idx] |= dporBacktrack
+	nd.idx = idx
+	e.footprints(ctx, nd)
+	if dporPushCheck != nil {
+		dporPushCheck(e, *ctx, nd, false)
 	}
-	backtrack[idx] = true
-	e.stack = append(e.stack, dporNode{
-		order: order, infos: infos, idx: idx,
-		done: done, backtrack: backtrack, sleep: sleep,
-		nthreads: nthreads, selOf: ctx.SelectOf,
-	})
+	e.stack = e.stack[:n+1]
 	return idx
 }
 
-// dporChildSleep fills dst with the sleep set a child of parent inherits:
+// markAsleep sets the dporAsleep flag of every choice of the thread node nd
+// whose thread is in its sleep set, and returns the first choice that is
+// not asleep (len(nd.order) when none is).
+func (e *dporEngine) markAsleep(nd *dporNode) int {
+	if len(nd.sleep) == 0 {
+		return 0
+	}
+	for _, s := range nd.sleep {
+		if int(s.t) < len(e.mark) {
+			e.mark[s.t] = 1
+		}
+	}
+	first := len(nd.order)
+	for k, t := range nd.order {
+		if e.mark[t] != 0 {
+			nd.flags[k] |= dporAsleep
+		} else if first == len(nd.order) {
+			first = k
+		}
+	}
+	for _, s := range nd.sleep {
+		if int(s.t) < len(e.mark) {
+			e.mark[s.t] = 0
+		}
+	}
+	return first
+}
+
+// footprints fills nd.infos, nd being the fresh node at the top of the
+// stack (not yet pushed). A thread-choice node takes each thread's
+// footprint from the nearest thread-choice ancestor (the parent, or the
+// thread node above a case-decision parent) unless the thread is the one
+// that stepped there, was not enabled there (new threads included), or
+// has a volatile footprint; those, and every case of a case-decision node,
+// are queried into own, sized first so the references stay valid.
+func (e *dporEngine) footprints(ctx *vthread.Context, nd *dporNode) {
+	if nd.lent {
+		nd.own, nd.lent = nil, false
+	}
+	nd.own = slices.Grow(nd.own[:0], len(nd.order))
+	var src *dporNode
+	if nd.selOf == vthread.NoThread {
+		for d := len(e.stack) - 1; d >= 0 && src == nil; d-- {
+			if e.stack[d].selOf == vthread.NoThread {
+				src = &e.stack[d]
+			}
+		}
+	}
+	if src == nil {
+		for _, t := range nd.order {
+			nd.own = append(nd.own, ctx.PendingOf(t))
+			nd.infos = append(nd.infos, &nd.own[len(nd.own)-1])
+		}
+		return
+	}
+	for k, t := range src.order {
+		if int(t) < len(e.mark) {
+			e.mark[t] = int32(k + 1)
+		}
+	}
+	stepped := src.order[src.idx]
+	for _, t := range nd.order {
+		if k := e.mark[t]; k != 0 && t != stepped && ctx.PendingStable(t) {
+			nd.infos = append(nd.infos, src.infos[k-1])
+			continue
+		}
+		nd.own = append(nd.own, ctx.PendingOf(t))
+		nd.infos = append(nd.infos, &nd.own[len(nd.own)-1])
+	}
+	for _, t := range src.order {
+		if int(t) < len(e.mark) {
+			e.mark[t] = 0
+		}
+	}
+}
+
+// dporChildSleep appends to dst the sleep set a child of parent inherits:
 // sleeping threads and fully explored siblings whose operations are
 // independent of the branch being taken now. A case-decision parent
 // contributes only its inherited sleep (already filtered by the full
 // select footprint at the enclosing thread node, a superset of the
 // committed case's channel): its siblings are case indices, not threads,
-// and must never leak into a thread-keyed sleep map.
-func dporChildSleep(parent *dporNode, dst map[sched.ThreadID]vthread.PendingInfo) {
+// and must never leak into a sleep set.
+func dporChildSleep(parent *dporNode, dst []dporSleeper) []dporSleeper {
 	takenInfo := parent.infos[parent.idx]
 	if parent.selOf != vthread.NoThread {
-		for t, info := range parent.sleep {
-			if info.Independent(takenInfo) {
-				dst[t] = info
+		for _, s := range parent.sleep {
+			if s.info.Independent(takenInfo) {
+				dst = append(dst, s)
 			}
 		}
-		return
+		return dst
 	}
 	taken := parent.order[parent.idx]
-	for t, info := range parent.sleep {
-		if t != taken && info.Independent(takenInfo) {
-			dst[t] = info
+	for _, s := range parent.sleep {
+		if s.t != taken && s.info.Independent(takenInfo) {
+			dst = append(dst, s)
 		}
 	}
-	for k, isDone := range parent.done {
-		if isDone && parent.infos[k].Independent(takenInfo) {
-			dst[parent.order[k]] = parent.infos[k]
+	for k, f := range parent.flags {
+		if f&dporDone != 0 && parent.infos[k].Independent(takenInfo) {
+			dst = append(dst, dporSleeper{parent.order[k], parent.infos[k]})
 		}
 	}
+	return dst
 }
 
 // runOnce executes the program once, replaying the stack prefix, then
@@ -355,7 +463,7 @@ func (e *dporEngine) analyze() {
 	for i := e.hbValid; i < n; i++ {
 		nd := &e.stack[i]
 		p := int32(nd.order[nd.idx])
-		info := &nd.infos[nd.idx]
+		info := nd.infos[nd.idx]
 		isCase := nd.selOf != vthread.NoThread
 		if isCase {
 			// A case-decision node is the second half of its select step:
@@ -545,12 +653,12 @@ func (e *dporEngine) raceBacktrack(j int, q, p int32, pre []int32) {
 	ndj := &e.stack[j]
 	for k, t := range ndj.order {
 		if int32(t) == p {
-			ndj.backtrack[k] = true
+			ndj.flags[k] |= dporBacktrack
 			return
 		}
 	}
-	for k := range ndj.backtrack {
-		ndj.backtrack[k] = true
+	for k := range ndj.flags {
+		ndj.flags[k] |= dporBacktrack
 	}
 }
 
@@ -562,7 +670,7 @@ func (e *dporEngine) backtrack() bool {
 	for len(e.stack) > 0 {
 		d := len(e.stack) - 1
 		nd := &e.stack[d]
-		nd.done[nd.idx] = true
+		nd.flags[nd.idx] |= dporDone
 		next := e.firstPending(nd)
 		if next >= 0 {
 			nd.idx = next
@@ -573,19 +681,14 @@ func (e *dporEngine) backtrack() bool {
 		}
 		// Retire the node; every choice never explored is a subtree DFS
 		// would have walked. Borrowed prefix copies are the donor's to
-		// count.
+		// count. The node's buffers stay in the slot (see dporNode).
 		if d >= e.borrowed {
-			for k := range nd.order {
-				if !nd.done[k] {
+			for _, f := range nd.flags {
+				if f&dporDone == 0 {
 					e.pruned++
 				}
 			}
 		}
-		e.freeOrders = append(e.freeOrders, nd.order[:0])
-		e.freeInfos = append(e.freeInfos, nd.infos[:0])
-		e.freeFlags = append(e.freeFlags, nd.done[:0], nd.backtrack[:0])
-		e.putSleep(nd.sleep)
-		nd.order, nd.infos, nd.done, nd.backtrack, nd.sleep = nil, nil, nil, nil, nil
 		e.stack = e.stack[:d]
 	}
 	return false
@@ -605,44 +708,8 @@ func (e *dporEngine) firstPending(nd *dporNode) int {
 // pendingAt reports whether choice k of nd is pending work — for the
 // engine's own backtracking, or to donate: in the backtrack set, not
 // explored, not asleep, and not the choice the engine is currently inside.
-// Case nodes skip the sleep lookup: their order entries are case indices,
-// which must never be matched against the thread-keyed sleep map.
 func (e *dporEngine) pendingAt(nd *dporNode, k int) bool {
-	if k == nd.idx || !nd.backtrack[k] || nd.done[k] {
-		return false
-	}
-	if nd.selOf != vthread.NoThread {
-		return true
-	}
-	_, asleep := nd.sleep[nd.order[k]]
-	return !asleep
-}
-
-// Buffer pools.
-
-func (e *dporEngine) getFlags(n int) []bool {
-	var f []bool
-	if m := len(e.freeFlags); m > 0 {
-		f, e.freeFlags = e.freeFlags[m-1], e.freeFlags[:m-1]
-	}
-	for i := 0; i < n; i++ {
-		f = append(f, false)
-	}
-	return f
-}
-
-func (e *dporEngine) getSleep() map[sched.ThreadID]vthread.PendingInfo {
-	if n := len(e.freeSleeps); n > 0 {
-		s := e.freeSleeps[n-1]
-		e.freeSleeps = e.freeSleeps[:n-1]
-		return s
-	}
-	return make(map[sched.ThreadID]vthread.PendingInfo)
-}
-
-func (e *dporEngine) putSleep(s map[sched.ThreadID]vthread.PendingInfo) {
-	clear(s)
-	e.freeSleeps = append(e.freeSleeps, s)
+	return k != nd.idx && nd.flags[k]&(dporDone|dporBacktrack|dporAsleep) == dporBacktrack
 }
 
 func joinVC(dst, src []int32) {

@@ -61,7 +61,7 @@ func wholeTraceAnalysis(stack []dporNode, analyzeFrom, nt int, backtrack [][]boo
 		isCase := nd.selOf != vthread.NoThread
 		if isCase {
 			p = int(nd.selOf)
-			info = vthread.PendingInfo{}
+			info = &vthread.PendingInfo{}
 		}
 		if i+1 < n {
 			for t := nd.nthreads; t < stack[i+1].nthreads && t < nt; t++ {
@@ -158,7 +158,7 @@ func withDPOROracle(t *testing.T) *dporOracleStats {
 		n, nt := len(e.stack), e.maxThreads
 		want := make([][]bool, n)
 		for i := range e.stack {
-			want[i] = slices.Clone(e.stack[i].backtrack)
+			want[i] = flagsToBools(e.stack[i].flags, dporBacktrack)
 		}
 		vc, prevOf, spawnOf := wholeTraceAnalysis(e.stack, e.analyzeFrom, nt, want)
 		st.analyses.Add(1)
@@ -186,7 +186,7 @@ func withDPOROracle(t *testing.T) *dporOracleStats {
 				bad("prevOf %v spawnOf %v, whole-trace pass says %v %v", e.prevOf, e.spawnOf, prevOf, spawnOf)
 			}
 			for i := range e.stack {
-				if got := e.stack[i].backtrack; !slices.Equal(got, want[i]) {
+				if got := flagsToBools(e.stack[i].flags, dporBacktrack); !slices.Equal(got, want[i]) {
 					bad("node %d backtrack = %v, whole-trace pass says %v", i, got, want[i])
 				}
 				if got := e.clock(i); !slices.Equal(got, vc[i]) {
@@ -227,11 +227,15 @@ var ledgerDPORSet = []string{
 // ledgerDPORExecs is the ledger's pinned explore.dpor.execs.
 const ledgerDPORExecs = 166419
 
+// TestDPOROracleLedgerSet runs the ledger's DPOR searches under both
+// oracles: the whole-trace analysis here and the carried-footprint check of
+// carried_oracle_test.go.
 func TestDPOROracleLedgerSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("complete searches of the ledger's DPOR set are not short")
 	}
 	st := withDPOROracle(t)
+	carried := withCarriedOracle(t)
 	execs := 0
 	for _, name := range ledgerDPORSet {
 		r := RunDPOR(benchCfg(t, name))
@@ -248,6 +252,9 @@ func TestDPOROracleLedgerSet(t *testing.T) {
 	}
 	if st.incremental.Load() == 0 {
 		t.Error("no analysis started from kept state")
+	}
+	if carried.carried == 0 {
+		t.Error("no footprint was carried")
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // end in an error or a result — never a panic, a hang or an unbounded
 // allocation. The corpus is seeded with every pinned checkpoint file, both
 // shapes and both versions — the version-1 unit-set files also as the
-// version-2 files this build writes of them — and with the version-2 files
-// whose buggy runs must be rejected. Run it with
+// version-2 files this build writes of them — with the version-2 files
+// whose buggy runs must be rejected, and with the walker frontiers whose
+// sleep sets or thread counts must be (badWalkerFrontiers). Run it with
 // `go test -run xxx -fuzz FuzzLoadCheckpoint`.
 func FuzzLoadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
@@ -42,6 +43,26 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				f.Add(v2)
 			}
 		}
+	}
+	// The sleep sets and thread counts restoreDPOR must reject.
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden_checkpoint.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var files map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &files); err != nil {
+		f.Fatal(err)
+	}
+	var base Checkpoint
+	if err := json.Unmarshal(files["dpor"], &base); err != nil {
+		f.Fatal(err)
+	}
+	for _, ck := range badWalkerFrontiers(&base) {
+		bad, err := json.Marshal(ck)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bad)
 	}
 	b := bench.ByName("CS.account_bad")
 	f.Fuzz(func(t *testing.T, data []byte) {

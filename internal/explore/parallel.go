@@ -12,8 +12,8 @@ package explore
 // shallowest open node off its engine's stack (the owner works at the tail,
 // the split is carved off at the head — the deque discipline of the
 // work-stealing queue in examples/wsq), for the DFS/IPB/IDB engine and the
-// DPOR engine alike (dporEngine.split deep-copies backtrack, done and sleep
-// state).
+// DPOR engine alike (dporEngine.split copies the donated prefix's flags and
+// sleep sets and shares its footprints).
 //
 // Determinism. Depth-first search visits terminal schedules in the
 // lexicographic order of their branch keys (sched.CompareBranchKeys), and
@@ -156,7 +156,8 @@ func (e *dporEngine) counts(out *vthread.Outcome) bool {
 }
 
 // split donates every pending backtrack candidate of the shallowest node
-// that has one, deep-copying the stack up to and including that node. The
+// that has one, copying the stack up to and including that node (the
+// footprints are shared, not copied: see dporNode). The
 // donee's prefix copies carry no pending work of their own (the donor
 // keeps its candidates), but stay live: a race the donee discovers against
 // its pinned prefix re-opens its local copy, so no reversal is ever lost —
@@ -177,33 +178,35 @@ func (e *dporEngine) split() *subtree {
 		ne.stack = make([]dporNode, d+1)
 		for i := 0; i <= d; i++ {
 			src := &e.stack[i]
+			// The copy refers to the donor's footprints, which the donor
+			// therefore never overwrites (dporNode.lent).
+			src.lent = true
 			cp := dporNode{
-				order:     append([]sched.ThreadID(nil), src.order...),
-				infos:     append([]vthread.PendingInfo(nil), src.infos...),
-				idx:       src.idx,
-				done:      append([]bool(nil), src.done...),
-				backtrack: make([]bool, len(src.order)),
-				sleep:     make(map[sched.ThreadID]vthread.PendingInfo, len(src.sleep)),
-				nthreads:  src.nthreads,
-				selOf:     src.selOf,
-			}
-			for t, info := range src.sleep {
-				cp.sleep[t] = info
+				order:    append([]sched.ThreadID(nil), src.order...),
+				infos:    append([]*vthread.PendingInfo(nil), src.infos...),
+				flags:    make([]uint8, len(src.flags)),
+				sleep:    append([]dporSleeper(nil), src.sleep...),
+				idx:      src.idx,
+				nthreads: src.nthreads,
+				selOf:    src.selOf,
 			}
 			// Locally, only already-explored choices and the current one
 			// exist; the donor's other pending candidates stay its own.
-			for k := range cp.backtrack {
-				cp.backtrack[k] = cp.done[k]
+			for k, f := range src.flags {
+				cp.flags[k] = f &^ dporBacktrack
+				if f&dporDone != 0 {
+					cp.flags[k] |= dporBacktrack
+				}
 			}
-			cp.backtrack[cp.idx] = true
+			cp.flags[cp.idx] |= dporBacktrack
 			if i == d {
 				for k := range src.order {
 					if e.pendingAt(src, k) {
-						cp.backtrack[k] = true
+						cp.flags[k] |= dporBacktrack
 					}
 				}
 				// The donor finishes its current choice itself.
-				cp.done[cp.idx] = true
+				cp.flags[cp.idx] |= dporDone
 			}
 			ne.stack[i] = cp
 		}
@@ -211,7 +214,7 @@ func (e *dporEngine) split() *subtree {
 		ne.analyzeFrom = d + 1
 		for k := range nd.order {
 			if e.pendingAt(nd, k) {
-				nd.done[k] = true
+				nd.flags[k] |= dporDone
 			}
 		}
 		key := make([]int, d+1)

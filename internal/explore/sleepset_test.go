@@ -119,23 +119,23 @@ func TestPropertySleepSetSoundAndReducing(t *testing.T) {
 func TestPendingInfoIndependence(t *testing.T) {
 	a := vthread.PendingInfo{Objects: vthread.NewFootprint("var/x")}
 	b := vthread.PendingInfo{Objects: vthread.NewFootprint("var/x")}
-	if a.Independent(b) {
+	if a.Independent(&b) {
 		t.Error("write/write on the same object reported independent")
 	}
 	ra := vthread.PendingInfo{Objects: vthread.NewFootprint("var/x"), ReadOnly: true}
 	rb := vthread.PendingInfo{Objects: vthread.NewFootprint("var/x"), ReadOnly: true}
-	if !ra.Independent(rb) {
+	if !ra.Independent(&rb) {
 		t.Error("read/read on the same object reported dependent")
 	}
-	if ra.Independent(b) {
+	if ra.Independent(&b) {
 		t.Error("read/write on the same object reported independent")
 	}
 	c := vthread.PendingInfo{Objects: vthread.NewFootprint("var/y")}
-	if !a.Independent(c) {
+	if !a.Independent(&c) {
 		t.Error("disjoint objects reported dependent")
 	}
 	none := vthread.PendingInfo{}
-	if !none.Independent(a) || !a.Independent(none) {
+	if !none.Independent(&a) || !a.Independent(&none) {
 		t.Error("object-free op reported dependent")
 	}
 }

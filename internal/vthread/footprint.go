@@ -63,10 +63,10 @@ func (f *Footprint) add(key string) {
 }
 
 // Len returns the number of objects in the footprint.
-func (f Footprint) Len() int { return f.n }
+func (f *Footprint) Len() int { return f.n }
 
 // Obj returns the i-th object key, 0 <= i < Len().
-func (f Footprint) Obj(i int) string {
+func (f *Footprint) Obj(i int) string {
 	switch i {
 	case 0:
 		return f.o0
@@ -78,7 +78,7 @@ func (f Footprint) Obj(i int) string {
 }
 
 // Contains reports whether the footprint includes key.
-func (f Footprint) Contains(key string) bool {
+func (f *Footprint) Contains(key string) bool {
 	for i := 0; i < f.n; i++ {
 		if f.Obj(i) == key {
 			return true
@@ -88,7 +88,7 @@ func (f Footprint) Contains(key string) bool {
 }
 
 // Overlaps reports whether the two footprints share any object.
-func (f Footprint) Overlaps(o Footprint) bool {
+func (f *Footprint) Overlaps(o *Footprint) bool {
 	for i := 0; i < f.n; i++ {
 		if o.Contains(f.Obj(i)) {
 			return true

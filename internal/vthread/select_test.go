@@ -331,18 +331,18 @@ func TestFootprintNaryIndependence(t *testing.T) {
 	sel := PendingInfo{Objects: NewFootprint("chan/a", "chan/b", "chan/c", "chan/d")}
 	onB := PendingInfo{Objects: NewFootprint("chan/b")}
 	onE := PendingInfo{Objects: NewFootprint("chan/e")}
-	if sel.Independent(onB) {
+	if sel.Independent(&onB) {
 		t.Error("a 4-way select must not commute with an op on a member channel")
 	}
-	if !sel.Independent(onE) {
+	if !sel.Independent(&onE) {
 		t.Error("a select must commute with an op on a non-member channel")
 	}
-	if !onE.Independent(PendingInfo{}) {
+	if !onE.Independent(&PendingInfo{}) {
 		t.Error("footprint-free ops commute with everything non-opaque")
 	}
 	ro1 := PendingInfo{Objects: NewFootprint("x"), ReadOnly: true}
 	ro2 := PendingInfo{Objects: NewFootprint("x"), ReadOnly: true}
-	if !ro1.Independent(ro2) {
+	if !ro1.Independent(&ro2) {
 		t.Error("two read-only ops on the same object must commute")
 	}
 	f := NewFootprint("a", "b", "c")

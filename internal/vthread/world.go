@@ -146,15 +146,17 @@ type PendingInfo struct {
 // Independent reports whether two pending operations commute: they touch
 // disjoint objects, or share objects only read-only, and neither has an
 // unknown (Opaque) footprint. Conservative in the partial-order-reduction
-// sense: "false" is always safe.
-func (a PendingInfo) Independent(b PendingInfo) bool {
+// sense: "false" is always safe. Both sides are taken by reference: a
+// PendingInfo is over a hundred bytes, and the partial-order-reduction
+// engines ask this at every fresh node.
+func (a *PendingInfo) Independent(b *PendingInfo) bool {
 	if a.Opaque || b.Opaque {
 		return false
 	}
 	if a.ReadOnly && b.ReadOnly {
 		return true
 	}
-	return !a.Objects.Overlaps(b.Objects)
+	return !a.Objects.Overlaps(&b.Objects)
 }
 
 // Chooser selects the next thread to execute at a scheduling point. Choose
@@ -933,13 +935,15 @@ func (w *World) fail(f *Failure) {
 	}
 }
 
-// pendingOf exposes pending-operation metadata to choosers.
-func (w *World) pendingOf(t ThreadID) PendingInfo {
+// pendingOf exposes pending-operation metadata to choosers. It fills its
+// named result in place and reads the operation through a pointer: both
+// structs are over a hundred bytes, and the partial-order-reduction engines
+// query a footprint at every fresh node.
+func (w *World) pendingOf(t ThreadID) (info PendingInfo) {
 	if int(t) < 0 || int(t) >= len(w.threads) {
-		return PendingInfo{}
+		return
 	}
-	op := w.threads[t].pending
-	info := PendingInfo{}
+	op := &w.threads[t].pending
 	switch op.kind {
 	case opAccess:
 		info.IsAccess = true
@@ -1026,7 +1030,32 @@ func (w *World) pendingOf(t ThreadID) PendingInfo {
 		// unknown, so it commutes with nothing (see PendingInfo.Opaque).
 		info.Opaque = true
 	}
-	return info
+	return
+}
+
+// PendingStable reports whether thread t's footprint (PendingOf) can change
+// only when t itself steps. Between two scheduling points only the thread
+// that stepped and the threads created during that step change their
+// pending operation — the invariant World.syncEnabled rests on — so a
+// chooser that read t's footprint at the previous thread-choice point may
+// carry it to this one when t is neither. Two footprints are volatile all
+// the same, because pendingOf reads object state other threads move: the
+// clock pseudo-thread's opTimerFire names the timer due next, and an
+// opCtxCancel covers a context subtree that grows with every child context.
+// False at a case-decision point, where PendingOf maps case indices.
+func (c Context) PendingStable(t ThreadID) bool {
+	return c.SelectOf == NoThread && c.world.pendingStable(t)
+}
+
+func (w *World) pendingStable(t ThreadID) bool {
+	if uint(t) >= uint(len(w.threads)) {
+		return false
+	}
+	switch w.threads[t].pending.kind {
+	case opTimerFire, opCtxCancel:
+		return false
+	}
+	return true
 }
 
 // casePendingOf is Context.PendingOf at a case-decision point: it maps a
