@@ -163,9 +163,12 @@ var oracleTechniques = map[string]func(Config) *Result{
 // 2,000 aborted 12,000-step executions — 48M from-scratch steps a cell for
 // the oracle's two reference runs, most of what this package would cost under
 // the race detector. DFS, IPB, IDB and DPOR cover those two programs' state.
+// Every compiled program — timers, contexts, selects and dynamic mutexes
+// included — must have had executions continued from a saved state.
 func TestPrefixOracleRegistry(t *testing.T) {
 	o := withPrefixOracle(t)
 	for _, b := range bench.All() {
+		before := o.resumed.Load()
 		for name, run := range oracleTechniques {
 			limit := 120
 			if name == "sleepset" || name == "DPOR" {
@@ -176,6 +179,9 @@ func TestPrefixOracleRegistry(t *testing.T) {
 			}
 			want := cold(func() *Result { return run(ckCfg(t, b.Name, limit)) })
 			requireSameResult(t, b.Name+"/"+name, want, run(ckCfg(t, b.Name, limit)))
+		}
+		if _, compiled := b.New().(*vthread.CompiledProgram); compiled && o.resumed.Load() == before {
+			t.Errorf("%s: no execution continued from a saved state", b.Name)
 		}
 	}
 	if o.resumed.Load()*2 < o.execs.Load() {

@@ -273,10 +273,6 @@ type Code struct {
 }
 
 func (c *Code) emit(in instr) *instr {
-	switch in.op {
-	case iSelect, iNewMutex, iNewTimer, iAfter, iNewTicker, iCtxNew:
-		c.b.cp.dynamic = true
-	}
 	blk := c.stack[len(c.stack)-1]
 	blk.code = append(blk.code, in)
 	return &blk.code[len(blk.code)-1]

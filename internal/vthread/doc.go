@@ -256,8 +256,9 @@ package vthread
 // shared, this chooser makes the choices it made in its previous run here".
 // During RunFrom runs of a CompiledProgram on the flat engine the World saves
 // its state at some scheduling points (snapshot.go: the World's counters and
-// enabled-set bookkeeping, the trace length, every thread's pending operation
-// and registers, every declared object's value), and a later RunFrom
+// enabled-set bookkeeping, the trace length, the virtual clock, every thread's
+// pending operation and registers, the value of every object, declared or
+// created by the run), and a later RunFrom
 // continues from the deepest saved point at or below shared instead of
 // re-executing the prefix. The state is written back into the same Thread
 // and object structs, because pending operations, lock owners, waiter lists
@@ -268,9 +269,8 @@ package vthread
 // saved. The cache is only ever a cache: the Outcome (full-length Trace, every
 // counter) and StepStats.FlatSteps are those of a run from the initial state;
 // StepStats.RunsResumed, StepsSkipped and Snapshots say what it did instead.
-// Closure Programs (AsProgram bridges included) and programs that create
-// objects at run time (selects, timers, tickers, contexts, dynamic mutexes)
-// are never saved: for them RunFrom is RunWith. What RunFrom asks of a
+// Closure Programs (AsProgram bridges included), whose goroutine stacks cannot
+// be saved, never are: for them RunFrom is RunWith. What RunFrom asks of a
 // program is what prog.go asks already: operand closures are pure functions
 // of registers, cells and object registers, because a continued run does not
 // evaluate the prefix's operands again.

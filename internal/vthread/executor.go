@@ -1,6 +1,9 @@
 package vthread
 
-import "sync"
+import (
+	"reflect"
+	"sync"
+)
 
 // Executor is a resettable World: an execution context that is reused
 // across many executions instead of being rebuilt per run. The workload of
@@ -26,7 +29,8 @@ import "sync"
 // it shares, instead of re-executing the prefix; the Outcome is the same
 // either way. The cache belongs to one chooser and one program and dies with
 // any other run on the Executor (Run, RunWith, RunFrom by another chooser or
-// of another program). See RunFrom and snapshot.go.
+// of another program). Closure Programs are never saved. See RunFrom and
+// snapshot.go.
 //
 // # Aliasing contract
 //
@@ -114,14 +118,13 @@ func (e *Executor) RunWith(chooser Chooser, sink EventSink, program Runnable) *O
 // — but where the Executor holds a saved state of that previous run at a
 // depth <= shared, the execution continues from it instead of re-executing
 // the prefix (see snapshot.go). States are saved during RunFrom runs only,
-// are trusted only for the same chooser (compared as an interface value, so
-// choosers passing shared > 0 must be of a comparable type) and program, and
-// are discarded by any other run on the Executor. Closure Programs (AsProgram
-// bridges included) and programs that create objects at run time are never
-// saved: for them RunFrom is RunWith.
+// are trusted only for the same chooser (compared as an interface value) and
+// program, and are discarded by any other run on the Executor. For a closure
+// Program (AsProgram bridges included), whose goroutine stacks cannot be
+// saved, and for a chooser of an uncomparable type, RunFrom is RunWith.
 func (e *Executor) RunFrom(chooser Chooser, program Runnable, shared int) *Outcome {
 	cp, _ := program.(*CompiledProgram)
-	if cp == nil || cp.dynamic {
+	if cp == nil || chooser == nil || !reflect.TypeOf(chooser).Comparable() {
 		return e.RunWith(chooser, nil, program)
 	}
 	c := &e.cache
@@ -138,27 +141,28 @@ func (e *Executor) RunFrom(chooser Chooser, program Runnable, shared int) *Outco
 	e.w.cache = c
 	defer func() { e.w.cache = nil }()
 	out := e.run(chooser, nil, cp, from)
-	c.owner, c.cp, c.tail = chooser, cp, out.Threads
+	c.owner, c.cp, c.tail = chooser, cp, out.Threads-boolInt(e.w.clk.thread != nil)
 	return out
 }
 
 // claim takes the thread structs a snapshot names back out of flatFree, where
-// the previous run left them (its threads are the last cache.tail entries, in
-// id order), for restore to install as the thread table. A snapshot whose
-// structs are not the ones found there cannot be restored in place: nil is
-// returned, for a run from scratch.
+// the previous run left them (its program threads are the last cache.tail
+// entries, in id order; the clock's struct is the World's own), for restore
+// to install as the thread table. A snapshot whose structs are not the ones
+// found there cannot be restored in place: nil is returned, for a run from
+// scratch.
 func (e *Executor) claim(s *snapshot) *snapshot {
-	if s == nil {
+	base := len(e.flatFree) - e.cache.tail
+	if s == nil || base < 0 {
 		return nil
 	}
-	base, n := len(e.flatFree)-e.cache.tail, len(s.threads)
-	if base < 0 || n > e.cache.tail {
-		return nil
-	}
-	last := e.flatFree[base:]
+	last, n := e.flatFree[base:], 0
 	for i := range s.threads {
-		if last[i] != s.threads[i].t {
-			return nil
+		if t := s.threads[i].t; !t.isClock {
+			if n == len(last) || last[n] != t {
+				return nil
+			}
+			n++
 		}
 	}
 	e.flatFree = append(e.flatFree[:base], last[n:]...)

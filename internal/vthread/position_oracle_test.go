@@ -58,8 +58,7 @@ func TestPositionOracleGeneratedShapes(t *testing.T) {
 // TestPositionOracleRunFromWalks: a run continued from a saved prefix state
 // gets its positions from snapshot.restore, not from the appends and relists
 // of a run from the start. Depth-first walks that restore at every depth —
-// jumpy, a snapshot at every step — on snapProgram and the genCompiled shapes
-// the cache takes.
+// jumpy, a snapshot at every step — on snapProgram and the genCompiled shapes.
 func TestPositionOracleRunFromWalks(t *testing.T) {
 	oracle := func(name string) func(*Executor, *walker, *walker) {
 		return func(ex *Executor, a, b *walker) {
@@ -74,11 +73,7 @@ func TestPositionOracleRunFromWalks(t *testing.T) {
 	}
 	resumed := st.RunsResumed
 	for shape := uint32(0); shape < 200 && !t.Failed(); shape++ {
-		prog := genCompiled(shape * 2654435761)
-		if prog.dynamic {
-			continue
-		}
-		diff, st := walkPair(prog, Options{MaxSteps: 2000}, 40, oracle(fmt.Sprintf("shape %d", shape)))
+		diff, st := walkPair(genCompiled(shape*2654435761), Options{MaxSteps: 2000}, 40, oracle(fmt.Sprintf("shape %d", shape)))
 		if diff != "" {
 			t.Fatalf("shape %d: %s", shape, diff)
 		}

@@ -160,11 +160,6 @@ type CompiledProgram struct {
 	cellInit  []int
 	refNames  []string
 	bodies    []*fbody
-	// dynamic reports that some instruction creates an object at run time (a
-	// select's case snapshot, a timer, ticker or context, a dynamic mutex):
-	// state that lives outside the declared environment, which the
-	// prefix-state cache does not save. Set as such an instruction is emitted.
-	dynamic bool
 }
 
 // refObj is the runtime state of a RefH: an object-valued shared variable.
@@ -176,7 +171,8 @@ type refObj struct {
 
 // progEnv is one run's object environment: every declared object,
 // instantiated fresh per execution exactly as a closure body's NewVar /
-// NewChan calls instantiate fresh objects per run.
+// NewChan calls instantiate fresh objects per run. Objects the run creates
+// join it when created, after the declared ones, for the prefix-state cache.
 type progEnv struct {
 	vars     []*IntVar
 	atomics  []*Atomic
@@ -191,6 +187,8 @@ type progEnv struct {
 	onces    []*Once
 	cells    []int
 	refs     []*refObj
+	timers   []*vtimer
+	ctxs     []*Ctx
 }
 
 // newEnv instantiates the declared objects for one execution. Invisible
@@ -566,7 +564,9 @@ func (fi *interp) advance(t *Thread) bool {
 			fi.failMsg(t, FailAssert, in)
 			return false
 		case iNewMutex:
-			fi.objs[in.odst] = &Mutex{key: "mutex/" + in.name(t)}
+			m := &Mutex{key: "mutex/" + in.name(t)}
+			env.mutexes = append(env.mutexes, m)
+			fi.objs[in.odst] = m
 			f.pc++
 
 		// ----- promoted-conditional accesses -----
@@ -753,11 +753,13 @@ func (fi *interp) advance(t *Thread) bool {
 			return true
 		case iNewTimer, iAfter:
 			v := &vtimer{kind: timerOneShot, ch: newTimerChan(in.name(t))}
+			env.timers, env.chans = append(env.timers, v), append(env.chans, v.ch)
 			fi.d = int64(in.x(t))
 			*fi.req = pendingOp{kind: opTimerArm, timer: v}
 			return true
 		case iNewTicker:
 			v := &vtimer{kind: timerTicker, ch: newTimerChan(in.name(t)), period: int64(in.x(t))}
+			env.timers, env.chans = append(env.timers, v), append(env.chans, v.ch)
 			*fi.req = pendingOp{kind: opTimerArm, timer: v}
 			return true
 		case iTimerStop:
@@ -774,8 +776,10 @@ func (fi *interp) advance(t *Thread) bool {
 				parent = fi.objs[in.oparent].(*Ctx)
 			}
 			c := newCtx(in.name(t), parent)
+			env.ctxs, env.chans = append(env.ctxs, c), append(env.chans, c.done)
 			if in.dl {
 				c.dl = &vtimer{kind: timerDeadline, ctx: c}
+				env.timers = append(env.timers, c.dl)
 				fi.d = int64(in.x(t))
 			} else {
 				fi.d = 0

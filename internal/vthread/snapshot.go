@@ -21,10 +21,16 @@ package vthread
 //
 // What is saved: the World's scalars and enabled-set bookkeeping, the trace
 // LENGTH (the trace is append-only and the next run rewrites the same
-// prefix), every thread's scheduling state and interpreter registers, and the
-// value of every declared object. What is not: anything a program creates at
-// run time. A program whose instructions do (CompiledProgram.dynamic) is
-// never snapshotted and runs from scratch every time.
+// prefix), the virtual clock, every thread's scheduling state and interpreter
+// registers, and the value of every object in progEnv — which lists the
+// objects a run creates as it creates them, so a snapshot records the lengths
+// of those lists and a restore cuts them back. That is sound by the rule the
+// threads rely on: a run resumes from the deepest snapshot at or below shared
+// and only deeper ones are dropped, so an object created below a kept
+// snapshot's depth is never created again. What is not saved: a select, whose
+// cases are fixed when it is created and whose pick is written before every
+// commit; and the clock pseudo-thread's id, name and pending fire, set when
+// the clock is created.
 //
 // The snapshot point is the top of nextStep's loop, before syncEnabled, so a
 // resumed run enters nextStep like any other and the enabled set is brought
@@ -48,7 +54,8 @@ const (
 
 // threadSnap is one thread's share of a snapshot. The enabled-set links are
 // saved for every thread — the thread that has just exited is still listed
-// until syncEnabled runs — the rest only for threads that can run again.
+// until syncEnabled runs — the rest only for program threads that can run
+// again (the clock has no interpreter).
 type threadSnap struct {
 	t     *Thread
 	state threadState
@@ -76,15 +83,23 @@ type snapshot struct {
 	last                    ThreadID
 	pc, dc                  int
 	schedPoints, maxEnabled int
+	selPoints, timerPoints  int
 	seen, live              int
 	condHead                *Thread
 	enabled                 []ThreadID
+
+	now      int64
+	clockSeq int
+	clock    []*vtimer // the clock's table of timers
+	// The lengths of progEnv's lists that grow as the run creates objects.
+	nchans, nmutexes, ntimers, nctxs int
 
 	threads []threadSnap
 	frames  []frame
 	ints    []int
 	objs    []any
 	thr     []*Thread // mutex owners, rwmutex writers, condvar waiters
+	errs    []string  // context causes
 }
 
 // gap is the number of steps to the next snapshot after this one: its size
@@ -92,7 +107,7 @@ type snapshot struct {
 func (s *snapshot) gap() int {
 	const threadWords, frameWords, ifaceWords = 32, 4, 2
 	words := len(s.threads)*threadWords + len(s.frames)*frameWords + len(s.ints) +
-		len(s.objs)*ifaceWords + len(s.thr) + len(s.enabled)
+		(len(s.objs)+len(s.errs))*ifaceWords + len(s.thr) + len(s.enabled) + len(s.clock)
 	return max(snapMinGap, words/snapWordsPerStep)
 }
 
@@ -101,14 +116,18 @@ func (s *snapshot) save(w *World, env *progEnv) {
 	s.depth = len(w.trace)
 	s.last, s.pc, s.dc = w.last, w.pc, w.dc
 	s.schedPoints, s.maxEnabled = w.schedPoints, w.maxEnabled
+	s.selPoints, s.timerPoints = w.selPoints, w.timerPoints
 	s.seen, s.live, s.condHead = w.seen, w.live, w.condHead
 	s.enabled = append(s.enabled[:0], w.enabled...)
+	s.now, s.clockSeq = w.clk.now, w.clk.seq
+	s.clock = append(s.clock[:0], w.clk.timers...)
+	s.nchans, s.nmutexes, s.ntimers, s.nctxs = len(env.chans), len(env.mutexes), len(env.timers), len(env.ctxs)
 
 	threads, frames, ints, objs, thr := s.threads[:0], s.frames[:0], s.ints[:0], s.objs[:0], s.thr[:0]
 	for _, t := range w.threads {
 		threads = append(threads, threadSnap{t: t, state: t.state,
 			inEnabled: t.inEnabled, inCond: t.inCond, condPrev: t.condPrev, condNext: t.condNext})
-		if t.state == stateExited {
+		if t.state == stateExited || t.isClock {
 			continue
 		}
 		ts, fi := &threads[len(threads)-1], t.fi
@@ -156,11 +175,19 @@ func (s *snapshot) save(w *World, env *progEnv) {
 	for _, o := range env.onces {
 		ints = append(ints, boolInt(o.started), boolInt(o.done))
 	}
+	for _, v := range env.timers {
+		ints = append(ints, boolInt(v.armed), int(v.deadline), v.seq)
+	}
+	errs := s.errs[:0]
+	for _, c := range env.ctxs {
+		ints = append(ints, boolInt(c.cancelled), len(c.children))
+		errs = append(errs, c.err)
+	}
 	ints = append(ints, env.cells...)
 	for _, r := range env.refs {
 		objs = append(objs, r.val)
 	}
-	s.threads, s.frames, s.ints, s.objs, s.thr = threads, frames, ints, objs, thr
+	s.threads, s.frames, s.ints, s.objs, s.thr, s.errs = threads, frames, ints, objs, thr, errs
 }
 
 // restore writes the snapshot back into the structs it was taken from, which
@@ -171,8 +198,13 @@ func (s *snapshot) restore(w *World, env *progEnv) {
 	w.trace = w.trace[:s.depth]
 	w.last, w.pc, w.dc = s.last, s.pc, s.dc
 	w.schedPoints, w.maxEnabled = s.schedPoints, s.maxEnabled
+	w.selPoints, w.timerPoints = s.selPoints, s.timerPoints
 	w.seen, w.live, w.condHead = s.seen, s.live, s.condHead
 	w.enabled = append(w.enabled[:0], s.enabled...)
+	w.clk.now, w.clk.seq = s.now, s.clockSeq
+	w.clk.timers = append(w.clk.timers[:0], s.clock...)
+	env.chans, env.mutexes = env.chans[:s.nchans], env.mutexes[:s.nmutexes]
+	env.timers, env.ctxs = env.timers[:s.ntimers], env.ctxs[:s.nctxs]
 
 	frames, ints, objs, thr := s.frames, s.ints, s.objs, s.thr
 	for i := range s.threads {
@@ -181,7 +213,10 @@ func (s *snapshot) restore(w *World, env *progEnv) {
 		w.threads = append(w.threads, t)
 		t.state, t.killed = ts.state, false
 		t.inEnabled, t.inCond, t.condPrev, t.condNext = ts.inEnabled, ts.inCond, ts.condPrev, ts.condNext
-		if ts.state == stateExited {
+		if t.isClock {
+			w.clk.thread = t
+		}
+		if ts.state == stateExited || t.isClock {
 			continue
 		}
 		fi := t.fi
@@ -240,6 +275,14 @@ func (s *snapshot) restore(w *World, env *progEnv) {
 		o.started, o.done = ints[0] != 0, ints[1] != 0
 		ints = ints[2:]
 	}
+	for _, v := range env.timers {
+		v.armed, v.deadline, v.seq = ints[0] != 0, int64(ints[1]), ints[2]
+		ints = ints[3:]
+	}
+	for i, c := range env.ctxs {
+		c.cancelled, c.children, c.err = ints[0] != 0, c.children[:ints[1]], s.errs[i]
+		ints = ints[2:]
+	}
 	copy(env.cells, ints)
 	for i, r := range env.refs {
 		r.val = objs[i]
@@ -262,8 +305,8 @@ type prefixCache struct {
 	free  []*snapshot
 	// next is the trace length at which the running execution saves again.
 	next int
-	// tail is the number of threads the owner's last run had: they are the
-	// last tail entries of Executor.flatFree, in id order.
+	// tail is the number of program threads the owner's last run had: they
+	// are the last tail entries of Executor.flatFree, in id order.
 	tail int
 }
 
@@ -334,13 +377,14 @@ func (c *prefixCache) begin(env *progEnv) {
 
 // resume continues the World's (reset) execution from s: the steps below
 // s.depth are accounted as performed — the trace, and so every count derived
-// from it, is that of a run from the initial state.
+// from it, is that of a run from the initial state. Its clock fires and case
+// decisions hold trace entries but were no flat steps.
 func (c *prefixCache) resume(w *World, s *snapshot) {
 	s.restore(w, c.env)
 	c.next = s.depth + s.gap()
 	w.stats.RunsResumed++
 	w.stats.StepsSkipped += int64(s.depth)
-	w.stats.FlatSteps += int64(s.depth)
+	w.stats.FlatSteps += int64(s.depth - s.selPoints - s.timerPoints)
 	if w.restoreCheck != nil {
 		w.restoreCheck(w)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sctbench/internal/sched"
@@ -22,7 +23,10 @@ import (
 // jump, when set, makes backtrack return to a random depth now and then, so
 // that the walk meets every depth early on instead of spending its executions
 // on the deepest few — still a chooser that repeats its choices below the
-// depth backtrack returns.
+// depth backtrack returns. Each fresh node records the footprint of every
+// enabled thread: the pruning engines read them, and a restored object a run
+// does not otherwise look at shows there (a context's children, the timer
+// due next).
 type walker struct {
 	stack   []walkNode
 	calls   int // Choose calls that made a choice (one per trace entry)
@@ -33,6 +37,7 @@ type walker struct {
 type walkNode struct {
 	order []ThreadID
 	idx   int
+	foot  string
 }
 
 func (k *walker) Choose(ctx Context) ThreadID {
@@ -47,7 +52,11 @@ func (k *walker) Choose(ctx Context) ThreadID {
 	}
 	k.calls++
 	order := sched.CanonicalOrder(ctx.Enabled, ctx.Last, ctx.NumThreads)
-	k.stack = append(k.stack, walkNode{order: order})
+	var foot strings.Builder
+	for _, id := range ctx.Enabled {
+		fmt.Fprintf(&foot, "T%d %v; ", id, ctx.PendingOf(id))
+	}
+	k.stack = append(k.stack, walkNode{order: order, foot: foot.String()})
 	return order[0]
 }
 
@@ -88,8 +97,9 @@ func describe(o *Outcome) string {
 
 // walkPair walks prog depth-first twice in lockstep for at most limit
 // executions: on one Executor through RunFrom with the shared depth, on
-// another from the initial state. It returns the first difference ("" for
-// none) and the cached Executor's counters. setup, when non-nil, prepares
+// another from the initial state. It returns the first difference — of
+// Outcome, FlatSteps or footprints; "" for none — and the cached Executor's
+// counters. setup, when non-nil, prepares
 // the cached Executor and both walkers (test hooks, an abort rule).
 func walkPair(prog Runnable, opts Options, limit int, setup func(cached *Executor, a, b *walker)) (diff string, st StepStats) {
 	cached, scratch := NewExecutor(opts), NewExecutor(opts)
@@ -110,6 +120,12 @@ func walkPair(prog Runnable, opts Options, limit int, setup func(cached *Executo
 		if cached.StepStats().FlatSteps != scratch.StepStats().FlatSteps {
 			return fmt.Sprintf("execution %d: FlatSteps %d resumed, %d from scratch", n,
 				cached.StepStats().FlatSteps, scratch.StepStats().FlatSteps), cached.StepStats()
+		}
+		for i := shared; i < len(a.stack); i++ {
+			if a.stack[i].foot != b.stack[i].foot {
+				return fmt.Sprintf("execution %d (shared %d), step %d: footprints\n  resumed: %s\n  scratch: %s",
+					n, shared, i, a.stack[i].foot, b.stack[i].foot), cached.StepStats()
+			}
 		}
 		shared = a.backtrack()
 		if s := b.backtrack(); s != shared {
@@ -201,6 +217,41 @@ func snapProgram() *CompiledProgram {
 	return p.Build()
 }
 
+// timedProgram exercises the state a run creates, which snapProgram has none
+// of: a timer, a ticker and a sleep (the clock's table, now and arm order), a
+// WithTimeout child of a WithCancel parent (causes, children, a deadline
+// entry), a dynamic mutex, and two-way selects whose case decisions are trace
+// entries but no steps.
+func timedProgram() *CompiledProgram {
+	p := NewBuilder()
+	v := p.Var("v", 0)
+	res := p.Chan("res", 1)
+
+	worker := p.Body(0, 2)
+	parent, mu := worker.OArg(0), worker.OArg(1)
+	worker.Lock(mu)
+	worker.AddVar(v, 1)
+	worker.Unlock(mu)
+	child := worker.WithTimeout("child", parent, 3)
+	worker.Select2(RecvC(child), SendC(res, 1))
+
+	mn := p.Main()
+	parent = mn.WithCancel("parent", NoCtx)
+	mu = mn.NewMutex("dyn")
+	tk := mn.NewTicker("tk", 2)
+	h := mn.Spawn(worker, parent, mu)
+	tm := mn.NewTimer("tm", 1)
+	mn.Lock(mu)
+	mn.Recv(tm)
+	mn.Unlock(mu)
+	mn.Sleep("nap", 1)
+	mn.Select2(RecvC(tk), RecvC(res))
+	mn.CtxCancel(parent)
+	mn.TickerStop(tk)
+	mn.Join(h)
+	return p.Build()
+}
+
 func TestPrefixCacheMatchesScratch(t *testing.T) {
 	for name, setup := range map[string]func(*Executor, *walker, *walker){
 		"depth-first": nil,
@@ -210,38 +261,39 @@ func TestPrefixCacheMatchesScratch(t *testing.T) {
 			snapshotEveryStep(ex)
 		},
 	} {
-		diff, st := walkPair(snapProgram(), Options{}, 3000, setup)
-		if diff != "" {
-			t.Fatalf("%s: %s", name, diff)
-		}
-		if st.RunsResumed < 1500 || st.StepsSkipped == 0 || st.Snapshots == 0 {
-			t.Errorf("%s: the walk hardly used the cache: %+v", name, st)
+		// A jumpy walk of timedProgram's smaller tree ends after some 140
+		// executions.
+		for _, prog := range []struct {
+			name       string
+			build      func() *CompiledProgram
+			minResumed int64
+		}{{"snapProgram", snapProgram, 1500}, {"timedProgram", timedProgram, 100}} {
+			diff, st := walkPair(prog.build(), Options{}, 3000, setup)
+			if diff != "" {
+				t.Fatalf("%s, %s: %s", prog.name, name, diff)
+			}
+			if st.RunsResumed < prog.minResumed || st.StepsSkipped == 0 || st.Snapshots == 0 {
+				t.Errorf("%s, %s: the walk hardly used the cache: %+v", prog.name, name, st)
+			}
 		}
 	}
 }
 
-// TestPrefixCacheMatchesScratchGenerated sweeps the genCompiled shapes: the
-// ones with selects, timers or contexts are declined (and must still equal a
-// from-scratch run, trivially), the rest are resumed.
+// TestPrefixCacheMatchesScratchGenerated sweeps the genCompiled shapes —
+// selects, timers, tickers, contexts and dynamic mutexes among them.
 func TestPrefixCacheMatchesScratchGenerated(t *testing.T) {
-	resumed, declined := 0, 0
+	resumed := 0
 	for shape := uint32(0); shape < 400; shape++ {
-		prog := genCompiled(shape * 2654435761)
-		diff, st := walkPair(prog, Options{MaxSteps: 2000}, 60, jumpy)
+		diff, st := walkPair(genCompiled(shape*2654435761), Options{MaxSteps: 2000}, 60, jumpy)
 		if diff != "" {
 			t.Fatalf("shape %d: %s", shape, diff)
 		}
-		if prog.dynamic && st.RunsResumed != 0 {
-			t.Fatalf("shape %d creates objects at run time, but %d runs resumed", shape, st.RunsResumed)
-		}
-		if prog.dynamic {
-			declined++
-		} else if st.RunsResumed > 0 {
+		if st.RunsResumed > 0 {
 			resumed++
 		}
 	}
-	if resumed < 20 || declined < 20 {
-		t.Errorf("%d shapes resumed, %d declined: the sweep does not cover both", resumed, declined)
+	if resumed < 380 {
+		t.Errorf("only %d of 400 shapes had a run continued from a saved state", resumed)
 	}
 }
 
@@ -269,11 +321,11 @@ func TestPrefixCacheForeignRuns(t *testing.T) {
 	ex, scratch := NewExecutor(Options{}), NewExecutor(Options{})
 	defer ex.Close()
 	defer scratch.Close()
-	progs := []*CompiledProgram{snapProgram(), oracleReuseA(), nil}
+	progs := []*CompiledProgram{snapProgram(), oracleReuseA(), nil, timedProgram()}
 	progs[2] = progs[0]
 	type walk struct{ a, b *walker }
-	walks := []walk{{&walker{}, &walker{}}, {&walker{}, &walker{}}, {&walker{}, &walker{}}}
-	shared := []int{0, 0, 0}
+	walks := []walk{{&walker{}, &walker{}}, {&walker{}, &walker{}}, {&walker{}, &walker{}}, {&walker{}, &walker{}}}
+	shared := []int{0, 0, 0, 0}
 	for n := 0; n < 600; n++ {
 		i := n % len(walks)
 		if n%50 == 49 {
@@ -291,25 +343,34 @@ func TestPrefixCacheForeignRuns(t *testing.T) {
 		t.Errorf("%d runs were continued from another walk's state", st.RunsResumed)
 	}
 	// Left alone, a walk is resumed again at once.
-	for n := 0; n < 10; n++ {
-		ex.RunFrom(walks[0].a, progs[0], shared[0])
-		shared[0] = walks[0].a.backtrack()
-	}
-	if st := ex.StepStats(); st.RunsResumed < 8 {
-		t.Errorf("an undisturbed walk resumed %d of its 9 later runs", st.RunsResumed)
+	for _, i := range []int{0, 3} {
+		before := ex.StepStats().RunsResumed
+		for n := 0; n < 10; n++ {
+			ex.RunFrom(walks[i].a, progs[i], shared[i])
+			shared[i] = walks[i].a.backtrack()
+		}
+		if resumed := ex.StepStats().RunsResumed - before; resumed < 8 {
+			t.Errorf("undisturbed walk %d resumed %d of its 9 later runs", i, resumed)
+		}
 	}
 }
 
 // TestPrefixCacheMovedThreads: the structs a snapshot names must be the ones
 // the run is handed. Reordering the free list between two runs makes them
-// not; the Executor notices and runs from scratch, every time.
+// not; the Executor notices and runs from scratch, every time — with the
+// clock's struct, which is not in the free list, in the thread table too.
 func TestPrefixCacheMovedThreads(t *testing.T) {
+	for _, prog := range []*CompiledProgram{snapProgram(), timedProgram()} {
+		movedThreads(t, prog)
+	}
+}
+
+func movedThreads(t *testing.T, prog *CompiledProgram) {
 	cached, scratch := NewExecutor(Options{}), NewExecutor(Options{})
 	defer cached.Close()
 	defer scratch.Close()
 	cached.w.restoreCheck = func(*World) { t.Error("restored a snapshot whose threads had moved") }
 	a, b := &walker{}, &walker{}
-	prog := snapProgram()
 	for shared, n := 0, 0; n < 50; n++ {
 		got := describe(cached.RunFrom(a, prog, shared))
 		if want := describe(scratch.RunWith(b, nil, prog)); got != want {
@@ -331,9 +392,10 @@ func TestPrefixCacheMovedThreads(t *testing.T) {
 // the enabled-set oracle beside it, for the bookkeeping no Outcome shows) is
 // sensitive to what a snapshot could get wrong. Each mutation leaves the
 // World, right after a restore, the way a snapshot lacking one piece of state
-// would have; the unmutated walk is clean.
+// would have; the unmutated walk is clean. The state a run creates is
+// mutated on timedProgram's walk.
 func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
-	run := func(mutate func(w *World)) (diff string) {
+	run := func(prog *CompiledProgram, mutate func(w *World)) (diff string) {
 		report := ""
 		defer func() {
 			// A corrupted World may also end in a panic: the walker replaying
@@ -342,7 +404,7 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 				diff = fmt.Sprint("panic: ", r)
 			}
 		}()
-		diff, _ = walkPair(snapProgram(), Options{}, 3000, func(ex *Executor, a, b *walker) {
+		diff, _ = walkPair(prog, Options{}, 3000, func(ex *Executor, a, b *walker) {
 			jumpy(ex, a, b)
 			InstallEnabledOracle(ex, func(msg string) {
 				if report == "" {
@@ -357,8 +419,10 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 		}
 		return diff
 	}
-	if diff := run(func(*World) {}); diff != "" {
-		t.Fatalf("the unmutated walk differs: %s", diff)
+	for _, prog := range []*CompiledProgram{snapProgram(), timedProgram()} {
+		if diff := run(prog, func(*World) {}); diff != "" {
+			t.Fatalf("the unmutated walk differs: %s", diff)
+		}
 	}
 	env := func(w *World) *progEnv { return w.cache.env }
 	mutations := map[string]func(w *World){
@@ -398,7 +462,38 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 		},
 	}
 	for name, mutate := range mutations {
-		if run(mutate) == "" {
+		if run(snapProgram(), mutate) == "" {
+			t.Errorf("mutation %q: no difference seen", name)
+		}
+	}
+	// What a snapshot that left out the state a run creates would leave.
+	created := map[string]func(w *World){
+		"disarm the timers": func(w *World) {
+			for _, v := range env(w).timers {
+				v.armed = false
+			}
+		},
+		"forget the timers' deadlines and arm order": func(w *World) {
+			for _, v := range env(w).timers {
+				v.deadline, v.seq = 0, 0
+			}
+		},
+		"empty the clock's table": func(w *World) { w.clk.timers = w.clk.timers[:0] },
+		"reset the clock's now":   func(w *World) { w.clk.now, w.clk.seq = 0, 0 },
+		// A child the previous run attached and the restore did not cut off.
+		"keep a context's later children": func(w *World) {
+			if ctxs := env(w).ctxs; len(ctxs) > 0 {
+				ctxs[0].children = append(ctxs[0].children, newCtx("stale", ctxs[0]))
+			}
+		},
+		// The dynamic mutex (timedProgram declares none) left out of the
+		// list, and with it out of the snapshots to come: its owner is then
+		// never restored.
+		"cut the dynamic mutex off the list": func(w *World) { env(w).mutexes = env(w).mutexes[:0] },
+		"reset selPoints and timerPoints":    func(w *World) { w.selPoints, w.timerPoints = 0, 0 },
+	}
+	for name, mutate := range created {
+		if run(timedProgram(), mutate) == "" {
 			t.Errorf("mutation %q: no difference seen", name)
 		}
 	}
@@ -408,8 +503,14 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 // yields the same snapshot — the two walks of snapshot.go agree on what there
 // is and in which order, for every state the walk of snapProgram meets.
 func TestPrefixCacheSaveRestoreSymmetric(t *testing.T) {
+	for _, prog := range []*CompiledProgram{snapProgram(), timedProgram()} {
+		saveRestoreSymmetric(t, prog)
+	}
+}
+
+func saveRestoreSymmetric(t *testing.T, prog *CompiledProgram) {
 	checked := 0
-	diff, _ := walkPair(snapProgram(), Options{}, 500, func(ex *Executor, a, b *walker) {
+	diff, _ := walkPair(prog, Options{}, 500, func(ex *Executor, a, b *walker) {
 		jumpy(ex, a, b)
 		snapshotEveryStep(ex)
 		ex.w.restoreCheck = func(w *World) {
@@ -541,10 +642,22 @@ func TestPrefixCacheBoundedAndAllocationFree(t *testing.T) {
 	}
 }
 
-// DeclinesPrefixCache reports whether RunFrom runs p from scratch every time:
-// a closure Program, or a compiled one that creates objects at run time.
-// Exported to the external test package, whose registry sweep pins the set.
-func DeclinesPrefixCache(p Runnable) bool {
-	cp, ok := p.(*CompiledProgram)
-	return !ok || cp.dynamic
+// TestRunFromUncomparableChooser: the cache tells its owner by comparing
+// choosers as interface values, which panics for a func type. Such a chooser
+// promises nothing: its runs go from scratch, with the same Outcome.
+func TestRunFromUncomparableChooser(t *testing.T) {
+	ex, scratch := NewExecutor(Options{}), NewExecutor(Options{})
+	defer ex.Close()
+	defer scratch.Close()
+	prog := snapProgram()
+	choose := ChooserFunc(RoundRobin().Choose)
+	for n := 0; n < 3; n++ {
+		got := describe(ex.RunFrom(choose, prog, 3))
+		if want := describe(scratch.RunWith(choose, nil, prog)); got != want {
+			t.Fatalf("run %d:\n  got:  %s\n  want: %s", n, got, want)
+		}
+	}
+	if st := ex.StepStats(); st.RunsResumed != 0 || st.Snapshots != 0 {
+		t.Errorf("%d runs resumed, %d snapshots taken: want none", st.RunsResumed, st.Snapshots)
+	}
 }

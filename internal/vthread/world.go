@@ -247,10 +247,11 @@ type StepStats struct {
 	// interpreter.
 	FlatSteps int64
 	// RunsResumed counts Executor.RunFrom runs that continued from a saved
-	// prefix state instead of the initial state, and StepsSkipped the steps
-	// those runs did not execute (each still counted in FlatSteps, as in the
-	// trace: the execution is the same, only the work is not). Snapshots
-	// counts the prefix states saved.
+	// prefix state instead of the initial state, and StepsSkipped the trace
+	// entries those runs did not execute. The thread steps among those are
+	// still counted in FlatSteps (the execution is the same, only the work is
+	// not); clock fires and case decisions never are. Snapshots counts the
+	// prefix states saved.
 	RunsResumed  int64
 	StepsSkipped int64
 	Snapshots    int64
@@ -378,8 +379,8 @@ type World struct {
 	// off the members' positions (position_oracle_test.go).
 	enabledCheck  func(*World)
 	positionCheck func(w *World, start int, lastEnabled bool, choice ThreadID, pos int)
-	// cache, non-nil only during an Executor.RunFrom run of a program that can
-	// be snapshotted, is where nextStep saves prefix states (snapshot.go).
+	// cache, non-nil only during an Executor.RunFrom run of a compiled
+	// program, is where nextStep saves prefix states (snapshot.go).
 	// restoreCheck, nil outside tests, is called right after such a run has
 	// restored one, before its first step.
 	cache        *prefixCache
