@@ -74,3 +74,42 @@ func BenchmarkExploreReduction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBoundedLong runs the bounded searches at the study's limit of 400
+// on the two registry programs with the longest executions (12,013 and 14,014
+// steps), where few points of an execution can branch within the bound: what
+// an execution costs there is mostly what the engine and the prefix cache pay
+// at points that cannot. It reports executions and steps per search,
+// allocations and executions/sec.
+func BenchmarkBoundedLong(b *testing.B) {
+	techniques := []struct {
+		name string
+		tech explore.Technique
+	}{{"ipb", explore.IPB}, {"idb", explore.IDB}, {"dfs", explore.DFS}}
+	for _, name := range []string{"radbench.bug1", "radbench.bug5"} {
+		bm := bench.ByName(name)
+		for _, tech := range techniques {
+			b.Run(name+"/"+tech.name, func(b *testing.B) {
+				b.ReportAllocs()
+				prog := bm.New()
+				var execs int
+				var steps int64
+				for i := 0; i < b.N; i++ {
+					r := explore.Run(tech.tech, explore.Config{
+						Program: prog, BoundsCheck: bm.BoundsCheck,
+						MaxSteps: bm.MaxSteps, Limit: 400,
+					})
+					if r.Schedules != 400 {
+						b.Fatalf("%s/%s: %d schedules, want the limit's 400", name, tech.name, r.Schedules)
+					}
+					execs += r.Executions
+					steps += r.TotalSteps
+				}
+				n := float64(b.N)
+				b.ReportMetric(float64(execs)/n, "execs/explore")
+				b.ReportMetric(float64(steps)/n, "steps/explore")
+				reportExecRate(b, execs)
+			})
+		}
+	}
+}

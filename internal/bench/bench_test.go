@@ -114,6 +114,24 @@ func TestEveryProgramTerminatesUnderRoundRobin(t *testing.T) {
 	}
 }
 
+// TestRegistryThreadCounts: a benchmark's declared Threads is the count Table
+// 3 measures for it, the most threads one execution creates (the clock
+// pseudo-thread included), here over the round-robin execution and ten
+// random ones.
+func TestRegistryThreadCounts(t *testing.T) {
+	for _, b := range All() {
+		ex := vthread.NewExecutor(vthread.Options{MaxSteps: b.MaxSteps, BoundsCheck: b.BoundsCheck})
+		most := ex.RunWith(vthread.RoundRobin(), nil, b.New()).Threads
+		for seed := uint64(1); seed <= 10; seed++ {
+			most = max(most, ex.RunWith(vthread.NewRandom(seed), nil, b.New()).Threads)
+		}
+		ex.Close()
+		if most != b.Threads {
+			t.Errorf("%s declares %d threads, its executions create %d", b.Name, b.Threads, most)
+		}
+	}
+}
+
 // TestEveryProgramIsDeterministic: replaying a random schedule must
 // reproduce the identical trace and outcome — the foundational SCT
 // assumption (§2: scheduler is the only nondeterminism).

@@ -57,7 +57,7 @@ func init() {
 	})
 
 	register(&Benchmark{
-		ID: 63, Name: "gotime.ctx_cancel_race_bad", Suite: "GoTime", Threads: 3,
+		ID: 63, Name: "gotime.ctx_cancel_race_bad", Suite: "GoTime", Threads: 2,
 		BugKind: vthread.FailAssert,
 		Desc:    "non-blocking Done check then publish: the context can be cancelled in the window, publishing a dead result",
 		New:     func() vthread.Runnable { return compiledCtxCancelRace() },

@@ -45,7 +45,7 @@ func init() {
 	registerSplash(51, "splash2.lu", 10)
 
 	register(&Benchmark{
-		ID: 43, Name: "radbench.bug1", Suite: "RADBench", Threads: 4,
+		ID: 43, Name: "radbench.bug1", Suite: "RADBench", Threads: 6,
 		BugKind: vthread.FailCrash,
 		Desc:    "SpiderMonkey: hash table destroyed while another thread still dereferences it",
 		New:     func() vthread.Runnable { return compiledRadbench1() },
@@ -63,7 +63,7 @@ func init() {
 		New:     func() vthread.Runnable { return compiledRadbench3() },
 	})
 	register(&Benchmark{
-		ID: 46, Name: "radbench.bug4", Suite: "RADBench", Threads: 3,
+		ID: 46, Name: "radbench.bug4", Suite: "RADBench", Threads: 4,
 		BugKind: vthread.FailCrash,
 		Desc:    "lazily initialised lock: double initialisation leads to unlocking an unheld mutex",
 		New:     func() vthread.Runnable { return compiledRadbench4() },

@@ -615,13 +615,13 @@ func flagsToBools(flags []uint8, bit uint8) []bool {
 // restoreSearcher rebuilds a searcher from its serialized frontier,
 // validating every structural invariant so a hand-edited or damaged
 // checkpoint fails loudly instead of corrupting the search.
-func restoreSearcher(cfg Config, st *EngineState) (searcher, error) {
+func restoreSearcher(cfg Config, st *EngineState, spare searcher) (searcher, error) {
 	if st == nil {
 		return nil, errors.New("missing engine state")
 	}
 	switch st.Kind {
 	case "bounded":
-		return restoreBounded(cfg, st)
+		return restoreBounded(cfg, st, spare)
 	case "sleepset", "dpor":
 		return restoreDPOR(cfg, st)
 	}
@@ -646,32 +646,50 @@ func (e *engine) snapshot() *EngineState {
 	for i := range e.stack {
 		nd := &e.stack[i]
 		st.Nodes[i] = NodeState{
-			Order: mapSlice(nd.order, threadToInt),
-			Costs: append([]int(nil), nd.costs...),
+			Order: mapSlice(e.orders[nd.off:nd.off+nd.n], threadToInt),
+			Costs: e.costs(nd),
 			Idx:   nd.idx, Hi: nd.hi, Base: nd.base,
 		}
 	}
 	return st
 }
 
-func restoreBounded(cfg Config, st *EngineState) (*engine, error) {
+// costs lists the incremental cost of each of nd's choices, the form a
+// checkpoint file keeps.
+func (e *engine) costs(nd *node) []int {
+	costs := make([]int, nd.n)
+	for j := range costs {
+		costs[j] = e.cost(nd, j)
+	}
+	return costs
+}
+
+// restoreBounded rebuilds the engine from its frontier. Costs are the model's
+// (engine.cost): a file whose costs or prefix costs are not is an error.
+func restoreBounded(cfg Config, st *EngineState, spare searcher) (*engine, error) {
 	if st.Model < int(CostNone) || st.Model > int(CostDelays) {
 		return nil, fmt.Errorf("bad cost model %d", st.Model)
 	}
-	e := newEngine(cfg, CostModel(st.Model), st.Bound)
+	e := newEngine(cfg, CostModel(st.Model), st.Bound, spare)
 	e.pruned = st.Pruned
 	e.executions = st.Executions
-	e.stack = make([]node, len(st.Nodes))
+	base := 0
 	for i, ns := range st.Nodes {
 		if len(ns.Order) == 0 || len(ns.Costs) != len(ns.Order) ||
 			ns.Idx < 0 || ns.Idx > ns.Hi || ns.Hi >= len(ns.Order) {
 			return nil, fmt.Errorf("inconsistent frontier node %d", i)
 		}
-		e.stack[i] = node{
-			order: mapSlice(ns.Order, intToThread),
-			costs: append([]int(nil), ns.Costs...),
-			idx:   ns.Idx, hi: ns.Hi, base: ns.Base,
+		nd := node{off: len(e.orders), n: len(ns.Order), idx: ns.Idx, hi: ns.Hi, base: ns.Base,
+			costly: e.model != CostNone && len(ns.Costs) > 1 && ns.Costs[1] != 0}
+		if costs := e.costs(&nd); !slices.Equal(ns.Costs, costs) {
+			return nil, fmt.Errorf("frontier node %d: costs %v, want %v under %v", i, ns.Costs, costs, e.model)
 		}
+		if ns.Base != base {
+			return nil, fmt.Errorf("frontier node %d: prefix cost %d, want %d", i, ns.Base, base)
+		}
+		base += e.cost(&nd, nd.idx)
+		e.orders = append(e.orders, mapSlice(ns.Order, intToThread)...)
+		e.stack = append(e.stack, nd)
 	}
 	return e, nil
 }
@@ -851,7 +869,7 @@ func Resume(ck *Checkpoint, cfg Config) (res *Result, err error) {
 		return runRand(cfg, r, ck.NextRun), nil
 	}
 
-	eng, err := restoreSearcher(cfg, ck.Engine)
+	eng, err := restoreSearcher(cfg, ck.Engine, nil)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}

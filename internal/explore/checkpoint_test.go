@@ -665,6 +665,65 @@ func TestResumeRejectsBadWalkerFrontier(t *testing.T) {
 	}
 }
 
+// badBoundedFrontiers derives from the pinned DFS and IPB checkpoints one
+// file per way a bounded node's costs or prefix cost can disagree with what
+// restoreBounded derives from the model: a node of the preemption pattern
+// with a delay's cost, or a cost on its canonical first choice; a cost on a
+// DFS choice; and a prefix cost that is not what the choices above add up to.
+func badBoundedFrontiers(dfs, ipb *Checkpoint) map[string]*Checkpoint {
+	edit := func(ck *Checkpoint, f func(nodes []NodeState)) *Checkpoint {
+		c, eng := *ck, *ck.Engine
+		eng.Nodes = slices.Clone(eng.Nodes)
+		for i := range eng.Nodes {
+			eng.Nodes[i].Costs = slices.Clone(eng.Nodes[i].Costs)
+		}
+		f(eng.Nodes)
+		c.Engine = &eng
+		return &c
+	}
+	// branching is the first node with three choices or more.
+	branching := func(nodes []NodeState) *NodeState {
+		for i := range nodes {
+			if len(nodes[i].Costs) > 2 {
+				return &nodes[i]
+			}
+		}
+		panic("no node with three choices")
+	}
+	costly := func(nodes []NodeState) *NodeState {
+		for i := range nodes {
+			if len(nodes[i].Costs) > 2 && nodes[i].Costs[1] == 1 {
+				return &nodes[i]
+			}
+		}
+		panic("no node of three choices that costs preemptions")
+	}
+	return map[string]*Checkpoint{
+		"ipb-delay-cost":   edit(ipb, func(ns []NodeState) { costly(ns).Costs[2] = 2 }),
+		"ipb-first-costs":  edit(ipb, func(ns []NodeState) { costly(ns).Costs[0] = 1 }),
+		"dfs-costs":        edit(dfs, func(ns []NodeState) { branching(ns).Costs[1] = 1 }),
+		"ipb-prefix-cost":  edit(ipb, func(ns []NodeState) { ns[len(ns)-1].Base++ }),
+		"ipb-root-base":    edit(ipb, func(ns []NodeState) { ns[0].Base = -1 }),
+		"ipb-costs-length": edit(ipb, func(ns []NodeState) { costly(ns).Costs = costly(ns).Costs[:1] }),
+	}
+}
+
+// TestResumeRejectsBadBoundedFrontier: a bounded node's costs are derived
+// from its model, not trusted from the file, so a cost list that is not the
+// pattern of the model, and a prefix cost that does not add up, are errors
+// from Resume — never a search that silently moves the bound's cut.
+func TestResumeRejectsBadBoundedFrontier(t *testing.T) {
+	files := goldenFiles(t, "golden_checkpoint.json")
+	for name, ck := range badBoundedFrontiers(loadGolden(t, files["dfs"]), loadGolden(t, files["ipb"])) {
+		t.Run(name, func(t *testing.T) {
+			res, err := Resume(ck, ckCfg(t, "CS.account_bad", 100))
+			if err == nil || !strings.Contains(err.Error(), "frontier node") || res != nil {
+				t.Fatalf("Resume = %v, %v; want a frontier-node error", res, err)
+			}
+		})
+	}
+}
+
 // goldenFiles reads a testdata blob of pinned checkpoint files, by key.
 func goldenFiles(t *testing.T, name string) map[string]json.RawMessage {
 	t.Helper()

@@ -20,7 +20,6 @@ package explore
 
 import (
 	"fmt"
-	"slices"
 
 	"sctbench/internal/sched"
 	"sctbench/internal/vthread"
@@ -52,18 +51,18 @@ func (c CostModel) String() string {
 	return "unknown"
 }
 
-// node is one scheduling point on the DFS stack: the canonical choice
-// order, the incremental cost of each choice, and which choice the current
-// execution takes. hi is the last choice index this engine owns; a fresh
-// node owns the whole order (hi = len(order)-1), while the parallel driver
-// pins prefix nodes (hi = idx, no alternatives) and restricts a donated
-// sibling range (idx..hi) so disjoint engines partition the tree.
+// node is one scheduling point on the DFS stack: its canonical choice order,
+// orders[off : off+n] of the engine's arena, and which choice the current
+// execution takes. hi is the last choice index this engine owns: all of them
+// for a fresh node, while the parallel driver pins prefix nodes (hi = idx)
+// and restricts a donated sibling range (idx..hi). A choice's cost is read
+// off its position (engine.cost), zero unless the node is costly: then one
+// past the first under IPB (the last thread is enabled), the position under
+// IDB (a thread ran last).
 type node struct {
-	order []sched.ThreadID
-	costs []int
-	idx   int
-	hi    int
-	base  int // cumulative cost of the prefix strictly before this point
+	off, n, idx, hi int
+	base            int // cumulative cost of the prefix strictly before this point
+	costly          bool
 }
 
 // engine is a depth-first stateless-search driver. It doubles as the
@@ -82,7 +81,11 @@ type engine struct {
 	// are re-pointed at the stealing worker's executor.
 	exec *vthread.Executor
 
+	// stack and orders, the arena every node's order lives in, grow and
+	// shrink together, and pass from engine to engine as a driver moves on
+	// (newEngine's spare): a push allocates only past their high-water mark.
 	stack   []node
+	orders  []sched.ThreadID
 	running int // cumulative cost of the current execution so far
 	// shared is the number of leading steps the next execution repeats from
 	// the previous one this engine ran on exec (vthread.Executor.RunFrom):
@@ -92,13 +95,6 @@ type engine struct {
 	// the execution has been run.
 	shared int
 
-	// freeOrders and freeCosts recycle the per-node order/costs buffers:
-	// backtrack pushes a popped node's slices here and Choose pops them for
-	// the next fresh node, so the replay-and-extend hot path allocates only
-	// while the stack grows past its high-water mark.
-	freeOrders [][]sched.ThreadID
-	freeCosts  [][]int
-
 	// pruned records that some alternative was skipped because it exceeded
 	// the bound; if a bounded pass completes without pruning, the whole
 	// schedule space has been explored.
@@ -107,8 +103,14 @@ type engine struct {
 	executions int
 }
 
-func newEngine(cfg Config, model CostModel, bound int) *engine {
-	return &engine{cfg: cfg, model: model, bound: bound}
+// newEngine builds an engine on the node storage of spare, an engine its
+// driver is done with, or nil.
+func newEngine(cfg Config, model CostModel, bound int, spare searcher) *engine {
+	e := &engine{cfg: cfg, model: model, bound: bound}
+	if s, ok := spare.(*engine); ok {
+		e.stack, e.orders = s.stack[:0], s.orders[:0]
+	}
+	return e
 }
 
 // newExecutor builds the reusable execution context every driver in this
@@ -121,53 +123,46 @@ func newExecutor(cfg Config) *vthread.Executor {
 	})
 }
 
-// Choose implements vthread.Chooser.
+// Choose implements vthread.Chooser. A point whose node has no untried
+// choice within the bound is one no later execution of this engine chooses
+// differently at, so no prefix state is saved there (Context.NoResume).
 func (e *engine) Choose(ctx vthread.Context) sched.ThreadID {
-	if ctx.Step < len(e.stack) {
-		nd := &e.stack[ctx.Step]
-		e.running = nd.base + nd.costs[nd.idx]
-		return nd.order[nd.idx]
+	if ctx.Step == len(e.stack) {
+		e.push(ctx)
 	}
-	return e.push(ctx)
+	nd := &e.stack[ctx.Step]
+	e.running = nd.base + e.cost(nd, nd.idx)
+	if !e.open(nd) {
+		ctx.NoResume()
+	}
+	return e.orders[nd.off+nd.idx]
 }
 
-// push records the fresh node for ctx, advances the running cost, and
-// returns the choice taken (the canonical first).
-func (e *engine) push(ctx vthread.Context) sched.ThreadID {
-	// Recycled buffers, or — while the stack grows past its high-water mark —
-	// one allocation each, sized for the point.
-	var order []sched.ThreadID
-	if n := len(e.freeOrders); n > 0 {
-		order, e.freeOrders = e.freeOrders[n-1], e.freeOrders[:n-1]
+// push records the fresh node for ctx, whose first choice, the canonical
+// one, costs nothing.
+func (e *engine) push(ctx vthread.Context) {
+	off := len(e.orders)
+	e.orders = sched.AppendCanonicalOrder(e.orders, ctx.Enabled, ctx.Last, ctx.NumThreads)
+	n := len(e.orders) - off
+	costly := ctx.Last != sched.NoThread && (e.model == CostDelays || e.model == CostPreemptions && ctx.LastEnabled)
+	e.stack = append(e.stack, node{off: off, n: n, hi: n - 1, base: e.running, costly: costly})
+}
+
+// cost is the incremental cost of nd's choice j under the engine's model.
+func (e *engine) cost(nd *node, j int) int {
+	switch {
+	case !nd.costly:
+		return 0
+	case e.model == CostPreemptions:
+		return min(j, 1)
 	}
-	order = sched.AppendCanonicalOrder(slices.Grow(order, len(ctx.Enabled)), ctx.Enabled, ctx.Last, ctx.NumThreads)
-	var costs []int
-	if n := len(e.freeCosts); n > 0 {
-		costs, e.freeCosts = e.freeCosts[n-1], e.freeCosts[:n-1]
-	}
-	costs = slices.Grow(costs, len(order))
-	// order is the canonical one, so under delay bounding a choice costs its
-	// position in it (sched.DelayCost).
-	for i, t := range order {
-		cost := 0
-		switch e.model {
-		case CostPreemptions:
-			cost = sched.PCStep(ctx.Last, ctx.LastEnabled, t)
-		case CostDelays:
-			cost = sched.DelayCost(ctx.Last, i)
-		}
-		costs = append(costs, cost)
-	}
-	nd := node{order: order, costs: costs, hi: len(order) - 1, base: e.running}
-	// The canonical first choice is the deterministic scheduler's pick and
-	// always has incremental cost zero under both models, so it is never
-	// pruned.
-	if costs[0] != 0 && e.model != CostNone {
-		panic(fmt.Sprintf("explore: canonical first choice has nonzero cost %d", costs[0]))
-	}
-	e.stack = append(e.stack, nd)
-	e.running = nd.base + costs[0]
-	return order[0]
+	return j
+}
+
+// open reports whether nd has an untried choice within the bound. Costs do
+// not fall along the order, so the next choice decides.
+func (e *engine) open(nd *node) bool {
+	return nd.idx < nd.hi && (e.model == CostNone || nd.base+e.cost(nd, nd.idx+1) <= e.bound)
 }
 
 // runOnce executes the program once on the engine's executor, replaying
@@ -219,28 +214,16 @@ func (e *engine) checkCost(out *vthread.Outcome) {
 // backtrack advances the search to the next unexplored branch, returning
 // false when the (bounded) space is exhausted.
 func (e *engine) backtrack() bool {
-	for len(e.stack) > 0 {
-		nd := &e.stack[len(e.stack)-1]
-		advanced := false
-		for j := nd.idx + 1; j <= nd.hi; j++ {
-			if e.model != CostNone && nd.base+nd.costs[j] > e.bound {
-				e.pruned = true
-				continue
-			}
-			nd.idx = j
-			advanced = true
-			break
-		}
-		if advanced {
-			e.shared = len(e.stack) - 1
+	for d := len(e.stack) - 1; d >= 0; d-- {
+		nd := &e.stack[d]
+		if e.open(nd) {
+			nd.idx++
+			e.shared = d
 			return true
 		}
-		// Pop the exhausted node and recycle its buffers. Donated stacks
-		// are deep-copied by split, so the slices are exclusively ours.
-		e.freeOrders = append(e.freeOrders, nd.order[:0])
-		e.freeCosts = append(e.freeCosts, nd.costs[:0])
-		nd.order, nd.costs = nil, nil
-		e.stack = e.stack[:len(e.stack)-1]
+		// An untried choice that is not open is over the bound.
+		e.pruned = e.pruned || nd.idx < nd.hi
+		e.orders, e.stack = e.orders[:nd.off], e.stack[:d]
 	}
 	return false
 }

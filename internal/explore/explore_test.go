@@ -145,7 +145,7 @@ func TestFirstScheduleIsSameAcrossSystematicTechniques(t *testing.T) {
 	first = append(first, out.Trace.String())
 	for _, model := range []CostModel{CostPreemptions, CostDelays, CostNone} {
 		cfg := Config{Program: p()}.withDefaults()
-		eng := newEngine(cfg, model, 0)
+		eng := newEngine(cfg, model, 0, nil)
 		eng.exec = newExecutor(cfg)
 		o := eng.runOnce()
 		first = append(first, o.Trace.String())

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,9 +16,10 @@ import (
 // allocation. The corpus is seeded with every pinned checkpoint file, both
 // shapes and both versions — the version-1 unit-set files also as the
 // version-2 files this build writes of them — with the version-2 files
-// whose buggy runs must be rejected, and with the walker frontiers whose
-// sleep sets or thread counts must be (badWalkerFrontiers). Run it with
-// `go test -run xxx -fuzz FuzzLoadCheckpoint`.
+// whose buggy runs must be rejected, with the walker frontiers whose sleep
+// sets or thread counts must be (badWalkerFrontiers), and with the bounded
+// frontiers whose costs or prefix costs must be (badBoundedFrontiers). Run
+// it with `go test -run xxx -fuzz FuzzLoadCheckpoint`.
 func FuzzLoadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
 	for _, name := range []string{"golden_checkpoint.json", "golden_pool_checkpoint.json", "bad_runs_checkpoint.json"} {
@@ -57,7 +59,17 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err := json.Unmarshal(files["dpor"], &base); err != nil {
 		f.Fatal(err)
 	}
-	for _, ck := range badWalkerFrontiers(&base) {
+	// The costs and prefix costs restoreBounded must reject.
+	var dfs, ipb Checkpoint
+	if err := json.Unmarshal(files["dfs"], &dfs); err != nil {
+		f.Fatal(err)
+	}
+	if err := json.Unmarshal(files["ipb"], &ipb); err != nil {
+		f.Fatal(err)
+	}
+	bad := badWalkerFrontiers(&base)
+	maps.Copy(bad, badBoundedFrontiers(&dfs, &ipb))
+	for _, ck := range bad {
 		bad, err := json.Marshal(ck)
 		if err != nil {
 			f.Fatal(err)

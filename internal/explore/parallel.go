@@ -120,24 +120,17 @@ func (e *engine) split() *subtree {
 		if nd.idx >= nd.hi {
 			continue
 		}
+		// The donee runs on another worker: it gets copies of the nodes and
+		// of their orders, at the offsets they have here.
+		ne := newEngine(e.cfg, e.model, e.bound, nil)
+		ne.stack = slices.Clone(e.stack[:d+1])
+		ne.orders = slices.Clone(e.orders[:nd.off+nd.n])
 		key := make([]int, d+1)
-		stack := make([]node, d+1)
-		copy(stack, e.stack[:d+1])
-		// Deep-copy the node buffers: the donor recycles its order/costs
-		// slices through its free list on backtrack, so sharing them with
-		// the donated engine (which runs on another worker) would be a
-		// use-after-recycle race.
-		for i := range stack {
-			stack[i].order = append([]sched.ThreadID(nil), stack[i].order...)
-			stack[i].costs = append([]int(nil), stack[i].costs...)
-		}
 		for i := 0; i < d; i++ {
-			key[i] = stack[i].idx
-			stack[i].hi = stack[i].idx // pin the prefix
+			key[i] = ne.stack[i].idx
+			ne.stack[i].hi = ne.stack[i].idx // pin the prefix
 		}
 		key[d] = nd.idx + 1
-		ne := newEngine(e.cfg, e.model, e.bound)
-		ne.stack = stack
 		nd.hi = nd.idx // the donor no longer owns the range
 		return &subtree{eng: ne, key: key}
 	}

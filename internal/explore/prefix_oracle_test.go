@@ -292,7 +292,7 @@ func TestCheckCostFiresOnResumedRun(t *testing.T) {
 		t.Skip("the suite is running from scratch (SCTBENCH_COLD_RUNS): no run is resumed")
 	}
 	cfg := ckCfg(t, "CS.reorder_4_bad", 0).withDefaults()
-	e := newEngine(cfg, CostDelays, 2)
+	e := newEngine(cfg, CostDelays, 2, nil)
 	ex := newExecutor(cfg)
 	e.setExec(ex)
 	for i := 0; i < 10; i++ {
@@ -306,7 +306,7 @@ func TestCheckCostFiresOnResumedRun(t *testing.T) {
 		t.Fatalf("%d runs resumed, shared %d: the run to come would not be a resumed one", resumed, e.shared)
 	}
 	top := &e.stack[len(e.stack)-1]
-	top.costs[top.idx]++ // the engine now believes this choice costs one more delay
+	top.base++ // the engine now believes the prefix above this choice costs one more delay
 	defer func() {
 		if r := recover(); r == nil {
 			t.Error("checkCost did not fire")

@@ -111,7 +111,7 @@ type Scheduler struct {
 // NewScheduler builds the scheduler of a fresh search with a partitionable
 // technique (DFS, IPB, IDB or DPOR).
 func NewScheduler(cfg Config, tech Technique) (*Scheduler, error) {
-	if _, err := newSearcher(cfg, tech, 0); err != nil {
+	if _, err := newSearcher(cfg, tech, 0, nil); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -143,7 +143,7 @@ func ResumeScheduler(ck *Checkpoint, cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	for i := range ps.Units {
-		if _, err := restoreSearcher(s.cfg, ps.Units[i].Engine); err != nil {
+		if _, err := restoreSearcher(s.cfg, ps.Units[i].Engine, nil); err != nil {
 			return nil, fmt.Errorf("checkpoint: unit %d: %w", i, err)
 		}
 	}
@@ -519,7 +519,7 @@ func (s *Scheduler) split(u *unit, st UnitState) *unit {
 	p.units = slices.DeleteFunc(p.units, func(x *unit) bool { return x == u })
 	delete(s.byID, u.id)
 	head := s.add(p, st)
-	if eng, err := restoreSearcher(s.cfg, st.Engine); err == nil {
+	if eng, err := restoreSearcher(s.cfg, st.Engine, nil); err == nil {
 		if sub := eng.split(); sub != nil {
 			head.state.Engine = eng.snapshot()
 			s.add(p, stateOf(sub.eng, sub.key, false, nil))
@@ -824,10 +824,12 @@ type UnitTransport interface {
 
 // WorkUnits is the one worker loop of both transports: take a unit, explore
 // it, report it, until the transport has no more work or fails. One Executor
-// serves every unit; a frontier that does not restore is reported forfeited.
+// serves every unit, and each unit's engine hands its node storage to the
+// next (spare); a frontier that does not restore is reported forfeited.
 func WorkUnits(cfg Config, t UnitTransport) error {
 	cfg = cfg.withDefaults()
 	var ex *vthread.Executor
+	var spare searcher
 	defer func() {
 		if ex != nil {
 			ex.Close()
@@ -841,14 +843,15 @@ func WorkUnits(cfg Config, t UnitTransport) error {
 		if ex == nil {
 			ex = newExecutor(cfg)
 		}
-		run, end, err := runLease(cfg, ex, l.Unit, l.Budget, func() UnitAction { return t.Poll(l) })
+		run, end, err := runLease(cfg, ex, &spare, l.Unit, l.Budget, func() UnitAction { return t.Poll(l) })
 		switch {
 		case err != nil:
 			run = &UnitRun{Done: &UnitResultState{Key: slices.Clone(l.Unit.Key), PanicMsg: err.Error()}}
 		case end == unitPanicked:
 			// The executor may hold a wedged run (on the reference engine,
-			// parked goroutines): abandon it, the price of surviving.
-			ex = nil
+			// parked goroutines): abandon it and the engine it ran, the price
+			// of surviving.
+			ex, spare = nil, nil
 		}
 		if err := t.Finish(l, run); err != nil {
 			return err
@@ -857,15 +860,16 @@ func WorkUnits(cfg Config, t UnitTransport) error {
 }
 
 // newSearcher builds the fresh engine of one partitionable pass: a DFS or
-// DPOR tree, or bound bound of an IPB/IDB sweep.
-func newSearcher(cfg Config, tech Technique, bound int) (searcher, error) {
+// DPOR tree, or bound bound of an IPB/IDB sweep. A bounded engine takes over
+// spare's node storage (newEngine).
+func newSearcher(cfg Config, tech Technique, bound int, spare searcher) (searcher, error) {
 	switch tech {
 	case DFS:
-		return newEngine(cfg, CostNone, 0), nil
+		return newEngine(cfg, CostNone, 0, spare), nil
 	case IPB:
-		return newEngine(cfg, CostPreemptions, bound), nil
+		return newEngine(cfg, CostPreemptions, bound, spare), nil
 	case IDB:
-		return newEngine(cfg, CostDelays, bound), nil
+		return newEngine(cfg, CostDelays, bound, spare), nil
 	case DPOR:
 		return newDPOREngine(cfg), nil
 	}
@@ -891,7 +895,7 @@ type ShardSet struct {
 // executor left unclosed.
 func ShardTree(cfg Config, tech Technique, bound, want int) (*ShardSet, error) {
 	cfg = cfg.withDefaults()
-	eng, err := newSearcher(cfg, tech, bound)
+	eng, err := newSearcher(cfg, tech, bound, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -945,7 +949,7 @@ type UnitRun struct {
 func RunUnit(cfg Config, us *UnitState, budget int, poll func() UnitAction) (*UnitRun, error) {
 	cfg = cfg.withDefaults()
 	ex := newExecutor(cfg)
-	run, end, err := runLease(cfg, ex, us, budget, poll)
+	run, end, err := runLease(cfg, ex, new(searcher), us, budget, poll)
 	if end != unitPanicked {
 		ex.Close()
 	}
@@ -953,12 +957,14 @@ func RunUnit(cfg Config, us *UnitState, budget int, poll func() UnitAction) (*Un
 }
 
 // runLease explores one unit on ex — restore, the unit step with panics
-// contained, package how it ended — without writing to us.
-func runLease(cfg Config, ex *vthread.Executor, us *UnitState, budget int, poll func() UnitAction) (*UnitRun, unitEnd, error) {
-	eng, err := restoreSearcher(cfg, us.Engine)
+// contained, package how it ended — without writing to us. The unit's engine
+// is built on *spare's node storage and left in *spare.
+func runLease(cfg Config, ex *vthread.Executor, spare *searcher, us *UnitState, budget int, poll func() UnitAction) (*UnitRun, unitEnd, error) {
+	eng, err := restoreSearcher(cfg, us.Engine, *spare)
 	if err != nil {
 		return nil, unitAbandoned, fmt.Errorf("unit: %w", err)
 	}
+	*spare = eng
 	res := us.Partial.clone()
 	if res == nil {
 		res = &UnitResultState{Key: slices.Clone(us.Key)}

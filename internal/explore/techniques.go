@@ -275,7 +275,7 @@ func runTree(cfg Config, tech Technique) *Result {
 		s, _ := NewScheduler(cfg, tech) // never Rand: the callers name the technique
 		return s.Run()
 	}
-	root, _ := newSearcher(cfg, tech, 0)
+	root, _ := newSearcher(cfg, tech, 0, nil)
 	return runSequential(cfg, r, 0, root, nil)
 }
 
@@ -349,7 +349,7 @@ func runSequential(cfg Config, r *Result, bound int, eng searcher, res *UnitResu
 		}
 		end.Counted += m.Schedules
 		end.Bound++
-		eng, _ = newSearcher(cfg, r.Technique, end.Bound) // a sweep: always partitionable
+		eng, _ = newSearcher(cfg, r.Technique, end.Bound, eng) // a sweep: always partitionable
 		*res = UnitResultState{BuggyRuns: res.BuggyRuns[:0], StatMarks: res.StatMarks[:0]}
 	}
 	ex.Close()

@@ -4,7 +4,7 @@ package vthread
 // another that differ only below the backtrack point, and a stateless
 // substrate re-executes the shared prefix every time. For flat-engine runs
 // entered through Executor.RunFrom the World instead saves its state at some
-// scheduling points of a run (snapshot.save, called from nextStep) and a
+// scheduling decisions of a run (snapshot.save, called from nextStep) and a
 // later run whose chooser repeats the earlier choices continues from the
 // deepest saved point it shares (snapshot.restore) rather than from the
 // initial state.
@@ -32,9 +32,16 @@ package vthread
 // commit; and the clock pseudo-thread's id, name and pending fire, set when
 // the clock is created.
 //
-// The snapshot point is the top of nextStep's loop, before syncEnabled, so a
-// resumed run enters nextStep like any other and the enabled set is brought
-// up to date by the same code from the same bookkeeping.
+// The snapshot point is the decision itself: after syncEnabled and the
+// chooser, before accountStep. The chooser leaves the World as it found it,
+// so the state saved is the one the decision was made in, enabled set and
+// scheduling-point counters included, and a resumed run re-enters at that
+// decision — it does not sync the enabled set again — and consults its
+// chooser there. Which decisions are saved is first the chooser's, then the
+// spacing rule's (gap): a chooser that calls Context.NoResume at a point
+// promises the same choice there in every later run, so no run resumes
+// there and nothing is saved (the bounded search marks every point where no
+// untried alternative fits the bound).
 
 // snapSlots bounds the live snapshots of one Executor. Slots are recycled
 // with their buffers, so the cache's memory is this many times the largest
@@ -53,8 +60,7 @@ const (
 )
 
 // threadSnap is one thread's share of a snapshot. The enabled-set links are
-// saved for every thread — the thread that has just exited is still listed
-// until syncEnabled runs — the rest only for program threads that can run
+// saved for every thread, the rest only for program threads that can run
 // again (the clock has no interpreter).
 type threadSnap struct {
 	t     *Thread
@@ -111,7 +117,7 @@ func (s *snapshot) gap() int {
 	return max(snapMinGap, words/snapWordsPerStep)
 }
 
-// save records the World's state at the scheduling point it is entering.
+// save records the World's state at the decision it is making.
 func (s *snapshot) save(w *World, env *progEnv) {
 	s.depth = len(w.trace)
 	s.last, s.pc, s.dc = w.last, w.pc, w.dc
@@ -381,6 +387,7 @@ func (c *prefixCache) begin(env *progEnv) {
 // decisions hold trace entries but were no flat steps.
 func (c *prefixCache) resume(w *World, s *snapshot) {
 	s.restore(w, c.env)
+	w.resumed = true
 	c.next = s.depth + s.gap()
 	w.stats.RunsResumed++
 	w.stats.StepsSkipped += int64(s.depth)

@@ -32,6 +32,10 @@ type walker struct {
 	calls   int // Choose calls that made a choice (one per trace entry)
 	abortAt func(step int) bool
 	jump    *rand.Rand
+	// marks, when set, makes the walk call Context.NoResume at every point
+	// whose node has no untried choice left; marked counts the calls.
+	marks  bool
+	marked int
 }
 
 type walkNode struct {
@@ -44,6 +48,7 @@ func (k *walker) Choose(ctx Context) ThreadID {
 	if ctx.Step < len(k.stack) {
 		k.calls++
 		n := &k.stack[ctx.Step]
+		k.mark(ctx, n)
 		return n.order[n.idx]
 	}
 	if k.abortAt != nil && k.abortAt(ctx.Step) {
@@ -57,7 +62,17 @@ func (k *walker) Choose(ctx Context) ThreadID {
 		fmt.Fprintf(&foot, "T%d %v; ", id, ctx.PendingOf(id))
 	}
 	k.stack = append(k.stack, walkNode{order: order, foot: foot.String()})
+	k.mark(ctx, &k.stack[len(k.stack)-1])
 	return order[0]
+}
+
+// mark tells the World that no later run resumes at n's point, when the walk
+// marks and n has no untried choice: backtrack never returns to it.
+func (k *walker) mark(ctx Context, n *walkNode) {
+	if k.marks && n.idx+1 == len(n.order) {
+		ctx.NoResume()
+		k.marked++
+	}
 }
 
 // backtrack advances the deepest node that has an untried choice — or, one
@@ -146,7 +161,7 @@ func jumpy(_ *Executor, a, b *walker) {
 }
 
 // snapshotEveryStep makes every scheduling point of ex's RunFrom runs a
-// snapshot point, through the enabled-set hook (it runs right after the
+// snapshot point, through the enabled-set hook (it runs right before the
 // point's decision whether to save): the spacing rule puts snapshots on a
 // lattice of depths, and a test of what a snapshot holds wants every state.
 func snapshotEveryStep(ex *Executor) {
@@ -156,7 +171,7 @@ func snapshotEveryStep(ex *Executor) {
 			check(w)
 		}
 		if w.cache != nil {
-			w.cache.next = len(w.trace) + 1
+			w.cache.next = len(w.trace)
 		}
 	}
 }
@@ -434,7 +449,8 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 		"drop a condvar's waiter list": func(w *World) {
 			env(w).conds[0].waiters = env(w).conds[0].waiters[:0]
 		},
-		"stale seen": func(w *World) { w.seen = len(w.threads) },
+		// A saved decision has taken in every thread; reset leaves seen 0.
+		"stale seen": func(w *World) { w.seen = 0 },
 		"stale live": func(w *World) { w.live = len(w.threads) },
 		"drop RWMutex.waitingWriters": func(w *World) {
 			env(w).rwmus[0].waitingWriters = 0
@@ -453,6 +469,11 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 			w.threads[1] = &moved
 		},
 		"keep the previous run's cell": func(w *World) { env(w).cells[0] = 1 },
+		// The restored decision's enabled set is synced already: syncing it
+		// again takes a just-exited last thread off live a second time, and
+		// going through the whole point again counts it twice.
+		"sync the enabled set again":   func(w *World) { w.syncEnabled() },
+		"re-enter before the decision": func(w *World) { w.resumed = false },
 		"keep the previous run's frames": func(w *World) {
 			for _, t := range w.threads {
 				if t.state != stateExited && len(t.fi.frames) > 1 {
@@ -496,6 +517,51 @@ func TestPrefixCacheCatchesSeededMutations(t *testing.T) {
 		if run(timedProgram(), mutate) == "" {
 			t.Errorf("mutation %q: no difference seen", name)
 		}
+	}
+}
+
+// TestPrefixCacheSkipsMarkedPoints: a chooser that marks the points it will
+// never choose differently at (Context.NoResume) gets no snapshot taken at
+// one, and runs that are those of a run from scratch. The seeded mutation
+// that saves at marked points anyway is caught.
+func TestPrefixCacheSkipsMarkedPoints(t *testing.T) {
+	diff, st := walkPair(snapProgram(), Options{}, 2000, func(ex *Executor, a, b *walker) {
+		jumpy(ex, a, b)
+		a.marks = true
+	})
+	if diff != "" || st.RunsResumed == 0 {
+		t.Fatalf("%+v: %s", st, diff)
+	}
+	// walk counts the snapshots each run of a depth-first walk took — those
+	// deeper than the depth it shares, on nodes it pushed — and how many of
+	// them are at a node the run took its last choice at.
+	walk := func(ignoreMarks bool) (marked, taken, atMarked int) {
+		ex := NewExecutor(Options{})
+		defer ex.Close()
+		if ignoreMarks {
+			ex.w.positionCheck = func(w *World, _ int, _ bool, _ ThreadID, _ int) { w.noResume = false }
+		}
+		a, prog := &walker{marks: true}, snapProgram()
+		for shared, n := 0, 0; shared >= 0 && n < 2000; n++ {
+			ex.RunFrom(a, prog, shared)
+			for _, s := range ex.cache.snaps {
+				if nd := &a.stack[s.depth]; s.depth > shared {
+					taken++
+					if nd.idx+1 == len(nd.order) {
+						atMarked++
+					}
+				}
+			}
+			shared = a.backtrack()
+		}
+		return a.marked, taken, atMarked
+	}
+	if marked, taken, atMarked := walk(false); marked == 0 || taken == 0 || atMarked != 0 {
+		t.Errorf("%d points marked, %d snapshots taken, %d at marked points: want some, some and none",
+			marked, taken, atMarked)
+	}
+	if _, _, atMarked := walk(true); atMarked == 0 {
+		t.Error(`mutation "save at marked points": no snapshot found at one`)
 	}
 }
 

@@ -80,8 +80,9 @@ type Context struct {
 	// field.
 	SelectOf ThreadID
 
-	// world backs Abort. A Context is only valid during the Choose call it
-	// was built for, which is what makes the pointer safe to embed.
+	// world backs Abort and NoResume. A Context is only valid during the
+	// Choose call it was built for, which is what makes the pointer safe to
+	// embed.
 	world *World
 }
 
@@ -103,6 +104,16 @@ type Context struct {
 // Choose invocation the Context was passed to is unsupported.
 func (c Context) Abort() {
 	c.world.aborted = true
+}
+
+// NoResume marks this scheduling point as one no later execution resumes
+// from: every run that repeats the steps before it will make the same choice
+// here (a bounded search whose untried alternatives are all over the bound),
+// so the prefix-state cache of Executor.RunFrom saves no state here. A
+// chooser that never calls it gets a state saved wherever the spacing rule
+// puts one. Like Abort, it holds only for the Choose call it is made in.
+func (c Context) NoResume() {
+	c.world.noResume = true
 }
 
 // PendingInfo describes a parked thread's next visible operation: enough
@@ -168,7 +179,8 @@ func (a *PendingInfo) Independent(b *PendingInfo) bool {
 // implementation bug, not a property of the program under test. The one
 // exception: a Choose call that invoked ctx.Abort may return anything —
 // the execution stops at this point and the value is ignored (see
-// Context.Abort).
+// Context.Abort). A chooser that knows no later run chooses differently at
+// a point says so with ctx.NoResume, and no prefix state is saved there.
 //
 // Goroutine migration: Choose may be called from different goroutines,
 // never concurrently. It always runs with the baton held, but on the
@@ -382,9 +394,12 @@ type World struct {
 	// cache, non-nil only during an Executor.RunFrom run of a compiled
 	// program, is where nextStep saves prefix states (snapshot.go).
 	// restoreCheck, nil outside tests, is called right after such a run has
-	// restored one, before its first step.
-	cache        *prefixCache
-	restoreCheck func(*World)
+	// restored one, before its first step. resumed says the World stands at
+	// a restored decision, its enabled set already synced; noResume that the
+	// chooser marked the decision being made (Context.NoResume).
+	cache             *prefixCache
+	restoreCheck      func(*World)
+	resumed, noResume bool
 	// pendingFn is w.pendingOf bound once; building the method value at
 	// every scheduling point would allocate a closure per step. casePendFn
 	// is the case-decision counterpart (w.casePendingOf), reading the
@@ -451,7 +466,7 @@ func (w *World) reset() {
 	w.clk.reset()
 	w.caseSel = nil
 	w.failure = nil
-	w.stepLimitHit = false
+	w.stepLimitHit, w.resumed = false, false
 	w.aborted = false
 	w.schedPanic = nil
 }
@@ -521,26 +536,29 @@ func (w *World) nextStep() *Thread {
 		if w.failure != nil {
 			return nil
 		}
-		if c := w.cache; c != nil && len(w.trace) >= c.next {
-			c.take(w)
-		}
-		enabled := w.syncEnabled()
-		if len(enabled) == 0 {
-			w.finishIdle()
-			return nil
-		}
-		if len(w.trace) >= w.opts.MaxSteps {
-			w.stepLimitHit = true
-			return nil
-		}
-		// Scheduling-point statistics strictly after the step-limit check: a
-		// step-limited run must not count a scheduling point at which no step
-		// executed.
-		if len(enabled) > 1 {
-			w.schedPoints++
-		}
-		if len(enabled) > w.maxEnabled {
-			w.maxEnabled = len(enabled)
+		enabled := w.enabled
+		if w.resumed {
+			// A restored decision: its enabled set and counters are this point's.
+			w.resumed = false
+		} else {
+			enabled = w.syncEnabled()
+			if len(enabled) == 0 {
+				w.finishIdle()
+				return nil
+			}
+			if len(w.trace) >= w.opts.MaxSteps {
+				w.stepLimitHit = true
+				return nil
+			}
+			// Scheduling-point statistics strictly after the step-limit check: a
+			// step-limited run must not count a scheduling point at which no step
+			// executed.
+			if len(enabled) > 1 {
+				w.schedPoints++
+			}
+			if len(enabled) > w.maxEnabled {
+				w.maxEnabled = len(enabled)
+			}
 		}
 
 		// Every member of the set knows its index in it, so last's flag and
@@ -555,7 +573,13 @@ func (w *World) nextStep() *Thread {
 				start, _ = sched.CanonicalStart(enabled, w.last)
 			}
 		}
+		w.noResume = false
 		choice, pos := w.choose(enabled, start, lastEnabled)
+		// The snapshot point: the decision, whose state the chooser leaves as
+		// it found it, so a later run re-enters here and chooses afresh.
+		if c := w.cache; c != nil && !w.noResume && len(w.trace) >= c.next {
+			c.take(w)
+		}
 		if w.aborted {
 			return nil
 		}
